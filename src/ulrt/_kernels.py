@@ -37,18 +37,6 @@ def batch_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     return perm
 
 
-def partition_sums(values: np.ndarray, perms: np.ndarray, k: int) -> np.ndarray:
-    """Sum of ``values`` rows over each partition's first part.
-
-    ``values`` is ``(n, d)``, ``perms`` is ``(R, n)`` from
-    :func:`batch_fisher_yates`; returns ``(R, d)``.
-    """
-    n = values.shape[0]
-    onehot = np.zeros((perms.shape[0], n), dtype=np.float64)
-    np.put_along_axis(onehot, perms[:, :k].astype(np.int64), 1.0, axis=1)
-    return onehot @ values
-
-
 def batched_partition_sums(data: np.ndarray, perms: np.ndarray, k: int) -> np.ndarray:
     """Per-dataset variant: ``data`` is ``(C, n, d)``, ``perms`` ``(C, B, n)``.
 

@@ -8,6 +8,12 @@ likelihood-evaluation part (``indices0``) and the estimation part
 Splitting draws a uniformly random size-``round(n * p0)`` subset via a partial
 Fisher-Yates shuffle.  All randomness flows through :class:`RngStream` values,
 so identical streams reproduce identical datasets and partitions.
+
+Monte Carlo replications need only the part means of their splits.
+:func:`replicate_split_means` returns them for a chunk of replications: a
+single split (B = 1) draws the two means from their exact law with
+:func:`sample_part_means`, and B > 1 splits simulate the full dataset and
+split it B times.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import batch_fisher_yates, split_means
 from .errors import DomainError
 from .rng import RngStream, _raw_block
 
@@ -154,13 +161,73 @@ def subsample_splits(sample: SampleSet, B: int, p0: float, rng: RngStream) -> li
     """``B`` independent splits, split ``b`` drawn from ``rng.substream(b)``."""
     if B < 1:
         raise DomainError(f"B must be at least 1, got {B}")
-    from ._kernels import batch_fisher_yates
-
     n = sample.n
     k = part_size(n, p0)
     keys = rng.substream_keys(B)
     perms = batch_fisher_yates(keys, n, k)
     return [SplitPair.from_indices(sample, perms[b, :k], p0=p0) for b in range(B)]
+
+
+def sample_part_means(rep_streams, n: int, k: int, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Part means of one uniformly random size-``k`` split per replication.
+
+    For ``n`` iid draws from N(theta, I_d) and a uniformly random partition
+    into parts of sizes ``k`` and ``n - k``, the part means are independent
+    N(theta, I/k) and N(theta, I/(n - k)), so they are drawn directly:
+    replication ``i`` takes ``2d`` normals from
+    ``rep_streams[i].substream(0)``, the first ``d`` for ``mean0`` and the
+    last ``d`` for ``mean1``.  Returns ``(mean0, mean1)``, each ``(C, d)``.
+    The overall mean ``(k * mean0 + (n - k) * mean1) / n`` is exactly
+    N(theta, I/n).
+    """
+    if not 1 <= k < n:
+        raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    d = theta.shape[0]
+    z = np.empty((len(rep_streams), 2 * d))
+    for i, rs in enumerate(rep_streams):
+        rs.substream(0).normals(2 * d, out=z[i])
+    return z[:, :d] / math.sqrt(k) + theta, z[:, d:] / math.sqrt(n - k) + theta
+
+
+def _simulate_block(rep_streams, n: int, d: int, theta: np.ndarray) -> np.ndarray:
+    block = np.empty((len(rep_streams), n, d))
+    shift = theta.any()
+    for i, rs in enumerate(rep_streams):
+        rs.substream(0).normals(n * d, out=block[i].reshape(-1))
+        if shift:
+            block[i] += theta
+    return block
+
+
+def _split_keys_block(rep_streams, B: int) -> np.ndarray:
+    keys = np.empty((len(rep_streams), B), dtype=np.uint64)
+    for i, rs in enumerate(rep_streams):
+        keys[i] = rs.substream(1).substream_keys(B)
+    return keys
+
+
+def _block_split_means(data: np.ndarray, keys: np.ndarray, k: int):
+    c, n, _ = data.shape
+    perms = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, keys.shape[1], n)
+    return split_means(data, perms, k)
+
+
+def replicate_split_means(
+    rep_streams, n: int, k: int, theta: np.ndarray, B: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Part means of ``B`` random size-``k`` splits of each replication's
+    N(theta, I_d) dataset; returns ``(mean0, mean1)``, each ``(C, B, d)``.
+
+    With ``B = 1`` the means come from :func:`sample_part_means` (``2d``
+    normals from substream 0).  With ``B > 1`` substream 0 draws the full
+    ``n``-by-``d`` dataset and substream 1 parents the per-split streams.
+    """
+    if B == 1:
+        mean0, mean1 = sample_part_means(rep_streams, n, k, theta)
+        return mean0[:, None, :], mean1[:, None, :]
+    data = _simulate_block(rep_streams, n, theta.shape[0], theta)
+    return _block_split_means(data, _split_keys_block(rep_streams, B), k)
 
 
 def save_csv(sample: SampleSet, path) -> None:

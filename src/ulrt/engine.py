@@ -5,8 +5,10 @@ parameter cells; :func:`run` produces one or more aggregated
 :class:`SummaryRow` per cell.  Replication ``r`` of cell ``c`` draws from the
 stream chain ``root(master_seed) -> substream(1 + c) -> substream(r)``
 (``substream(0)`` of the root is reserved for artifacts shared across cells,
-such as a fixed dataset).  Within a replication, substream 0 generates the
-dataset and substream 1 parents the per-split streams.
+such as a fixed dataset).  Within a replication, substream 0 draws the data:
+a single-split (B = 1) cell draws only its two part means (``2d`` normals,
+see :func:`ulrt.data.sample_part_means`), and a B > 1 cell draws the full
+``n``-by-``d`` dataset, whose splits descend from substream 1.
 
 Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
@@ -28,8 +30,16 @@ from . import doughnut as dn
 from . import power as pw
 from . import regions as rg
 from . import specfun
-from ._kernels import batch_fisher_yates, log_mean_exp, split_means, sq_norm
-from .data import SampleSet, part_size, sample_gaussian, split
+from ._kernels import log_mean_exp, sq_norm
+from .data import (
+    SampleSet,
+    _block_split_means,
+    part_size,
+    replicate_split_means,
+    sample_gaussian,
+    sample_part_means,
+    split,
+)
 from .errors import DomainError, NumericError
 from .rng import RngStream
 
@@ -170,29 +180,6 @@ def _map_chunks(
 # ---------------------------------------------------------------------------
 # shared simulation pieces
 # ---------------------------------------------------------------------------
-
-
-def _simulate_block(rep_streams, n: int, d: int, theta: np.ndarray) -> np.ndarray:
-    block = np.empty((len(rep_streams), n, d))
-    shift = theta.any()
-    for i, rs in enumerate(rep_streams):
-        rs.substream(0).normals(n * d, out=block[i].reshape(-1))
-        if shift:
-            block[i] += theta
-    return block
-
-
-def _split_keys_block(rep_streams, B: int) -> np.ndarray:
-    keys = np.empty((len(rep_streams), B), dtype=np.uint64)
-    for i, rs in enumerate(rep_streams):
-        keys[i] = rs.substream(1).substream_keys(B)
-    return keys
-
-
-def _block_split_means(data: np.ndarray, keys: np.ndarray, k: int):
-    c, n, _ = data.shape
-    perms = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, keys.shape[1], n)
-    return split_means(data, perms, k)
 
 
 def _crossfit_member(pair, thresh: float) -> Callable[[np.ndarray], bool]:
@@ -474,11 +461,8 @@ def _exec_fig3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
     def run_chunk(lo: int, hi: int) -> dict:
         streams = [stream.substream(r) for r in range(lo, hi)]
-        data = _simulate_block(streams, n, d, theta)
-        keys = _split_keys_block(streams, 1)
-        mean0, mean1 = _block_split_means(data, keys, k)
-        delta = sq_norm(mean0[:, 0, :] - mean1[:, 0, :], axis=1)
-        return {"sq_radius": (2.0 / k) * L + delta}
+        mean0, mean1 = sample_part_means(streams, n, k, theta)
+        return {"sq_radius": (2.0 / k) * L + sq_norm(mean0 - mean1, axis=1)}
 
     acc = _map_chunks(reps, _chunk_reps(n, d, 1), run_chunk, ctx.workers, ctx.dump)
     a = acc["sq_radius"]
@@ -518,11 +502,8 @@ def _exec_fig5(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
     def run_chunk(lo: int, hi: int) -> dict:
         streams = [stream.substream(r) for r in range(lo, hi)]
-        data = _simulate_block(streams, n, d, theta)
-        keys = _split_keys_block(streams, 1)
-        mean0, mean1 = _block_split_means(data, keys, k)
-        delta = sq_norm(mean0[:, 0, :] - mean1[:, 0, :], axis=1)
-        ratio = ((4.0 / n) * L + delta) / (quantile / n)
+        mean0, mean1 = sample_part_means(streams, n, k, theta)
+        ratio = ((4.0 / n) * L + sq_norm(mean0 - mean1, axis=1)) / (quantile / n)
         return {"leq4": (ratio <= 4.0).astype(np.float64)}
 
     acc = _map_chunks(reps, _chunk_reps(n, d, 1), run_chunk, ctx.workers, ctx.dump)
@@ -561,13 +542,12 @@ def _doughnut_chunk_fn(stream, method, theta, n, d, alpha, B, null):
 
     def run_chunk(lo: int, hi: int) -> dict:
         streams = [stream.substream(r) for r in range(lo, hi)]
-        data = _simulate_block(streams, n, d, theta)
         if method == "intersection":
-            norms = np.sqrt(sq_norm(data.mean(axis=1), axis=1))
+            mean0, mean1 = sample_part_means(streams, n, k, theta)
+            norms = np.sqrt(sq_norm((k * mean0 + (n - k) * mean1) / n, axis=1))
             gap = np.maximum(np.maximum(null.r_in - norms, norms - null.r_out), 0.0)
             return {"reject": (gap * gap > quantile / n).astype(np.float64)}
-        keys = _split_keys_block(streams, B)
-        mean0, mean1 = _block_split_means(data, keys, k)
+        mean0, mean1 = replicate_split_means(streams, n, k, theta, B)
         if method == "subsampled_split":
             values = dn._split_case_log_values(mean0, mean1, n, null)
             return {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
@@ -716,14 +696,13 @@ def coverage_suite(
         b_eff = B if method == "subsampling" else 1
         theta = np.zeros(d)
 
-        def run_chunk(lo: int, hi: int, method=method, d=d, stream=stream, k=k, b_eff=b_eff, quantile=quantile, theta=theta) -> dict:
+        def run_chunk(lo: int, hi: int, method=method, stream=stream, k=k, b_eff=b_eff, quantile=quantile, theta=theta) -> dict:
             streams = [stream.substream(r) for r in range(lo, hi)]
-            data = _simulate_block(streams, n, d, theta)
+            mean0, mean1 = replicate_split_means(streams, n, k, theta, b_eff)
             if method == "classical":
-                covered = n * sq_norm(data.mean(axis=1), axis=1) <= quantile
+                overall = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
+                covered = n * sq_norm(overall, axis=1) <= quantile
                 return {"covered": covered.astype(np.float64)}
-            keys = _split_keys_block(streams, b_eff)
-            mean0, mean1 = _block_split_means(data, keys, k)
             delta = sq_norm(mean0 - mean1, axis=2)
             logT = 0.5 * k * (sq_norm(mean0, axis=2) - delta)
             if method == "split":

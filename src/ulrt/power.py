@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from ._kernels import batch_fisher_yates, log_mean_exp, split_means, sq_norm
-from .data import part_size
+from ._kernels import log_mean_exp, sq_norm
+from .data import part_size, replicate_split_means
 from .errors import DomainError
 from .regions import log_threshold
 
@@ -100,19 +100,13 @@ def _mc_reject_chunk(
 ) -> np.ndarray:
     """Rejection indicators for a chunk of replications.
 
-    Replication stream convention: substream 0 draws the dataset, substream 1
-    is the parent of the per-split streams.
+    Replication stream convention: with ``B = 1`` substream 0 draws the two
+    part means (``2d`` normals); with ``B > 1`` substream 0 draws the full
+    ``n``-by-``d`` dataset and substream 1 is the parent of the per-split
+    streams.
     """
-    d = theta.shape[0]
-    C = len(rep_streams)
     k = part_size(n, 0.5)
-    data_block = np.empty((C, n, d))
-    keys = np.empty((C, B), dtype=np.uint64)
-    for i, rs in enumerate(rep_streams):
-        data_block[i] = rs.substream(0).normals(n * d).reshape(n, d) + theta
-        keys[i] = rs.substream(1).substream_keys(B)
-    perms = batch_fisher_yates(keys.reshape(-1), n, k).reshape(C, B, n)
-    mean0, mean1 = split_means(data_block, perms, k)
+    mean0, mean1 = replicate_split_means(rep_streams, n, k, theta, B)
     delta = sq_norm(mean0 - mean1, axis=2)
     logT = 0.5 * k * (sq_norm(mean0, axis=2) - delta)
     if kind == "split":
@@ -136,10 +130,13 @@ def mc_power(
 ) -> PowerEstimate:
     """Monte Carlo power of a universal test at true mean ``theta``.
 
-    Each replication simulates a fresh dataset from N(theta, I_d), evaluates
-    the test statistic at the origin, and rejects when it reaches
-    ``1/alpha``.  Replication ``r`` uses ``rng.substream(r)``, so the result
-    is a pure function of ``rng`` regardless of chunking or thread count.
+    Each replication simulates fresh data from N(theta, I_d), evaluates the
+    test statistic at the origin, and rejects when it reaches ``1/alpha``.
+    The split and cross-fit tests (and subsampling at ``B = 1``) draw only
+    the two part means, ``2d`` normals from substream 0 of the replication;
+    subsampling at ``B > 1`` draws the full ``n``-by-``d`` dataset.
+    Replication ``r`` uses ``rng.substream(r)``, so the result is a pure
+    function of ``rng`` regardless of chunking or thread count.
     """
     if test_kind not in MC_TEST_KINDS:
         raise DomainError(f"test_kind must be one of {MC_TEST_KINDS}, got {test_kind!r}")

@@ -68,9 +68,9 @@ def test_criterion_02_e_variable_bound():
         values = np.empty(reps)
         for lo in range(0, reps, chunk):
             streams = [root.substream(r) for r in range(lo, min(lo + chunk, reps))]
-            block = engine._simulate_block(streams, n, d, np.zeros(d))
-            keys = engine._split_keys_block(streams, 1)
-            mean0, mean1 = engine._block_split_means(block, keys, k)
+            block = data._simulate_block(streams, n, d, np.zeros(d))
+            keys = data._split_keys_block(streams, 1)
+            mean0, mean1 = data._block_split_means(block, keys, k)
             delta = sq_norm(mean0[:, 0, :] - mean1[:, 0, :], axis=1)
             log_t = 0.5 * k * (sq_norm(mean0[:, 0, :], axis=1) - delta)
             values[lo : lo + len(streams)] = np.exp(log_t)
@@ -148,9 +148,9 @@ def test_criterion_05_crossfit_containment_and_area():
         member_count = 0
         for lo in range(0, reps, chunk):
             streams = [root.substream(r) for r in range(lo, min(lo + chunk, reps))]
-            block = engine._simulate_block(streams, n, d, np.zeros(d))
-            keys = engine._split_keys_block(streams, 1)
-            mean0, mean1 = engine._block_split_means(block, keys, k)
+            block = data._simulate_block(streams, n, d, np.zeros(d))
+            keys = data._split_keys_block(streams, 1)
+            mean0, mean1 = data._block_split_means(block, keys, k)
             mean0, mean1 = mean0[:, 0, :], mean1[:, 0, :]
             overall = block.mean(axis=1)
             delta = sq_norm(mean0 - mean1, axis=1)

@@ -27,7 +27,7 @@ GOLDEN = {
     ),
     "split_p0_fig3": (
         dict(ds=(2,), n=100, reps=50, p0s=(0.5, 0.7)),
-        "155a883761b7d5b7b0526e38065434f10b38c959a50ec8705a9a11faef48ab76",
+        "184352335a55dede372844d370d3c15693018e225722bd5063387029382c3c88",
     ),
     "ratio_bounds_fig4": (
         dict(ds=(10,), xs=(0.0, 1.0, 3.0)),
@@ -36,15 +36,15 @@ GOLDEN = {
     # d = 100 at n = 1000 takes two chunks of the 200 replications
     "ratio_prob_fig5": (
         dict(ds=(2, 100), n=1000, reps=200),
-        "8d971c74b4914b4755980d33e540c82d257d89440079312754dab2b2a41d31d0",
+        "35a1c77846d2cb135389339180642c450f67f1a5a610512778dd6bd99477c33a",
     ),
     "power_fig6": (
         dict(ds=(2,), n=200, reps=100, B=10, lambdas=(0.0, 8.0)),
-        "12cbbb7258a7b19cc7639a22c4f5d6d6b280f541bd0fbdaabf50fcafe08613e9",
+        "4e77c03784bd2d30c0dce57c1b4329b758cea6725f3338f34322c94fb38cc023",
     ),
     "doughnut_fig7": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.1)),
-        "39f3877ab70a2f9ace1869ee8a489e3e9e6f52975a278ddf18a133eee81b5c96",
+        "bcaecea5594d469c073b8eaedf601a15d5ee099f1ae49870c970641a87c81b83",
     ),
     "crossfit_p0_figS2": (
         dict(n=200, p0s=(0.3, 0.5), rays=24, tol=1e-4),
@@ -52,7 +52,7 @@ GOLDEN = {
     ),
     "intersect_power_figS3": (
         dict(ds=(2,), n=200, reps=100, theta_norms=(0.0, 1.2)),
-        "90fa8af97f551870f93b53f7c7aae9edf4b9c67de725788859f621267cdb1e9a",
+        "e02bb943df0583978abeb65335f5e3c366875253bd2861eb8bd1472e675e0cb8",
     ),
     "hybrid_cases_figS4": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.25)),
