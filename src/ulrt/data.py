@@ -118,7 +118,10 @@ def part_size(n: int, p0: float) -> int:
     """
     if not (0.0 < p0 < 1.0):
         raise DomainError(f"p0 must lie in (0, 1), got {p0}")
-    k = int(math.floor(n * p0 + 0.5))
+    # Round the product to 9 decimals first: a product that is a half
+    # integer in exact arithmetic (n = 25, p0 = 0.58) can come out just
+    # below it in binary (14.499999999999998) and would round down.
+    k = int(math.floor(round(n * p0, 9) + 0.5))
     if k < 1 or k > n - 1:
         raise DomainError(f"split p0={p0} leaves an empty part for n={n}")
     return k
