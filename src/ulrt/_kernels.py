@@ -1,10 +1,10 @@
 """Vectorized inner loops shared by the statistics and the experiment runner.
 
-Everything here is exact batch arithmetic over the same draws the scalar code
-paths consume: ``batch_fisher_yates`` reproduces :func:`ulrt.data.split`
-partition-for-partition when given the same stream keys, and the partition
-sums are plain matrix products against one-hot membership matrices (fast via
-BLAS, and within float rounding of per-row means).
+Everything here is exact batch arithmetic.  ``batch_fisher_yates`` is the one
+partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
+stream key, the subsampling and Monte Carlo paths with many.  The partition
+sums in ``split_means`` are plain matrix products against one-hot membership
+matrices (fast via BLAS, and within float rounding of per-row means).
 """
 
 from __future__ import annotations
@@ -13,50 +13,71 @@ import numpy as np
 
 from .rng import _U64_GOLDEN, _finalize_array
 
+#: Rows shuffled together by :func:`batch_fisher_yates`.  Blocking bounds
+#: the working set of the k steps (4 MB of swap targets and 4 MB of
+#: permutations at n = 1000, k = 500) whatever the number of rows.
+_FY_BLOCK = 1024
+
 
 def batch_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     """Partial Fisher-Yates shuffles for many streams at once.
 
-    Returns an ``(R, n)`` int32 matrix whose row ``r`` is the permutation of
-    ``0..n-1`` after ``k`` swap steps driven by stream ``keys[r]``; the first
-    ``k`` columns are the sampled subset.  Row ``r`` equals the scalar
-    partial shuffle for the same key.
+    Returns an ``(R, k)`` int32 matrix whose row ``r`` is the size-``k``
+    subset of ``0..n-1`` drawn by stream ``keys[r]``: the first ``k``
+    entries, in order, of the permutation after ``k`` swap steps.  Step
+    ``i`` swaps position ``i`` with position ``i + draw_i % (n - i)``, where
+    ``draw_i`` is draw ``i`` of the stream.
+
+    Rows run in blocks of ``_FY_BLOCK``.  A block keeps its permutations
+    step-major, as an ``(n, w)`` array, so that step ``i`` reads and writes
+    one contiguous row and scatters into the others through precomputed
+    flat indices.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     rows = keys.shape[0]
     ctr = np.arange(1, k + 1, dtype=np.uint64)
     ctr *= _U64_GOLDEN
-    draws = _finalize_array(keys[:, None] + ctr[None, :], inplace=True)
-    perm = np.broadcast_to(np.arange(n, dtype=np.int32), (rows, n)).copy()
-    row_ix = np.arange(rows)
-    for i in range(k):
-        j = i + (draws[:, i] % np.uint64(n - i)).astype(np.int64)
-        tmp = perm[row_ix, j].copy()
-        perm[row_ix, j] = perm[:, i]
-        perm[:, i] = tmp
-    return perm
+    spans = np.arange(n, n - k, -1, dtype=np.uint64)[:, None]
+    steps = np.arange(k)[:, None]
+    identity = np.arange(n, dtype=np.int32)[:, None]
+    out = np.empty((rows, k), dtype=np.int32)
+    for lo in range(0, rows, _FY_BLOCK):
+        w = min(_FY_BLOCK, rows - lo)
+        # draws of the block, step-major (k, w), reduced to swap offsets in
+        # place; an offset is below n, so the uint64 bits read as int64
+        target = _finalize_array(ctr[:, None] + keys[None, lo : lo + w], inplace=True)
+        target %= spans
+        target = target.view(np.int64)
+        target += steps
+        target *= w
+        target += np.arange(w)
+        perm = np.empty((n, w), dtype=np.int32)
+        perm[:] = identity
+        flat = perm.reshape(-1)
+        tmp = np.empty(w, dtype=np.int32)
+        for row, t in zip(perm, target):
+            np.take(flat, t, out=tmp)
+            flat[t] = row
+            row[:] = tmp
+        out[lo : lo + w] = perm[:k].T
+    return out
 
 
-def batched_partition_sums(data: np.ndarray, perms: np.ndarray, k: int) -> np.ndarray:
-    """Per-dataset variant: ``data`` is ``(C, n, d)``, ``perms`` ``(C, B, n)``.
-
-    Returns ``(C, B, d)`` sums of each dataset's rows over its own splits.
-    """
-    c, n, _ = data.shape
-    b = perms.shape[1]
-    onehot = np.zeros((c, b, n), dtype=np.float64)
-    np.put_along_axis(onehot, perms[:, :, :k].astype(np.int64), 1.0, axis=2)
-    return onehot @ data
-
-
-def split_means(data: np.ndarray, perms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def split_means(data: np.ndarray, subsets: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Means of both parts for batched splits.
 
-    ``data`` is ``(C, n, d)`` and ``perms`` is ``(C, B, n)``; returns
-    ``(mean0, mean1)`` each of shape ``(C, B, d)``.
+    ``data`` is ``(C, n, d)`` and ``subsets`` is ``(C, B, k)``: row ``b`` of
+    dataset ``c`` holds the ``k`` indices of split ``b``'s first part, as
+    :func:`batch_fisher_yates` returns them.  Returns ``(mean0, mean1)``,
+    each ``(C, B, d)``.
     """
-    n = data.shape[1]
-    sums0 = batched_partition_sums(data, perms, k)
+    c, n, _ = data.shape
+    b = subsets.shape[1]
+    onehot = np.zeros((c, b, n), dtype=np.float64)
+    # indexing with the int32 subsets and a broadcast row index allocates no
+    # (C, B, k) intp index array
+    onehot.reshape(c * b, n)[np.arange(c * b)[:, None], subsets.reshape(c * b, -1)] = 1.0
+    sums0 = onehot @ data
     totals = data.sum(axis=1, keepdims=True)
     mean0 = sums0 / k
     mean1 = (totals - sums0) / (n - k)

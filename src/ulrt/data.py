@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import batch_fisher_yates, split_means
 from .errors import DomainError
-from .rng import RngStream, _raw_block
+from .rng import RngStream
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -140,23 +140,13 @@ def sample_gaussian(n: int, d: int, theta, rng: RngStream) -> SampleSet:
     return SampleSet.from_values(values)
 
 
-def _partial_fisher_yates(key: int, n: int, k: int) -> np.ndarray:
-    """First ``k`` entries of a seeded partial Fisher-Yates shuffle of 0..n-1."""
-    perm = np.arange(n, dtype=np.int64)
-    draws = _raw_block(key, 0, k)
-    for i in range(k):
-        j = i + int(draws[i] % (n - i))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm[:k]
-
-
 def split(sample: SampleSet, p0: float, rng: RngStream) -> SplitPair:
     """Uniformly random partition with ``|D0| = round(n * p0)``.
 
     Repeated calls with the same stream return the same partition.
     """
     k = part_size(sample.n, p0)
-    indices0 = _partial_fisher_yates(rng.key, sample.n, k)
+    indices0 = batch_fisher_yates(np.array([rng.key], dtype=np.uint64), sample.n, k)[0]
     return SplitPair.from_indices(sample, indices0, p0=p0)
 
 
@@ -167,8 +157,8 @@ def subsample_splits(sample: SampleSet, B: int, p0: float, rng: RngStream) -> li
     n = sample.n
     k = part_size(n, p0)
     keys = rng.substream_keys(B)
-    perms = batch_fisher_yates(keys, n, k)
-    return [SplitPair.from_indices(sample, perms[b, :k], p0=p0) for b in range(B)]
+    subsets = batch_fisher_yates(keys, n, k)
+    return [SplitPair.from_indices(sample, subset, p0=p0) for subset in subsets]
 
 
 def sample_part_means(rep_streams, n: int, k: int, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +202,8 @@ def _split_keys_block(rep_streams, B: int) -> np.ndarray:
 
 def _block_split_means(data: np.ndarray, keys: np.ndarray, k: int):
     c, n, _ = data.shape
-    perms = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, keys.shape[1], n)
-    return split_means(data, perms, k)
+    subsets = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, keys.shape[1], k)
+    return split_means(data, subsets, k)
 
 
 def replicate_split_means(

@@ -25,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from . import specfun
-from ._kernels import batch_fisher_yates, log_mean_exp, split_means, sq_norm
-from .data import SampleSet, SplitPair, part_size
+from ._kernels import log_mean_exp, sq_norm
+from .data import SampleSet, SplitPair, _block_split_means, part_size
 from .errors import (
     DegenerateDirectionError,
     DomainError,
@@ -244,9 +244,7 @@ def subsampled_doughnut_test(
     if n % 2:
         raise DomainError("subsampled annulus tests require even n")
     k = part_size(n, 0.5)
-    keys = rng.substream_keys(B)
-    perms = batch_fisher_yates(keys, n, k)[None, :, :]
-    mean0, mean1 = split_means(sample.values[None, :, :], perms, k)
+    mean0, mean1 = _block_split_means(sample.values[None], rng.substream_keys(B)[None], k)
     mean0, mean1 = mean0[0], mean1[0]
     if kind == "split":
         values = _split_case_log_values(mean0, mean1, n, null)

@@ -81,12 +81,6 @@ class SphericalRegion:
             return bool(dist <= self.sq_radius)
         return bool(dist < self.sq_radius)
 
-    def contains_batch(self, thetas: np.ndarray) -> np.ndarray:
-        dist = sq_norm(np.asarray(thetas, dtype=np.float64) - self.center, axis=-1)
-        if self.kind in self._CLOSED:
-            return dist <= self.sq_radius
-        return dist < self.sq_radius
-
 
 @dataclass(frozen=True)
 class LogStatistic:

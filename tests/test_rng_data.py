@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ulrt import data
-from ulrt._kernels import batch_fisher_yates
+from ulrt._kernels import batch_fisher_yates, split_means
 from ulrt.errors import DomainError
-from ulrt.rng import RngStream
+from ulrt.rng import _U64_GOLDEN, RngStream, _finalize_array
 
 # ---------------------------------------------------------------------------
 # streams
@@ -180,6 +180,52 @@ def test_split_matches_batch_kernel():
     k = pair.m0
     perm = batch_fisher_yates(np.array([stream.key], dtype=np.uint64), 257, k)
     assert set(perm[0, :k].tolist()) == set(pair.indices0.tolist())
+
+
+# ---------------------------------------------------------------------------
+# batched subset draws and partition sums
+# ---------------------------------------------------------------------------
+
+
+def _row_major_fisher_yates(keys, n, k):
+    """The row-major loop ``batch_fisher_yates`` replaced, kept as reference."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    rows = keys.shape[0]
+    ctr = np.arange(1, k + 1, dtype=np.uint64)
+    ctr *= _U64_GOLDEN
+    draws = _finalize_array(keys[:, None] + ctr[None, :], inplace=True)
+    perm = np.broadcast_to(np.arange(n, dtype=np.int32), (rows, n)).copy()
+    row_ix = np.arange(rows)
+    for i in range(k):
+        j = i + (draws[:, i] % np.uint64(n - i)).astype(np.int64)
+        tmp = perm[row_ix, j].copy()
+        perm[row_ix, j] = perm[:, i]
+        perm[:, i] = tmp
+    return perm
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("n,k", [(2, 1), (10, 5), (257, 128), (1000, 500), (1000, 999)])
+def test_batch_fisher_yates_matches_row_major_loop(rows, n, k):
+    keys = RngStream(31, rows).substream_keys(rows)
+    subsets = batch_fisher_yates(keys, n, k)
+    assert subsets.shape == (rows, k) and subsets.dtype == np.int32
+    assert np.array_equal(subsets, _row_major_fisher_yates(keys, n, k)[:, :k])
+    assert subsets.min() >= 0 and subsets.max() < n
+    ordered = np.sort(subsets, axis=1)
+    assert np.all(ordered[:, 1:] != ordered[:, :-1])
+
+
+def test_split_means_matches_put_along_axis_sums():
+    c, b, n, d, k = 3, 40, 50, 4, 20
+    values = RngStream(32).normals(c * n * d).reshape(c, n, d)
+    subsets = batch_fisher_yates(RngStream(33).substream_keys(c * b), n, k).reshape(c, b, k)
+    onehot = np.zeros((c, b, n))
+    np.put_along_axis(onehot, subsets.astype(np.int64), 1.0, axis=2)
+    sums0 = onehot @ values
+    mean0, mean1 = split_means(values, subsets, k)
+    assert np.array_equal(mean0, sums0 / k)
+    assert np.array_equal(mean1, (values.sum(axis=1, keepdims=True) - sums0) / (n - k))
 
 
 # ---------------------------------------------------------------------------
