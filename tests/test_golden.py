@@ -1,5 +1,5 @@
 """Golden digests: the SHA-256 of ``rows_to_csv`` for one small spec of each
-preset experiment.
+preset experiment, and of the three CSVs that ``ulrt region`` writes.
 
 Any change to an output byte of any preset fails here.  A change that moves
 a digest on purpose updates it in the same commit and says why in
@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from ulrt import engine
+from ulrt.cli import main
 
 SEED = 20240601
 WORKERS = 2
@@ -72,3 +73,20 @@ def test_golden_digest(experiment_id, tmp_path):
     path = tmp_path / "rows.csv"
     engine.rows_to_csv(engine.run(spec, workers=WORKERS), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+#: ``ulrt region --seed SEED --rays 25`` at the defaults n = 1000, d = 2,
+#: B = 100 and tol = 1e-6.
+REGION_GOLDEN = {
+    "regions.csv": "39026e3c2b408b25484a61acce02efd3541c9b0393e5982bc2a10c14839c6860",
+    "boundary_crossfit.csv": "7f8532aec3ea831121d334847a2fc1f883cbc664cd3639940bfb942079251afa",
+    "boundary_subsampling.csv": "f12863f5b2d03d4e7429c9cfc38347c6b011b8b57dfe16977c97049798f9ad00",
+}
+
+
+def test_region_command_digests(tmp_path):
+    assert main(["region", "--seed", str(SEED), "--rays", "25", "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in REGION_GOLDEN
+    }
+    assert digests == REGION_GOLDEN
