@@ -105,14 +105,14 @@ def cmd_region(args) -> int:
         thresh = rg.log_threshold(alpha)
         search = 10.0 * math.sqrt(split_reg.sq_radius)
         cf_boundary = rg.region_boundary_2d(
-            engine._crossfit_member(pair, thresh), alpha, sample.mean,
+            rg.crossfit_member(pair, thresh), alpha, sample.mean,
             args.rays, args.tol, search,
         )
         splits = subsample_splits(sample, args.B, args.p0, root.substream(2))
         mean0 = np.stack([p.mean0 for p in splits])
         mean1 = np.stack([p.mean1 for p in splits])
         sub_boundary = rg.region_boundary_2d(
-            engine._subsampling_member(mean0, mean1, splits[0].m0, thresh),
+            rg.subsampling_member(mean0, mean1, splits[0].m0, thresh),
             alpha, sample.mean, args.rays, args.tol, search,
         )
         _write_boundary_csv(out / "boundary_crossfit.csv", cf_boundary)

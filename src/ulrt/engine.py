@@ -182,29 +182,6 @@ def _map_chunks(
 # ---------------------------------------------------------------------------
 
 
-def _crossfit_member(pair, thresh: float) -> Callable[[np.ndarray], bool]:
-    delta = float(sq_norm(pair.mean0 - pair.mean1))
-    m0, m1 = pair.m0, pair.m1
-    mu0, mu1 = pair.mean0, pair.mean1
-
-    def member(theta: np.ndarray) -> bool:
-        forward = 0.5 * m0 * (float(sq_norm(mu0 - theta)) - delta)
-        swapped = 0.5 * m1 * (float(sq_norm(mu1 - theta)) - delta)
-        return float(np.logaddexp(forward, swapped)) - math.log(2.0) < thresh
-
-    return member
-
-
-def _subsampling_member(mean0, mean1, k: int, thresh: float) -> Callable[[np.ndarray], bool]:
-    delta = sq_norm(mean0 - mean1, axis=1)
-
-    def member(theta: np.ndarray) -> bool:
-        logs = 0.5 * k * (sq_norm(mean0 - theta, axis=1) - delta)
-        return float(log_mean_exp(logs)) < thresh
-
-    return member
-
-
 # ---------------------------------------------------------------------------
 # preset grids
 # ---------------------------------------------------------------------------
@@ -398,8 +375,8 @@ def _exec_fig1(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     keys = stream.substream(2).substream_keys(B)
     k = part_size(n, 0.5)
     mean0, mean1 = _block_split_means(sample.values[None], keys[None], k)
-    sub_member = _subsampling_member(mean0[0], mean1[0], k, thresh)
-    cf_member = _crossfit_member(pair, thresh)
+    sub_member = rg.subsampling_member(mean0[0], mean1[0], k, thresh)
+    cf_member = rg.crossfit_member(pair, thresh)
 
     rows = []
     base = {k_: cell[k_] for k_ in ("replicate", "n", "d", "alpha", "B")}
@@ -591,7 +568,7 @@ def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     thresh = rg.log_threshold(alpha)
     search = 10.0 * math.sqrt(rg.split_region(pair, n, alpha).sq_radius)
     boundary = rg.region_boundary_2d(
-        _crossfit_member(pair, thresh), alpha, sample.mean, cell["rays"], cell["tol"], search
+        rg.crossfit_member(pair, thresh), alpha, sample.mean, cell["rays"], cell["tol"], search
     )
     pts = boundary.points
     diameter = 0.0

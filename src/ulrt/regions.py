@@ -75,11 +75,13 @@ class SphericalRegion:
     def d(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, theta) -> bool:
-        dist = sq_norm(np.asarray(theta, dtype=np.float64) - self.center)
-        if self.kind in self._CLOSED:
-            return bool(dist <= self.sq_radius)
-        return bool(dist < self.sq_radius)
+    def contains(self, theta):
+        """Membership of one ``(d,)`` point as a ``bool``, or of each row of
+        a ``(G, d)`` batch as a ``(G,)`` boolean array."""
+        theta = np.asarray(theta, dtype=np.float64)
+        dist = sq_norm(theta - self.center)
+        inside = dist <= self.sq_radius if self.kind in self._CLOSED else dist < self.sq_radius
+        return inside if theta.ndim > 1 else bool(inside)
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,22 @@ def crossfit_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None =
     role-swapped counterpart, combined by log-sum-exp."""
     _check_pair(pair, n)
     theta = _as_theta(theta, pair.mean0.shape[0])
+    return LogStatistic(float(crossfit_log_values(theta, pair)), "crossfit", n, alpha)
+
+
+def crossfit_log_values(thetas: np.ndarray, pair: SplitPair) -> np.ndarray:
+    """Batch form of the cross-fit statistic over the last axis of
+    ``thetas``: a ``(G, d)`` grid gives ``(G,)`` log statistics."""
     delta = sq_norm(pair.mean0 - pair.mean1)
-    forward = 0.5 * pair.m0 * (sq_norm(pair.mean0 - theta) - delta)
-    swapped = 0.5 * pair.m1 * (sq_norm(pair.mean1 - theta) - delta)
-    return LogStatistic(float(np.logaddexp(forward, swapped) - _LN2), "crossfit", n, alpha)
+    forward = 0.5 * pair.m0 * (sq_norm(pair.mean0 - thetas, axis=-1) - delta)
+    swapped = 0.5 * pair.m1 * (sq_norm(pair.mean1 - thetas, axis=-1) - delta)
+    return np.logaddexp(forward, swapped) - _LN2
+
+
+def crossfit_member(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched membership evaluator of the cross-fit set at log threshold
+    ``thresh``, for :func:`region_boundary_2d`."""
+    return lambda thetas: crossfit_log_values(thetas, pair) < thresh
 
 
 def subsampling_log_statistic(
@@ -193,6 +207,12 @@ def subsampling_log_values(
     delta = sq_norm(mean0 - mean1, axis=1)
     dist = sq_norm(thetas[:, None, :] - mean0[None, :, :], axis=2)
     return log_mean_exp(0.5 * m0 * (dist - delta[None, :]), axis=1)
+
+
+def subsampling_member(mean0, mean1, m0: int, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched membership evaluator of the subsampling set of the ``(B, d)``
+    split means at log threshold ``thresh``, for :func:`region_boundary_2d`."""
+    return lambda thetas: subsampling_log_values(thetas, mean0, mean1, m0) < thresh
 
 
 def limiting_subsampling_region(sample: SampleSet, alpha: float) -> SphericalRegion:
@@ -344,7 +364,7 @@ class Boundary2D:
 
 
 def region_boundary_2d(
-    evaluator: Callable[[np.ndarray], bool],
+    evaluator: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     center_hint,
     rays: int,
@@ -352,6 +372,12 @@ def region_boundary_2d(
     search_radius: float,
 ) -> Boundary2D:
     """Trace the boundary of a 2-d membership region along equally spaced rays.
+
+    ``evaluator`` maps a ``(G, 2)`` array of points to ``(G,)`` booleans,
+    true for members.  All rays are bisected together: one call probes every
+    ray's outer point, then each step evaluates, in one call, the midpoints
+    of the rays whose own bracket ``hi - lo`` still exceeds ``tol``.  A ray
+    sees the same midpoints as if it were bisected alone.
 
     Assumes the region is star-shaped about ``center_hint`` (membership is
     monotone along each ray), which holds for spheres and is checked
@@ -366,32 +392,28 @@ def region_boundary_2d(
         raise DomainError(f"need at least 3 rays, got {rays}")
     if not (tol > 0.0 and search_radius > tol):
         raise DomainError("need search_radius > tol > 0")
-    if not evaluator(center):
+    if not evaluator(center[None])[0]:
         raise DomainError("center_hint is not a member of the region")
 
     angles = 2.0 * math.pi * np.arange(rays) / rays
-    points = []
-    kept = []
-    failed = []
-    for phi in angles:
-        direction = np.array([math.cos(phi), math.sin(phi)])
-        if evaluator(center + search_radius * direction):
-            failed.append(phi)
-            continue
-        lo, hi = 0.0, search_radius
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if evaluator(center + mid * direction):
-                lo = mid
-            else:
-                hi = mid
-        radius = 0.5 * (lo + hi)
-        kept.append(phi)
-        points.append(center + radius * direction)
+    # libm's cos and sin, which np.cos and np.sin can differ from in the last bit
+    dirs = np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
+    failed = evaluator(center + search_radius * dirs)
+    dirs = dirs[~failed]
+    lo = np.zeros(len(dirs))
+    hi = np.full(len(dirs), search_radius)
+    active = np.arange(len(dirs))
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        inside = evaluator(center + mid[:, None] * dirs[active])
+        lo[active[inside]] = mid[inside]
+        hi[active[~inside]] = mid[~inside]
+        active = active[hi[active] - lo[active] > tol]
+    radius = 0.5 * (lo + hi)
     return Boundary2D(
         center=center,
-        angles=np.asarray(kept, dtype=np.float64),
-        points=np.asarray(points, dtype=np.float64).reshape(-1, 2),
-        failed_angles=np.asarray(failed, dtype=np.float64),
+        angles=angles[~failed],
+        points=center + radius[:, None] * dirs,
+        failed_angles=angles[failed],
         alpha=alpha,
     )

@@ -438,7 +438,7 @@ def test_boundary_recovers_sphere(dataset):
 def test_boundary_reports_failed_rays():
     # a half plane has no boundary in the +x direction within the search radius
     def member(theta):
-        return theta[0] < 0.5
+        return theta[:, 0] < 0.5
 
     boundary = region_boundary_2d(member, 0.1, np.zeros(2), 8, 1e-6, 1.0)
     assert boundary.failed_angles.size > 0
@@ -460,7 +460,7 @@ def test_crossfit_polygon_area_below_split(dataset):
     split_reg = split_region(pair, 1000, 0.1)
     search = 10.0 * math.sqrt(split_reg.sq_radius)
     cf_boundary = region_boundary_2d(
-        engine._crossfit_member(pair, thresh), 0.1, sample.mean, 128, 1e-7, search
+        regions.crossfit_member(pair, thresh), 0.1, sample.mean, 128, 1e-7, search
     )
     split_boundary = region_boundary_2d(
         split_reg.contains, 0.1, split_reg.center, 128, 1e-7, search
@@ -478,12 +478,89 @@ def test_subsampling_boundary_inside_split_seeded():
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
     mean0 = np.stack([p.mean0 for p in splits])
     mean1 = np.stack([p.mean1 for p in splits])
-    member = engine._subsampling_member(mean0, mean1, 500, log_threshold(0.1))
+    member = regions.subsampling_member(mean0, mean1, 500, log_threshold(0.1))
     boundary = region_boundary_2d(
         member, 0.1, sample.mean, 90, 1e-6, 10.0 * math.sqrt(split_reg.sq_radius)
     )
     inside = np.array([split_reg.contains(p) for p in boundary.points])
     assert inside.mean() >= 0.95
+
+
+def _per_ray_boundary(evaluator, alpha, center_hint, rays, tol, search_radius):
+    """The per-ray scalar bisection that ``region_boundary_2d`` replaced,
+    kept verbatim as the reference; ``evaluator`` takes one point."""
+    center = np.asarray(center_hint, dtype=np.float64).reshape(-1)
+    angles = 2.0 * math.pi * np.arange(rays) / rays
+    points = []
+    kept = []
+    failed = []
+    for phi in angles:
+        direction = np.array([math.cos(phi), math.sin(phi)])
+        if evaluator(center + search_radius * direction):
+            failed.append(phi)
+            continue
+        lo, hi = 0.0, search_radius
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if evaluator(center + mid * direction):
+                lo = mid
+            else:
+                hi = mid
+        radius = 0.5 * (lo + hi)
+        kept.append(phi)
+        points.append(center + radius * direction)
+    return (
+        np.asarray(kept, dtype=np.float64),
+        np.asarray(points, dtype=np.float64).reshape(-1, 2),
+        np.asarray(failed, dtype=np.float64),
+    )
+
+
+def _boundary_cases():
+    root = RngStream(301)
+    sample = data.sample_gaussian(1000, 2, [0.0, 0.0], root.substream(0))
+    pair = data.split(sample, 0.5, root.substream(1))
+    split_reg = split_region(pair, 1000, 0.1)
+    search = 10.0 * math.sqrt(split_reg.sq_radius)
+    splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
+    mean0 = np.stack([p.mean0 for p in splits])
+    mean1 = np.stack([p.mean1 for p in splits])
+    thresh = log_threshold(0.1)
+    crossfit = regions.crossfit_member(pair, thresh)
+    half_plane = lambda theta: theta[:, 0] < 0.5  # noqa: E731
+    return {
+        "split_sphere": (split_reg.contains, split_reg.center, 64, 1e-8, search),
+        "crossfit": (crossfit, sample.mean, 90, 1e-6, search),
+        "subsampling_B100": (
+            regions.subsampling_member(mean0, mean1, 500, thresh), sample.mean, 90, 1e-6, search
+        ),
+        "half_plane": (half_plane, np.zeros(2), 8, 1e-6, 1.0),
+        "odd_rays": (crossfit, sample.mean, 7, 1e-6, search),
+        # tol is the width after 20 halvings in exact arithmetic, so whether
+        # a ray takes a 21st step depends on how its hi - lo rounds
+        "uneven_widths": (crossfit, sample.mean, 45, 0.3 / 2**20, 0.3),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_boundary_cases()))
+def test_boundary_matches_per_ray_bisection(case):
+    evaluator, center, rays, tol, search = _boundary_cases()[case]
+    calls = []
+
+    def counted(thetas):
+        calls.append(thetas.shape[0])
+        return evaluator(thetas)
+
+    boundary = region_boundary_2d(counted, 0.1, center, rays, tol, search)
+    angles, points, failed = _per_ray_boundary(
+        lambda theta: bool(evaluator(theta[None])[0]), 0.1, center, rays, tol, search
+    )
+    np.testing.assert_array_equal(boundary.angles, angles)
+    np.testing.assert_array_equal(boundary.points, points)
+    np.testing.assert_array_equal(boundary.failed_angles, failed)
+    assert max(calls) <= rays
+    if case == "uneven_widths":
+        assert 0 < calls[-1] < calls[2] == rays
 
 
 # ---------------------------------------------------------------------------
