@@ -78,6 +78,17 @@ def test_classical_membership_is_closed():
     assert not open_region.contains([1.0, 0.0])
 
 
+def test_contains_takes_a_point_or_a_batch():
+    points = np.array([[1.0, 0.0], [0.5, 0.5], [2.0, 0.0]])
+    for kind in ("classical", "split"):
+        region = SphericalRegion(np.zeros(2), 1.0, 0.1, kind)
+        batch = region.contains(points)
+        assert batch.shape == (3,) and batch.dtype == bool
+        singles = [region.contains(p) for p in points]
+        assert all(type(s) is bool for s in singles)
+        assert batch.tolist() == singles
+
+
 # ---------------------------------------------------------------------------
 # split statistic and region
 # ---------------------------------------------------------------------------
