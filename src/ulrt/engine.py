@@ -178,11 +178,6 @@ def _map_chunks(
 
 
 # ---------------------------------------------------------------------------
-# shared simulation pieces
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # preset grids
 # ---------------------------------------------------------------------------
 
