@@ -475,7 +475,7 @@ def _exec_fig5(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     def run_chunk(lo: int, hi: int) -> dict:
         streams = [stream.substream(r) for r in range(lo, hi)]
         mean0, mean1 = sample_part_means(streams, n, k, theta)
-        ratio = ((4.0 / n) * L + sq_norm(mean0 - mean1, axis=1)) / (quantile / n)
+        ratio = ((2.0 / k) * L + sq_norm(mean0 - mean1, axis=1)) / (quantile / n)
         return {"leq4": (ratio <= 4.0).astype(np.float64)}
 
     acc = _map_chunks(reps, _chunk_reps(n, d, 1), run_chunk, ctx.workers, ctx.dump)

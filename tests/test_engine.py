@@ -230,6 +230,27 @@ def test_fig3_preset_includes_p0star():
     assert any(abs(p - optimal_split_proportion(0.1, 100)) < 1e-12 for p in p0s)
 
 
+def test_fig5_split_radius_uses_realized_part_size():
+    # at odd n the likelihood part has k = 6 of n = 11 points, so the split
+    # radius is (2/k) L + ||mean0 - mean1||^2, not (4/n) L + ...
+    from ulrt.data import part_size, sample_part_means
+    from ulrt.regions import log_threshold
+    from ulrt.specfun import chi2_upper_quantile
+
+    n, d, alpha, reps = 11, 2, 0.1, 4000
+    dumped = {}
+    spec = build_spec("ratio_prob_fig5", 77, ds=[d], n=n, alpha=alpha, reps=reps)
+    run(spec, dump=lambda name, lo, values: dumped.update({(name, lo): values}))
+    indicators = np.concatenate([dumped[key] for key in sorted(dumped)])
+
+    k = part_size(n, 0.5)
+    stream = RngStream(77).substream(1)
+    mean0, mean1 = sample_part_means([stream.substream(r) for r in range(reps)], n, k, np.zeros(d))
+    sq_radius = (2.0 / k) * log_threshold(alpha) + np.sum(np.square(mean0 - mean1), axis=1)
+    expected = sq_radius / (chi2_upper_quantile(alpha, d) / n) <= 4.0
+    np.testing.assert_array_equal(indicators, expected.astype(np.float64))
+
+
 def test_figS4_preset_quantities():
     spec = build_spec(
         "hybrid_cases_figS4", 8, ds=[2], theta_norms=[0.0], reps=40, B=16
