@@ -265,10 +265,7 @@ def _formula_intersect_power(args):
 
 
 def _formula_limiting_sq_radius(args):
-    L = rg.log_threshold(args.alpha)
-    return {
-        "limiting_sq_radius": (10.0 / (3.0 * args.n)) * (0.5 * args.d * math.log(2.5) + L)
-    }
+    return {"limiting_sq_radius": rg.limiting_sq_radius(args.alpha, args.d, args.n)}
 
 
 _FORMULAS = {

@@ -16,8 +16,6 @@ default radii.
 
 from __future__ import annotations
 
-import csv
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,8 +32,6 @@ from .errors import (
 )
 from .regions import log_threshold
 from .rng import RngStream
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_R_IN = 0.5
 DEFAULT_R_OUT = 1.0
@@ -69,9 +65,9 @@ def project_to_annulus(y, null: AnnulusNull = AnnulusNull()) -> np.ndarray:
     """Euclidean projection of ``y`` onto the annulus.
 
     The zero vector has no closest-direction and raises
-    :class:`DegenerateDirectionError`; the internal statistic paths
-    substitute the first standard basis direction instead (see
-    :func:`_project_total`).
+    :class:`DegenerateDirectionError`.  The statistics need only the
+    distance to the projection, which is radial, so they are defined there
+    too.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     norm = math.sqrt(float(sq_norm(y)))
@@ -84,17 +80,6 @@ def project_to_annulus(y, null: AnnulusNull = AnnulusNull()) -> np.ndarray:
     if norm > null.r_out:
         return y * (null.r_out / norm)
     return y.copy()
-
-
-def _project_total(y: np.ndarray, null: AnnulusNull) -> np.ndarray:
-    """Projection made total: the zero vector projects along the first axis."""
-    norm = math.sqrt(float(sq_norm(y)))
-    if norm == 0.0 and null.r_in > 0.0:
-        logger.warning("projected the zero vector along the first basis direction")
-        out = np.zeros_like(y)
-        out[0] = null.r_in
-        return out
-    return project_to_annulus(y, null)
 
 
 def intersection_test(sample: SampleSet, null: AnnulusNull, alpha: float) -> bool:
@@ -140,8 +125,7 @@ def doughnut_split_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> 
     """Log split statistic against the annulus null MLE:
     ``(n/4) (||mean0 - proj(mean0)||^2 - ||mean0 - mean1||^2)``."""
     _check_half_split(pair, n)
-    proj = _project_total(pair.mean0, null)
-    return 0.25 * n * float(sq_norm(pair.mean0 - proj) - sq_norm(pair.mean0 - pair.mean1))
+    return float(_split_case_log_values(pair.mean0, pair.mean1, n, null))
 
 
 def doughnut_ripr_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> float:
@@ -153,8 +137,7 @@ def doughnut_ripr_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> f
         raise DomainError(
             f"RIPR statistic requires ||mean1|| > r_out = {null.r_out}, got {norm1}"
         )
-    anchor = pair.mean1 * (null.r_out / norm1)
-    return 0.25 * n * float(sq_norm(pair.mean0 - anchor) - sq_norm(pair.mean0 - pair.mean1))
+    return float(_ripr_case_log_values(pair.mean0, pair.mean1, n, null))
 
 
 def hybrid_log_statistic(
@@ -162,12 +145,8 @@ def hybrid_log_statistic(
 ) -> tuple[float, HybridCase]:
     """Case-selected hybrid statistic and its case tag."""
     _check_half_split(pair, n)
-    norm1 = math.sqrt(float(sq_norm(pair.mean1)))
-    if norm1 < null.r_in:
-        return doughnut_split_log_statistic(pair, n, null), HybridCase.SPLIT_CASE
-    if norm1 > null.r_out:
-        return doughnut_ripr_log_statistic(pair, n, null), HybridCase.RIPR_CASE
-    return 0.0, HybridCase.UNIT_CASE
+    values, cases = _hybrid_log_values(pair.mean0[None], pair.mean1[None], n, null)
+    return float(values[0]), list(HybridCase)[cases[0]]
 
 
 def _split_case_log_values(
@@ -179,6 +158,15 @@ def _split_case_log_values(
     proj_gap = norm0 - np.clip(norm0, null.r_in, null.r_out)
     delta = sq_norm(mean0 - mean1, axis=-1)
     return 0.25 * n * (proj_gap * proj_gap - delta)
+
+
+def _ripr_case_log_values(
+    mean0: np.ndarray, mean1: np.ndarray, n: int, null: AnnulusNull
+) -> np.ndarray:
+    """Vectorized RIPR statistics, for split means with ``||mean1|| > r_out``."""
+    norm1 = np.sqrt(sq_norm(mean1, axis=-1))
+    anchor = mean1 * (null.r_out / norm1)[..., None]
+    return 0.25 * n * (sq_norm(mean0 - anchor, axis=-1) - sq_norm(mean0 - mean1, axis=-1))
 
 
 def _hybrid_log_values(
@@ -198,12 +186,7 @@ def _hybrid_log_values(
             mean0[split_mask], mean1[split_mask], n, null
         )
     if np.any(ripr_mask):
-        m0 = mean0[ripr_mask]
-        m1 = mean1[ripr_mask]
-        anchor = m1 * (null.r_out / norm1[ripr_mask])[..., None]
-        values[ripr_mask] = 0.25 * n * (
-            sq_norm(m0 - anchor, axis=-1) - sq_norm(m0 - m1, axis=-1)
-        )
+        values[ripr_mask] = _ripr_case_log_values(mean0[ripr_mask], mean1[ripr_mask], n, null)
     return values, cases
 
 
@@ -255,22 +238,3 @@ def subsampled_doughnut_test(
         fractions = tuple(float(np.mean(cases == c)) for c in (0, 1, 2))
     reject = bool(log_mean_exp(values) >= log_threshold(alpha))
     return DoughnutTestResult(reject, fractions, values, cases)
-
-
-def write_doughnut_csv(rows: list[dict], path) -> None:
-    """Annulus experiment CSV: method, grid cell, power, and case fractions."""
-    columns = [
-        "method", "d", "n", "alpha", "theta_norm", "B", "reps",
-        "power", "stderr", "frac_split_case", "frac_unit_case", "frac_ripr_case",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, "")) for c in columns])
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

@@ -403,10 +403,7 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     def run_chunk(lo: int, hi: int) -> dict:
         keys = parent.substream_keys(hi)[lo:hi]
         mean0, mean1 = _block_split_means(sample.values[None], keys[None], k)
-        mean0, mean1 = mean0[0], mean1[0]
-        delta = sq_norm(mean0 - mean1, axis=1)
-        dist = sq_norm(thetas[:, None, :] - mean0[None, :, :], axis=2)
-        stats = np.exp(0.5 * k * (dist - delta[None, :]))
+        stats = np.exp(rg.split_log_values(thetas, mean0[0], mean1[0], k))
         return {f"t{g}": stats[g] for g in range(points)}
 
     acc = _map_chunks(B, chunk, run_chunk, ctx.workers, ctx.dump)
@@ -659,31 +656,23 @@ def coverage_suite(
     at least ``1 - alpha`` while the classical sphere is exact.
     """
     thresh = rg.log_threshold(alpha)
+    k = part_size(n, 0.5)
     rows = []
     methods = ("classical", "split", "crossfit", "subsampling")
     for ci, (method, d) in enumerate((m, d) for d in d_list for m in methods):
         stream = rng.substream(ci)
         quantile = specfun.chi2_upper_quantile(alpha, d)
-        k = part_size(n, 0.5)
         b_eff = B if method == "subsampling" else 1
         theta = np.zeros(d)
 
-        def run_chunk(lo: int, hi: int, method=method, stream=stream, k=k, b_eff=b_eff, quantile=quantile, theta=theta) -> dict:
+        def run_chunk(lo: int, hi: int, method=method, stream=stream, b_eff=b_eff, quantile=quantile, theta=theta) -> dict:
             streams = [stream.substream(r) for r in range(lo, hi)]
             mean0, mean1 = replicate_split_means(streams, n, k, theta, b_eff)
             if method == "classical":
                 overall = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
                 covered = n * sq_norm(overall, axis=1) <= quantile
-                return {"covered": covered.astype(np.float64)}
-            delta = sq_norm(mean0 - mean1, axis=2)
-            logT = 0.5 * k * (sq_norm(mean0, axis=2) - delta)
-            if method == "split":
-                covered = logT[:, 0] < thresh
-            elif method == "crossfit":
-                swapped = 0.5 * (n - k) * (sq_norm(mean1, axis=2) - delta)
-                covered = (np.logaddexp(logT[:, 0], swapped[:, 0]) - math.log(2.0)) < thresh
             else:
-                covered = log_mean_exp(logT, axis=1) < thresh
+                covered = rg.log_values(method, theta, mean0, mean1, k, n - k) < thresh
             return {"covered": covered.astype(np.float64)}
 
         acc = _map_chunks(reps, _chunk_reps(n, d, b_eff), run_chunk, workers)

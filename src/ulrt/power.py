@@ -10,19 +10,15 @@ tractable closed form and are estimated by Monte Carlo.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from ._kernels import log_mean_exp, sq_norm
 from .data import part_size, replicate_split_means
 from .errors import DomainError
-from .regions import log_threshold
-
-_LOG_5_HALVES = math.log(2.5)
+from .regions import _LOG_5_HALVES, log_threshold, log_values
 
 MC_TEST_KINDS = ("split", "crossfit", "subsampling")
 _METHODS = {"exact": "exact_noncentral", "approx": "normal_approx"}
@@ -85,39 +81,6 @@ def power_limiting_subsampling(
     return _threshold_power(threshold, theta_sq_norm, n, d, method)
 
 
-def subsampling_threshold(d: int, alpha: float) -> float:
-    """The limiting subsampling cutoff on ``n ||mean||^2``."""
-    return (10.0 / 3.0) * (0.5 * d * _LOG_5_HALVES + log_threshold(alpha))
-
-
-def _mc_reject_chunk(
-    kind: str,
-    theta: np.ndarray,
-    n: int,
-    log_thresh: float,
-    B: int,
-    rep_streams,
-) -> np.ndarray:
-    """Rejection indicators for a chunk of replications.
-
-    Replication stream convention: with ``B = 1`` substream 0 draws the two
-    part means (``2d`` normals); with ``B > 1`` substream 0 draws the full
-    ``n``-by-``d`` dataset and substream 1 is the parent of the per-split
-    streams.
-    """
-    k = part_size(n, 0.5)
-    mean0, mean1 = replicate_split_means(rep_streams, n, k, theta, B)
-    delta = sq_norm(mean0 - mean1, axis=2)
-    logT = 0.5 * k * (sq_norm(mean0, axis=2) - delta)
-    if kind == "split":
-        return logT[:, 0] >= log_thresh
-    if kind == "crossfit":
-        logT_swap = 0.5 * (n - k) * (sq_norm(mean1, axis=2) - delta)
-        logS = np.logaddexp(logT[:, 0], logT_swap[:, 0]) - math.log(2.0)
-        return logS >= log_thresh
-    return log_mean_exp(logT, axis=1) >= log_thresh
-
-
 def mc_power(
     test_kind: str,
     theta,
@@ -134,7 +97,8 @@ def mc_power(
     test statistic at the origin, and rejects when it reaches ``1/alpha``.
     The split and cross-fit tests (and subsampling at ``B = 1``) draw only
     the two part means, ``2d`` normals from substream 0 of the replication;
-    subsampling at ``B > 1`` draws the full ``n``-by-``d`` dataset.
+    subsampling at ``B > 1`` draws the full ``n``-by-``d`` dataset from
+    substream 0, and its splits descend from substream 1.
     Replication ``r`` uses ``rng.substream(r)``, so the result is a pure
     function of ``rng`` regardless of chunking or thread count.
     """
@@ -150,6 +114,8 @@ def mc_power(
     log_thresh = log_threshold(alpha)
     d = theta.shape[0]
     b_eff = B if test_kind == "subsampling" else 1
+    k = part_size(n, 0.5)
+    origin = np.zeros(d)
 
     from .engine import _chunk_reps, _map_chunks
 
@@ -157,25 +123,9 @@ def mc_power(
 
     def run_chunk(lo: int, hi: int) -> dict[str, np.ndarray]:
         streams = [rng.substream(r) for r in range(lo, hi)]
-        rejected = _mc_reject_chunk(test_kind, theta, n, log_thresh, b_eff, streams)
+        mean0, mean1 = replicate_split_means(streams, n, k, theta, b_eff)
+        rejected = log_values(test_kind, origin, mean0, mean1, k, n - k) >= log_thresh
         return {"reject": rejected.astype(np.float64)}
 
-    acc = _map_chunks(reps, chunk, run_chunk, workers)
-    p_hat = acc["reject"].mean
-    return PowerEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / reps), "monte_carlo")
-
-
-def write_power_csv(rows: list[dict], path) -> None:
-    """Power-curve CSV: (test, d, n, alpha, theta_sq_norm, power, stderr, method)."""
-    columns = ["test", "d", "n", "alpha", "theta_sq_norm", "power", "stderr", "method"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    acc = _map_chunks(reps, chunk, run_chunk, workers)["reject"]
+    return PowerEstimate(acc.mean, acc.se_proportion(), "monte_carlo")

@@ -135,16 +135,56 @@ def classical_region(sample: SampleSet, alpha: float) -> SphericalRegion:
     return SphericalRegion(sample.mean, quantile / sample.n, alpha, "classical")
 
 
-def split_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = None) -> LogStatistic:
-    """Log split likelihood-ratio statistic at ``theta``.
+def split_log_values(thetas, mean0: np.ndarray, mean1: np.ndarray, m0) -> np.ndarray:
+    """Log split statistics ``(m0/2) (||mean0 - theta||^2 - ||mean0 - mean1||^2)``,
+    the one expression behind every split, cross-fit and subsampling value.
 
-    Equals ``(m0/2) (||mean0 - theta||^2 - ||mean0 - mean1||^2)`` where
-    ``m0`` is the realized likelihood-part size (``n * p0`` when integral).
+    ``thetas`` is ``(..., d)`` and ``mean0``/``mean1`` are ``(..., B, d)``
+    split means, with leading axes broadcasting; returns ``(..., B)``.
+    ``m0`` is the realized likelihood-part size (``n * p0`` when integral),
+    or a ``(B,)`` array of them.
     """
-    _check_pair(pair, n)
-    theta = _as_theta(theta, pair.mean0.shape[0])
-    gap = sq_norm(pair.mean0 - theta) - sq_norm(pair.mean0 - pair.mean1)
-    return LogStatistic(0.5 * pair.m0 * gap, "split", n, alpha)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    dist = sq_norm(mean0 - thetas[..., None, :], axis=-1)
+    return 0.5 * m0 * (dist - sq_norm(mean0 - mean1, axis=-1))
+
+
+def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1=None) -> np.ndarray:
+    """Log statistic of ``kind`` over ``(..., B, d)`` split means with part
+    sizes ``m0`` and ``m1``; returns ``(...)``.
+
+    ``split`` reads split 0; ``crossfit`` averages split 0's statistic and
+    its role swap (parts exchanged), by log-sum-exp; ``subsampling``
+    averages all ``B`` split statistics, by log-mean-exp.
+    """
+    forward = split_log_values(thetas, mean0, mean1, m0)
+    if kind == "split":
+        return forward[..., 0]
+    if kind == "crossfit":
+        swapped = split_log_values(thetas, mean1, mean0, m1)
+        return np.logaddexp(forward[..., 0], swapped[..., 0]) - _LN2
+    if kind == "subsampling":
+        return log_mean_exp(forward, axis=-1)
+    raise DomainError(f"unknown statistic kind {kind!r}")
+
+
+def _log_statistic(kind: str, theta, splits: list[SplitPair], n: int, alpha) -> LogStatistic:
+    """:func:`log_values` of one point and a list of splits, as a ``LogStatistic``."""
+    if not splits:
+        raise DomainError("need at least one split")
+    for pair in splits:
+        _check_pair(pair, n)
+    theta = _as_theta(theta, splits[0].mean0.shape[0])
+    mean0 = np.stack([p.mean0 for p in splits])
+    mean1 = np.stack([p.mean1 for p in splits])
+    m0 = np.array([p.m0 for p in splits], dtype=np.float64)
+    return LogStatistic(float(log_values(kind, theta, mean0, mean1, m0, n - m0)), kind, n, alpha)
+
+
+def split_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = None) -> LogStatistic:
+    """Log split likelihood-ratio statistic at ``theta``: :func:`split_log_values`
+    of the one split."""
+    return _log_statistic("split", theta, [pair], n, alpha)
 
 
 def split_region(pair: SplitPair, n: int, alpha: float) -> SphericalRegion:
@@ -159,69 +199,40 @@ def split_region(pair: SplitPair, n: int, alpha: float) -> SphericalRegion:
 def crossfit_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = None) -> LogStatistic:
     """Log cross-fit statistic: the average of the split statistic and its
     role-swapped counterpart, combined by log-sum-exp."""
-    _check_pair(pair, n)
-    theta = _as_theta(theta, pair.mean0.shape[0])
-    return LogStatistic(float(crossfit_log_values(theta, pair)), "crossfit", n, alpha)
-
-
-def crossfit_log_values(thetas: np.ndarray, pair: SplitPair) -> np.ndarray:
-    """Batch form of the cross-fit statistic over the last axis of
-    ``thetas``: a ``(G, d)`` grid gives ``(G,)`` log statistics."""
-    delta = sq_norm(pair.mean0 - pair.mean1)
-    forward = 0.5 * pair.m0 * (sq_norm(pair.mean0 - thetas, axis=-1) - delta)
-    swapped = 0.5 * pair.m1 * (sq_norm(pair.mean1 - thetas, axis=-1) - delta)
-    return np.logaddexp(forward, swapped) - _LN2
+    return _log_statistic("crossfit", theta, [pair], n, alpha)
 
 
 def crossfit_member(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
     """Batched membership evaluator of the cross-fit set at log threshold
     ``thresh``, for :func:`region_boundary_2d`."""
-    return lambda thetas: crossfit_log_values(thetas, pair) < thresh
+    mean0, mean1 = pair.mean0[None], pair.mean1[None]
+    return lambda thetas: log_values("crossfit", thetas, mean0, mean1, pair.m0, pair.m1) < thresh
 
 
 def subsampling_log_statistic(
     theta, splits: list[SplitPair], n: int, alpha: float | None = None
 ) -> LogStatistic:
     """Log of the average split statistic over ``B`` partitions."""
-    if not splits:
-        raise DomainError("need at least one split")
-    for pair in splits:
-        _check_pair(pair, n)
-    theta = _as_theta(theta, splits[0].mean0.shape[0])
-    mean0 = np.stack([p.mean0 for p in splits])
-    mean1 = np.stack([p.mean1 for p in splits])
-    m0 = np.array([p.m0 for p in splits], dtype=np.float64)
-    logs = 0.5 * m0 * (sq_norm(mean0 - theta, axis=1) - sq_norm(mean0 - mean1, axis=1))
-    return LogStatistic(float(log_mean_exp(logs)), "subsampling", n, alpha)
-
-
-def subsampling_log_values(
-    thetas: np.ndarray, mean0: np.ndarray, mean1: np.ndarray, m0: int
-) -> np.ndarray:
-    """Batch form of the subsampling statistic over a grid of thetas.
-
-    ``mean0``/``mean1`` are ``(B, d)`` split means sharing part size ``m0``;
-    ``thetas`` is ``(G, d)``.  Returns ``(G,)`` log statistics.
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    delta = sq_norm(mean0 - mean1, axis=1)
-    dist = sq_norm(thetas[:, None, :] - mean0[None, :, :], axis=2)
-    return log_mean_exp(0.5 * m0 * (dist - delta[None, :]), axis=1)
+    return _log_statistic("subsampling", theta, splits, n, alpha)
 
 
 def subsampling_member(mean0, mean1, m0: int, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
     """Batched membership evaluator of the subsampling set of the ``(B, d)``
     split means at log threshold ``thresh``, for :func:`region_boundary_2d`."""
-    return lambda thetas: subsampling_log_values(thetas, mean0, mean1, m0) < thresh
+    return lambda thetas: log_values("subsampling", thetas, mean0, mean1, m0) < thresh
+
+
+def limiting_sq_radius(alpha: float, d: int, n: int) -> float:
+    """Squared radius of the large-B subsampling sphere,
+    ``(10 / 3n) ln((5/2)^{d/2} / alpha)``."""
+    return (10.0 / (3.0 * n)) * (0.5 * d * _LOG_5_HALVES + log_threshold(alpha))
 
 
 def limiting_subsampling_region(sample: SampleSet, alpha: float) -> SphericalRegion:
     """Large-B limit of the subsampling set: center at the sample mean,
-    squared radius ``(10 / 3n) ln((5/2)^{d/2} / alpha)``."""
+    squared radius :func:`limiting_sq_radius`."""
     alpha = _check_alpha(alpha)
-    sq_radius = (10.0 / (3.0 * sample.n)) * (
-        0.5 * sample.d * _LOG_5_HALVES + log_threshold(alpha)
-    )
+    sq_radius = limiting_sq_radius(alpha, sample.d, sample.n)
     return SphericalRegion(sample.mean, sq_radius, alpha, "limiting_subsampling")
 
 

@@ -338,22 +338,6 @@ def test_hybrid_dominates_split_in_ripr_case():
     assert np.all(hybrid.log_values[ripr_rows] >= split_res.log_values[ripr_rows] - 1e-10)
 
 
-def test_doughnut_csv_schema(tmp_path):
-    from ulrt.doughnut import write_doughnut_csv
-
-    rows = [dict(method="subsampled_hybrid", d=2, n=1000, alpha=0.1, theta_norm=1.2,
-                 B=100, reps=500, power=0.8, stderr=0.02,
-                 frac_split_case=0.0, frac_unit_case=0.1, frac_ripr_case=0.9)]
-    path = tmp_path / "doughnut.csv"
-    write_doughnut_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
-        "method,d,n,alpha,theta_norm,B,reps,power,stderr,"
-        "frac_split_case,frac_unit_case,frac_ripr_case"
-    )
-    assert lines[1].startswith("subsampled_hybrid,2,1000,0.1,1.2,100,500,0.8,")
-
-
 def test_power_ordering_at_strong_alternative():
     # desk-scale check of the documented orderings at d = 10, theta beyond
     # r_out: hybrid >= split (within error) and intersection >= split

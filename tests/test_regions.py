@@ -239,7 +239,7 @@ def test_subsampling_matches_batch_kernel(dataset):
     mean0 = np.stack([p.mean0 for p in splits])
     mean1 = np.stack([p.mean1 for p in splits])
     thetas = np.array([[0.0, 0.0], [0.08, -0.03], [0.2, 0.2]])
-    batch = regions.subsampling_log_values(thetas, mean0, mean1, 500)
+    batch = regions.log_values("subsampling", thetas, mean0, mean1, 500)
     for g, theta in enumerate(thetas):
         direct = subsampling_log_statistic(theta, splits, 1000).log_value
         assert batch[g] == pytest.approx(direct, abs=1e-12)
