@@ -1,8 +1,9 @@
 """Pinned outputs of the statistic paths that no golden digest covers.
 
-No preset runs :func:`ulrt.engine.coverage_suite`, and fig6 has no Monte
-Carlo subsampling cell, so these pin their exact results at small sizes
-(odd n, so the two parts differ in size).  Like the golden digests, any
+No preset runs :func:`ulrt.engine.coverage_suite`, fig6 has no Monte
+Carlo subsampling cell, and every golden annulus cell fits in one chunk,
+so these pin their exact results at small sizes (odd n, so the two parts
+differ in size, where the statistic allows it).  Like the golden digests, any
 change to an output bit fails here.
 """
 
@@ -46,3 +47,29 @@ def test_mc_power_pinned(kind, B):
     theta = np.array([0.25, -0.1, 0.15])
     est = power.mc_power(kind, theta, N, ALPHA, B=B, reps=2000, rng=RngStream(43), workers=2)
     assert (est.value, est.stderr, est.method) == (*MC_POWER_PINS[kind, B], "monte_carlo")
+
+
+#: experiment -> (theta_norms, SHA-256 of the repr of its rows) at d = 2,
+#: n = 200, B = 10 and 1100 replications, which take three chunks of 512,
+#: so the pin covers the fold across chunks of every annulus test
+ANNULUS_PINS = {
+    "doughnut_fig7": (
+        (0.3, 1.25), "d68e0bbcf2ebe1f7da1d7b1ca40a737b867e46d5749f52c2db5ff636027c1d29"
+    ),
+    "hybrid_cases_figS4": (
+        (1.25,), "135aaa41e43c65edcedd140bf80e2a186504d42686f52037d0109e62e4210913"
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment_id", sorted(ANNULUS_PINS))
+def test_multi_chunk_annulus_cells_pinned(experiment_id):
+    theta_norms, expected = ANNULUS_PINS[experiment_id]
+    spec = engine.build_spec(
+        experiment_id, 31, ds=(2,), n=200, B=10, reps=1100, theta_norms=theta_norms
+    )
+    rows = engine.run(spec, workers=2)
+    assert all(r.status == "ok" for r in rows)
+    powers = [r.estimate for r in rows if r.cell.get("quantity", "power") == "power"]
+    assert all(0.0 < p < 1.0 for p in powers)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
