@@ -85,9 +85,16 @@ def project_to_annulus(y, null: AnnulusNull = AnnulusNull()) -> np.ndarray:
 def intersection_test(sample: SampleSet, null: AnnulusNull, alpha: float) -> bool:
     """Reject when the classical sphere does not meet the annulus."""
     quantile = specfun.chi2_upper_quantile(alpha, sample.d)
-    norm = math.sqrt(float(sq_norm(sample.mean)))
-    gap = max(null.r_in - norm, norm - null.r_out, 0.0)
-    return gap * gap > quantile / sample.n
+    return bool(_intersection_rejects(sample.mean[None], sample.n, null, quantile)[0])
+
+
+def _intersection_rejects(
+    means: np.ndarray, n: int, null: AnnulusNull, quantile: float
+) -> np.ndarray:
+    """Intersection-test rejections of a ``(C, d)`` stack of sample means."""
+    norms = np.sqrt(sq_norm(means, axis=-1))
+    gap = np.maximum(np.maximum(null.r_in - norms, norms - null.r_out), 0.0)
+    return gap * gap > quantile / n
 
 
 def intersection_power_exact(

@@ -5,10 +5,12 @@ parameter cells; :func:`run` produces one or more aggregated
 :class:`SummaryRow` per cell.  Replication ``r`` of cell ``c`` draws from the
 stream chain ``root(master_seed) -> substream(1 + c) -> substream(r)``
 (``substream(0)`` of the root is reserved for artifacts shared across cells,
-such as a fixed dataset).  Within a replication, substream 0 draws the data:
-a single-split (B = 1) cell draws only its two part means (``2d`` normals,
-see :func:`ulrt.data.sample_part_means`), and a B > 1 cell draws the full
-``n``-by-``d`` dataset, whose splits descend from substream 1.
+such as a fixed dataset).  :func:`_replicate` is the one place that
+implements this layout; every Monte Carlo cell, :func:`coverage_suite` and
+:func:`ulrt.power.mc_power` run through it.  Within a replication, substream
+0 draws the data: a single-split (B = 1) cell draws only its two part means
+(``2d`` normals, see :func:`ulrt.data.sample_part_means`), and a B > 1 cell
+draws the full ``n``-by-``d`` dataset, whose splits descend from substream 1.
 
 Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
@@ -37,7 +39,6 @@ from .data import (
     part_size,
     replicate_split_means,
     sample_gaussian,
-    sample_part_means,
     split,
 )
 from .errors import DomainError, NumericError
@@ -175,6 +176,18 @@ def _map_chunks(
         for (lo, _), fut in zip(bounds, futures):
             fold(lo, fut.result())
     return acc
+
+
+def _replicate(stream, reps, n, k, theta, B, reduce, workers, dump=None) -> dict[str, Accumulator]:
+    """Fold ``reduce(mean0, mean1)`` over ``reps`` replications, where
+    replication ``r`` draws from ``stream.substream(r)`` and the means are
+    the ``(C, B, d)`` :func:`ulrt.data.replicate_split_means` of a chunk."""
+
+    def run_chunk(lo: int, hi: int) -> dict:
+        streams = [stream.substream(r) for r in range(lo, hi)]
+        return reduce(*replicate_split_means(streams, n, k, theta, B))
+
+    return _map_chunks(reps, _chunk_reps(n, theta.shape[0], B), run_chunk, workers, dump)
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +436,13 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
 def _exec_fig3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     n, d, alpha, p0, reps = cell["n"], cell["d"], cell["alpha"], cell["p0"], cell["reps"]
-    stream = ctx.cell_stream(ci)
     k = part_size(n, p0)
     L = rg.log_threshold(alpha)
-    theta = np.zeros(d)
 
-    def run_chunk(lo: int, hi: int) -> dict:
-        streams = [stream.substream(r) for r in range(lo, hi)]
-        mean0, mean1 = sample_part_means(streams, n, k, theta)
-        return {"sq_radius": (2.0 / k) * L + sq_norm(mean0 - mean1, axis=1)}
+    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
+        return {"sq_radius": (2.0 / k) * L + sq_norm(mean0[:, 0] - mean1[:, 0], axis=1)}
 
-    acc = _map_chunks(reps, _chunk_reps(n, d, 1), run_chunk, ctx.workers, ctx.dump)
-    a = acc["sq_radius"]
+    a = _replicate(ctx.cell_stream(ci), reps, n, k, np.zeros(d), 1, reduce, ctx.workers, ctx.dump)["sq_radius"]
     analytic = rg.expected_sq_radius_split(alpha, d, n, k / n)
     return [
         SummaryRow(
@@ -463,20 +471,15 @@ def _exec_fig4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
 def _exec_fig5(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     n, d, alpha, reps = cell["n"], cell["d"], cell["alpha"], cell["reps"]
-    stream = ctx.cell_stream(ci)
     k = part_size(n, 0.5)
     L = rg.log_threshold(alpha)
     quantile = specfun.chi2_upper_quantile(alpha, d)
-    theta = np.zeros(d)
 
-    def run_chunk(lo: int, hi: int) -> dict:
-        streams = [stream.substream(r) for r in range(lo, hi)]
-        mean0, mean1 = sample_part_means(streams, n, k, theta)
-        ratio = ((2.0 / k) * L + sq_norm(mean0 - mean1, axis=1)) / (quantile / n)
+    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
+        ratio = ((2.0 / k) * L + sq_norm(mean0[:, 0] - mean1[:, 0], axis=1)) / (quantile / n)
         return {"leq4": (ratio <= 4.0).astype(np.float64)}
 
-    acc = _map_chunks(reps, _chunk_reps(n, d, 1), run_chunk, ctx.workers, ctx.dump)
-    a = acc["leq4"]
+    a = _replicate(ctx.cell_stream(ci), reps, n, k, np.zeros(d), 1, reduce, ctx.workers, ctx.dump)["leq4"]
     lower, upper, cond = rg.prob_ratio_leq4_bounds(alpha, d)
     return [
         SummaryRow(
@@ -492,10 +495,12 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     lam = cell["n_theta_sq"]
     theta_sq = lam / n
     base = dict(cell, theta_sq_norm=theta_sq)
-    if method in ("exact", "approx"):
+    if test in ("classical", "subsampling_limit"):
         fn = pw.power_classical if test == "classical" else pw.power_limiting_subsampling
         est = fn(theta_sq, n, d, alpha, method=method)
         return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, 0)]
+    if method != "mc":
+        raise DomainError(f"power_fig6 test {test!r} has no method {method!r}")
     theta = math.sqrt(theta_sq / d) * np.ones(d)
     est = pw.mc_power(
         test, theta, n, alpha, B=cell["B"], reps=cell["reps"],
@@ -504,49 +509,47 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, cell["reps"])]
 
 
-def _doughnut_chunk_fn(stream, method, theta, n, d, alpha, B, null):
+_ANNULUS_TESTS = ("intersection", "subsampled_split", "subsampled_hybrid")
+_CASE_FRACTIONS = ("frac_split_case", "frac_unit_case", "frac_ripr_case")
+
+
+def _annulus_power(ctx: _RunContext, ci: int, cell: dict, method: str) -> dict[str, Accumulator]:
+    """Accumulators of one Monte Carlo annulus test at ``theta_norm * e_1``:
+    ``reject``, and for the hybrid test its case fractions."""
+    if method not in _ANNULUS_TESTS:
+        raise DomainError(f"unknown annulus test {method!r}")
+    n, d, alpha = cell["n"], cell["d"], cell["alpha"]
+    null = dn.AnnulusNull()
     thresh = rg.log_threshold(alpha)
     quantile = specfun.chi2_upper_quantile(alpha, d)
     k = part_size(n, 0.5)
+    theta = np.zeros(d)
+    theta[0] = cell["theta_norm"]
 
-    def run_chunk(lo: int, hi: int) -> dict:
-        streams = [stream.substream(r) for r in range(lo, hi)]
+    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
         if method == "intersection":
-            mean0, mean1 = sample_part_means(streams, n, k, theta)
-            norms = np.sqrt(sq_norm((k * mean0 + (n - k) * mean1) / n, axis=1))
-            gap = np.maximum(np.maximum(null.r_in - norms, norms - null.r_out), 0.0)
-            return {"reject": (gap * gap > quantile / n).astype(np.float64)}
-        mean0, mean1 = replicate_split_means(streams, n, k, theta, B)
+            means = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
+            return {"reject": dn._intersection_rejects(means, n, null, quantile).astype(np.float64)}
         if method == "subsampled_split":
             values = dn._split_case_log_values(mean0, mean1, n, null)
             return {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
         values, cases = dn._hybrid_log_values(mean0, mean1, n, null)
-        return {
-            "reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64),
-            "frac_split_case": (cases == 0).mean(axis=1),
-            "frac_unit_case": (cases == 1).mean(axis=1),
-            "frac_ripr_case": (cases == 2).mean(axis=1),
-        }
+        out = {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
+        for code, name in enumerate(_CASE_FRACTIONS):
+            out[name] = (cases == code).mean(axis=1)
+        return out
 
-    return run_chunk
+    B = 1 if method == "intersection" else cell["B"]
+    return _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce, ctx.workers, ctx.dump)
 
 
 def _exec_fig7(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    method, d, n, alpha = cell["method"], cell["d"], cell["n"], cell["alpha"]
-    t, B, reps = cell["theta_norm"], cell["B"], cell["reps"]
-    null = dn.AnnulusNull()
-    if method == "intersection_exact":
-        value = dn.intersection_power_exact(t, n, d, alpha, null)
+    if cell["method"] == "intersection_exact":
+        value = dn.intersection_power_exact(cell["theta_norm"], cell["n"], cell["d"], cell["alpha"])
         return [SummaryRow(ctx.spec.experiment_id, dict(cell), value, 0.0, 0)]
-    theta = np.zeros(d)
-    theta[0] = t
-    fn = _doughnut_chunk_fn(ctx.cell_stream(ci), method, theta, n, d, alpha, B, null)
-    acc = _map_chunks(reps, _chunk_reps(n, d, B if method != "intersection" else 1), fn, ctx.workers, ctx.dump)
+    acc = _annulus_power(ctx, ci, cell, cell["method"])
     a = acc["reject"]
-    extra = {}
-    for name in ("frac_split_case", "frac_unit_case", "frac_ripr_case"):
-        if name in acc:
-            extra[name] = acc[name].mean
+    extra = {name: acc[name].mean for name in _CASE_FRACTIONS if name in acc}
     return [
         SummaryRow(ctx.spec.experiment_id, dict(cell, **extra), a.mean, a.se_proportion(), a.count)
     ]
@@ -574,30 +577,20 @@ def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
 
 def _exec_figS3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    method, d, n, alpha, t = cell["method"], cell["d"], cell["n"], cell["alpha"], cell["theta_norm"]
-    null = dn.AnnulusNull()
+    method = cell["method"]
     if method == "exact":
-        value = dn.intersection_power_exact(t, n, d, alpha, null)
+        value = dn.intersection_power_exact(cell["theta_norm"], cell["n"], cell["d"], cell["alpha"])
         return [SummaryRow(ctx.spec.experiment_id, dict(cell), value, 0.0, 0)]
-    theta = np.zeros(d)
-    theta[0] = t
-    fn = _doughnut_chunk_fn(ctx.cell_stream(ci), "intersection", theta, n, d, alpha, 1, null)
-    acc = _map_chunks(cell["reps"], _chunk_reps(n, d, 1), fn, ctx.workers, ctx.dump)
-    a = acc["reject"]
+    if method != "mc":
+        raise DomainError(f"intersect_power_figS3 has no method {method!r}")
+    a = _annulus_power(ctx, ci, cell, "intersection")["reject"]
     return [SummaryRow(ctx.spec.experiment_id, dict(cell), a.mean, a.se_proportion(), a.count)]
 
 
 def _exec_figS4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    d, n, alpha, t, B, reps = (
-        cell["d"], cell["n"], cell["alpha"], cell["theta_norm"], cell["B"], cell["reps"]
-    )
-    null = dn.AnnulusNull()
-    theta = np.zeros(d)
-    theta[0] = t
-    fn = _doughnut_chunk_fn(ctx.cell_stream(ci), "subsampled_hybrid", theta, n, d, alpha, B, null)
-    acc = _map_chunks(reps, _chunk_reps(n, d, B), fn, ctx.workers, ctx.dump)
+    acc = _annulus_power(ctx, ci, cell, "subsampled_hybrid")
     rows = []
-    for name in ("power", "frac_split_case", "frac_unit_case", "frac_ripr_case"):
+    for name in ("power",) + _CASE_FRACTIONS:
         a = acc["reject"] if name == "power" else acc[name]
         se = a.se_proportion() if name == "power" else a.se_mean()
         rows.append(SummaryRow(ctx.spec.experiment_id, dict(cell, quantity=name), a.mean, se, a.count))
@@ -660,14 +653,11 @@ def coverage_suite(
     rows = []
     methods = ("classical", "split", "crossfit", "subsampling")
     for ci, (method, d) in enumerate((m, d) for d in d_list for m in methods):
-        stream = rng.substream(ci)
         quantile = specfun.chi2_upper_quantile(alpha, d)
         b_eff = B if method == "subsampling" else 1
         theta = np.zeros(d)
 
-        def run_chunk(lo: int, hi: int, method=method, stream=stream, b_eff=b_eff, quantile=quantile, theta=theta) -> dict:
-            streams = [stream.substream(r) for r in range(lo, hi)]
-            mean0, mean1 = replicate_split_means(streams, n, k, theta, b_eff)
+        def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
             if method == "classical":
                 overall = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
                 covered = n * sq_norm(overall, axis=1) <= quantile
@@ -675,8 +665,7 @@ def coverage_suite(
                 covered = rg.log_values(method, theta, mean0, mean1, k, n - k) < thresh
             return {"covered": covered.astype(np.float64)}
 
-        acc = _map_chunks(reps, _chunk_reps(n, d, b_eff), run_chunk, workers)
-        a = acc["covered"]
+        a = _replicate(rng.substream(ci), reps, n, k, theta, b_eff, reduce, workers)["covered"]
         rows.append(
             SummaryRow(
                 "coverage", dict(method=method, d=d, n=n, alpha=alpha, B=b_eff),

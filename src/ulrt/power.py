@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .data import part_size, replicate_split_means
+from .data import part_size
 from .errors import DomainError
 from .regions import _LOG_5_HALVES, log_threshold, log_values
 
@@ -99,8 +99,9 @@ def mc_power(
     the two part means, ``2d`` normals from substream 0 of the replication;
     subsampling at ``B > 1`` draws the full ``n``-by-``d`` dataset from
     substream 0, and its splits descend from substream 1.
-    Replication ``r`` uses ``rng.substream(r)``, so the result is a pure
-    function of ``rng`` regardless of chunking or thread count.
+    Replications run through :func:`ulrt.engine._replicate`: replication
+    ``r`` uses ``rng.substream(r)``, so the result is a pure function of
+    ``rng`` regardless of chunking or thread count.
     """
     if test_kind not in MC_TEST_KINDS:
         raise DomainError(f"test_kind must be one of {MC_TEST_KINDS}, got {test_kind!r}")
@@ -117,15 +118,11 @@ def mc_power(
     k = part_size(n, 0.5)
     origin = np.zeros(d)
 
-    from .engine import _chunk_reps, _map_chunks
+    from .engine import _replicate
 
-    chunk = _chunk_reps(n, d, b_eff)
-
-    def run_chunk(lo: int, hi: int) -> dict[str, np.ndarray]:
-        streams = [rng.substream(r) for r in range(lo, hi)]
-        mean0, mean1 = replicate_split_means(streams, n, k, theta, b_eff)
+    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict[str, np.ndarray]:
         rejected = log_values(test_kind, origin, mean0, mean1, k, n - k) >= log_thresh
         return {"reject": rejected.astype(np.float64)}
 
-    acc = _map_chunks(reps, chunk, run_chunk, workers)["reject"]
+    acc = _replicate(rng, reps, n, k, theta, b_eff, reduce, workers)["reject"]
     return PowerEstimate(acc.mean, acc.se_proportion(), "monte_carlo")

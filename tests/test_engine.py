@@ -154,6 +154,22 @@ def test_poisoned_cell_yields_diagnostic_row():
     assert bad_rows[0].status == "error:NumericError"
 
 
+@pytest.mark.parametrize(
+    "experiment_id, cell",
+    [
+        ("doughnut_fig7", dict(method="bogus", theta_norm=0.3, B=4)),
+        ("intersect_power_figS3", dict(method="bogus", theta_norm=0.3)),
+        ("power_fig6", dict(test="bogus", method="exact", n_theta_sq=2.0, B=4)),
+        ("power_fig6", dict(test="split", method="bogus", n_theta_sq=2.0, B=4)),
+    ],
+)
+def test_unknown_test_or_method_in_explicit_cell_yields_domain_error(experiment_id, cell):
+    spec = ExperimentSpec(experiment_id, (dict(cell, d=2, n=100, alpha=0.1, reps=20),), 3)
+    (row,) = run(spec)
+    assert row.status == "error:DomainError"
+    assert math.isnan(row.estimate) and row.reps_used == 0
+
+
 # ---------------------------------------------------------------------------
 # coverage suite
 # ---------------------------------------------------------------------------
