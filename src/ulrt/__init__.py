@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     NumericError,
     UlrtError,
-    UnsupportedConfigurationError,
 )
 from .power import PowerEstimate, mc_power, power_classical, power_limiting_subsampling
 from .regions import (
@@ -48,7 +47,6 @@ from .regions import (
 )
 from .rng import RngStream
 from .specfun import (
-    Tolerance,
     chi2_cdf,
     chi2_pdf,
     chi2_sf,

@@ -183,14 +183,14 @@ def cmd_experiment(args) -> int:
     dump = None
     raw_lines: list[str] = []
     if args.dump_raw:
-        def dump(name: str, lo: int, values: np.ndarray) -> None:
+        def dump(cell: int, name: str, lo: int, values: np.ndarray) -> None:
             for i, v in enumerate(values):
-                raw_lines.append(f"{name},{lo + i},{v!r}")
+                raw_lines.append(f"{cell},{name},{lo + i},{float(v)!r}\n")
     rows = engine.run(spec, workers=workers, dump=dump)
     out = Path(args.out) if args.out else Path(f"experiment_{spec.experiment_id}.csv")
     engine.rows_to_csv(rows, out)
     if args.dump_raw:
-        Path(args.dump_raw).write_text("quantity,rep,value\n" + "\n".join(raw_lines) + "\n")
+        Path(args.dump_raw).write_text("cell,quantity,rep,value\n" + "".join(raw_lines))
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 

@@ -10,8 +10,9 @@ Three valid approaches are implemented:
   mean is inside the inner disk, the constant 1 inside the annulus, and the
   boundary-projection (RIPR) ratio outside the outer sphere.
 
-The exact power of the intersection test is available in closed form for the
-default radii.
+The exact power of the intersection test is in closed form for the default
+radii.  :func:`mc_reducer` decides the three tests for the Monte Carlo
+engine, through the same batched statistics as the scalar API.
 """
 
 from __future__ import annotations
@@ -19,17 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from . import specfun
 from ._kernels import log_mean_exp, sq_norm
 from .data import SampleSet, SplitPair, _block_split_means, part_size
-from .errors import (
-    DegenerateDirectionError,
-    DomainError,
-    UnsupportedConfigurationError,
-)
+from .errors import DegenerateDirectionError, DomainError
 from .regions import log_threshold
 from .rng import RngStream
 
@@ -47,10 +45,6 @@ class AnnulusNull:
     def __post_init__(self) -> None:
         if not (0.0 < self.r_in <= self.r_out) or not math.isfinite(self.r_out):
             raise DomainError(f"need 0 < r_in <= r_out, got [{self.r_in}, {self.r_out}]")
-
-    @property
-    def is_default(self) -> bool:
-        return self.r_in == DEFAULT_R_IN and self.r_out == DEFAULT_R_OUT
 
 
 class HybridCase(Enum):
@@ -97,20 +91,14 @@ def _intersection_rejects(
     return gap * gap > quantile / n
 
 
-def intersection_power_exact(
-    theta_norm: float, n: int, d: int, alpha: float, null: AnnulusNull = AnnulusNull()
-) -> float:
+def intersection_power_exact(theta_norm: float, n: int, d: int, alpha: float) -> float:
     """Exact rejection probability of the intersection test.
 
     ``1 - F(n + 2 sqrt(n c) + c) + 1{n > 4c} F(n/4 - sqrt(n c) + c)`` with
     ``c = c_{alpha,d}`` and ``F`` the noncentral chi-squared CDF at
-    noncentrality ``n theta_norm^2``.  Derived for the default radii only;
-    at a null ``theta_norm`` the value is the type I error.
+    noncentrality ``n theta_norm^2``.  Derived for the default annulus
+    [0.5, 1]; at a null ``theta_norm`` the value is the type I error.
     """
-    if not null.is_default:
-        raise UnsupportedConfigurationError(
-            "the exact intersection power is derived for the default annulus [0.5, 1.0]"
-        )
     if theta_norm < 0.0:
         raise DomainError(f"theta_norm must be >= 0, got {theta_norm}")
     c = specfun.chi2_upper_quantile(alpha, d)
@@ -202,14 +190,25 @@ class DoughnutTestResult:
     """Outcome of a subsampled annulus test.
 
     ``case_fractions`` is (split, unit, ripr) over the ``B`` subsamples; the
-    split-only test reports (1, 0, 0) by convention.  ``log_values`` and
-    ``cases`` keep the per-subsample diagnostics.
+    split-only test is in the split case throughout, so it reports (1, 0, 0).
+    ``log_values`` and ``cases`` keep the per-subsample diagnostics.
     """
 
     reject: bool
     case_fractions: tuple[float, float, float]
     log_values: np.ndarray
     cases: np.ndarray
+
+
+def _subsampled_log_values(
+    mean0: np.ndarray, mean1: np.ndarray, n: int, null: AnnulusNull, hybrid: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-split log statistics and case codes of the subsampled hybrid test,
+    or of the split test (every code 0), over ``(..., B, d)`` split means."""
+    if hybrid:
+        return _hybrid_log_values(mean0, mean1, n, null)
+    values = _split_case_log_values(mean0, mean1, n, null)
+    return values, np.zeros(values.shape, dtype=np.int8)
 
 
 def subsampled_doughnut_test(
@@ -235,13 +234,37 @@ def subsampled_doughnut_test(
         raise DomainError("subsampled annulus tests require even n")
     k = part_size(n, 0.5)
     mean0, mean1 = _block_split_means(sample.values[None], rng.substream_keys(B)[None], k)
-    mean0, mean1 = mean0[0], mean1[0]
-    if kind == "split":
-        values = _split_case_log_values(mean0, mean1, n, null)
-        cases = np.zeros(B, dtype=np.int8)
-        fractions = (1.0, 0.0, 0.0)
-    else:
-        values, cases = _hybrid_log_values(mean0, mean1, n, null)
-        fractions = tuple(float(np.mean(cases == c)) for c in (0, 1, 2))
+    values, cases = _subsampled_log_values(mean0[0], mean1[0], n, null, kind == "hybrid")
+    fractions = tuple(float(np.mean(cases == c)) for c in (0, 1, 2))
     reject = bool(log_mean_exp(values) >= log_threshold(alpha))
     return DoughnutTestResult(reject, fractions, values, cases)
+
+
+_ANNULUS_TESTS = ("intersection", "subsampled_split", "subsampled_hybrid")
+_CASE_FRACTIONS = ("frac_split_case", "frac_unit_case", "frac_ripr_case")
+
+
+def mc_reducer(
+    method: str, n: int, k: int, d: int, alpha: float, null: AnnulusNull
+) -> Callable[[np.ndarray, np.ndarray], dict]:
+    """``reduce(mean0, mean1)`` deciding the Monte Carlo test ``method`` over
+    the ``(C, B, d)`` part means (``k`` and ``n - k`` points) of ``C``
+    replications: ``reject`` per replication, and for ``subsampled_hybrid``
+    the share of its ``B`` splits in each case."""
+    if method not in _ANNULUS_TESTS:
+        raise DomainError(f"unknown annulus test {method!r}")
+    thresh = log_threshold(alpha)
+    quantile = specfun.chi2_upper_quantile(alpha, d)
+    hybrid = method == "subsampled_hybrid"
+
+    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
+        if method == "intersection":
+            means = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
+            return {"reject": _intersection_rejects(means, n, null, quantile).astype(np.float64)}
+        values, cases = _subsampled_log_values(mean0, mean1, n, null, hybrid)
+        out = {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
+        if hybrid:
+            out.update({name: (cases == c).mean(axis=1) for c, name in enumerate(_CASE_FRACTIONS)})
+        return out
+
+    return reduce

@@ -11,6 +11,8 @@ implements this layout; every Monte Carlo cell, :func:`coverage_suite` and
 0 draws the data: a single-split (B = 1) cell draws only its two part means
 (``2d`` normals, see :func:`ulrt.data.sample_part_means`), and a B > 1 cell
 draws the full ``n``-by-``d`` dataset, whose splits descend from substream 1.
+The engine lays out cells and shapes rows; the statistics come from the
+library, and the annulus tests are decided by :func:`ulrt.doughnut.mc_reducer`.
 
 Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
@@ -32,7 +34,7 @@ from . import doughnut as dn
 from . import power as pw
 from . import regions as rg
 from . import specfun
-from ._kernels import log_mean_exp, sq_norm
+from ._kernels import sq_norm
 from .data import (
     SampleSet,
     _block_split_means,
@@ -355,11 +357,16 @@ class _RunContext:
     spec: ExperimentSpec
     root: RngStream
     workers: int | None
-    dump: Callable[[str, int, np.ndarray], None] | None = None
+    dump: Callable[[int, str, int, np.ndarray], None] | None = None
     shared_cache: dict = field(default_factory=dict)
 
     def cell_stream(self, cell_index: int) -> RngStream:
         return self.root.substream(1 + cell_index)
+
+    def cell_dump(self, cell_index: int) -> Callable[[str, int, np.ndarray], None] | None:
+        if self.dump is None:
+            return None
+        return lambda name, lo, values: self.dump(cell_index, name, lo, values)
 
     def shared_sample(self, n: int, d: int) -> SampleSet:
         key = (n, d)
@@ -419,7 +426,7 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
         stats = np.exp(rg.split_log_values(thetas, mean0[0], mean1[0], k))
         return {f"t{g}": stats[g] for g in range(points)}
 
-    acc = _map_chunks(B, chunk, run_chunk, ctx.workers, ctx.dump)
+    acc = _map_chunks(B, chunk, run_chunk, ctx.workers, ctx.cell_dump(ci))
     rows = []
     base = {k_: cell[k_] for k_ in ("d", "n", "B")}
     for g in range(points):
@@ -437,12 +444,11 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 def _exec_fig3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     n, d, alpha, p0, reps = cell["n"], cell["d"], cell["alpha"], cell["p0"], cell["reps"]
     k = part_size(n, p0)
-    L = rg.log_threshold(alpha)
 
     def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-        return {"sq_radius": (2.0 / k) * L + sq_norm(mean0[:, 0] - mean1[:, 0], axis=1)}
+        return {"sq_radius": rg.split_sq_radius(mean0[:, 0], mean1[:, 0], k, alpha)}
 
-    a = _replicate(ctx.cell_stream(ci), reps, n, k, np.zeros(d), 1, reduce, ctx.workers, ctx.dump)["sq_radius"]
+    a = _replicate(ctx.cell_stream(ci), reps, n, k, np.zeros(d), 1, reduce, ctx.workers, ctx.cell_dump(ci))["sq_radius"]
     analytic = rg.expected_sq_radius_split(alpha, d, n, k / n)
     return [
         SummaryRow(
@@ -472,14 +478,13 @@ def _exec_fig4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 def _exec_fig5(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     n, d, alpha, reps = cell["n"], cell["d"], cell["alpha"], cell["reps"]
     k = part_size(n, 0.5)
-    L = rg.log_threshold(alpha)
     quantile = specfun.chi2_upper_quantile(alpha, d)
 
     def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-        ratio = ((2.0 / k) * L + sq_norm(mean0[:, 0] - mean1[:, 0], axis=1)) / (quantile / n)
+        ratio = rg.split_sq_radius(mean0[:, 0], mean1[:, 0], k, alpha) / (quantile / n)
         return {"leq4": (ratio <= 4.0).astype(np.float64)}
 
-    a = _replicate(ctx.cell_stream(ci), reps, n, k, np.zeros(d), 1, reduce, ctx.workers, ctx.dump)["leq4"]
+    a = _replicate(ctx.cell_stream(ci), reps, n, k, np.zeros(d), 1, reduce, ctx.workers, ctx.cell_dump(ci))["leq4"]
     lower, upper, cond = rg.prob_ratio_leq4_bounds(alpha, d)
     return [
         SummaryRow(
@@ -509,50 +514,34 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, cell["reps"])]
 
 
-_ANNULUS_TESTS = ("intersection", "subsampled_split", "subsampled_hybrid")
-_CASE_FRACTIONS = ("frac_split_case", "frac_unit_case", "frac_ripr_case")
-
-
 def _annulus_power(ctx: _RunContext, ci: int, cell: dict, method: str) -> dict[str, Accumulator]:
-    """Accumulators of one Monte Carlo annulus test at ``theta_norm * e_1``:
-    ``reject``, and for the hybrid test its case fractions."""
-    if method not in _ANNULUS_TESTS:
-        raise DomainError(f"unknown annulus test {method!r}")
-    n, d, alpha = cell["n"], cell["d"], cell["alpha"]
-    null = dn.AnnulusNull()
-    thresh = rg.log_threshold(alpha)
-    quantile = specfun.chi2_upper_quantile(alpha, d)
+    """Accumulators of the Monte Carlo annulus test ``method`` at
+    ``theta_norm * e_1``, as :func:`ulrt.doughnut.mc_reducer` names them."""
+    n, d = cell["n"], cell["d"]
     k = part_size(n, 0.5)
+    reduce = dn.mc_reducer(method, n, k, d, cell["alpha"], dn.AnnulusNull())
     theta = np.zeros(d)
     theta[0] = cell["theta_norm"]
-
-    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-        if method == "intersection":
-            means = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
-            return {"reject": dn._intersection_rejects(means, n, null, quantile).astype(np.float64)}
-        if method == "subsampled_split":
-            values = dn._split_case_log_values(mean0, mean1, n, null)
-            return {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
-        values, cases = dn._hybrid_log_values(mean0, mean1, n, null)
-        out = {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
-        for code, name in enumerate(_CASE_FRACTIONS):
-            out[name] = (cases == code).mean(axis=1)
-        return out
-
     B = 1 if method == "intersection" else cell["B"]
-    return _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce, ctx.workers, ctx.dump)
+    return _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce, ctx.workers, ctx.cell_dump(ci))
 
 
-def _exec_fig7(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    if cell["method"] == "intersection_exact":
+def _annulus_row(ctx: _RunContext, ci: int, cell: dict, method: str) -> list[SummaryRow]:
+    """The one row of a fig7 or S3 cell: the exact intersection power, or the
+    rejection rate of a Monte Carlo test with any case fractions it reports."""
+    if method == "intersection_exact":
         value = dn.intersection_power_exact(cell["theta_norm"], cell["n"], cell["d"], cell["alpha"])
         return [SummaryRow(ctx.spec.experiment_id, dict(cell), value, 0.0, 0)]
-    acc = _annulus_power(ctx, ci, cell, cell["method"])
-    a = acc["reject"]
-    extra = {name: acc[name].mean for name in _CASE_FRACTIONS if name in acc}
+    acc = _annulus_power(ctx, ci, cell, method)
+    a = acc.pop("reject")
+    extra = {name: b.mean for name, b in acc.items()}
     return [
         SummaryRow(ctx.spec.experiment_id, dict(cell, **extra), a.mean, a.se_proportion(), a.count)
     ]
+
+
+def _exec_fig7(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
+    return _annulus_row(ctx, ci, cell, cell["method"])
 
 
 def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
@@ -576,24 +565,22 @@ def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     ]
 
 
+#: S3's methods are fig7's intersection rows under shorter names.
+_FIGS3_METHODS = {"exact": "intersection_exact", "mc": "intersection"}
+
+
 def _exec_figS3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    method = cell["method"]
-    if method == "exact":
-        value = dn.intersection_power_exact(cell["theta_norm"], cell["n"], cell["d"], cell["alpha"])
-        return [SummaryRow(ctx.spec.experiment_id, dict(cell), value, 0.0, 0)]
-    if method != "mc":
-        raise DomainError(f"intersect_power_figS3 has no method {method!r}")
-    a = _annulus_power(ctx, ci, cell, "intersection")["reject"]
-    return [SummaryRow(ctx.spec.experiment_id, dict(cell), a.mean, a.se_proportion(), a.count)]
+    if cell["method"] not in _FIGS3_METHODS:
+        raise DomainError(f"intersect_power_figS3 has no method {cell['method']!r}")
+    return _annulus_row(ctx, ci, cell, _FIGS3_METHODS[cell["method"]])
 
 
 def _exec_figS4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     acc = _annulus_power(ctx, ci, cell, "subsampled_hybrid")
-    rows = []
-    for name in ("power",) + _CASE_FRACTIONS:
-        a = acc["reject"] if name == "power" else acc[name]
-        se = a.se_proportion() if name == "power" else a.se_mean()
-        rows.append(SummaryRow(ctx.spec.experiment_id, dict(cell, quantity=name), a.mean, se, a.count))
+    a = acc.pop("reject")
+    rows = [SummaryRow(ctx.spec.experiment_id, dict(cell, quantity="power"), a.mean, a.se_proportion(), a.count)]
+    for name, b in acc.items():
+        rows.append(SummaryRow(ctx.spec.experiment_id, dict(cell, quantity=name), b.mean, b.se_mean(), b.count))
     return rows
 
 
@@ -614,10 +601,11 @@ _EXECUTORS = {
 def run(
     spec: ExperimentSpec,
     workers: int | None = None,
-    dump: Callable[[str, int, np.ndarray], None] | None = None,
+    dump: Callable[[int, str, int, np.ndarray], None] | None = None,
 ) -> list[SummaryRow]:
     """Execute every grid cell; a numeric failure inside one cell yields a
-    diagnostic row for that cell instead of aborting the run."""
+    diagnostic row for that cell instead of aborting the run.  ``dump(cell,
+    name, rep, values)`` gets each chunk's values from replication ``rep`` on."""
     ctx = _RunContext(spec, RngStream(spec.master_seed), workers, dump)
     executor = _EXECUTORS[spec.experiment_id]
     rows: list[SummaryRow] = []

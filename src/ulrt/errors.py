@@ -18,9 +18,5 @@ class NumericError(UlrtError, ArithmeticError):
     """A numerical routine failed to converge or left its supported range."""
 
 
-class UnsupportedConfigurationError(DomainError):
-    """A closed form was requested outside the configuration it is derived for."""
-
-
 class DegenerateDirectionError(DomainError):
     """A direction-dependent operation received the zero vector."""

@@ -187,12 +187,18 @@ def split_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = No
     return _log_statistic("split", theta, [pair], n, alpha)
 
 
+def split_sq_radius(mean0: np.ndarray, mean1: np.ndarray, m0: int, alpha: float) -> np.ndarray:
+    """Squared radius ``(2/m0) ln(1/alpha) + ||mean0 - mean1||^2`` of the
+    split sphere, over ``(..., d)`` part means with ``m0`` points in part 0."""
+    return (2.0 / m0) * log_threshold(alpha) + sq_norm(mean0 - mean1, axis=-1)
+
+
 def split_region(pair: SplitPair, n: int, alpha: float) -> SphericalRegion:
     """Split likelihood-ratio sphere: center ``mean0``, squared radius
-    ``(2/m0) ln(1/alpha) + ||mean0 - mean1||^2``."""
+    :func:`split_sq_radius`."""
     _check_pair(pair, n)
     alpha = _check_alpha(alpha)
-    sq_radius = (2.0 / pair.m0) * log_threshold(alpha) + sq_norm(pair.mean0 - pair.mean1)
+    sq_radius = split_sq_radius(pair.mean0, pair.mean1, pair.m0, alpha)
     return SphericalRegion(pair.mean0, float(sq_radius), alpha, "split")
 
 

@@ -13,7 +13,6 @@ or :class:`NumericError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
 
@@ -25,28 +24,12 @@ _LN2 = math.log(2.0)
 MAX_LOG_INV_ALPHA = 700.0
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Convergence targets for iterative routines.
-
-    ``abs_tol`` bounds truncation error of series, ``rel_tol`` the relative
-    width of quantile brackets, ``max_iter`` the iteration budget.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iter: int = 500
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError("abs_tol must be positive and finite")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError("rel_tol must be positive and finite")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = Tolerance()
+#: Convergence targets of the iterative routines, read at call time: the
+#: iteration budget, the unaccumulated Poisson mass at which the noncentral
+#: series stops, and the relative width of quantile brackets.
+MAX_ITER = 500
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
 
 
 def _check_dim(d: int) -> None:
@@ -77,12 +60,12 @@ def chi2_pdf(x: float, d: int) -> float:
     return math.exp(log_pdf)
 
 
-def _gamma_p_series(a: float, x: float, tol: Tolerance) -> float:
+def _gamma_p_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(tol.max_iter):
+    for _ in range(MAX_ITER):
         denom += 1.0
         term *= x / denom
         total += term
@@ -91,14 +74,14 @@ def _gamma_p_series(a: float, x: float, tol: Tolerance) -> float:
     raise NumericError(f"incomplete gamma series did not converge (a={a}, x={x})")
 
 
-def _gamma_q_contfrac(a: float, x: float, tol: Tolerance) -> float:
+def _gamma_q_contfrac(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by Lentz's continued fraction."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, tol.max_iter + 1):
+    for i in range(1, MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -115,7 +98,7 @@ def _gamma_q_contfrac(a: float, x: float, tol: Tolerance) -> float:
     raise NumericError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
 
 
-def _chi2_cdf_sf(x: float, d: int, tol: Tolerance) -> tuple[float, float]:
+def _chi2_cdf_sf(x: float, d: int) -> tuple[float, float]:
     """(CDF, survival) of the chi-squared distribution, each computed in the
     regime where it is accurate and the other by complement."""
     a = 0.5 * d
@@ -123,34 +106,34 @@ def _chi2_cdf_sf(x: float, d: int, tol: Tolerance) -> tuple[float, float]:
     if s == 0.0:
         return 0.0, 1.0
     if s < a + 1.0:
-        p = _gamma_p_series(a, s, tol)
+        p = _gamma_p_series(a, s)
         return p, 1.0 - p
-    q = _gamma_q_contfrac(a, s, tol)
+    q = _gamma_q_contfrac(a, s)
     return 1.0 - q, q
 
 
-def chi2_cdf(x: float, d: int, tol: Tolerance = DEFAULT_TOL) -> float:
+def chi2_cdf(x: float, d: int) -> float:
     """Chi-squared CDF, the regularized lower incomplete gamma P(d/2, x/2)."""
     _check_dim(d)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"chi2_cdf requires x >= 0, got {x}")
-    return _chi2_cdf_sf(x, d, tol)[0]
+    return _chi2_cdf_sf(x, d)[0]
 
 
-def chi2_sf(x: float, d: int, tol: Tolerance = DEFAULT_TOL) -> float:
+def chi2_sf(x: float, d: int) -> float:
     """Chi-squared survival function 1 - CDF, accurate in the far tail."""
     _check_dim(d)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"chi2_sf requires x >= 0, got {x}")
-    return _chi2_cdf_sf(x, d, tol)[1]
+    return _chi2_cdf_sf(x, d)[1]
 
 
-def chi2_upper_quantile(alpha: float, d: int, tol: Tolerance = DEFAULT_TOL) -> float:
+def chi2_upper_quantile(alpha: float, d: int) -> float:
     """Upper ``alpha`` quantile of the chi-squared distribution with ``d`` df.
 
     Brackets the root with the Inglot bounds where they apply (d >= 2 and
     alpha <= 0.17), otherwise with a crude but safe envelope, and refines by
-    bisection on the survival function to ``tol.rel_tol``.
+    bisection on the survival function to :data:`REL_TOL`.
     """
     _check_dim(d)
     if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
@@ -169,33 +152,31 @@ def chi2_upper_quantile(alpha: float, d: int, tol: Tolerance = DEFAULT_TOL) -> f
         hi = d + 40.0 * math.sqrt(d) + 4.0 * log_inv
     # defensive bracket expansion; a handful of doublings at most
     for _ in range(200):
-        if chi2_sf(hi, d, tol) <= alpha:
+        if chi2_sf(hi, d) <= alpha:
             break
         hi *= 2.0
     else:
         raise NumericError("failed to bracket chi-squared quantile from above")
-    while lo > 0.0 and chi2_sf(lo, d, tol) < alpha:
+    while lo > 0.0 and chi2_sf(lo, d) < alpha:
         lo *= 0.5
         if lo < 1e-300:
             lo = 0.0
-    for _ in range(tol.max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if chi2_sf(mid, d, tol) > alpha:
+        if chi2_sf(mid, d) > alpha:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol.rel_tol * max(hi, 1e-300):
+        if hi - lo <= REL_TOL * max(hi, 1e-300):
             return 0.5 * (lo + hi)
     raise NumericError(f"chi-squared quantile bisection did not converge (alpha={alpha}, d={d})")
 
 
-def noncentral_chi2_cdf(
-    x: float, d: int, noncentrality: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     """Noncentral chi-squared CDF via the Poisson mixture of central CDFs.
 
     Terms are summed outward from the Poisson mode ``floor(lambda/2)`` until
-    the unaccumulated Poisson mass drops below ``tol.abs_tol``, which keeps
+    the unaccumulated Poisson mass drops below :data:`ABS_TOL`, which keeps
     the computation stable for large noncentrality.
     """
     _check_dim(d)
@@ -204,7 +185,7 @@ def noncentral_chi2_cdf(
     if not math.isfinite(noncentrality) or noncentrality < 0.0:
         raise DomainError(f"noncentrality must be >= 0, got {noncentrality}")
     if noncentrality == 0.0:
-        return chi2_cdf(x, d, tol)
+        return chi2_cdf(x, d)
     if x == 0.0:
         return 0.0
 
@@ -213,33 +194,33 @@ def noncentral_chi2_cdf(
     log_w0 = -half + k0 * math.log(half) - math.lgamma(k0 + 1)
     w0 = math.exp(log_w0)
 
-    total = w0 * chi2_cdf(x, d + 2 * k0, tol)
+    total = w0 * chi2_cdf(x, d + 2 * k0)
     mass = w0
 
     w_up = w0
     k_up = k0
     w_down = w0
     k_down = k0
-    budget = 4 * tol.max_iter
+    budget = 4 * MAX_ITER
     for _ in range(budget):
-        if 1.0 - mass < tol.abs_tol:
+        if 1.0 - mass < ABS_TOL:
             return min(max(total, 0.0), 1.0)
         advanced = False
         if w_up > 0.0:
             k_up += 1
             w_up *= half / k_up
-            total += w_up * chi2_cdf(x, d + 2 * k_up, tol)
+            total += w_up * chi2_cdf(x, d + 2 * k_up)
             mass += w_up
             advanced = True
         if k_down > 0:
             w_down *= k_down / half
             k_down -= 1
-            total += w_down * chi2_cdf(x, d + 2 * k_down, tol)
+            total += w_down * chi2_cdf(x, d + 2 * k_down)
             mass += w_down
             advanced = True
         if not advanced:
             break
-    if 1.0 - mass < tol.abs_tol:
+    if 1.0 - mass < ABS_TOL:
         return min(max(total, 0.0), 1.0)
     raise NumericError(
         f"noncentral chi-squared series did not converge (x={x}, d={d}, lambda={noncentrality})"

@@ -176,7 +176,7 @@ def test_experiment_spec_file_and_dump_raw(tmp_path):
         "experiment_id": "ratio_prob_fig5",
         "seed": 77,
         "workers": 1,
-        "overrides": {"ds": [2], "reps": 120},
+        "overrides": {"ds": [2, 10], "reps": 120},
     }))
     out = tmp_path / "rows.csv"
     raw = tmp_path / "raw.csv"
@@ -186,8 +186,26 @@ def test_experiment_spec_file_and_dump_raw(tmp_path):
     rows = list(csv.DictReader(open(out)))
     assert rows[0]["experiment"] == "ratio_prob_fig5"
     raw_rows = list(csv.DictReader(open(raw)))
-    assert len(raw_rows) == 120
+    assert len(raw_rows) == 240
     assert {r["quantity"] for r in raw_rows} == {"leq4"}
+    for cell in ("0", "1"):
+        reps = [int(r["rep"]) for r in raw_rows if r["cell"] == cell]
+        assert reps == list(range(120))
+    assert {float(r["value"]) for r in raw_rows} <= {0.0, 1.0}
+
+
+def test_experiment_dump_raw_without_replications_writes_header_only(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment_id": "ratio_bounds_fig4",
+        "seed": 1,
+        "overrides": {"ds": [10], "xs": [1.0]},
+    }))
+    raw = tmp_path / "raw.csv"
+    code = main(["experiment", "--spec-file", str(spec), "--out", str(tmp_path / "rows.csv"),
+                 "--dump-raw", str(raw)])
+    assert code == 0
+    assert raw.read_text() == "cell,quantity,rep,value\n"
 
 
 def test_experiment_missing_file_exits_2(tmp_path):

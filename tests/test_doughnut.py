@@ -19,11 +19,7 @@ from ulrt.doughnut import (
     project_to_annulus,
     subsampled_doughnut_test,
 )
-from ulrt.errors import (
-    DegenerateDirectionError,
-    DomainError,
-    UnsupportedConfigurationError,
-)
+from ulrt.errors import DegenerateDirectionError, DomainError
 from ulrt.rng import RngStream
 
 
@@ -136,11 +132,6 @@ def test_intersection_exact_interior_is_type_one_error():
 def test_intersection_exact_increasing_in_n_at_strong_alternative():
     values = [intersection_power_exact(1.5, n, 2, 0.1) for n in (100, 400, 1000)]
     assert values[0] < values[1] < values[2]
-
-
-def test_intersection_exact_requires_default_radii():
-    with pytest.raises(UnsupportedConfigurationError):
-        intersection_power_exact(1.5, 1000, 2, 0.1, AnnulusNull(0.4, 1.2))
 
 
 def test_intersection_exact_matches_simulation_quick():

@@ -154,6 +154,17 @@ def test_poisoned_cell_yields_diagnostic_row():
     assert bad_rows[0].status == "error:NumericError"
 
 
+def test_malformed_explicit_cell_yields_diagnostic_row():
+    spec = ExperimentSpec(
+        "ratio_bounds_fig4",
+        (dict(d=2, x=1.0), dict(d=2)),  # second cell is missing its axis
+        3,
+    )
+    rows = run(spec)
+    assert sum(r.status == "error:KeyError" for r in rows) == 1
+    assert sum(r.status == "ok" for r in rows) == 3
+
+
 @pytest.mark.parametrize(
     "experiment_id, cell",
     [
@@ -173,17 +184,6 @@ def test_unknown_test_or_method_in_explicit_cell_yields_domain_error(experiment_
 # ---------------------------------------------------------------------------
 # coverage suite
 # ---------------------------------------------------------------------------
-
-
-def test_malformed_explicit_cell_yields_diagnostic_row():
-    spec = ExperimentSpec(
-        "ratio_bounds_fig4",
-        (dict(d=2, x=1.0), dict(d=2)),  # second cell is missing its axis
-        3,
-    )
-    rows = run(spec)
-    assert sum(r.status == "error:KeyError" for r in rows) == 1
-    assert sum(r.status == "ok" for r in rows) == 3
 
 
 def test_coverage_suite_classical_is_exact():
@@ -256,7 +256,7 @@ def test_fig5_split_radius_uses_realized_part_size():
     n, d, alpha, reps = 11, 2, 0.1, 4000
     dumped = {}
     spec = build_spec("ratio_prob_fig5", 77, ds=[d], n=n, alpha=alpha, reps=reps)
-    run(spec, dump=lambda name, lo, values: dumped.update({(name, lo): values}))
+    run(spec, dump=lambda cell, name, lo, values: dumped.update({(cell, name, lo): values}))
     indicators = np.concatenate([dumped[key] for key in sorted(dumped)])
 
     k = part_size(n, 0.5)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from ulrt import specfun
 from ulrt.errors import DomainError, NumericError
 from ulrt.specfun import (
-    Tolerance,
     chi2_cdf,
     chi2_pdf,
     chi2_sf,
@@ -270,19 +269,10 @@ def test_noncentral_rejects_negative():
 # ---------------------------------------------------------------------------
 
 
-def test_tolerance_validation():
-    with pytest.raises(DomainError):
-        Tolerance(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        Tolerance(rel_tol=-1e-9)
-    with pytest.raises(DomainError):
-        Tolerance(max_iter=0)
-
-
-def test_tolerance_budget_is_respected():
-    tight = Tolerance(max_iter=3)
+def test_tolerance_budget_is_respected(monkeypatch):
+    monkeypatch.setattr(specfun, "MAX_ITER", 3)
     with pytest.raises(NumericError):
-        chi2_upper_quantile(0.1, 2, tol=tight)
+        chi2_upper_quantile(0.1, 2)
 
 
 def test_default_max_log_inv_alpha_exported():
