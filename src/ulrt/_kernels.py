@@ -2,21 +2,44 @@
 
 Everything here is exact batch arithmetic.  ``batch_fisher_yates`` is the one
 partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
-stream key, the subsampling and Monte Carlo paths with many.  The partition
-sums in ``split_means`` are plain matrix products against one-hot membership
+stream key, the subsampling and Monte Carlo paths with many.  Its loop is C
+(``_subsets.c``, next to this file): the first call compiles it with
+``cc -O2 -shared -fPIC`` into the per-user cache ``$XDG_CACHE_HOME/ulrt``
+(default ``~/.cache/ulrt``), keyed by a hash of the source and the build
+command, and loads it with :mod:`ctypes`, which releases the GIL while the
+loop runs.  Without a compiler, or when the build or the load fails, the
+numpy loop ``_numpy_fisher_yates`` draws the same subsets, and the process
+emits one ``RuntimeWarning`` that says so.  The partition sums in
+``split_means`` are plain matrix products against one-hot membership
 matrices (fast via BLAS, and within float rounding of per-row means).
 """
 
 from __future__ import annotations
 
+import numbers
+import os
+import shutil
+import threading
+import warnings
+
 import numpy as np
 
+from .errors import DomainError
 from .rng import _U64_GOLDEN, _finalize_array
 
-#: Rows shuffled together by :func:`batch_fisher_yates`.  Blocking bounds
+#: Rows shuffled together by :func:`_numpy_fisher_yates`.  Blocking bounds
 #: the working set of the k steps (4 MB of swap targets and 4 MB of
 #: permutations at n = 1000, k = 500) whatever the number of rows.
 _FY_BLOCK = 1024
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_subsets.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Held while the first call builds and loads the library, so that the
+#: engine's worker threads build it once.
+_LOAD_LOCK = threading.Lock()
+#: ``[draw]`` once a call has tried to load the library; ``draw`` is the
+#: foreign function, or ``None`` when the numpy loop runs instead.
+_loaded: list = []
 
 
 def batch_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -26,14 +49,106 @@ def batch_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     subset of ``0..n-1`` drawn by stream ``keys[r]``: the first ``k``
     entries, in order, of the permutation after ``k`` swap steps.  Step
     ``i`` swaps position ``i`` with position ``i + draw_i % (n - i)``, where
-    ``draw_i`` is draw ``i`` of the stream.
+    ``draw_i`` is draw ``i`` of the stream.  ``keys`` must be a 1-d integer
+    array (it is converted to contiguous uint64), and ``0 <= k <= n < 2**31``.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or keys.dtype.kind not in "ui":
+        raise DomainError(f"keys must be a 1-d integer array, got {keys.dtype} {keys.shape}")
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}")
+    if not 0 <= k <= n < 2**31:
+        raise DomainError(f"need 0 <= k <= n < 2**31, got k={k}, n={n}")
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    n, k = int(n), int(k)
+    draw = _compiled_draw()
+    if draw is None:
+        return _numpy_fisher_yates(keys, n, k)
+    out = np.empty((keys.shape[0], k), dtype=np.int32)
+    perm = np.empty(n, dtype=np.int32)
+    draw(keys.ctypes.data, keys.shape[0], n, k, perm.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _compiled_draw():
+    """The compiled ``ulrt_fisher_yates``, built and loaded on first use, or
+    ``None`` when the numpy loop must run."""
+    with _LOAD_LOCK:
+        if not _loaded:
+            _loaded.append(_load_compiled())
+        return _loaded[0]
+
+
+def _find_compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _load_compiled():
+    import ctypes
+    import subprocess
+
+    cc = _find_compiler()
+    if cc is None:
+        reason = "no C compiler (cc) on PATH"
+    else:
+        try:
+            lib = ctypes.CDLL(_build(cc))
+        except (OSError, subprocess.SubprocessError) as exc:
+            reason = f"building or loading {_SOURCE} failed ({type(exc).__name__}: {exc})"
+        else:
+            fn = lib.ulrt_fisher_yates
+            fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                           ctypes.c_void_p, ctypes.c_void_p]
+            fn.restype = None
+            return fn
+    warnings.warn(
+        f"ulrt draws subsets with the numpy loop, not the compiled one: {reason}",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+    return None
+
+
+def _build(cc: str) -> str:
+    """Path of the library built from ``_SOURCE`` by ``cc``, compiling it into
+    the per-user cache unless that source and command were built before."""
+    import hashlib
+    import subprocess
+    import tempfile
+
+    command = [cc, *_CFLAGS]
+    with open(_SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read())
+    digest.update("\0".join([*command, os.uname().machine]).encode())
+    cache = os.path.join(
+        os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "ulrt"
+    )
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    st = os.stat(cache)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"{cache} is not a private directory of this user")
+    target = os.path.join(cache, f"subsets-{digest.hexdigest()[:16]}.so")
+    if not os.path.exists(target):
+        # build under a temporary name, so no process loads a half-written file
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run([*command, "-o", tmp, _SOURCE], check=True, capture_output=True)
+            os.replace(tmp, target)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return target
+
+
+def _numpy_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """:func:`batch_fisher_yates` in numpy, for contiguous uint64 ``keys``.
 
     Rows run in blocks of ``_FY_BLOCK``.  A block keeps its permutations
     step-major, as an ``(n, w)`` array, so that step ``i`` reads and writes
     one contiguous row and scatters into the others through precomputed
     flat indices.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
     rows = keys.shape[0]
     ctr = np.arange(1, k + 1, dtype=np.uint64)
     ctr *= _U64_GOLDEN

@@ -254,13 +254,17 @@ def mc_reducer(
     if method not in _ANNULUS_TESTS:
         raise DomainError(f"unknown annulus test {method!r}")
     thresh = log_threshold(alpha)
-    quantile = specfun.chi2_upper_quantile(alpha, d)
+    if method == "intersection":
+        quantile = specfun.chi2_upper_quantile(alpha, d)
+
+        def intersect(mean0: np.ndarray, mean1: np.ndarray) -> dict:
+            means = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
+            return {"reject": _intersection_rejects(means, n, null, quantile).astype(np.float64)}
+
+        return intersect
     hybrid = method == "subsampled_hybrid"
 
     def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-        if method == "intersection":
-            means = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
-            return {"reject": _intersection_rejects(means, n, null, quantile).astype(np.float64)}
         values, cases = _subsampled_log_values(mean0, mean1, n, null, hybrid)
         out = {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
         if hybrid:

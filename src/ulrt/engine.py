@@ -509,7 +509,7 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     theta = math.sqrt(theta_sq / d) * np.ones(d)
     est = pw.mc_power(
         test, theta, n, alpha, B=cell["B"], reps=cell["reps"],
-        rng=ctx.cell_stream(ci), workers=ctx.workers,
+        rng=ctx.cell_stream(ci), workers=ctx.workers, dump=ctx.cell_dump(ci),
     )
     return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, cell["reps"])]
 

@@ -11,6 +11,7 @@ tractable closed form and are estimated by Monte Carlo.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,7 @@ def mc_power(
     reps: int = 5000,
     rng=None,
     workers: int | None = None,
+    dump: Callable[[str, int, np.ndarray], None] | None = None,
 ) -> PowerEstimate:
     """Monte Carlo power of a universal test at true mean ``theta``.
 
@@ -101,7 +103,8 @@ def mc_power(
     substream 0, and its splits descend from substream 1.
     Replications run through :func:`ulrt.engine._replicate`: replication
     ``r`` uses ``rng.substream(r)``, so the result is a pure function of
-    ``rng`` regardless of chunking or thread count.
+    ``rng`` regardless of chunking or thread count.  ``dump(name, lo,
+    values)``, when given, receives each chunk's ``reject`` values.
     """
     if test_kind not in MC_TEST_KINDS:
         raise DomainError(f"test_kind must be one of {MC_TEST_KINDS}, got {test_kind!r}")
@@ -124,5 +127,5 @@ def mc_power(
         rejected = log_values(test_kind, origin, mean0, mean1, k, n - k) >= log_thresh
         return {"reject": rejected.astype(np.float64)}
 
-    acc = _replicate(rng, reps, n, k, theta, b_eff, reduce, workers)["reject"]
+    acc = _replicate(rng, reps, n, k, theta, b_eff, reduce, workers, dump)["reject"]
     return PowerEstimate(acc.mean, acc.se_proportion(), "monte_carlo")

@@ -208,6 +208,29 @@ def test_experiment_dump_raw_without_replications_writes_header_only(tmp_path):
     assert raw.read_text() == "cell,quantity,rep,value\n"
 
 
+def test_experiment_dump_raw_records_fig6_monte_carlo_cells(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment_id": "power_fig6",
+        "seed": 5,
+        "overrides": {"ds": [2], "lambdas": [2.0], "reps": 50},
+    }))
+    out, plain, raw = tmp_path / "rows.csv", tmp_path / "plain.csv", tmp_path / "raw.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out),
+                 "--dump-raw", str(raw)]) == 0
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    rows = list(csv.DictReader(open(out)))
+    mc_cells = {str(i) for i, row in enumerate(rows) if row["method"] == "mc"}
+    assert len(mc_cells) == 2
+    raw_rows = list(csv.DictReader(open(raw)))
+    assert {r["cell"] for r in raw_rows} == mc_cells
+    assert {r["quantity"] for r in raw_rows} == {"reject"}
+    for cell in mc_cells:
+        assert [int(r["rep"]) for r in raw_rows if r["cell"] == cell] == list(range(50))
+    assert {float(r["value"]) for r in raw_rows} <= {0.0, 1.0}
+
+
 def test_experiment_missing_file_exits_2(tmp_path):
     proc = run_cli(["experiment", "--spec-file", str(tmp_path / "nope.json")])
     assert proc.returncode == 2

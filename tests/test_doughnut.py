@@ -16,10 +16,11 @@ from ulrt.doughnut import (
     hybrid_log_statistic,
     intersection_power_exact,
     intersection_test,
+    mc_reducer,
     project_to_annulus,
     subsampled_doughnut_test,
 )
-from ulrt.errors import DegenerateDirectionError, DomainError
+from ulrt.errors import DegenerateDirectionError, DomainError, NumericError
 from ulrt.rng import RngStream
 
 
@@ -317,6 +318,14 @@ def test_subsampled_kind_validation():
     sample = data.sample_gaussian(100, 2, [0.0, 0.0], RngStream(51))
     with pytest.raises(DomainError):
         subsampled_doughnut_test(sample, AnnulusNull(), 0.1, 10, "bogus", RngStream(52))
+
+
+def test_mc_reducer_computes_the_quantile_only_for_the_intersection_test():
+    # the chi-squared quantile fails at d = 1e6, which only the intersection test reads
+    for method in ("subsampled_split", "subsampled_hybrid"):
+        assert callable(mc_reducer(method, 1000, 500, 10**6, 0.1, AnnulusNull()))
+    with pytest.raises(NumericError):
+        mc_reducer("intersection", 1000, 500, 10**6, 0.1, AnnulusNull())
 
 
 def test_hybrid_dominates_split_in_ripr_case():

@@ -1,13 +1,17 @@
 """Stream determinism, Gaussian sampling quality, and splitting contracts."""
 
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ulrt import data
+from ulrt import _kernels, data
 from ulrt._kernels import batch_fisher_yates, split_means
 from ulrt.errors import DomainError
 from ulrt.rng import _U64_GOLDEN, RngStream, _finalize_array
@@ -204,9 +208,11 @@ def _row_major_fisher_yates(keys, n, k):
     return perm
 
 
-@pytest.mark.parametrize("rows", [1, 7, 1023, 1024, 1025, 3000])
-@pytest.mark.parametrize("n,k", [(2, 1), (10, 5), (257, 128), (1000, 500), (1000, 999)])
-def test_batch_fisher_yates_matches_row_major_loop(rows, n, k):
+_FY_ROWS = pytest.mark.parametrize("rows", [1, 7, 1023, 1024, 1025, 3000])
+_FY_SIZES = pytest.mark.parametrize("n,k", [(2, 1), (10, 5), (257, 128), (1000, 500), (1000, 999)])
+
+
+def _check_against_row_major_loop(rows, n, k):
     keys = RngStream(31, rows).substream_keys(rows)
     subsets = batch_fisher_yates(keys, n, k)
     assert subsets.shape == (rows, k) and subsets.dtype == np.int32
@@ -214,6 +220,122 @@ def test_batch_fisher_yates_matches_row_major_loop(rows, n, k):
     assert subsets.min() >= 0 and subsets.max() < n
     ordered = np.sort(subsets, axis=1)
     assert np.all(ordered[:, 1:] != ordered[:, :-1])
+
+
+@_FY_ROWS
+@_FY_SIZES
+def test_batch_fisher_yates_matches_row_major_loop(rows, n, k):
+    """The compiled path; skipped only where no C compiler is found."""
+    if _kernels._find_compiler() is None:
+        pytest.skip("no C compiler found")
+    assert _kernels._compiled_draw() is not None
+    _check_against_row_major_loop(rows, n, k)
+
+
+@_FY_ROWS
+@_FY_SIZES
+def test_numpy_fisher_yates_matches_row_major_loop(rows, n, k, monkeypatch):
+    monkeypatch.setattr(_kernels, "_loaded", [None])
+    _check_against_row_major_loop(rows, n, k)
+
+
+def test_fallback_without_compiler_warns_once_and_draws_same_subsets(monkeypatch):
+    keys = RngStream(34).substream_keys(300)
+    expected = _row_major_fisher_yates(keys, 100, 40)[:, :40]
+    monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = batch_fisher_yates(keys, 100, 40)
+        second = batch_fisher_yates(keys[:1], 100, 40)
+    assert _kernels._loaded == [None]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "numpy loop" in str(caught[0].message)
+    assert np.array_equal(first, expected) and np.array_equal(second, expected[:1])
+
+
+def test_build_goes_to_a_private_per_user_cache(monkeypatch, tmp_path):
+    if _kernels._find_compiler() is None:
+        pytest.skip("no C compiler found")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kernels._compiled_draw() is not None
+    cache = tmp_path / "ulrt"
+    assert cache.stat().st_mode & 0o777 == 0o700
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+def test_shared_writable_cache_falls_back(monkeypatch, tmp_path):
+    cache = tmp_path / "ulrt"
+    cache.mkdir()
+    os.chmod(cache, 0o777)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    with pytest.warns(RuntimeWarning, match="numpy loop"):
+        assert _kernels._compiled_draw() is None
+    assert list(cache.iterdir()) == []
+
+
+def _refuse_foreign_call(*args):
+    raise AssertionError("a bad argument reached the foreign call")
+
+
+@pytest.mark.parametrize(
+    "keys,n,k",
+    [
+        (np.arange(3, dtype=np.uint64), 10, 11),
+        (np.arange(3, dtype=np.uint64), 10, -1),
+        (np.arange(3, dtype=np.uint64), 2**31, 1),
+        (np.arange(3, dtype=np.uint64), 10.0, 5),
+        (np.arange(3.0), 10, 5),
+        (np.arange(6, dtype=np.uint64).reshape(2, 3), 10, 5),
+    ],
+)
+def test_batch_fisher_yates_rejects_bad_arguments_before_the_foreign_call(keys, n, k, monkeypatch):
+    monkeypatch.setattr(_kernels, "_loaded", [_refuse_foreign_call])
+    with pytest.raises(DomainError):
+        batch_fisher_yates(keys, n, k)
+
+
+def test_batch_fisher_yates_converts_keys_to_contiguous_uint64():
+    keys = RngStream(35).substream_keys(40)
+    expected = batch_fisher_yates(keys, 50, 20)
+    assert np.array_equal(batch_fisher_yates(keys.view(np.int64), 50, 20), expected)
+    spaced = np.empty(80, dtype=np.uint64)
+    spaced[::2] = keys
+    assert np.array_equal(batch_fisher_yates(spaced[::2], 50, 20), expected)
+
+
+def test_racing_first_calls_load_once_and_agree(monkeypatch):
+    keys = RngStream(36).substream_keys(64)
+    expected = _row_major_fisher_yates(keys, 1000, 500)[:, :500]
+    loads = []
+    load = _kernels._load_compiled
+    monkeypatch.setattr(_kernels, "_load_compiled", lambda: loads.append(1) or load())
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    threads = 4
+    start = threading.Barrier(threads)
+    results = [None] * threads
+
+    def first_call(i):
+        start.wait(timeout=30)
+        results[i] = batch_fisher_yates(keys, 1000, 500)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=first_call, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert loads == [1]
+    assert all(np.array_equal(r, expected) for r in results)
 
 
 def test_split_means_matches_put_along_axis_sums():
