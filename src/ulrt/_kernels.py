@@ -85,7 +85,6 @@ def _find_compiler() -> str | None:
 
 def _load_compiled():
     import ctypes
-    import subprocess
 
     cc = _find_compiler()
     if cc is None:
@@ -93,8 +92,8 @@ def _load_compiled():
     else:
         try:
             lib = ctypes.CDLL(_build(cc))
-        except (OSError, subprocess.SubprocessError) as exc:
-            reason = f"building or loading {_SOURCE} failed ({type(exc).__name__}: {exc})"
+        except OSError as exc:
+            reason = f"building or loading {_SOURCE} failed ({exc})"
         else:
             fn = lib.ulrt_fisher_yates
             fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -111,15 +110,16 @@ def _load_compiled():
 
 def _build(cc: str) -> str:
     """Path of the library built from ``_SOURCE`` by ``cc``, compiling it into
-    the per-user cache unless that source and command were built before."""
-    import hashlib
-    import subprocess
-    import tempfile
+    the per-user cache unless that source and command were built before.
+
+    The cache key is a CRC-32 and an Adler-32 of the source and the command:
+    ``hashlib`` would load OpenSSL, about 3.6 MB of resident memory, and the
+    key only tells builds apart inside a directory private to the user."""
+    import zlib
 
     command = [cc, *_CFLAGS]
     with open(_SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read())
-    digest.update("\0".join([*command, os.uname().machine]).encode())
+        blob = fh.read() + "\0".join(["", *command, os.uname().machine]).encode()
     cache = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "ulrt"
     )
@@ -127,13 +127,18 @@ def _build(cc: str) -> str:
     st = os.stat(cache)
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
         raise OSError(f"{cache} is not a private directory of this user")
-    target = os.path.join(cache, f"subsets-{digest.hexdigest()[:16]}.so")
+    target = os.path.join(cache, f"subsets-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}.so")
     if not os.path.exists(target):
+        import subprocess
+        import tempfile
+
         # build under a temporary name, so no process loads a half-written file
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         try:
-            subprocess.run([*command, "-o", tmp, _SOURCE], check=True, capture_output=True)
+            proc = subprocess.run([*command, "-o", tmp, _SOURCE], capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise OSError(f"{cc} exited {proc.returncode}: {proc.stderr.strip()}")
             os.replace(tmp, target)
         finally:
             if os.path.exists(tmp):

@@ -278,6 +278,18 @@ def test_shared_writable_cache_falls_back(monkeypatch, tmp_path):
     assert list(cache.iterdir()) == []
 
 
+def test_failed_build_falls_back_and_leaves_no_partial_file(monkeypatch, tmp_path):
+    compiler = tmp_path / "cc"
+    compiler.write_text("#!/bin/sh\necho broken compiler >&2\nexit 1\n")
+    compiler.chmod(0o755)
+    monkeypatch.setattr(_kernels, "_find_compiler", lambda: str(compiler))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    with pytest.warns(RuntimeWarning, match="broken compiler"):
+        assert _kernels._compiled_draw() is None
+    assert list((tmp_path / "ulrt").iterdir()) == []
+
+
 def _refuse_foreign_call(*args):
     raise AssertionError("a bad argument reached the foreign call")
 
