@@ -5,7 +5,7 @@ partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
 stream key, the subsampling and Monte Carlo paths with many.  Its loop is C
 (``_subsets.c``, next to this file): the first call compiles it with
 ``cc -O2 -shared -fPIC`` into the per-user cache ``$XDG_CACHE_HOME/ulrt``
-(default ``~/.cache/ulrt``), keyed by a hash of the source and the build
+(default ``~/.cache/ulrt``), keyed by a checksum of the source and the build
 command, and loads it with :mod:`ctypes`, which releases the GIL while the
 loop runs.  Without a compiler, or when the build or the load fails, the
 numpy loop ``_numpy_fisher_yates`` draws the same subsets, and the process

@@ -253,7 +253,6 @@ def mc_reducer(
     the share of its ``B`` splits in each case."""
     if method not in _ANNULUS_TESTS:
         raise DomainError(f"unknown annulus test {method!r}")
-    thresh = log_threshold(alpha)
     if method == "intersection":
         quantile = specfun.chi2_upper_quantile(alpha, d)
 
@@ -262,6 +261,7 @@ def mc_reducer(
             return {"reject": _intersection_rejects(means, n, null, quantile).astype(np.float64)}
 
         return intersect
+    thresh = log_threshold(alpha)
     hybrid = method == "subsampled_hybrid"
 
     def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
