@@ -80,8 +80,6 @@ def _write_boundary_csv(path: Path, boundary) -> None:
 
 def cmd_region(args) -> int:
     alpha = args.alpha
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     root = RngStream(args.seed)
     if args.import_path is not None:
         sample = load_csv(args.import_path)
@@ -128,8 +126,9 @@ def cmd_region(args) -> int:
 # ---------------------------------------------------------------------------
 
 _FIGURE_OVERRIDE_FLAGS = {
-    # flag name -> candidate spec axes, in priority order; list-valued flags
-    # collapse to a scalar when the axis wants one
+    # flag name -> candidate spec axes, in priority order; a list-valued flag
+    # collapses to a scalar when the axis's default is an int, and a scalar
+    # flag becomes a list when the default is a tuple
     "d": ("ds", "d"),
     "n": ("ns", "n"),
     "alpha": ("alpha",),
@@ -140,9 +139,6 @@ _FIGURE_OVERRIDE_FLAGS = {
     "lambdas": ("lambdas",),
 }
 
-_SCALAR_AXES = {"d", "n"}
-_LIST_AXES = {"ds", "ns", "p0s", "theta_norms", "lambdas"}
-
 
 def cmd_figure(args) -> int:
     figure_id = args.id
@@ -151,7 +147,7 @@ def cmd_figure(args) -> int:
             f"unknown figure id {figure_id!r}; known: {', '.join(engine.FIGURE_ALIASES)}"
         )
     experiment_id = engine.FIGURE_ALIASES[figure_id]
-    axes = engine._DEFAULTS[experiment_id]
+    axes = engine.PRESETS[experiment_id].axes
     overrides = {}
     for flag, candidates in _FIGURE_OVERRIDE_FLAGS.items():
         value = getattr(args, flag, None)
@@ -160,15 +156,16 @@ def cmd_figure(args) -> int:
         axis = next((a for a in candidates if a in axes), None)
         if axis is None:
             raise DomainError(f"figure {figure_id} does not take --{flag.replace('_', '-')}")
-        if axis in _SCALAR_AXES and isinstance(value, list):
+        if isinstance(axes[axis], int) and isinstance(value, list):
             if len(value) != 1:
                 raise DomainError(f"figure {figure_id} takes a single --{flag}")
             value = value[0]
-        elif axis not in _SCALAR_AXES and axis in _LIST_AXES and not isinstance(value, list):
+        elif isinstance(axes[axis], tuple) and not isinstance(value, list):
             value = [value]
         overrides[axis] = value
     spec = engine.build_spec(experiment_id, args.seed, **overrides)
-    rows = engine.run(spec, workers=args.workers)
+    workers = args.workers if args.workers is not None else _default_workers()
+    rows = engine.run(spec, workers=workers)
     out = Path(args.out) if args.out else Path(f"figure_{figure_id}.csv")
     engine.rows_to_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
@@ -200,15 +197,13 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_or_log(args) -> tuple[float | None, float]:
-    """Returns (alpha or None, ln(1/alpha)); --log-inv-alpha wins when given."""
+def _log_inv_alpha(args) -> float:
+    """ln(1/alpha); --log-inv-alpha wins over --alpha when given."""
     if args.log_inv_alpha is not None:
-        L = args.log_inv_alpha
-        if L <= 0:
+        if args.log_inv_alpha <= 0:
             raise DomainError("--log-inv-alpha must be positive")
-        alpha = math.exp(-L) if L <= specfun.MAX_LOG_INV_ALPHA else None
-        return alpha, L
-    return args.alpha, -math.log(args.alpha)
+        return args.log_inv_alpha
+    return -math.log(args.alpha)
 
 
 def _formula_p0star(args):
@@ -226,8 +221,7 @@ def _formula_ratio(args):
 
 
 def _formula_ratio_bounds(args):
-    _, L = _alpha_or_log(args)
-    bounds = rg.ratio_bounds_log(L, args.d)
+    bounds = rg.ratio_bounds_log(_log_inv_alpha(args), args.d)
     return {"lower": bounds.lower, "upper": bounds.upper, "domain_ok": bounds.domain_ok}
 
 
@@ -366,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and args.command in ("figure",):
-        args.workers = _default_workers()
     try:
         return args.fn(args)
     except DomainError as exc:

@@ -1,18 +1,20 @@
 """Deterministic, parallel Monte Carlo experiment runner.
 
-An :class:`ExperimentSpec` names one of the preset experiments and a grid of
-parameter cells; :func:`run` produces one or more aggregated
-:class:`SummaryRow` per cell.  Replication ``r`` of cell ``c`` draws from the
-stream chain ``root(master_seed) -> substream(1 + c) -> substream(r)``
-(``substream(0)`` of the root is reserved for artifacts shared across cells,
-such as a fixed dataset).  :func:`_replicate` is the one place that
-implements this layout; every Monte Carlo cell, :func:`coverage_suite` and
-:func:`ulrt.power.mc_power` run through it.  Within a replication, substream
-0 draws the data: a single-split (B = 1) cell draws only its two part means
-(``2d`` normals, see :func:`ulrt.data.sample_part_means`), and a B > 1 cell
-draws the full ``n``-by-``d`` dataset, whose splits descend from substream 1.
-The engine lays out cells and shapes rows; the statistics come from the
-library, and the annulus tests are decided by :func:`ulrt.doughnut.mc_reducer`.
+Each preset experiment is stated once, as an entry of :data:`PRESETS`: its
+CLI figure id, its default axes, its grid builder and its cell executor.  An
+:class:`ExperimentSpec` names a preset and a grid of parameter cells;
+:func:`run` produces one or more aggregated :class:`SummaryRow` per cell.
+Replication ``r`` of cell ``c`` draws from the stream chain
+``root(master_seed) -> substream(1 + c) -> substream(r)`` (``substream(0)``
+of the root is reserved for artifacts shared across cells, such as a fixed
+dataset).  :func:`_replicate` is the one place that implements this layout;
+every Monte Carlo cell, :func:`coverage_suite` and :func:`ulrt.power.mc_power`
+run through it.  Within a replication, substream 0 draws the data: a
+single-split (B = 1) cell draws only its two part means (``2d`` normals, see
+:func:`ulrt.data.sample_part_means`), and a B > 1 cell draws the full
+``n``-by-``d`` dataset, whose splits descend from substream 1.  The engine
+lays out cells and shapes rows; the statistics come from the library, and
+the annulus tests are decided by :func:`ulrt.doughnut.mc_reducer`.
 
 Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
@@ -22,6 +24,7 @@ worker threads execute the chunks.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -45,34 +48,6 @@ from .data import (
 )
 from .errors import DomainError, NumericError
 from .rng import RngStream
-
-EXPERIMENT_IDS = (
-    "regions_fig1",
-    "approx_fig2",
-    "split_p0_fig3",
-    "ratio_bounds_fig4",
-    "ratio_prob_fig5",
-    "power_fig6",
-    "doughnut_fig7",
-    "crossfit_p0_figS2",
-    "intersect_power_figS3",
-    "hybrid_cases_figS4",
-)
-
-#: CLI figure ids to experiment ids.
-FIGURE_ALIASES = {
-    "1": "regions_fig1",
-    "2": "approx_fig2",
-    "3": "split_p0_fig3",
-    "4": "ratio_bounds_fig4",
-    "5": "ratio_prob_fig5",
-    "6": "power_fig6",
-    "7": "doughnut_fig7",
-    "S2": "crossfit_p0_figS2",
-    "S3": "intersect_power_figS3",
-    "S4": "hybrid_cases_figS4",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -196,33 +171,6 @@ def _replicate(stream, reps, n, k, theta, B, reduce, workers, dump=None) -> dict
 # preset grids
 # ---------------------------------------------------------------------------
 
-_DEFAULTS: dict[str, dict] = {
-    "regions_fig1": dict(n=1000, d=2, alpha=0.1, B=100, replicates=6, rays=180, tol=1e-5),
-    "approx_fig2": dict(ds=(1, 20), ns=(1000, 10), B=20000, grid_points=21),
-    "split_p0_fig3": dict(ds=(1, 10, 100), n=1000, alpha=0.1, reps=1000, p0s=None),
-    "ratio_bounds_fig4": dict(ds=(10, 100000), xs=tuple(x / 2.0 for x in range(0, 17))),
-    "ratio_prob_fig5": dict(ds=(2, 10, 100), n=1000, alpha=0.1, reps=10000),
-    "power_fig6": dict(
-        ds=(1, 2), n=1000, alpha=0.1, reps=1000, B=100,
-        lambdas=(0.0, 2.0, 4.0, 8.0, 15.0, 25.0, 40.0, 60.0),
-    ),
-    "doughnut_fig7": dict(
-        ds=(2, 10), n=1000, alpha=0.1, B=100, reps=500,
-        theta_norms=(0.0, 0.25, 0.45, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5),
-    ),
-    "crossfit_p0_figS2": dict(
-        n=1000, d=2, alpha=0.1, p0s=(0.1, 0.3, 0.5, 0.7, 0.9), rays=180, tol=1e-5
-    ),
-    "intersect_power_figS3": dict(
-        ds=(2, 10), n=1000, alpha=0.1, reps=1000,
-        theta_norms=(0.0, 0.15, 0.3, 0.45, 1.05, 1.2, 1.35, 1.5),
-    ),
-    "hybrid_cases_figS4": dict(
-        ds=(2, 10, 100), n=1000, alpha=0.1, B=100, reps=200,
-        theta_norms=(0.0, 0.25, 0.45, 0.75, 1.1, 1.3, 1.5),
-    ),
-}
-
 
 def build_spec(experiment_id: str, seed: int, **overrides) -> ExperimentSpec:
     """Build a preset grid, with keyword overrides for its documented axes."""
@@ -230,7 +178,7 @@ def build_spec(experiment_id: str, seed: int, **overrides) -> ExperimentSpec:
         raise DomainError(
             f"unknown experiment_id {experiment_id!r}; known: {', '.join(EXPERIMENT_IDS)}"
         )
-    params = dict(_DEFAULTS[experiment_id])
+    params = dict(PRESETS[experiment_id].axes)
     for key, value in overrides.items():
         if value is None:
             continue
@@ -239,7 +187,7 @@ def build_spec(experiment_id: str, seed: int, **overrides) -> ExperimentSpec:
                 f"{experiment_id} has no axis {key!r}; axes: {', '.join(params)}"
             )
         params[key] = value
-    grid = _GRID_BUILDERS[experiment_id](params)
+    grid = PRESETS[experiment_id].build_grid(params)
     return ExperimentSpec(experiment_id, tuple(grid), seed)
 
 
@@ -331,20 +279,6 @@ def _grid_figS4(p: dict) -> list[dict]:
         for d in p["ds"]
         for t in p["theta_norms"]
     ]
-
-
-_GRID_BUILDERS = {
-    "regions_fig1": _grid_fig1,
-    "approx_fig2": _grid_fig2,
-    "split_p0_fig3": _grid_fig3,
-    "ratio_bounds_fig4": _grid_fig4,
-    "ratio_prob_fig5": _grid_fig5,
-    "power_fig6": _grid_fig6,
-    "doughnut_fig7": _grid_fig7,
-    "crossfit_p0_figS2": _grid_figS2,
-    "intersect_power_figS3": _grid_figS3,
-    "hybrid_cases_figS4": _grid_figS4,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -584,18 +518,67 @@ def _exec_figS4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     return rows
 
 
-_EXECUTORS = {
-    "regions_fig1": _exec_fig1,
-    "approx_fig2": _exec_fig2,
-    "split_p0_fig3": _exec_fig3,
-    "ratio_bounds_fig4": _exec_fig4,
-    "ratio_prob_fig5": _exec_fig5,
-    "power_fig6": _exec_fig6,
-    "doughnut_fig7": _exec_fig7,
-    "crossfit_p0_figS2": _exec_figS2,
-    "intersect_power_figS3": _exec_figS3,
-    "hybrid_cases_figS4": _exec_figS4,
+# ---------------------------------------------------------------------------
+# presets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A figure-data preset: its CLI figure id, the functions that build its
+    grid and run one of its cells, and the default axes that
+    :func:`build_spec` overrides."""
+
+    figure: str
+    build_grid: Callable[[dict], list[dict]]
+    execute: Callable[[_RunContext, int, dict], list[SummaryRow]]
+    axes: dict
+
+
+PRESETS = {
+    "regions_fig1": Preset("1", _grid_fig1, _exec_fig1, dict(
+        n=1000, d=2, alpha=0.1, B=100, replicates=6, rays=180, tol=1e-5,
+    )),
+    "approx_fig2": Preset("2", _grid_fig2, _exec_fig2, dict(
+        ds=(1, 20), ns=(1000, 10), B=20000, grid_points=21,
+    )),
+    "split_p0_fig3": Preset("3", _grid_fig3, _exec_fig3, dict(
+        ds=(1, 10, 100), n=1000, alpha=0.1, reps=1000, p0s=None,
+    )),
+    "ratio_bounds_fig4": Preset("4", _grid_fig4, _exec_fig4, dict(
+        ds=(10, 100000), xs=tuple(x / 2.0 for x in range(0, 17)),
+    )),
+    "ratio_prob_fig5": Preset("5", _grid_fig5, _exec_fig5, dict(
+        ds=(2, 10, 100), n=1000, alpha=0.1, reps=10000,
+    )),
+    "power_fig6": Preset("6", _grid_fig6, _exec_fig6, dict(
+        ds=(1, 2), n=1000, alpha=0.1, reps=1000, B=100,
+        lambdas=(0.0, 2.0, 4.0, 8.0, 15.0, 25.0, 40.0, 60.0),
+    )),
+    "doughnut_fig7": Preset("7", _grid_fig7, _exec_fig7, dict(
+        ds=(2, 10), n=1000, alpha=0.1, B=100, reps=500,
+        theta_norms=(0.0, 0.25, 0.45, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5),
+    )),
+    "crossfit_p0_figS2": Preset("S2", _grid_figS2, _exec_figS2, dict(
+        n=1000, d=2, alpha=0.1, p0s=(0.1, 0.3, 0.5, 0.7, 0.9), rays=180, tol=1e-5,
+    )),
+    "intersect_power_figS3": Preset("S3", _grid_figS3, _exec_figS3, dict(
+        ds=(2, 10), n=1000, alpha=0.1, reps=1000,
+        theta_norms=(0.0, 0.15, 0.3, 0.45, 1.05, 1.2, 1.35, 1.5),
+    )),
+    "hybrid_cases_figS4": Preset("S4", _grid_figS4, _exec_figS4, dict(
+        ds=(2, 10, 100), n=1000, alpha=0.1, B=100, reps=200,
+        theta_norms=(0.0, 0.25, 0.45, 0.75, 1.1, 1.3, 1.5),
+    )),
 }
+
+EXPERIMENT_IDS = tuple(PRESETS)
+
+#: CLI figure ids to experiment ids.
+FIGURE_ALIASES = {preset.figure: experiment_id for experiment_id, preset in PRESETS.items()}
+
+#: The cell executors; :func:`run` looks each one up here at call time.
+_EXECUTORS = {experiment_id: preset.execute for experiment_id, preset in PRESETS.items()}
 
 
 def run(
@@ -682,7 +665,8 @@ def _fmt(value) -> str:
 
 def rows_to_csv(rows: list[SummaryRow], path) -> None:
     """Write SummaryRows with a header; column order is first-seen cell keys
-    followed by the estimate block, deterministic for a given spec."""
+    followed by the estimate block, deterministic for a given spec.  A field
+    holding a comma, quote or newline is quoted, as :mod:`csv` does."""
     if not rows:
         raise DomainError("no rows to write")
     cell_cols: list[str] = []
@@ -691,14 +675,14 @@ def rows_to_csv(rows: list[SummaryRow], path) -> None:
             if key not in cell_cols:
                 cell_cols.append(key)
     columns = ["experiment"] + cell_cols + ["estimate", "stderr", "reps_used", "status"]
-    lines = [",".join(columns)]
-    for row in rows:
-        rendered = [row.experiment_id]
-        rendered += [_fmt(row.cell[c]) if c in row.cell else "" for c in cell_cols]
-        rendered += [_fmt(row.estimate), _fmt(row.stderr), str(row.reps_used), row.status]
-        lines.append(",".join(rendered))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            rendered = [row.experiment_id]
+            rendered += [_fmt(row.cell[c]) if c in row.cell else "" for c in cell_cols]
+            rendered += [_fmt(row.estimate), _fmt(row.stderr), str(row.reps_used), row.status]
+            writer.writerow(rendered)
 
 
 def load_spec_file(path) -> tuple[ExperimentSpec, int | None]:

@@ -40,7 +40,7 @@ class PowerEstimate:
             raise DomainError(f"stderr must be >= 0, got {self.stderr}")
 
 
-def _validate(theta_sq_norm: float, n: int, d: int, alpha: float, method: str) -> None:
+def _validate(theta_sq_norm: float, n: int, d: int, method: str) -> None:
     if theta_sq_norm < 0.0 or not math.isfinite(theta_sq_norm):
         raise DomainError(f"theta_sq_norm must be >= 0, got {theta_sq_norm}")
     if n < 2 or d < 1:
@@ -67,7 +67,7 @@ def power_classical(
     theta_sq_norm: float, n: int, d: int, alpha: float, method: str = "exact"
 ) -> PowerEstimate:
     """Power of the classical test: threshold ``c_{alpha,d}`` on ``n ||mean||^2``."""
-    _validate(theta_sq_norm, n, d, alpha, method)
+    _validate(theta_sq_norm, n, d, method)
     threshold = specfun.chi2_upper_quantile(alpha, d)
     return _threshold_power(threshold, theta_sq_norm, n, d, method)
 
@@ -77,7 +77,7 @@ def power_limiting_subsampling(
 ) -> PowerEstimate:
     """Power of the limiting subsampling test: threshold
     ``(10/3) ln((5/2)^{d/2} / alpha)`` on ``n ||mean||^2``."""
-    _validate(theta_sq_norm, n, d, alpha, method)
+    _validate(theta_sq_norm, n, d, method)
     threshold = (10.0 / 3.0) * (0.5 * d * _LOG_5_HALVES + log_threshold(alpha))
     return _threshold_power(threshold, theta_sq_norm, n, d, method)
 

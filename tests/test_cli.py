@@ -122,6 +122,38 @@ def test_figure_reproducible_across_workers(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["1", "--d", "2"], {"d": {"2"}}),
+        (["1", "--d", "2,3"], "takes a single --d"),
+        (["2", "--n", "50"], {"n": {"50"}}),
+        (["4", "--reps", "5"], "does not take --reps"),
+    ],
+    ids=["fig1-single-d", "fig1-two-d", "fig2-n", "fig4-reps"],
+)
+def test_figure_flags_map_to_preset_axes(tmp_path, capsys, argv, expected):
+    out = tmp_path / "fig.csv"
+    code = main(["figure", *argv, "--workers", "1", "--out", str(out)])
+    if isinstance(expected, str):
+        assert code == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        rows = list(csv.DictReader(open(out)))
+        for column, values in expected.items():
+            assert {r[column] for r in rows} == values
+
+
+def test_figure_bad_ulrt_workers_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ULRT_WORKERS", "abc")
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "4", "--d", "10", "--out", str(out)]) == 2
+    assert "ULRT_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # formula command
 # ---------------------------------------------------------------------------
@@ -229,6 +261,26 @@ def test_experiment_dump_raw_records_fig6_monte_carlo_cells(tmp_path):
     for cell in mc_cells:
         assert [int(r["rep"]) for r in raw_rows if r["cell"] == cell] == list(range(50))
     assert {float(r["value"]) for r in raw_rows} <= {0.0, 1.0}
+
+
+def test_experiment_csv_quotes_cell_values_holding_commas(tmp_path):
+    cell = {"d": 2, "n": 100, "alpha": 0.1, "B": 2, "reps": 4}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment_id": "doughnut_fig7",
+        "seed": 1,
+        "grid": [
+            dict(cell, method="a,b", theta_norm=0.5),
+            dict(cell, method="intersection", theta_norm=[0.1, 0.2]),
+        ],
+    }))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--workers", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out)))
+    assert all(None not in row for row in rows)
+    assert [r["method"] for r in rows] == ["a,b", "intersection"]
+    assert [r["theta_norm"] for r in rows] == ["0.5", "[0.1, 0.2]"]
+    assert all(r["status"].startswith("error:") for r in rows)
 
 
 def test_experiment_missing_file_exits_2(tmp_path):
