@@ -357,8 +357,11 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     def run_chunk(lo: int, hi: int) -> dict:
         keys = parent.substream_keys(hi)[lo:hi]
         mean0, mean1 = _block_split_means(sample.values[None], keys[None], k)
-        stats = np.exp(rg.split_log_values(thetas, mean0[0], mean1[0], k))
-        return {f"t{g}": stats[g] for g in range(points)}
+        # one grid point at a time keeps each temporary at (chunk, d)
+        return {
+            f"t{g}": np.exp(rg.split_log_values(thetas[g], mean0[0], mean1[0], k))
+            for g in range(points)
+        }
 
     acc = _map_chunks(B, chunk, run_chunk, ctx.workers, ctx.cell_dump(ci))
     rows = []
