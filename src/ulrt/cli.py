@@ -203,7 +203,7 @@ def _log_inv_alpha(args) -> float:
         if args.log_inv_alpha <= 0:
             raise DomainError("--log-inv-alpha must be positive")
         return args.log_inv_alpha
-    return -math.log(args.alpha)
+    return rg.log_threshold(args.alpha)
 
 
 def _formula_p0star(args):

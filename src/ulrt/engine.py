@@ -187,6 +187,9 @@ def build_spec(experiment_id: str, seed: int, **overrides) -> ExperimentSpec:
                 f"{experiment_id} has no axis {key!r}; axes: {', '.join(params)}"
             )
         params[key] = value
+    for axis in ("reps", "replicates", "B"):
+        if axis in params and not params[axis] >= 1:
+            raise DomainError(f"{experiment_id} needs {axis} >= 1, got {params[axis]!r}")
     grid = PRESETS[experiment_id].build_grid(params)
     return ExperimentSpec(experiment_id, tuple(grid), seed)
 

@@ -129,8 +129,10 @@ def test_figure_reproducible_across_workers(tmp_path):
         (["1", "--d", "2,3"], "takes a single --d"),
         (["2", "--n", "50"], {"n": {"50"}}),
         (["4", "--reps", "5"], "does not take --reps"),
+        (["3", "--d", "2", "--reps", "0"], "needs reps >= 1"),
+        (["7", "--d", "2", "--reps", "5", "--B", "0"], "needs B >= 1"),
     ],
-    ids=["fig1-single-d", "fig1-two-d", "fig2-n", "fig4-reps"],
+    ids=["fig1-single-d", "fig1-two-d", "fig2-n", "fig4-reps", "fig3-reps-0", "fig7-B-0"],
 )
 def test_figure_flags_map_to_preset_axes(tmp_path, capsys, argv, expected):
     out = tmp_path / "fig.csv"
@@ -163,6 +165,12 @@ def test_formula_p0star_digits(capsys):
     assert main(["formula", "p0star", "--alpha", "0.1", "--d", "1"]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "p0star = 0.703045922917"
+
+
+@pytest.mark.parametrize("name", ["p0star", "ratio-bounds"])
+def test_formula_alpha_outside_unit_interval_exits_2(capsys, name):
+    assert main(["formula", name, "--alpha", "0", "--d", "2"]) == 2
+    assert "error: alpha must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_formula_json_mode(capsys):

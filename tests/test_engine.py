@@ -86,6 +86,21 @@ def test_build_spec_rejects_unknown_id_and_axis():
         build_spec("ratio_prob_fig5", 1, nope=3)
 
 
+@pytest.mark.parametrize(
+    "experiment_id, axis, value",
+    [
+        ("regions_fig1", "replicates", 0),
+        ("split_p0_fig3", "reps", 0),
+        ("ratio_prob_fig5", "reps", -1),
+        ("doughnut_fig7", "B", 0),
+        ("approx_fig2", "B", 0),
+    ],
+)
+def test_build_spec_rejects_counts_below_one(experiment_id, axis, value):
+    with pytest.raises(DomainError, match=f"{axis} >= 1"):
+        build_spec(experiment_id, 1, **{axis: value})
+
+
 def test_experiment_spec_validation():
     with pytest.raises(DomainError):
         ExperimentSpec("bogus", ({},), 1)
