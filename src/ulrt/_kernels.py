@@ -2,16 +2,16 @@
 
 Everything here is exact batch arithmetic.  ``batch_fisher_yates`` is the one
 partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
-stream key, the subsampling and Monte Carlo paths with many.  Its loop is C
-(``_subsets.c``, next to this file): the first call compiles it with
-``cc -O2 -shared -fPIC`` into the per-user cache ``$XDG_CACHE_HOME/ulrt``
+stream key, the subsampling and Monte Carlo paths with many.  ``split_means``
+draws the same subsets and sums each one's rows in draw order, so that the
+means of a batch of splits are a function of the code alone.  Both loops are
+C (``_subsets.c``, next to this file): the first call compiles it with
+``cc -O3 -shared -fPIC`` into the per-user cache ``$XDG_CACHE_HOME/ulrt``
 (default ``~/.cache/ulrt``), keyed by a checksum of the source and the build
-command, and loads it with :mod:`ctypes`, which releases the GIL while the
-loop runs.  Without a compiler, or when the build or the load fails, the
-numpy loop ``_numpy_fisher_yates`` draws the same subsets, and the process
-emits one ``RuntimeWarning`` that says so.  The partition sums in
-``split_means`` are plain matrix products against one-hot membership
-matrices (fast via BLAS, and within float rounding of per-row means).
+command, and loads it with :mod:`ctypes`, which releases the GIL while a loop
+runs.  Without a compiler, or when the build or the load fails, the numpy
+loops ``_numpy_fisher_yates`` and ``_numpy_split_sums`` give the same bytes,
+and the process emits one ``RuntimeWarning`` that says so.
 """
 
 from __future__ import annotations
@@ -33,13 +33,28 @@ from .rng import _U64_GOLDEN, _finalize_array
 _FY_BLOCK = 1024
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_subsets.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC")
 #: Held while the first call builds and loads the library, so that the
 #: engine's worker threads build it once.
 _LOAD_LOCK = threading.Lock()
-#: ``[draw]`` once a call has tried to load the library; ``draw`` is the
-#: foreign function, or ``None`` when the numpy loop runs instead.
+#: ``[lib]`` once a call has tried to load the library; ``lib`` is the loaded
+#: library, or ``None`` when the numpy loops run instead.
 _loaded: list = []
+
+
+def _check_keys(keys, ndim: int) -> np.ndarray:
+    keys = np.asarray(keys)
+    if keys.ndim != ndim or keys.dtype.kind not in "ui":
+        raise DomainError(f"keys must be a {ndim}-d integer array, got {keys.dtype} {keys.shape}")
+    return np.ascontiguousarray(keys, dtype=np.uint64)
+
+
+def _check_sizes(n, k) -> tuple[int, int]:
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}")
+    if not 0 <= k <= n < 2**31:
+        raise DomainError(f"need 0 <= k <= n < 2**31, got k={k}, n={n}")
+    return int(n), int(k)
 
 
 def batch_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -52,27 +67,51 @@ def batch_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     ``draw_i`` is draw ``i`` of the stream.  ``keys`` must be a 1-d integer
     array (it is converted to contiguous uint64), and ``0 <= k <= n < 2**31``.
     """
-    keys = np.asarray(keys)
-    if keys.ndim != 1 or keys.dtype.kind not in "ui":
-        raise DomainError(f"keys must be a 1-d integer array, got {keys.dtype} {keys.shape}")
-    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
-        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}")
-    if not 0 <= k <= n < 2**31:
-        raise DomainError(f"need 0 <= k <= n < 2**31, got k={k}, n={n}")
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    n, k = int(n), int(k)
-    draw = _compiled_draw()
-    if draw is None:
+    keys = _check_keys(keys, 1)
+    n, k = _check_sizes(n, k)
+    lib = _compiled()
+    if lib is None:
         return _numpy_fisher_yates(keys, n, k)
     out = np.empty((keys.shape[0], k), dtype=np.int32)
     perm = np.empty(n, dtype=np.int32)
-    draw(keys.ctypes.data, keys.shape[0], n, k, perm.ctypes.data, out.ctypes.data)
+    lib.ulrt_fisher_yates(keys.ctypes.data, keys.shape[0], n, k, perm.ctypes.data, out.ctypes.data)
     return out
 
 
-def _compiled_draw():
-    """The compiled ``ulrt_fisher_yates``, built and loaded on first use, or
-    ``None`` when the numpy loop must run."""
+def split_means(data: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means of both parts of a batch of random splits.
+
+    ``data`` is a contiguous float64 ``(C, n, d)`` array and ``keys`` a
+    ``(C, B)`` integer array (converted to contiguous uint64): split ``b`` of
+    dataset ``c`` takes as its first part the size-``k`` subset that
+    :func:`batch_fisher_yates` draws for ``keys[c, b]``, and the rest as its
+    second.  The first part's rows are summed in draw order, one column at a
+    time.  Returns ``(mean0, mean1)``, each ``(C, B, d)``; ``1 <= k < n``.
+    """
+    if not (isinstance(data, np.ndarray) and data.ndim == 3 and data.dtype == np.float64
+            and data.flags.c_contiguous):
+        raise DomainError("data must be a contiguous float64 (C, n, d) array")
+    keys = _check_keys(keys, 2)
+    c, n, d = data.shape
+    if keys.shape[0] != c:
+        raise DomainError(f"keys must have one row per dataset, got {keys.shape} for {c} datasets")
+    n, k = _check_sizes(n, k)
+    if not 1 <= k < n:
+        raise DomainError(f"both parts of a split must be nonempty, got k={k}, n={n}")
+    lib = _compiled()
+    if lib is None:
+        sums = _numpy_split_sums(data, keys, k)
+    else:
+        sums = np.empty((c, keys.shape[1], d))
+        perm = np.empty(n, dtype=np.int32)
+        lib.ulrt_split_sums(keys.ctypes.data, keys.size, keys.shape[1], n, k,
+                            data.ctypes.data, d, perm.ctypes.data, sums.ctypes.data)
+    return sums / k, (data.sum(axis=1, keepdims=True) - sums) / (n - k)
+
+
+def _compiled():
+    """The compiled library, built and loaded on first use, or ``None`` when
+    the numpy loops must run."""
     with _LOAD_LOCK:
         if not _loaded:
             _loaded.append(_load_compiled())
@@ -95,13 +134,13 @@ def _load_compiled():
         except OSError as exc:
             reason = f"building or loading {_SOURCE} failed ({exc})"
         else:
-            fn = lib.ulrt_fisher_yates
-            fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                           ctypes.c_void_p, ctypes.c_void_p]
-            fn.restype = None
-            return fn
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            lib.ulrt_fisher_yates.argtypes = [ptr, i64, i64, i64, ptr, ptr]
+            lib.ulrt_split_sums.argtypes = [ptr, i64, i64, i64, i64, ptr, i64, ptr, ptr]
+            lib.ulrt_fisher_yates.restype = lib.ulrt_split_sums.restype = None
+            return lib
     warnings.warn(
-        f"ulrt draws subsets with the numpy loop, not the compiled one: {reason}",
+        f"ulrt draws subsets and sums splits with the numpy loops, not the compiled ones: {reason}",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -183,25 +222,16 @@ def _numpy_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
-def split_means(data: np.ndarray, subsets: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Means of both parts for batched splits.
-
-    ``data`` is ``(C, n, d)`` and ``subsets`` is ``(C, B, k)``: row ``b`` of
-    dataset ``c`` holds the ``k`` indices of split ``b``'s first part, as
-    :func:`batch_fisher_yates` returns them.  Returns ``(mean0, mean1)``,
-    each ``(C, B, d)``.
-    """
-    c, n, _ = data.shape
-    b = subsets.shape[1]
-    onehot = np.zeros((c, b, n), dtype=np.float64)
-    # indexing with the int32 subsets and a broadcast row index allocates no
-    # (C, B, k) intp index array
-    onehot.reshape(c * b, n)[np.arange(c * b)[:, None], subsets.reshape(c * b, -1)] = 1.0
-    sums0 = onehot @ data
-    totals = data.sum(axis=1, keepdims=True)
-    mean0 = sums0 / k
-    mean1 = (totals - sums0) / (n - k)
-    return mean0, mean1
+def _numpy_split_sums(data: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """The first-part sums of :func:`split_means` in numpy, for contiguous
+    uint64 ``(C, B)`` ``keys``: the same subsets, added in the same order."""
+    c, b = keys.shape
+    subsets = _numpy_fisher_yates(keys.reshape(-1), data.shape[1], k).reshape(c, b, k)
+    datasets = np.arange(c)[:, None]
+    sums = data[datasets, subsets[..., 0]]
+    for i in range(1, k):
+        sums += data[datasets, subsets[..., i]]
+    return sums
 
 
 def log_mean_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,11 +1,14 @@
-/* Partial Fisher-Yates subset draws, one row per stream key.
+/* Partial Fisher-Yates subset draws and split sums, one row per stream key.
  *
- * The compiled form of ulrt._kernels._numpy_fisher_yates: the same
- * splitmix64 draws and the same swaps, so the subsets are identical.
- * The Python wrapper checks 0 <= k <= n < 2**31 and passes contiguous
- * buffers: keys[rows], perm[n] (scratch) and out[rows * k].
+ * The compiled form of ulrt._kernels._numpy_fisher_yates and
+ * ulrt._kernels._numpy_split_sums: the same splitmix64 draws, the same swaps
+ * and the same additions in the same order, so the results are identical.
+ * The Python wrappers check their arguments and pass contiguous buffers:
+ * keys[rows], perm[n] (scratch), out[rows * k], data[C * n * d] and
+ * sums[rows * d].
  */
 #include <stdint.h>
+#include <string.h>
 
 static uint64_t finalize(uint64_t z)
 {
@@ -14,20 +17,78 @@ static uint64_t finalize(uint64_t z)
     return z ^ (z >> 31);
 }
 
+/* k swap steps on the identity permutation of 0..n-1; perm[0..k) is then
+ * the subset drawn by key, in draw order. */
+static void shuffle(uint64_t key, int64_t n, int64_t k, int32_t *perm)
+{
+    for (int64_t i = 0; i < n; i++)
+        perm[i] = (int32_t)i;
+    for (int64_t i = 0; i < k; i++) {
+        /* draw i is the finalizer of key + (i + 1) * golden */
+        uint64_t draw = finalize(key + (uint64_t)(i + 1) * 0x9E3779B97F4A7C15ULL);
+        int64_t j = i + (int64_t)(draw % (uint64_t)(n - i));
+        int32_t picked = perm[j];
+        perm[j] = perm[i];
+        perm[i] = picked;
+    }
+}
+
 void ulrt_fisher_yates(const uint64_t *keys, int64_t rows, int64_t n, int64_t k,
                        int32_t *perm, int32_t *out)
 {
     for (int64_t r = 0; r < rows; r++, out += k) {
-        for (int64_t i = 0; i < n; i++)
-            perm[i] = (int32_t)i;
-        for (int64_t i = 0; i < k; i++) {
-            /* draw i is the finalizer of key + (i + 1) * golden */
-            uint64_t draw = finalize(keys[r] + (uint64_t)(i + 1) * 0x9E3779B97F4A7C15ULL);
-            int64_t j = i + (int64_t)(draw % (uint64_t)(n - i));
-            int32_t picked = perm[j];
-            perm[j] = perm[i];
-            perm[i] = picked;
-            out[i] = picked;
+        shuffle(keys[r], n, k, perm);
+        memcpy(out, perm, (size_t)k * sizeof(int32_t));
+    }
+}
+
+/* Up to COLS columns of a first part's sum, kept in registers while the
+ * k picked rows stream past: out[t] = ((x[s0][t] + x[s1][t]) + ...) in
+ * draw order, column by column, so no sum is reordered.  Called with a
+ * constant w, which the compiler unrolls and vectorizes. */
+enum { COLS = 16 };
+
+static inline void sum_columns(const double *restrict x, int64_t d, const int32_t *restrict perm,
+                               int64_t k, int w, double *restrict out)
+{
+    double acc[COLS];
+    for (int t = 0; t < w; t++)
+        acc[t] = x[(int64_t)perm[0] * d + t];
+    for (int64_t i = 1; i < k; i++) {
+        const double *restrict row = x + (int64_t)perm[i] * d;
+        for (int t = 0; t < w; t++)
+            acc[t] += row[t];
+    }
+    for (int t = 0; t < w; t++)
+        out[t] = acc[t];
+}
+
+/* Row r sums the k rows of dataset r / B that key r picks, in draw order,
+ * COLS columns at a time and then the last d % COLS in blocks of 8, 4, 2
+ * and 1.  Needs k >= 1. */
+void ulrt_split_sums(const uint64_t *keys, int64_t rows, int64_t B, int64_t n, int64_t k,
+                     const double *restrict data, int64_t d, int32_t *restrict perm,
+                     double *restrict sums)
+{
+    for (int64_t r = 0; r < rows; r++, sums += d) {
+        const double *x = data + (r / B) * n * d;
+        int64_t j = 0;
+        shuffle(keys[r], n, k, perm);
+        for (; j + COLS <= d; j += COLS)
+            sum_columns(x + j, d, perm, k, COLS, sums + j);
+        if (d - j >= 8) {
+            sum_columns(x + j, d, perm, k, 8, sums + j);
+            j += 8;
         }
+        if (d - j >= 4) {
+            sum_columns(x + j, d, perm, k, 4, sums + j);
+            j += 4;
+        }
+        if (d - j >= 2) {
+            sum_columns(x + j, d, perm, k, 2, sums + j);
+            j += 2;
+        }
+        if (d - j >= 1)
+            sum_columns(x + j, d, perm, k, 1, sums + j);
     }
 }

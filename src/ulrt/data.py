@@ -13,7 +13,8 @@ Monte Carlo replications need only the part means of their splits.
 :func:`replicate_split_means` returns them for a chunk of replications: a
 single split (B = 1) draws the two means from their exact law with
 :func:`sample_part_means`, and B > 1 splits simulate the full dataset and
-split it B times.
+split it B times, through :func:`ulrt._kernels.split_means`, which draws
+each subset and sums its rows in draw order.
 """
 
 from __future__ import annotations
@@ -200,12 +201,6 @@ def _split_keys_block(rep_streams, B: int) -> np.ndarray:
     return keys
 
 
-def _block_split_means(data: np.ndarray, keys: np.ndarray, k: int):
-    c, n, _ = data.shape
-    subsets = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, keys.shape[1], k)
-    return split_means(data, subsets, k)
-
-
 def replicate_split_means(
     rep_streams, n: int, k: int, theta: np.ndarray, B: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +215,7 @@ def replicate_split_means(
         mean0, mean1 = sample_part_means(rep_streams, n, k, theta)
         return mean0[:, None, :], mean1[:, None, :]
     data = _simulate_block(rep_streams, n, theta.shape[0], theta)
-    return _block_split_means(data, _split_keys_block(rep_streams, B), k)
+    return split_means(data, _split_keys_block(rep_streams, B), k)
 
 
 def save_csv(sample: SampleSet, path) -> None:

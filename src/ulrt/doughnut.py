@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from ._kernels import log_mean_exp, sq_norm
-from .data import SampleSet, SplitPair, _block_split_means, part_size
+from ._kernels import log_mean_exp, split_means, sq_norm
+from .data import SampleSet, SplitPair, part_size
 from .errors import DegenerateDirectionError, DomainError
 from .regions import log_threshold
 from .rng import RngStream
@@ -233,7 +233,7 @@ def subsampled_doughnut_test(
     if n % 2:
         raise DomainError("subsampled annulus tests require even n")
     k = part_size(n, 0.5)
-    mean0, mean1 = _block_split_means(sample.values[None], rng.substream_keys(B)[None], k)
+    mean0, mean1 = split_means(sample.values[None], rng.substream_keys(B)[None], k)
     values, cases = _subsampled_log_values(mean0[0], mean1[0], n, null, kind == "hybrid")
     fractions = tuple(float(np.mean(cases == c)) for c in (0, 1, 2))
     reject = bool(log_mean_exp(values) >= log_threshold(alpha))

@@ -37,10 +37,9 @@ from . import doughnut as dn
 from . import power as pw
 from . import regions as rg
 from . import specfun
-from ._kernels import sq_norm
+from ._kernels import split_means, sq_norm
 from .data import (
     SampleSet,
-    _block_split_means,
     part_size,
     replicate_split_means,
     sample_gaussian,
@@ -326,7 +325,7 @@ def _exec_fig1(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
     keys = stream.substream(2).substream_keys(B)
     k = part_size(n, 0.5)
-    mean0, mean1 = _block_split_means(sample.values[None], keys[None], k)
+    mean0, mean1 = split_means(sample.values[None], keys[None], k)
     sub_member = rg.subsampling_member(mean0[0], mean1[0], k, thresh)
     cf_member = rg.crossfit_member(pair, thresh)
 
@@ -359,7 +358,7 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
     def run_chunk(lo: int, hi: int) -> dict:
         keys = parent.substream_keys(hi)[lo:hi]
-        mean0, mean1 = _block_split_means(sample.values[None], keys[None], k)
+        mean0, mean1 = split_means(sample.values[None], keys[None], k)
         # one grid point at a time keeps each temporary at (chunk, d)
         return {
             f"t{g}": np.exp(rg.split_log_values(thetas[g], mean0[0], mean1[0], k))

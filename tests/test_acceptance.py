@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ulrt import data, engine, regions, specfun
-from ulrt._kernels import sq_norm
+from ulrt._kernels import split_means, sq_norm
 from ulrt.doughnut import AnnulusNull, subsampled_doughnut_test
 from ulrt.power import mc_power, power_classical, power_limiting_subsampling
 from ulrt.rng import RngStream
@@ -70,7 +70,7 @@ def test_criterion_02_e_variable_bound():
             streams = [root.substream(r) for r in range(lo, min(lo + chunk, reps))]
             block = data._simulate_block(streams, n, d, np.zeros(d))
             keys = data._split_keys_block(streams, 1)
-            mean0, mean1 = data._block_split_means(block, keys, k)
+            mean0, mean1 = split_means(block, keys, k)
             delta = sq_norm(mean0[:, 0, :] - mean1[:, 0, :], axis=1)
             log_t = 0.5 * k * (sq_norm(mean0[:, 0, :], axis=1) - delta)
             values[lo : lo + len(streams)] = np.exp(log_t)
@@ -150,7 +150,7 @@ def test_criterion_05_crossfit_containment_and_area():
             streams = [root.substream(r) for r in range(lo, min(lo + chunk, reps))]
             block = data._simulate_block(streams, n, d, np.zeros(d))
             keys = data._split_keys_block(streams, 1)
-            mean0, mean1 = data._block_split_means(block, keys, k)
+            mean0, mean1 = split_means(block, keys, k)
             mean0, mean1 = mean0[:, 0, :], mean1[:, 0, :]
             overall = block.mean(axis=1)
             delta = sq_norm(mean0 - mean1, axis=1)

@@ -24,7 +24,7 @@ GOLDEN = {
     ),
     "approx_fig2": (
         dict(ds=(1, 2), ns=(100,), B=200, grid_points=5),
-        "b7d8b5481fbbc1233a6e0ee217594b299784c2b46be4a53c24c19fac816cbe43",
+        "43d285362e2bce306543f6054d88ae31d62eb03526eeddb45aabe9c0048c1683",
     ),
     "split_p0_fig3": (
         dict(ds=(2,), n=100, reps=50, p0s=(0.5, 0.7)),

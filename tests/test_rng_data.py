@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_batch_fisher_yates_matches_row_major_loop(rows, n, k):
     """The compiled path; skipped only where no C compiler is found."""
     if _kernels._find_compiler() is None:
         pytest.skip("no C compiler found")
-    assert _kernels._compiled_draw() is not None
+    assert _kernels._compiled() is not None
     _check_against_row_major_loop(rows, n, k)
 
 
@@ -261,7 +262,7 @@ def test_build_goes_to_a_private_per_user_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(_kernels, "_loaded", [])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _kernels._compiled_draw() is not None
+        assert _kernels._compiled() is not None
     cache = tmp_path / "ulrt"
     assert cache.stat().st_mode & 0o777 == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]
@@ -274,7 +275,7 @@ def test_shared_writable_cache_falls_back(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernels, "_loaded", [])
     with pytest.warns(RuntimeWarning, match="numpy loop"):
-        assert _kernels._compiled_draw() is None
+        assert _kernels._compiled() is None
     assert list(cache.iterdir()) == []
 
 
@@ -286,12 +287,17 @@ def test_failed_build_falls_back_and_leaves_no_partial_file(monkeypatch, tmp_pat
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernels, "_loaded", [])
     with pytest.warns(RuntimeWarning, match="broken compiler"):
-        assert _kernels._compiled_draw() is None
+        assert _kernels._compiled() is None
     assert list((tmp_path / "ulrt").iterdir()) == []
 
 
 def _refuse_foreign_call(*args):
     raise AssertionError("a bad argument reached the foreign call")
+
+
+_REFUSING_LIBRARY = SimpleNamespace(
+    ulrt_fisher_yates=_refuse_foreign_call, ulrt_split_sums=_refuse_foreign_call
+)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +312,7 @@ def _refuse_foreign_call(*args):
     ],
 )
 def test_batch_fisher_yates_rejects_bad_arguments_before_the_foreign_call(keys, n, k, monkeypatch):
-    monkeypatch.setattr(_kernels, "_loaded", [_refuse_foreign_call])
+    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
     with pytest.raises(DomainError):
         batch_fisher_yates(keys, n, k)
 
@@ -351,15 +357,105 @@ def test_racing_first_calls_load_once_and_agree(monkeypatch):
 
 
 def test_split_means_matches_put_along_axis_sums():
+    """Within rounding of the one-hot matrix product it replaced."""
     c, b, n, d, k = 3, 40, 50, 4, 20
     values = RngStream(32).normals(c * n * d).reshape(c, n, d)
-    subsets = batch_fisher_yates(RngStream(33).substream_keys(c * b), n, k).reshape(c, b, k)
+    keys = RngStream(33).substream_keys(c * b).reshape(c, b)
+    subsets = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, b, k)
     onehot = np.zeros((c, b, n))
     np.put_along_axis(onehot, subsets.astype(np.int64), 1.0, axis=2)
     sums0 = onehot @ values
-    mean0, mean1 = split_means(values, subsets, k)
-    assert np.array_equal(mean0, sums0 / k)
-    assert np.array_equal(mean1, (values.sum(axis=1, keepdims=True) - sums0) / (n - k))
+    mean0, mean1 = split_means(values, keys, k)
+    np.testing.assert_allclose(mean0, sums0 / k, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        mean1, (values.sum(axis=1, keepdims=True) - sums0) / (n - k), rtol=0, atol=1e-14
+    )
+
+
+def _sequential_split_means(values, keys, k):
+    """Each first part's rows added one at a time, in draw order."""
+    c, b = keys.shape
+    n, d = values.shape[1:]
+    subsets = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, b, k)
+    sums = np.empty((c, b, d))
+    for ci in range(c):
+        for bi in range(b):
+            acc = values[ci, subsets[ci, bi, 0]]
+            for i in subsets[ci, bi, 1:]:
+                acc = acc + values[ci, i]
+            sums[ci, bi] = acc
+    return sums / k, (values.sum(axis=1, keepdims=True) - sums) / (n - k)
+
+
+def _split_means_case(c, b, n, d):
+    values = RngStream(37, c * n * d).normals(c * n * d).reshape(c, n, d)
+    return values, RngStream(38, b).substream_keys(c * b).reshape(c, b)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (30, 1), (30, 29)])
+@pytest.mark.parametrize("b", [1, 7])
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 20, 100])
+def test_split_means_compiled_equals_numpy_and_sequential_sums(d, c, b, n, k, monkeypatch):
+    """Bit for bit: the compiled kernel, the numpy loop and a plain sum."""
+    values, keys = _split_means_case(c, b, n, d)
+    expected = b"".join(m.tobytes() for m in _sequential_split_means(values, keys, k))
+    monkeypatch.setattr(_kernels, "_loaded", [None])
+    fallback = split_means(values, keys, k)
+    assert all(m.shape == (c, b, d) for m in fallback)
+    assert b"".join(m.tobytes() for m in fallback) == expected
+    if _kernels._find_compiler() is None:
+        pytest.skip("no C compiler found")
+    monkeypatch.undo()
+    assert _kernels._compiled() is not None
+    assert b"".join(m.tobytes() for m in split_means(values, keys, k)) == expected
+
+
+_GOOD_VALUES = np.zeros((2, 10, 3))
+_GOOD_KEYS = np.arange(8, dtype=np.uint64).reshape(2, 4)
+
+
+@pytest.mark.parametrize(
+    "values,keys,k",
+    [
+        (np.zeros((10, 3)), _GOOD_KEYS, 5),
+        (np.zeros((2, 10, 3), dtype=np.float32), _GOOD_KEYS, 5),
+        (np.zeros((2, 10, 6))[:, :, ::2], _GOOD_KEYS, 5),
+        (np.zeros((2, 10, 3)).tolist(), _GOOD_KEYS, 5),
+        (_GOOD_VALUES, np.arange(8, dtype=np.uint64), 5),
+        (_GOOD_VALUES, np.zeros((2, 4)), 5),
+        (_GOOD_VALUES, np.arange(12, dtype=np.uint64).reshape(3, 4), 5),
+        (_GOOD_VALUES, _GOOD_KEYS, 0),
+        (_GOOD_VALUES, _GOOD_KEYS, 10),
+        (_GOOD_VALUES, _GOOD_KEYS, -1),
+        (_GOOD_VALUES, _GOOD_KEYS, 5.0),
+    ],
+    ids=["2-d", "float32", "strided", "list", "1-d-keys", "float-keys", "keys-per-dataset",
+         "k-0", "k-n", "k-negative", "k-float"],
+)
+def test_split_means_rejects_bad_arguments_before_the_foreign_call(values, keys, k, monkeypatch):
+    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
+    with pytest.raises(DomainError):
+        split_means(values, keys, k)
+
+
+def test_fallback_without_compiler_warns_once_and_draws_same_means(monkeypatch):
+    values, keys = _split_means_case(3, 7, 40, 5)
+    expected = _sequential_split_means(values, keys, 17)
+    monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = split_means(values, keys, 17)
+        second = split_means(values[:1], keys[:1, :2], 17)
+        batch_fisher_yates(keys.reshape(-1), 40, 17)
+    assert _kernels._loaded == [None]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "numpy loop" in str(caught[0].message)
+    for got, want in zip(first, expected):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(second, expected):
+        assert got.tobytes() == want[:1, :2].tobytes()
 
 
 # ---------------------------------------------------------------------------
