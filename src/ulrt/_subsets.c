@@ -42,19 +42,19 @@ void ulrt_fisher_yates(const uint64_t *keys, int64_t rows, int64_t n, int64_t k,
     }
 }
 
-/* Up to COLS columns of a first part's sum, kept in registers while the
- * k picked rows stream past: out[t] = ((x[s0][t] + x[s1][t]) + ...) in
- * draw order, column by column, so no sum is reordered.  Called with a
- * constant w, which the compiler unrolls and vectorizes. */
-enum { COLS = 16 };
+/* out[t] += x[perm[0]][t] + ... + x[perm[m - 1]][t] for t < w <= COLS, added
+ * one row at a time in perm order, so no sum is reordered.  The w partial
+ * sums stay in registers while the rows stream past; called with a constant
+ * w, which the compiler unrolls and vectorizes. */
+enum { COLS = 16, ROWS = 32 };
 
-static inline void sum_columns(const double *restrict x, int64_t d, const int32_t *restrict perm,
-                               int64_t k, int w, double *restrict out)
+static inline void add_rows(const double *restrict x, int64_t d, const int32_t *restrict perm,
+                            int64_t m, int w, double *restrict out)
 {
     double acc[COLS];
     for (int t = 0; t < w; t++)
-        acc[t] = x[(int64_t)perm[0] * d + t];
-    for (int64_t i = 1; i < k; i++) {
+        acc[t] = out[t];
+    for (int64_t i = 0; i < m; i++) {
         const double *restrict row = x + (int64_t)perm[i] * d;
         for (int t = 0; t < w; t++)
             acc[t] += row[t];
@@ -63,32 +63,44 @@ static inline void sum_columns(const double *restrict x, int64_t d, const int32_
         out[t] = acc[t];
 }
 
-/* Row r sums the k rows of dataset r / B that key r picks, in draw order,
- * COLS columns at a time and then the last d % COLS in blocks of 8, 4, 2
- * and 1.  Needs k >= 1. */
+/* add_rows over all d columns: COLS at a time, then the last d % COLS in
+ * blocks of 8, 4, 2 and 1. */
+static void add_all_columns(const double *x, int64_t d, const int32_t *perm, int64_t m,
+                            double *sums)
+{
+    int64_t j = 0;
+    for (; j + COLS <= d; j += COLS)
+        add_rows(x + j, d, perm, m, COLS, sums + j);
+    if (d - j >= 8) {
+        add_rows(x + j, d, perm, m, 8, sums + j);
+        j += 8;
+    }
+    if (d - j >= 4) {
+        add_rows(x + j, d, perm, m, 4, sums + j);
+        j += 4;
+    }
+    if (d - j >= 2) {
+        add_rows(x + j, d, perm, m, 2, sums + j);
+        j += 2;
+    }
+    if (d - j >= 1)
+        add_rows(x + j, d, perm, m, 1, sums + j);
+}
+
+/* Row r sums the k rows of dataset r / B that key r picks, in draw order:
+ * sums = ((x[s0] + x[s1]) + x[s2]) + ..., column by column.  When a row is
+ * wider than COLS, the picked rows go in tiles of ROWS, so that every
+ * column block of a tile reads rows still in the L1 cache.  Needs k >= 1. */
 void ulrt_split_sums(const uint64_t *keys, int64_t rows, int64_t B, int64_t n, int64_t k,
                      const double *restrict data, int64_t d, int32_t *restrict perm,
                      double *restrict sums)
 {
+    int64_t tile = d > COLS ? ROWS : k;
     for (int64_t r = 0; r < rows; r++, sums += d) {
         const double *x = data + (r / B) * n * d;
-        int64_t j = 0;
         shuffle(keys[r], n, k, perm);
-        for (; j + COLS <= d; j += COLS)
-            sum_columns(x + j, d, perm, k, COLS, sums + j);
-        if (d - j >= 8) {
-            sum_columns(x + j, d, perm, k, 8, sums + j);
-            j += 8;
-        }
-        if (d - j >= 4) {
-            sum_columns(x + j, d, perm, k, 4, sums + j);
-            j += 4;
-        }
-        if (d - j >= 2) {
-            sum_columns(x + j, d, perm, k, 2, sums + j);
-            j += 2;
-        }
-        if (d - j >= 1)
-            sum_columns(x + j, d, perm, k, 1, sums + j);
+        memcpy(sums, x + (int64_t)perm[0] * d, (size_t)d * sizeof(double));
+        for (int64_t i = 1; i < k; i += tile)
+            add_all_columns(x, d, perm + i, k - i < tile ? k - i : tile, sums);
     }
 }

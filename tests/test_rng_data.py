@@ -392,12 +392,15 @@ def _split_means_case(c, b, n, d):
     return values, RngStream(38, b).substream_keys(c * b).reshape(c, b)
 
 
-@pytest.mark.parametrize("n,k", [(2, 1), (30, 1), (30, 29)])
+@pytest.mark.parametrize("n,k", [(2, 1), (70, 1), (70, 69)])
 @pytest.mark.parametrize("b", [1, 7])
 @pytest.mark.parametrize("c", [1, 3])
-@pytest.mark.parametrize("d", [1, 2, 20, 100])
+@pytest.mark.parametrize("d", [1, 2, 15, 20, 100])
 def test_split_means_compiled_equals_numpy_and_sequential_sums(d, c, b, n, k, monkeypatch):
-    """Bit for bit: the compiled kernel, the numpy loop and a plain sum."""
+    """Bit for bit: the compiled kernel, the numpy loop and a plain sum.
+
+    d = 15 takes every column block below 16; k = 69 at d > 16 spans three
+    tiles of rows."""
     values, keys = _split_means_case(c, b, n, d)
     expected = b"".join(m.tobytes() for m in _sequential_split_means(values, keys, k))
     monkeypatch.setattr(_kernels, "_loaded", [None])
