@@ -204,7 +204,7 @@ def _numpy_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
         w = min(_FY_BLOCK, rows - lo)
         # draws of the block, step-major (k, w), reduced to swap offsets in
         # place; an offset is below n, so the uint64 bits read as int64
-        target = _finalize_array(ctr[:, None] + keys[None, lo : lo + w], inplace=True)
+        target = _finalize_array(ctr[:, None] + keys[None, lo : lo + w])
         target %= spans
         target = target.view(np.int64)
         target += steps

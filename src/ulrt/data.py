@@ -6,12 +6,14 @@ likelihood-evaluation part (``indices0``) and the estimation part
 (``indices1``), with both part means cached.
 
 Splitting draws a uniformly random size-``round(n * p0)`` subset via a partial
-Fisher-Yates shuffle.  All randomness flows through :class:`RngStream` values,
-so identical streams reproduce identical datasets and partitions.
+Fisher-Yates shuffle.  All randomness flows through :class:`RngStream` values
+or their uint64 keys, so identical streams reproduce identical datasets and
+partitions.
 
 Monte Carlo replications need only the part means of their splits.
-:func:`replicate_split_means` returns them for a chunk of replications: a
-single split (B = 1) draws the two means from their exact law with
+:func:`replicate_split_means` returns them for a chunk of replications, from
+``(C,)`` key arrays and one :func:`ulrt.rng.batch_normals` draw for the whole
+chunk: a single split (B = 1) draws the two means from their exact law with
 :func:`sample_part_means`, and B > 1 splits simulate the full dataset and
 split it B times, through :func:`ulrt._kernels.split_means`, which draws
 each subset and sums its rows in draw order.
@@ -27,7 +29,7 @@ import numpy as np
 
 from ._kernels import batch_fisher_yates, split_means
 from .errors import DomainError
-from .rng import RngStream
+from .rng import RngStream, batch_normals
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -162,60 +164,43 @@ def subsample_splits(sample: SampleSet, B: int, p0: float, rng: RngStream) -> li
     return [SplitPair.from_indices(sample, subset, p0=p0) for subset in subsets]
 
 
-def sample_part_means(rep_streams, n: int, k: int, theta) -> tuple[np.ndarray, np.ndarray]:
+def sample_part_means(keys: np.ndarray, n: int, k: int, theta) -> tuple[np.ndarray, np.ndarray]:
     """Part means of one uniformly random size-``k`` split per replication.
 
     For ``n`` iid draws from N(theta, I_d) and a uniformly random partition
     into parts of sizes ``k`` and ``n - k``, the part means are independent
     N(theta, I/k) and N(theta, I/(n - k)), so they are drawn directly:
-    replication ``i`` takes ``2d`` normals from
-    ``rep_streams[i].substream(0)``, the first ``d`` for ``mean0`` and the
-    last ``d`` for ``mean1``.  Returns ``(mean0, mean1)``, each ``(C, d)``.
-    The overall mean ``(k * mean0 + (n - k) * mean1) / n`` is exactly
-    N(theta, I/n).
+    replication ``i`` takes ``2d`` normals from the stream with key
+    ``keys[i]``, the first ``d`` for ``mean0`` and the last ``d`` for
+    ``mean1``.  Returns ``(mean0, mean1)``, each ``(C, d)``.  The overall
+    mean ``(k * mean0 + (n - k) * mean1) / n`` is exactly N(theta, I/n).
     """
     if not 1 <= k < n:
         raise DomainError(f"need 1 <= k < n, got k={k}, n={n}")
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     d = theta.shape[0]
-    z = np.empty((len(rep_streams), 2 * d))
-    for i, rs in enumerate(rep_streams):
-        rs.substream(0).normals(2 * d, out=z[i])
+    z = batch_normals(keys, 2 * d)
     return z[:, :d] / math.sqrt(k) + theta, z[:, d:] / math.sqrt(n - k) + theta
 
 
-def _simulate_block(rep_streams, n: int, d: int, theta: np.ndarray) -> np.ndarray:
-    block = np.empty((len(rep_streams), n, d))
-    shift = theta.any()
-    for i, rs in enumerate(rep_streams):
-        rs.substream(0).normals(n * d, out=block[i].reshape(-1))
-        if shift:
-            block[i] += theta
-    return block
-
-
-def _split_keys_block(rep_streams, B: int) -> np.ndarray:
-    keys = np.empty((len(rep_streams), B), dtype=np.uint64)
-    for i, rs in enumerate(rep_streams):
-        keys[i] = rs.substream(1).substream_keys(B)
-    return keys
-
-
 def replicate_split_means(
-    rep_streams, n: int, k: int, theta: np.ndarray, B: int
+    stream: RngStream, lo: int, hi: int, n: int, k: int, theta: np.ndarray, B: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Part means of ``B`` random size-``k`` splits of each replication's
-    N(theta, I_d) dataset; returns ``(mean0, mean1)``, each ``(C, B, d)``.
+    """Part means of ``B`` random size-``k`` splits of the N(theta, I_d)
+    datasets of replications ``lo .. hi-1``, replication ``r`` drawing from
+    ``stream.substream(r)``; returns ``(mean0, mean1)``, each ``(C, B, d)``.
 
-    With ``B = 1`` the means come from :func:`sample_part_means` (``2d``
-    normals from substream 0).  With ``B > 1`` substream 0 draws the full
-    ``n``-by-``d`` dataset and substream 1 parents the per-split streams.
+    Substream 0 of a replication draws its data: with ``B = 1`` only the
+    two part means (:func:`sample_part_means`), with ``B > 1`` the full
+    ``n``-by-``d`` dataset, whose splits descend from substream 1.
     """
+    keys = stream.substream_keys(lo, hi, child=0)
     if B == 1:
-        mean0, mean1 = sample_part_means(rep_streams, n, k, theta)
+        mean0, mean1 = sample_part_means(keys, n, k, theta)
         return mean0[:, None, :], mean1[:, None, :]
-    data = _simulate_block(rep_streams, n, theta.shape[0], theta)
-    return split_means(data, _split_keys_block(rep_streams, B), k)
+    data = batch_normals(keys, n * theta.shape[0]).reshape(hi - lo, n, -1)
+    data += theta
+    return split_means(data, stream.substream_keys(lo, hi, child=1, grandchildren=B), k)
 
 
 def save_csv(sample: SampleSet, path) -> None:

@@ -9,8 +9,10 @@ Replication ``r`` of cell ``c`` draws from the stream chain
 of the root is reserved for artifacts shared across cells, such as a fixed
 dataset).  :func:`_replicate` is the one place that implements this layout;
 every Monte Carlo cell, :func:`coverage_suite` and :func:`ulrt.power.mc_power`
-run through it.  Within a replication, substream 0 draws the data: a
-single-split (B = 1) cell draws only its two part means (``2d`` normals, see
+run through it; it passes a chunk to :func:`ulrt.data.replicate_split_means`
+as a stream and a range, not as stream objects.  Within a replication,
+substream 0 draws the data: a single-split (B = 1) cell draws only its two
+part means (``2d`` normals, see
 :func:`ulrt.data.sample_part_means`), and a B > 1 cell draws the full
 ``n``-by-``d`` dataset, whose splits descend from substream 1.  The engine
 lays out cells and shapes rows; the statistics come from the library, and
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -156,12 +159,11 @@ def _map_chunks(
 
 def _replicate(stream, reps, n, k, theta, B, reduce, workers, dump=None) -> dict[str, Accumulator]:
     """Fold ``reduce(mean0, mean1)`` over ``reps`` replications, where
-    replication ``r`` draws from ``stream.substream(r)`` and the means are
-    the ``(C, B, d)`` :func:`ulrt.data.replicate_split_means` of a chunk."""
+    replication ``r`` draws from ``stream.substream(r)``; each chunk's
+    ``(C, B, d)`` means come from one :func:`ulrt.data.replicate_split_means`."""
 
     def run_chunk(lo: int, hi: int) -> dict:
-        streams = [stream.substream(r) for r in range(lo, hi)]
-        return reduce(*replicate_split_means(streams, n, k, theta, B))
+        return reduce(*replicate_split_means(stream, lo, hi, n, k, theta, B))
 
     return _map_chunks(reps, _chunk_reps(n, theta.shape[0], B), run_chunk, workers, dump)
 
@@ -186,11 +188,16 @@ def build_spec(experiment_id: str, seed: int, **overrides) -> ExperimentSpec:
                 f"{experiment_id} has no axis {key!r}; axes: {', '.join(params)}"
             )
         params[key] = value
-    for axis in ("reps", "replicates", "B"):
-        if axis in params and not params[axis] >= 1:
-            raise DomainError(f"{experiment_id} needs {axis} >= 1, got {params[axis]!r}")
+    _check_counts(experiment_id, params)
     grid = PRESETS[experiment_id].build_grid(params)
     return ExperimentSpec(experiment_id, tuple(grid), seed)
+
+
+def _check_counts(experiment_id: str, values: dict) -> None:
+    """Reject replication and split counts below 1 in axes or a grid cell."""
+    for axis in ("reps", "replicates", "B"):
+        if axis in values and not (isinstance(values[axis], numbers.Real) and values[axis] >= 1):
+            raise DomainError(f"{experiment_id} needs {axis} >= 1, got {values[axis]!r}")
 
 
 def _grid_fig1(p: dict) -> list[dict]:
@@ -357,7 +364,7 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     parent = stream.substream(1)
 
     def run_chunk(lo: int, hi: int) -> dict:
-        keys = parent.substream_keys(hi)[lo:hi]
+        keys = parent.substream_keys(lo, hi)
         mean0, mean1 = split_means(sample.values[None], keys[None], k)
         # one grid point at a time keeps each temporary at (chunk, d)
         return {
@@ -720,6 +727,8 @@ def load_spec_file(path) -> tuple[ExperimentSpec, int | None]:
         if not isinstance(grid, list) or not all(isinstance(c, dict) for c in grid):
             raise DomainError(f"{path}: grid must be a list of objects")
         spec = ExperimentSpec(experiment_id, tuple(grid), seed)
+        for cell in grid:
+            _check_counts(experiment_id, cell)
     else:
         overrides = doc.get("overrides", {})
         if not isinstance(overrides, dict):

@@ -102,8 +102,9 @@ def mc_power(
     subsampling at ``B > 1`` draws the full ``n``-by-``d`` dataset from
     substream 0, and its splits descend from substream 1.
     Replications run through :func:`ulrt.engine._replicate`: replication
-    ``r`` uses ``rng.substream(r)``, so the result is a pure function of
-    ``rng`` regardless of chunking or thread count.  ``dump(name, lo,
+    ``r`` uses ``rng.substream(r)``, and a chunk draws from its
+    replications' uint64 keys in one batch, so the result is a pure function
+    of ``rng`` regardless of chunking or thread count.  ``dump(name, lo,
     values)``, when given, receives each chunk's ``reject`` values.
     """
     if test_kind not in MC_TEST_KINDS:

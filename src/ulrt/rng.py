@@ -10,8 +10,10 @@ gives a tree of streams keyed by their path.
 
 The mixing function is the splitmix64 finalizer over a Weyl sequence; all
 integer arithmetic is exact 64-bit wrapping arithmetic, identical on every
-platform.  Floating-point outputs (uniforms, normals) are deterministic for a
-given platform's libm.
+platform.  Normals come from one batched polar draw, :func:`batch_normals`,
+over ``(C,)`` uint64 key arrays.  Their bytes depend on the ``np.log`` loop
+numpy dispatches to on the running CPU: its AVX-512 loop rounds some logs
+differently from glibc's libm.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
-_S11 = np.uint64(11)
-
-#: 2**-53, maps the top 53 bits of a draw to [0, 1).
-_INV53 = float(2.0**-53)
 
 
 def _finalize(z: int) -> int:
@@ -50,10 +48,8 @@ def _finalize(z: int) -> int:
     return z
 
 
-def _finalize_array(z: np.ndarray, inplace: bool = False) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; ``z`` must be uint64."""
-    if not inplace:
-        z = z.copy()
+def _finalize_array(z: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer, in place; ``z`` must be uint64."""
     z ^= z >> _S30
     z *= _MIX1
     z ^= z >> _S27
@@ -68,19 +64,78 @@ def _child_key(key: int, index: int) -> int:
     return _finalize((key + salted) & _MASK64)
 
 
-def _child_keys(key: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_child_key` for an array of child indices."""
+def _child_keys(key, indices: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`_child_key`; ``key``, an int or a uint64 array,
+    broadcasts against the array ``indices``."""
     idx = np.asarray(indices, dtype=np.uint64)
     salted = _finalize_array(idx * _U64_GOLDEN + _U64_SUBSALT)
-    return _finalize_array(salted + np.uint64(key))
+    return _finalize_array(salted + np.asarray(key, dtype=np.uint64))
 
 
-def _raw_block(key: int, start: int, count: int) -> np.ndarray:
-    """Draws ``start .. start+count-1`` of the stream with key ``key``."""
-    ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    ctr *= _U64_GOLDEN
-    ctr += np.uint64(key)
-    return _finalize_array(ctr, inplace=True)
+#: Trials per block of rows in :func:`batch_normals`.  A worker thread holds
+#: about ten ``(rows, trials)`` temporaries of its block: 0.3 MB at 2**12,
+#: where 2**14 added 5% to the peak RSS of the B = 1 benchmark workload.
+_TRIAL_BLOCK = 1 << 12
+
+
+def batch_normals(keys: np.ndarray, count: int) -> np.ndarray:
+    """``(C, count)`` standard normals by the polar (rejection) method, row
+    ``c`` from the stream with key ``keys[c]``.  Trial ``i`` of a stream
+    consumes its raw draws ``2i`` and ``2i + 1``; accepted trials yield two
+    normals each, in trial order, so a row is a pure function of its key.
+    """
+    if count < 0:
+        raise DomainError("count must be nonnegative")
+    pairs = (count + 1) // 2
+    # acceptance rate is pi/4; oversize by ~5 sigma so that redraws are rare
+    trials = int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16
+    return _polar(np.asarray(keys, dtype=np.uint64).reshape(-1), count, trials)
+
+
+def _signed_unit(z: np.ndarray) -> np.ndarray:
+    """Raw draws at the Weyl points ``z``, mapped to [-1, 1)."""
+    u = _finalize_array(z).astype(np.float64)
+    u *= 2.0**-63
+    u -= 1.0
+    return u
+
+
+def _polar(keys: np.ndarray, count: int, trials: int) -> np.ndarray:
+    """:func:`batch_normals` with ``trials`` trials laid out per row; a row
+    with fewer than ``ceil(count / 2)`` accepted trials is redrawn with
+    twice as many."""
+    out = np.empty((keys.size, count))
+    pairs = (count + 1) // 2
+    # Weyl points of the raw draws 2i; draw 2i + 1 is one golden step on
+    ctr = np.arange(1, 2 * trials, 2, dtype=np.uint64) * _U64_GOLDEN
+    step = max(1, _TRIAL_BLOCK // trials)
+    for lo in range(0, keys.size, step):
+        block = keys[lo : lo + step, None]
+        u = _signed_unit(ctr + block)
+        v = _signed_unit(ctr + (block + _U64_GOLDEN))
+        s = u * u
+        s += v * v
+        keep = s < 1.0
+        keep &= s > 0.0
+        counts = np.count_nonzero(keep, axis=1)
+        short = counts < pairs
+        keep[short] = False
+        # flat positions of each full row's first `pairs` accepted trials
+        full = counts[~short]
+        first = np.flatnonzero(keep)[(np.cumsum(full) - full)[:, None] + np.arange(pairs)]
+        s = s.reshape(-1)[first]
+        factor = np.log(s)
+        factor *= -2.0
+        factor /= s
+        np.sqrt(factor, out=factor)
+        u = u.reshape(-1)[first] * factor
+        v = v.reshape(-1)[first] * factor
+        rows = out[lo : lo + step]
+        rows[~short, 0::2] = u
+        rows[~short, 1::2] = v[:, : count // 2]
+        if short.any():
+            rows[short] = _polar(block[short, 0], count, 2 * trials)
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,77 +162,25 @@ class RngStream:
             raise DomainError("substream index must be nonnegative")
         return RngStream(self.master_seed, _child_key(self.stream_id, index))
 
-    def substream_keys(self, count: int) -> np.ndarray:
-        """Keys of children ``0 .. count-1``, for vectorized batch kernels.
+    def substream_keys(self, start: int, stop=None, child=None, grandchildren=None) -> np.ndarray:
+        """Keys of children ``r`` in ``range(start, stop)`` (in
+        ``range(start)`` without ``stop``), for vectorized batch kernels.
 
-        Entry ``b`` equals ``self.substream(b).key`` exactly.
+        Entry ``r`` equals ``self.substream(r).key`` exactly, or
+        ``self.substream(r).substream(child).key`` with ``child``.  With
+        ``grandchildren=B`` the keys are ``(C, B)``, and entry ``[r, b]``
+        equals the key of ``substream(b)`` of that stream.
         """
-        sids = _child_keys(self.stream_id, np.arange(count, dtype=np.uint64))
-        salted = _finalize_array(sids * _U64_GOLDEN + _U64_SUBSALT)
-        return _finalize_array(np.uint64(_finalize(self.master_seed)) + salted)
+        if stop is None:
+            start, stop = 0, start
+        sids = _child_keys(self.stream_id, np.arange(start, stop, dtype=np.uint64))
+        if child is not None:
+            sids = _child_keys(sids, np.full(1, child, dtype=np.uint64))
+        if grandchildren is not None:
+            sids = _child_keys(sids[:, None], np.arange(grandchildren, dtype=np.uint64))
+        return _child_keys(_finalize(self.master_seed), sids)
 
-    def raw64(self, count: int, start: int = 0) -> np.ndarray:
-        """``count`` raw 64-bit draws starting at counter position ``start``."""
-        return _raw_block(self.key, start, count)
-
-    def uniforms(self, count: int, start: int = 0) -> np.ndarray:
-        """``count`` doubles uniform on [0, 1)."""
-        return (self.raw64(count, start) >> _S11).astype(np.float64) * _INV53
-
-    def normals(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``count`` standard normal draws via the polar (rejection) method.
-
-        Trial ``i`` consumes raw draws ``2i`` and ``2i + 1``; accepted trials
-        yield two normals each, kept in trial order, so the output does not
-        depend on internal batching.  The number of raw draws consumed is
-        data dependent but the output is a pure function of the stream.
-        ``out``, when given, must be a contiguous float64 array of size
-        ``count`` and is filled in place.
-        """
-        if count < 0:
-            raise DomainError("count must be nonnegative")
-        if out is None:
-            out = np.empty(count, dtype=np.float64)
-        elif out.shape != (count,) or out.dtype != np.float64:
-            raise DomainError(f"out must be a float64 array of shape ({count},)")
-        key = np.uint64(self.key)
-        filled = 0
-        base = 0
-        while filled < count:
-            # acceptance rate is pi/4; oversize by ~5 sigma to avoid retries
-            pairs_needed = (count - filled + 1) // 2
-            trials = int(pairs_needed * 1.2733) + int(4.0 * pairs_needed**0.5) + 16
-            # even/odd raw draws as two contiguous Weyl subsequences
-            ctr_u = np.arange(base + 1, base + 2 * trials, 2, dtype=np.uint64)
-            ctr_v = np.arange(base + 2, base + 2 * trials + 1, 2, dtype=np.uint64)
-            base += 2 * trials
-            ctr_u *= _U64_GOLDEN
-            ctr_u += key
-            ctr_v *= _U64_GOLDEN
-            ctr_v += key
-            u = _finalize_array(ctr_u, inplace=True).astype(np.float64)
-            v = _finalize_array(ctr_v, inplace=True).astype(np.float64)
-            u *= 2.0**-63
-            u -= 1.0
-            v *= 2.0**-63
-            v -= 1.0
-            s = u * u
-            s += v * v
-            keep = s < 1.0
-            keep &= s > 0.0
-            u, v, s = u[keep], v[keep], s[keep]
-            factor = np.log(s)
-            factor *= -2.0
-            factor /= s
-            np.sqrt(factor, out=factor)
-            u *= factor
-            v *= factor
-            full = min(u.size, (count - filled) // 2)
-            stop = filled + 2 * full
-            out[filled:stop:2] = u[:full]
-            out[filled + 1 : stop : 2] = v[:full]
-            filled = stop
-            if filled < count and full < u.size:
-                out[filled] = u[full]
-                filled += 1
-        return out
+    def normals(self, count: int) -> np.ndarray:
+        """``count`` standard normal draws: row 0 of :func:`batch_normals`
+        for this stream's key."""
+        return batch_normals(np.array([self.key], dtype=np.uint64), count)[0]

@@ -16,7 +16,7 @@ from ulrt import data, engine, regions, specfun
 from ulrt._kernels import split_means, sq_norm
 from ulrt.doughnut import AnnulusNull, subsampled_doughnut_test
 from ulrt.power import mc_power, power_classical, power_limiting_subsampling
-from ulrt.rng import RngStream
+from ulrt.rng import RngStream, batch_normals
 
 WORKERS = 2
 
@@ -67,13 +67,13 @@ def test_criterion_02_e_variable_bound():
         chunk = 2000
         values = np.empty(reps)
         for lo in range(0, reps, chunk):
-            streams = [root.substream(r) for r in range(lo, min(lo + chunk, reps))]
-            block = data._simulate_block(streams, n, d, np.zeros(d))
-            keys = data._split_keys_block(streams, 1)
+            hi = min(lo + chunk, reps)
+            block = batch_normals(root.substream_keys(lo, hi, child=0), n * d).reshape(-1, n, d)
+            keys = root.substream_keys(lo, hi, child=1, grandchildren=1)
             mean0, mean1 = split_means(block, keys, k)
             delta = sq_norm(mean0[:, 0, :] - mean1[:, 0, :], axis=1)
             log_t = 0.5 * k * (sq_norm(mean0[:, 0, :], axis=1) - delta)
-            values[lo : lo + len(streams)] = np.exp(log_t)
+            values[lo:hi] = np.exp(log_t)
         mc_se = values.std(ddof=1) / math.sqrt(reps)
         assert values.mean() <= 1.0 + 3.0 * mc_se, (values.mean(), mc_se)
 
@@ -147,19 +147,18 @@ def test_criterion_05_crossfit_containment_and_area():
         chunk = 1000
         member_count = 0
         for lo in range(0, reps, chunk):
-            streams = [root.substream(r) for r in range(lo, min(lo + chunk, reps))]
-            block = data._simulate_block(streams, n, d, np.zeros(d))
-            keys = data._split_keys_block(streams, 1)
+            hi = min(lo + chunk, reps)
+            block = batch_normals(root.substream_keys(lo, hi, child=0), n * d).reshape(-1, n, d)
+            keys = root.substream_keys(lo, hi, child=1, grandchildren=1)
             mean0, mean1 = split_means(block, keys, k)
             mean0, mean1 = mean0[:, 0, :], mean1[:, 0, :]
             overall = block.mean(axis=1)
             delta = sq_norm(mean0 - mean1, axis=1)
             ball_sq = (4.0 / n) * L + delta
             # probe cloud around the overall mean, scaled to the ball radius
-            c = len(streams)
-            offsets = np.stack(
-                [s.substream(2).normals(probes * d).reshape(probes, d) for s in streams]
-            )
+            c = hi - lo
+            offsets = batch_normals(root.substream_keys(lo, hi, child=2), probes * d)
+            offsets = offsets.reshape(c, probes, d)
             thetas = overall[:, None, :] + offsets * (
                 0.75 * np.sqrt(ball_sq)[:, None, None]
             )

@@ -296,6 +296,28 @@ def test_experiment_missing_file_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "experiment_id, cell, message",
+    [
+        ("split_p0_fig3", {"d": 2, "n": 100, "alpha": 0.1, "p0": 0.5, "reps": 0}, "needs reps >= 1"),
+        (
+            "doughnut_fig7",
+            {"method": "subsampled_split", "d": 2, "n": 100, "alpha": 0.1,
+             "theta_norm": 0.5, "B": 0, "reps": 5},
+            "needs B >= 1",
+        ),
+    ],
+)
+def test_experiment_spec_file_grid_count_below_one_exits_2(tmp_path, experiment_id, cell, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment_id": experiment_id, "seed": 1, "grid": [cell]}))
+    out = tmp_path / "rows.csv"
+    proc = run_cli(["experiment", "--spec-file", str(spec), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     proc = run_cli(["region", "--alpha", "not-a-number"])
     assert proc.returncode == 2

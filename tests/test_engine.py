@@ -276,7 +276,7 @@ def test_fig5_split_radius_uses_realized_part_size():
 
     k = part_size(n, 0.5)
     stream = RngStream(77).substream(1)
-    mean0, mean1 = sample_part_means([stream.substream(r) for r in range(reps)], n, k, np.zeros(d))
+    mean0, mean1 = sample_part_means(stream.substream_keys(reps, child=0), n, k, np.zeros(d))
     sq_radius = (2.0 / k) * log_threshold(alpha) + np.sum(np.square(mean0 - mean1), axis=1)
     expected = sq_radius / (chi2_upper_quantile(alpha, d) / n) <= 4.0
     np.testing.assert_array_equal(indicators, expected.astype(np.float64))

@@ -3,8 +3,10 @@ preset experiment, and of the three CSVs that ``ulrt region`` writes.
 
 Any change to an output byte of any preset fails here.  A change that moves
 a digest on purpose updates it in the same commit and says why in
-CHANGES.md.  Floating-point outputs are pinned for one platform's libm (see
-``ulrt.rng``), so a digest can also move on another platform.
+CHANGES.md.  Floating-point outputs are pinned for the ``np.log`` and
+``np.exp`` loops that numpy dispatches to on the running CPU (see
+``ulrt.rng``): numpy's AVX-512 loops differ from glibc's libm, so a digest
+can also move on a CPU without AVX-512 or on another platform.
 """
 
 import hashlib

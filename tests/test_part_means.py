@@ -34,7 +34,7 @@ def _reference_means(theta: np.ndarray, root: RngStream):
 
 
 def _sampled_means(theta: np.ndarray, root: RngStream):
-    return data.sample_part_means([root.substream(r) for r in range(REPS)], N, K, theta)
+    return data.sample_part_means(root.substream_keys(REPS, child=0), N, K, theta)
 
 
 def _statistics(mean0, mean1, theta: np.ndarray) -> dict:
@@ -71,7 +71,7 @@ def test_sampler_moments():
     n, k, d, reps = 100, 30, 3, 20_000
     theta = np.array([0.5, -1.0, 2.0])
     root = RngStream(33)
-    mean0, mean1 = data.sample_part_means([root.substream(r) for r in range(reps)], n, k, theta)
+    mean0, mean1 = data.sample_part_means(root.substream_keys(reps, child=0), n, k, theta)
     # standardized, each coordinate of each mean is N(0, 1)
     z0 = (mean0 - theta) * math.sqrt(k)
     z1 = (mean1 - theta) * math.sqrt(n - k)
@@ -87,13 +87,13 @@ def test_sampler_moments():
 
 def test_sampler_is_per_replication():
     theta = np.array([1.0, 0.0])
-    streams = [RngStream(34).substream(r) for r in range(12)]
-    full0, full1 = data.sample_part_means(streams, 50, 20, theta)
-    part0, part1 = data.sample_part_means(streams[5:9], 50, 20, theta)
+    keys = RngStream(34).substream_keys(12, child=0)
+    full0, full1 = data.sample_part_means(keys, 50, 20, theta)
+    part0, part1 = data.sample_part_means(keys[5:9], 50, 20, theta)
     assert np.array_equal(part0, full0[5:9]) and np.array_equal(part1, full1[5:9])
 
 
 @pytest.mark.parametrize("k", [0, 50])
 def test_sampler_rejects_empty_part(k):
     with pytest.raises(DomainError):
-        data.sample_part_means([RngStream(1)], 50, k, np.zeros(2))
+        data.sample_part_means(RngStream(1).substream_keys(1), 50, k, np.zeros(2))

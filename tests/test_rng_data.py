@@ -1,5 +1,6 @@
 """Stream determinism, Gaussian sampling quality, and splitting contracts."""
 
+import hashlib
 import math
 import os
 import sys
@@ -13,25 +14,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ulrt import _kernels, data
+from ulrt import rng as rng_module
 from ulrt._kernels import batch_fisher_yates, split_means
 from ulrt.errors import DomainError
-from ulrt.rng import _U64_GOLDEN, RngStream, _finalize_array
+from ulrt.rng import _U64_GOLDEN, RngStream, _finalize_array, batch_normals
 
 # ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------
 
 
-def test_raw_draws_are_reproducible():
-    a = RngStream(123, 5).raw64(16)
-    b = RngStream(123, 5).raw64(16)
+def test_normal_draws_are_reproducible():
+    a = RngStream(123, 5).normals(16)
+    b = RngStream(123, 5).normals(16)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = RngStream(123).substream(0).raw64(8)
-    b = RngStream(123).substream(1).raw64(8)
-    c = RngStream(124).substream(0).raw64(8)
+    a = RngStream(123).substream(0).normals(8)
+    b = RngStream(123).substream(1).normals(8)
+    c = RngStream(124).substream(0).normals(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -41,18 +43,58 @@ def test_substream_keys_match_scalar_derivation():
     keys = stream.substream_keys(32)
     for b in range(32):
         assert int(keys[b]) == stream.substream(b).key
+    ranged = stream.substream_keys(5, 40)
+    children = stream.substream_keys(5, 40, child=2)
+    nested = stream.substream_keys(5, 40, child=1, grandchildren=6)
+    assert ranged.shape == children.shape == (35,) and nested.shape == (35, 6)
+    for r in range(5, 40):
+        assert int(ranged[r - 5]) == stream.substream(r).key
+        assert int(children[r - 5]) == stream.substream(r).substream(2).key
+        for b in range(6):
+            assert int(nested[r - 5, b]) == stream.substream(r).substream(1).substream(b).key
 
 
-def test_raw_block_offsets_are_consistent():
-    stream = RngStream(5)
-    whole = stream.raw64(20)
-    assert np.array_equal(stream.raw64(8, start=12), whole[12:])
+# SHA-256 of RngStream(2718, 28).normals(count).tobytes(), taken before the
+# polar method was batched over rows
+NORMALS_SHA256 = {
+    1: "28a3fd1b6cf6c2ccca7463f588256b4f99fceace98a546864bce85bc55230cfe",
+    2: "f998373aff1bdbc2d3ca50e2d416385ee950a84b0ab0f0c1de6f0bd460ef6929",
+    3: "85da1b2e6db79ecaac7b5f59fb4adfac124afb08b808f76578462f4a882712c8",
+    17: "e74a0978e558fe0d3f424025217260a0d353b6a62d319f12e71338fc86832fa7",
+    1000: "6bde57693606d0437ef02350634e03e5ad1515ce566dd9e68fdcc17f729c2eef",
+    100001: "ccef8ab37fd70d520418d1f1fcbea2be4cb98aa35be145d17eb45ec44b5ebc8d",
+}
 
 
-def test_uniforms_in_unit_interval():
-    u = RngStream(2).uniforms(100_000)
-    assert u.min() >= 0.0 and u.max() < 1.0
-    assert abs(u.mean() - 0.5) < 0.005
+@pytest.mark.parametrize("count", sorted(NORMALS_SHA256))
+def test_normals_pinned(count):
+    z = RngStream(2718, 28).normals(count)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == NORMALS_SHA256[count]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 513])
+@pytest.mark.parametrize("count", [0, 1, 2, 4, 301, 5000])
+def test_batch_normals_rows_equal_one_row_draws(rows, count):
+    # at 2**12 trials per block, 513 rows span 3 blocks at count 4, 35 at
+    # count 301 and 513 at count 5000
+    stream = RngStream(41, rows)
+    z = batch_normals(stream.substream_keys(rows), count)
+    assert z.shape == (rows, count)
+    for r in range(0, rows, max(1, rows // 40)):
+        assert np.array_equal(z[r], stream.substream(r).normals(count))
+
+
+@pytest.mark.parametrize("count", [1, 2, 17, 1000])
+def test_short_rows_are_redrawn_with_the_same_bytes(count):
+    keys = RngStream(43).substream_keys(50)
+    # 3 trials hold at most 3 accepted pairs, so every row with count > 6
+    # and some with fewer take the redraw path
+    assert np.array_equal(rng_module._polar(keys, count, 3), batch_normals(keys, count))
+
+
+def test_batch_normals_rejects_negative_count():
+    with pytest.raises(DomainError):
+        batch_normals(RngStream(1).substream_keys(2), -1)
 
 
 def test_normals_prefix_stable_and_reproducible():
@@ -198,7 +240,7 @@ def _row_major_fisher_yates(keys, n, k):
     rows = keys.shape[0]
     ctr = np.arange(1, k + 1, dtype=np.uint64)
     ctr *= _U64_GOLDEN
-    draws = _finalize_array(keys[:, None] + ctr[None, :], inplace=True)
+    draws = _finalize_array(keys[:, None] + ctr[None, :])
     perm = np.broadcast_to(np.arange(n, dtype=np.int32), (rows, n)).copy()
     row_ix = np.arange(rows)
     for i in range(k):
