@@ -10,13 +10,12 @@ of the root is reserved for artifacts shared across cells, such as a fixed
 dataset).  :func:`_replicate` is the one place that implements this layout;
 every Monte Carlo cell, :func:`coverage_suite` and :func:`ulrt.power.mc_power`
 run through it; it passes a chunk to :func:`ulrt.data.replicate_split_means`
-as a stream and a range, not as stream objects.  Within a replication,
-substream 0 draws the data: a single-split (B = 1) cell draws only its two
-part means (``2d`` normals, see
-:func:`ulrt.data.sample_part_means`), and a B > 1 cell draws the full
-``n``-by-``d`` dataset, whose splits descend from substream 1.  The engine
-lays out cells and shapes rows; the statistics come from the library, and
-the annulus tests are decided by :func:`ulrt.doughnut.mc_reducer`.
+as a stream and a replication range.  Within a replication, substream 0
+draws the data: a single-split (B = 1) cell draws only its two part means
+(``2d`` normals, see :func:`ulrt.data.sample_part_means`), and a B > 1 cell
+draws the full ``n``-by-``d`` dataset, whose splits descend from substream 1.
+The engine lays out cells and shapes rows; the statistics come from the
+library, and the annulus tests are decided by :func:`ulrt.doughnut.mc_reducer`.
 
 Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
