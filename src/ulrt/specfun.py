@@ -3,8 +3,11 @@
 Implements the standard normal CDF, the chi-squared density, CDF (regularized
 lower incomplete gamma), upper quantile, and the noncentral chi-squared CDF as
 a Poisson mixture.  The incomplete gamma uses the classical regime split
-(series below the transition point, continued fraction above); the quantile is
-found by bracketed bisection, which converges unconditionally.
+(series below the transition point, continued fraction above), with an
+iteration budget that grows like the square root of its shape; the quantile
+is found by bracketed bisection, which converges unconditionally.  The
+noncentral CDF evaluates one incomplete gamma, at the Poisson mode, and
+reaches the other mixture terms by its recurrence in the shape.
 
 All functions are pure and validate their arguments with :class:`DomainError`
 or :class:`NumericError`.
@@ -25,8 +28,9 @@ MAX_LOG_INV_ALPHA = 700.0
 
 
 #: Convergence targets of the iterative routines, read at call time: the
-#: iteration budget, the unaccumulated Poisson mass at which the noncentral
-#: series stops, and the relative width of quantile brackets.
+#: iteration budget (scaled by :func:`_budget`), the unaccumulated Poisson
+#: mass, relative to the accumulated one, at which the noncentral series
+#: stops, and the relative width of quantile brackets.
 MAX_ITER = 500
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
@@ -60,12 +64,19 @@ def chi2_pdf(x: float, d: int) -> float:
     return math.exp(log_pdf)
 
 
+def _budget(a: float) -> int:
+    """Iteration budget of a series whose terms spread like ``sqrt(a)``: the
+    incomplete gamma at shape ``a`` (both of its expansions) and the Poisson
+    mixture at Poisson mean ``a``."""
+    return MAX_ITER * (1 + int(math.sqrt(a) / 8))
+
+
 def _gamma_p_series(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(MAX_ITER):
+    for _ in range(_budget(a)):
         denom += 1.0
         term *= x / denom
         total += term
@@ -81,7 +92,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, MAX_ITER + 1):
+    for i in range(1, _budget(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -175,9 +186,15 @@ def chi2_upper_quantile(alpha: float, d: int) -> float:
 def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     """Noncentral chi-squared CDF via the Poisson mixture of central CDFs.
 
-    Terms are summed outward from the Poisson mode ``floor(lambda/2)`` until
-    the unaccumulated Poisson mass drops below :data:`ABS_TOL`, which keeps
-    the computation stable for large noncentrality.
+    Evaluates one incomplete gamma, ``P(d/2 + k0, x/2)`` at the Poisson mode
+    ``k0 = floor(lambda/2)``, and reaches the other mixture terms outward from
+    it, alternately up and down, by the recurrences
+    ``P(a + 1, s) = P(a, s) - g(a)`` and ``P(a - 1, s) = P(a, s) + g(a - 1)``
+    with ``g(a) = e^-s s^a / Gamma(a + 1)`` taken from its logarithm, so an
+    underflowing term cannot zero the ones after it (Ding, AS 275, 1992).
+    Each direction stops when a geometric bound on its unsummed Poisson tail
+    drops below half of :data:`ABS_TOL` times the summed mass, and the sum is
+    divided by that mass, so rounding in the mode weight cannot stall it.
     """
     _check_dim(d)
     if not math.isfinite(x) or x < 0.0:
@@ -191,37 +208,43 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
 
     half = 0.5 * noncentrality
     k0 = int(half)
-    log_w0 = -half + k0 * math.log(half) - math.lgamma(k0 + 1)
-    w0 = math.exp(log_w0)
+    a = 0.5 * d
+    s = 0.5 * x
+    log_s = math.log(s)
 
-    total = w0 * chi2_cdf(x, d + 2 * k0)
+    def g(k: int) -> float:
+        """``g(a + k) = e^-s s^(a+k) / Gamma(a + k + 1)``."""
+        return math.exp(-s + (a + k) * log_s - math.lgamma(a + k + 1.0))
+
+    w0 = math.exp(-half + k0 * math.log(half) - math.lgamma(k0 + 1))
+    p0 = _chi2_cdf_sf(x, d + 2 * k0)[0]
+    total = w0 * p0
     mass = w0
 
-    w_up = w0
-    k_up = k0
-    w_down = w0
-    k_down = k0
-    budget = 4 * MAX_ITER
-    for _ in range(budget):
-        if 1.0 - mass < ABS_TOL:
-            return min(max(total, 0.0), 1.0)
-        advanced = False
-        if w_up > 0.0:
+    w_up, k_up, p_up = w0, k0, p0
+    w_down, k_down, p_down = w0, k0, p0
+    for _ in range(_budget(half)):
+        # a direction steps while a geometric bound on its unsummed tail
+        # exceeds half the tolerance: the weight ratio half/(k+1) only falls
+        # going up, k/half only falls going down, and the lower tail has
+        # k_down terms at most
+        tol = 0.5 * ABS_TOL * mass
+        up = w_up * half / (k_up + 1 - half) > tol
+        down = w_down * k_down / max(half - k_down, 1.0) > tol
+        if not (up or down):
+            return min(max(total / mass, 0.0), 1.0)
+        if up:
+            p_up = max(p_up - g(k_up), 0.0)
             k_up += 1
             w_up *= half / k_up
-            total += w_up * chi2_cdf(x, d + 2 * k_up)
+            total += w_up * p_up
             mass += w_up
-            advanced = True
-        if k_down > 0:
+        if down:
             w_down *= k_down / half
             k_down -= 1
-            total += w_down * chi2_cdf(x, d + 2 * k_down)
+            p_down = min(p_down + g(k_down), 1.0)
+            total += w_down * p_down
             mass += w_down
-            advanced = True
-        if not advanced:
-            break
-    if 1.0 - mass < ABS_TOL:
-        return min(max(total, 0.0), 1.0)
     raise NumericError(
         f"noncentral chi-squared series did not converge (x={x}, d={d}, lambda={noncentrality})"
     )

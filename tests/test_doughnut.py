@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrt import data
+from ulrt import data, specfun
 from ulrt.doughnut import (
     AnnulusNull,
     HybridCase,
@@ -128,6 +128,12 @@ def test_intersection_rejects_far_mean():
 def test_intersection_exact_interior_is_type_one_error():
     value = intersection_power_exact(0.75, 1000, 2, 0.1)
     assert value <= 0.1
+
+
+def test_intersection_exact_deep_interior_is_not_truncation_noise():
+    # both edges of the annulus lie 8 or more standard deviations from the
+    # noncentral mean, so the size is far below the series' truncation level
+    assert intersection_power_exact(0.75, 1000, 2, 0.1) < specfun.ABS_TOL
 
 
 def test_intersection_exact_increasing_in_n_at_strong_alternative():
@@ -321,11 +327,12 @@ def test_subsampled_kind_validation():
 
 
 def test_mc_reducer_computes_the_quantile_only_for_the_intersection_test():
-    # the chi-squared quantile fails at d = 1e6, which only the intersection test reads
+    # the chi-squared quantile refuses alpha = 1e-305 (ln(1/alpha) > 700),
+    # and only the intersection test reads it
     for method in ("subsampled_split", "subsampled_hybrid"):
-        assert callable(mc_reducer(method, 1000, 500, 10**6, 0.1, AnnulusNull()))
+        assert callable(mc_reducer(method, 1000, 500, 2, 1e-305, AnnulusNull()))
     with pytest.raises(NumericError):
-        mc_reducer("intersection", 1000, 500, 10**6, 0.1, AnnulusNull())
+        mc_reducer("intersection", 1000, 500, 2, 1e-305, AnnulusNull())
 
 
 def test_hybrid_dominates_split_in_ripr_case():

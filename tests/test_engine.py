@@ -150,14 +150,13 @@ def test_explicit_grid_spec(tmp_path):
 
 
 def test_poisoned_cell_yields_diagnostic_row():
-    # ln(1/alpha) > 700 in the expected-ratio path refuses numerically; x=350
-    # corresponds to L = 10^350 which even overflows the bound formulas'
-    # inputs, so craft a cell that fails inside the quantile instead
+    # the chi-squared quantile refuses alpha = 1e-305 by design, since
+    # ln(1/alpha) > 700 is beyond what its CDF can resolve
     spec = ExperimentSpec(
         "ratio_prob_fig5",
         (
             dict(d=2, n=100, alpha=0.1, reps=50),
-            dict(d=10**7, n=100, alpha=0.1, reps=50),
+            dict(d=2, n=100, alpha=1e-305, reps=50),
         ),
         7,
     )
@@ -167,6 +166,12 @@ def test_poisoned_cell_yields_diagnostic_row():
     assert len(ok_rows) == 1 and len(bad_rows) == 1
     assert math.isnan(bad_rows[0].estimate)
     assert bad_rows[0].status == "error:NumericError"
+
+
+def test_fig4_default_grid_has_no_error_rows():
+    # its (d = 1e5, x = 0) cell needs the chi-squared quantile at a = 50,000
+    rows = run(build_spec("ratio_bounds_fig4", 3))
+    assert [r.status for r in rows] == ["ok"] * len(rows)
 
 
 def test_malformed_explicit_cell_yields_diagnostic_row():

@@ -43,11 +43,11 @@ GOLDEN = {
     ),
     "power_fig6": (
         dict(ds=(2,), n=200, reps=100, B=10, lambdas=(0.0, 8.0)),
-        "4e77c03784bd2d30c0dce57c1b4329b758cea6725f3338f34322c94fb38cc023",
+        "809f0ed749c1575772938c0f7622578e5fcfb0b726b118603776acef0e15f754",
     ),
     "doughnut_fig7": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.1)),
-        "bcaecea5594d469c073b8eaedf601a15d5ee099f1ae49870c970641a87c81b83",
+        "a82fe5c507c9a532c92283e7861a9f6196cee4d47b18a727f2ca970013eecc9a",
     ),
     "crossfit_p0_figS2": (
         dict(n=200, p0s=(0.3, 0.5), rays=24, tol=1e-4),
@@ -55,7 +55,7 @@ GOLDEN = {
     ),
     "intersect_power_figS3": (
         dict(ds=(2,), n=200, reps=100, theta_norms=(0.0, 1.2)),
-        "e02bb943df0583978abeb65335f5e3c366875253bd2861eb8bd1472e675e0cb8",
+        "eee7a793a85418ee8db2c2ecbeb092f514eae1538fccbd85b01a0528316f27d9",
     ),
     "hybrid_cases_figS4": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.25)),

@@ -54,7 +54,7 @@ def test_mc_power_pinned(kind, B):
 #: so the pin covers the fold across chunks of every annulus test
 ANNULUS_PINS = {
     "doughnut_fig7": (
-        (0.3, 1.25), "d68e0bbcf2ebe1f7da1d7b1ca40a737b867e46d5749f52c2db5ff636027c1d29"
+        (0.3, 1.25), "9b13087546db1c37152482c5248627e220b40b8e5ba3be23ba5e737939dcb3b5"
     ),
     "hybrid_cases_figS4": (
         (1.25,), "135aaa41e43c65edcedd140bf80e2a186504d42686f52037d0109e62e4210913"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ulrt import specfun
 from ulrt.errors import DomainError, NumericError
+from ulrt.power import power_classical
 from ulrt.specfun import (
     chi2_cdf,
     chi2_pdf,
@@ -262,6 +263,93 @@ def test_noncentral_rejects_negative():
         noncentral_chi2_cdf(-1.0, 2, 1.0)
     with pytest.raises(DomainError):
         noncentral_chi2_cdf(1.0, 2, -1.0)
+
+
+# noncentral CDF against scipy: truncation at ABS_TOL, plus the rounding of
+# the log-space prefactors exp(-s + a ln s - lgamma(a + 1)), whose terms grow
+# like d + lambda; twice that, since the worst case seen was 0.74 of it
+def noncentral_tolerance(d: int, lam: float) -> float:
+    return 2.0 * (specfun.ABS_TOL + 1e-15 * (d + lam))
+
+
+def assert_noncentral_matches_scipy(ds, lams):
+    stats = pytest.importorskip("scipy.stats")
+    for d in ds:
+        for lam in lams:
+            mean, sd = d + lam, math.sqrt(2.0 * (d + 2.0 * lam))
+            for z in range(-8, 9):
+                x = mean + z * sd
+                if x <= 0.0:
+                    continue
+                mine = noncentral_chi2_cdf(x, d, lam)
+                oracle = float(stats.ncx2.cdf(x, d, lam))
+                assert abs(mine - oracle) <= noncentral_tolerance(d, lam), (x, d, lam, mine, oracle)
+
+
+def test_noncentral_matches_scipy_grid():
+    assert_noncentral_matches_scipy((1, 2, 10, 100, 1000), [10.0**e for e in range(-3, 6)])
+
+
+def per_term_mixture(x: float, d: int, lam: float, terms: int = 200) -> float:
+    """The Poisson mixture with one central CDF per term, summed from k = 0."""
+    half = 0.5 * lam
+    return math.fsum(
+        math.exp(-half + k * math.log(half) - math.lgamma(k + 1)) * chi2_cdf(x, d + 2 * k)
+        for k in range(terms)
+    )
+
+
+def test_noncentral_recurrence_matches_per_term_mixture(monkeypatch):
+    # a far smaller truncation leaves only the recurrence's rounding
+    monkeypatch.setattr(specfun, "ABS_TOL", 1e-16)
+    for d in (1, 2, 3, 10, 50):
+        for lam in (0.01, 0.5, 1.0, 3.0, 10.0, 30.0):
+            mean, sd = d + lam, math.sqrt(2.0 * (d + 2.0 * lam))
+            for z in (-3, -2, -1, 0, 1, 2, 4, 8):
+                x = mean + z * sd
+                if x > 0.0:
+                    mine = noncentral_chi2_cdf(x, d, lam)
+                    assert mine == pytest.approx(per_term_mixture(x, d, lam), abs=2e-14)
+
+
+def test_noncentral_underflowing_start_term():
+    # the intersection test's lower edge at theta_norm = 1.5, n = 1000: the
+    # incomplete gamma at the Poisson mode underflows to 0
+    x, d, lam = 186.7, 2, 2250.0
+    assert specfun._chi2_cdf_sf(x, d + 2 * int(lam / 2))[0] == 0.0
+    value = noncentral_chi2_cdf(x, d, lam)
+    assert 0.0 <= value <= specfun.ABS_TOL
+    stats = pytest.importorskip("scipy.stats")
+    assert value == pytest.approx(float(stats.ncx2.cdf(x, d, lam)), abs=specfun.ABS_TOL)
+
+
+# values frozen from scipy 1.17.1 (chi2.isf, ncx2.cdf); every call raised
+# NumericError while the iteration budgets were fixed
+def test_large_shape_quantiles_converge():
+    assert chi2_upper_quantile(0.5, 10**4) == pytest.approx(9999.333341235144, rel=1e-9)
+    assert chi2_upper_quantile(0.5, 10**5) == pytest.approx(99999.33333412347, rel=1e-9)
+    assert chi2_upper_quantile(0.1, 10**6) == pytest.approx(1001812.8153150163, rel=1e-9)
+
+
+def test_large_noncentrality_converges():
+    value = noncentral_chi2_cdf(100500.0, 2, 1e5)
+    assert value == pytest.approx(0.7846529617832639, abs=noncentral_tolerance(2, 1e5))
+    assert power_classical(1.0, 10**5, 2, 0.1).value == 1.0
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("d", [1, 2, 5, 10, 100, 1000, 10**4])
+def test_noncentral_sweep(d):
+    assert_noncentral_matches_scipy((d,), [10.0**e for e in range(-3, 7)])
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("d", [1, 2, 10, 100, 1000, 10**4, 10**5, 10**6])
+def test_quantile_sweep(d):
+    stats = pytest.importorskip("scipy.stats")
+    for alpha in (0.5, 0.1, 1e-6, 1e-100, math.exp(-699.0)):
+        oracle = float(stats.chi2.isf(alpha, d))
+        assert chi2_upper_quantile(alpha, d) == pytest.approx(oracle, rel=10 * specfun.REL_TOL)
 
 
 # ---------------------------------------------------------------------------
