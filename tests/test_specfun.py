@@ -323,6 +323,15 @@ def test_noncentral_underflowing_start_term():
     assert value == pytest.approx(float(stats.ncx2.cdf(x, d, lam)), abs=specfun.ABS_TOL)
 
 
+@pytest.mark.parametrize("lam", [1e2, 1e3, 3e4, 1e5, 1e6])
+def test_noncentral_far_right_tail_is_exactly_one(lam):
+    # the sum is divided by the summed Poisson mass, so neither truncation nor
+    # rounding in the mode weight (1e-10 relative at lambda = 1e5) shows
+    for d in (1, 10):
+        x = d + lam + 40.0 * math.sqrt(2.0 * (d + 2.0 * lam))
+        assert noncentral_chi2_cdf(x, d, lam) == 1.0
+
+
 # values frozen from scipy 1.17.1 (chi2.isf, ncx2.cdf); every call raised
 # NumericError while the iteration budgets were fixed
 def test_large_shape_quantiles_converge():
