@@ -4,14 +4,19 @@ Everything here is exact batch arithmetic.  ``batch_fisher_yates`` is the one
 partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
 stream key, the subsampling and Monte Carlo paths with many.  ``split_means``
 draws the same subsets and sums each one's rows in draw order, so that the
-means of a batch of splits are a function of the code alone.  Both loops are
-C (``_subsets.c``, next to this file): the first call compiles it with
-``cc -O3 -shared -fPIC`` into the per-user cache ``$XDG_CACHE_HOME/ulrt``
+means of a batch of splits are a function of the code alone.  Three loops are
+C (``_subsets.c``, next to this file): those two, and the polar trial scan of
+:func:`ulrt.rng.batch_normals`.  The first call compiles the source with
+``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused multiply-add, so every
+product rounds as in numpy) into the per-user cache ``$XDG_CACHE_HOME/ulrt``
 (default ``~/.cache/ulrt``), keyed by a checksum of the source and the build
 command, and loads it with :mod:`ctypes`, which releases the GIL while a loop
 runs.  Without a compiler, or when the build or the load fails, the numpy
-loops ``_numpy_fisher_yates`` and ``_numpy_split_sums`` give the same bytes,
-and the process emits one ``RuntimeWarning`` that says so.
+loops ``_numpy_fisher_yates``, ``_numpy_split_sums`` and ``rng._polar`` give
+the same bytes, and the process emits one ``RuntimeWarning`` that says so.
+
+The splitmix64 finalizer on uint64 arrays, :func:`_finalize_array`, and its
+constants live here; :mod:`ulrt.rng` builds its streams on them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,24 @@ import warnings
 import numpy as np
 
 from .errors import DomainError
-from .rng import _U64_GOLDEN, _finalize_array
+
+_U64_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S30 = np.uint64(30)
+_S27 = np.uint64(27)
+_S31 = np.uint64(31)
+
+
+def _finalize_array(z: np.ndarray) -> np.ndarray:
+    """Vectorized splitmix64 finalizer, in place; ``z`` must be uint64."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
 
 #: Rows shuffled together by :func:`_numpy_fisher_yates`.  Blocking bounds
 #: the working set of the k steps (4 MB of swap targets and 4 MB of
@@ -33,7 +55,7 @@ from .rng import _U64_GOLDEN, _finalize_array
 _FY_BLOCK = 1024
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_subsets.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 #: Held while the first call builds and loads the library, so that the
 #: engine's worker threads build it once.
 _LOAD_LOCK = threading.Lock()
@@ -137,10 +159,13 @@ def _load_compiled():
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
             lib.ulrt_fisher_yates.argtypes = [ptr, i64, i64, i64, ptr, ptr]
             lib.ulrt_split_sums.argtypes = [ptr, i64, i64, i64, i64, ptr, i64, ptr, ptr]
-            lib.ulrt_fisher_yates.restype = lib.ulrt_split_sums.restype = None
+            lib.ulrt_polar.argtypes = [ptr, i64, i64, ptr, ptr]
+            for fn in (lib.ulrt_fisher_yates, lib.ulrt_split_sums, lib.ulrt_polar):
+                fn.restype = None
             return lib
     warnings.warn(
-        f"ulrt draws subsets and sums splits with the numpy loops, not the compiled ones: {reason}",
+        "ulrt draws normals and subsets and sums splits with the numpy loops, "
+        f"not the compiled ones: {reason}",
         RuntimeWarning,
         stacklevel=4,
     )

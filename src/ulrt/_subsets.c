@@ -1,11 +1,14 @@
-/* Partial Fisher-Yates subset draws and split sums, one row per stream key.
+/* Partial Fisher-Yates subset draws, split sums and polar trials, one row
+ * per stream key.
  *
- * The compiled form of ulrt._kernels._numpy_fisher_yates and
- * ulrt._kernels._numpy_split_sums: the same splitmix64 draws, the same swaps
- * and the same additions in the same order, so the results are identical.
- * The Python wrappers check their arguments and pass contiguous buffers:
- * keys[rows], perm[n] (scratch), out[rows * k], data[C * n * d] and
- * sums[rows * d].
+ * The compiled form of ulrt._kernels._numpy_fisher_yates,
+ * ulrt._kernels._numpy_split_sums and the trial scan of ulrt.rng._polar: the
+ * same splitmix64 draws, the same swaps, the same additions in the same order
+ * and the same accepted trials, so the results are identical.  Built with
+ * -ffp-contract=off, so that u * u + v * v rounds twice, as in numpy.  The
+ * Python wrappers check their arguments and pass contiguous buffers:
+ * keys[rows], perm[n] (scratch), out[rows * k], data[C * n * d],
+ * sums[rows * d], and for the trials out[rows * count] and s[rows * pairs].
  */
 #include <stdint.h>
 #include <string.h>
@@ -102,5 +105,47 @@ void ulrt_split_sums(const uint64_t *keys, int64_t rows, int64_t B, int64_t n, i
         memcpy(sums, x + (int64_t)perm[0] * d, (size_t)d * sizeof(double));
         for (int64_t i = 1; i < k; i += tile)
             add_all_columns(x, d, perm + i, k - i < tile ? k - i : tile, sums);
+    }
+}
+
+/* The raw draw at the Weyl point z, mapped to [-1, 1): (double)z * 2^-63 - 1,
+ * without the branch on the top bit that x86-64 compiles (double)z to.  A z
+ * with the top bit set is halved, keeping the shifted-out bit sticky, and
+ * scaled by 2^-62 in place of 2^-63: that rounds as the direct conversion,
+ * and the power-of-two scales are exact. */
+static inline double signed_unit(uint64_t z)
+{
+    static const double scale[2] = {0x1p-63, 0x1p-62};
+    z = finalize(z);
+    uint64_t top = z >> 63;
+    int64_t x = (int64_t)((z >> top) | (z & top));
+    return (double)x * scale[top] - 1.0;
+}
+
+/* Row r scans the polar trials of keys[r] until it holds pairs =
+ * ceil(count / 2) accepted ones.  Trial i reads the draws at key + (2i + 1) *
+ * golden and key + (2i + 2) * golden, and is accepted when 0 < s = u * u +
+ * v * v < 1.  The j-th accepted trial leaves u in out[2j], v in out[2j + 1]
+ * (dropped when 2j + 1 = count) and s in s[j]; the caller scales each pair
+ * by sqrt(-2 log(s) / s).  Every trial is written, and the next one
+ * overwrites it unless the accept bit moved j on, so that the unpredictable
+ * acceptance takes no branch. */
+void ulrt_polar(const uint64_t *keys, int64_t rows, int64_t count, double *restrict out,
+                double *restrict s)
+{
+    const uint64_t golden = 0x9E3779B97F4A7C15ULL;
+    int64_t pairs = (count + 1) / 2, full = count / 2;
+    for (int64_t r = 0; r < rows; r++, out += count, s += pairs) {
+        uint64_t z = keys[r];
+        for (int64_t j = 0; j < pairs;) {
+            double u = signed_unit(z += golden);
+            double v = signed_unit(z += golden);
+            double t = u * u + v * v;
+            out[2 * j] = u;
+            if (j < full)
+                out[2 * j + 1] = v;
+            s[j] = t;
+            j += (t < 1.0) & (t > 0.0);
+        }
     }
 }

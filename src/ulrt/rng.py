@@ -11,30 +11,30 @@ gives a tree of streams keyed by their path.
 The mixing function is the splitmix64 finalizer over a Weyl sequence; all
 integer arithmetic is exact 64-bit wrapping arithmetic, identical on every
 platform.  Normals come from one batched polar draw, :func:`batch_normals`,
-over ``(C,)`` uint64 key arrays.  Their bytes depend on the ``np.log`` loop
-numpy dispatches to on the running CPU: its AVX-512 loop rounds some logs
-differently from glibc's libm.
+over ``(C,)`` uint64 key arrays.  Its trial scan (draws, the map to [-1, 1)
+and the accept/reject test) is a compiled loop of :mod:`ulrt._kernels`, with
+the numpy loop :func:`_polar` as its fallback; both give the same bytes.  The
+``sqrt(-2 log(s) / s)`` factors stay in numpy, so the bytes depend on the
+``np.log`` loop numpy dispatches to on the running CPU: its AVX-512 loop
+rounds some logs differently from glibc's libm.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+from ._kernels import _U64_GOLDEN, _finalize_array
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SUBSALT = 0xD1B54A32D192ED03
 
-_U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_SUBSALT = np.uint64(_SUBSALT)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
 
 
 def _finalize(z: int) -> int:
@@ -45,16 +45,6 @@ def _finalize(z: int) -> int:
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
-    return z
-
-
-def _finalize_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer, in place; ``z`` must be uint64."""
-    z ^= z >> _S30
-    z *= _MIX1
-    z ^= z >> _S27
-    z *= _MIX2
-    z ^= z >> _S31
     return z
 
 
@@ -72,9 +62,11 @@ def _child_keys(key, indices: np.ndarray) -> np.ndarray:
     return _finalize_array(salted + np.asarray(key, dtype=np.uint64))
 
 
-#: Trials per block of rows in :func:`batch_normals`.  A worker thread holds
-#: about ten ``(rows, trials)`` temporaries of its block: 0.3 MB at 2**12,
-#: where 2**14 added 5% to the peak RSS of the B = 1 benchmark workload.
+#: Trials per block of rows in :func:`batch_normals`.  The numpy loop holds
+#: about ten ``(rows, trials)`` temporaries of its block per worker thread:
+#: 0.3 MB at 2**12, where 2**14 added 5% to the peak RSS of the B = 1
+#: benchmark workload.  The compiled loop takes blocks of as many rows as
+#: hold 2**12 accepted trials.
 _TRIAL_BLOCK = 1 << 12
 
 
@@ -83,13 +75,39 @@ def batch_normals(keys: np.ndarray, count: int) -> np.ndarray:
     ``c`` from the stream with key ``keys[c]``.  Trial ``i`` of a stream
     consumes its raw draws ``2i`` and ``2i + 1``; accepted trials yield two
     normals each, in trial order, so a row is a pure function of its key.
+
+    The compiled loop ``ulrt_polar`` scans the trials and leaves each row's
+    first ``ceil(count / 2)`` accepted ``(u, v)`` and ``s``; numpy then
+    scales them by ``sqrt(-2 log(s) / s)``.  That ``np.log`` ties the bytes
+    to numpy's CPU dispatch, as in the numpy fallback :func:`_polar`.
     """
-    if count < 0:
-        raise DomainError("count must be nonnegative")
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise DomainError(f"count must be a nonnegative integer, got {count!r}")
+    count = int(count)
+    keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1)
     pairs = (count + 1) // 2
-    # acceptance rate is pi/4; oversize by ~5 sigma so that redraws are rare
-    trials = int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16
-    return _polar(np.asarray(keys, dtype=np.uint64).reshape(-1), count, trials)
+    lib = _kernels._compiled()
+    if lib is None:
+        # acceptance rate is pi/4; oversize by ~5 sigma so that redraws are rare
+        trials = int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16
+        return _polar(keys, count, trials)
+    out = np.empty((keys.size, count))
+    if pairs == 0:
+        return out
+    step = max(1, _TRIAL_BLOCK // pairs)
+    s = np.empty((min(step, keys.size), pairs))
+    factor = np.empty_like(s)
+    for lo in range(0, keys.size, step):
+        rows = out[lo : lo + step]
+        m = rows.shape[0]
+        lib.ulrt_polar(keys[lo:].ctypes.data, m, count, rows.ctypes.data, s.ctypes.data)
+        f = np.log(s[:m], out=factor[:m])
+        f *= -2.0
+        f /= s[:m]
+        np.sqrt(f, out=f)
+        rows[:, 0::2] *= f
+        rows[:, 1::2] *= f[:, : count // 2]
+    return out
 
 
 def _signed_unit(z: np.ndarray) -> np.ndarray:

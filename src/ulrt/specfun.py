@@ -35,6 +35,12 @@ MAX_ITER = 500
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
 
+#: :func:`chi2_upper_quantile` results by ``(alpha, d, MAX_ITER, REL_TOL)``:
+#: the closed-form power and threshold tests ask for the same few quantiles
+#: on every call.  A plain dict, not ``functools.lru_cache``, so that the
+#: quantile stays a plain function.
+_QUANTILES: dict[tuple[float, int, int, float], float] = {}
+
 
 def _check_dim(d: int) -> None:
     if int(d) != d or d < 1:
@@ -144,11 +150,21 @@ def chi2_upper_quantile(alpha: float, d: int) -> float:
 
     Brackets the root with the Inglot bounds where they apply (d >= 2 and
     alpha <= 0.17), otherwise with a crude but safe envelope, and refines by
-    bisection on the survival function to :data:`REL_TOL`.
+    bisection on the survival function to :data:`REL_TOL`.  Results are
+    memoized per ``(alpha, d)`` and convergence targets; errors are not.
     """
     _check_dim(d)
     if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    key = (float(alpha), int(d), MAX_ITER, REL_TOL)
+    quantile = _QUANTILES.get(key)
+    if quantile is None:
+        quantile = _QUANTILES[key] = _bisect_quantile(alpha, d)
+    return quantile
+
+
+def _bisect_quantile(alpha: float, d: int) -> float:
+    """:func:`chi2_upper_quantile` for checked arguments, not memoized."""
     log_inv = -math.log(alpha)
     if log_inv > MAX_LOG_INV_ALPHA:
         raise NumericError(

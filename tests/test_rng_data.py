@@ -84,17 +84,103 @@ def test_batch_normals_rows_equal_one_row_draws(rows, count):
         assert np.array_equal(z[r], stream.substream(r).normals(count))
 
 
+def _bits(z):
+    return z.view(np.uint64)
+
+
+def _numpy_polar(keys, count):
+    """``rng._polar`` with the trials ``batch_normals`` lays out for it."""
+    pairs = (count + 1) // 2
+    return rng_module._polar(keys, count, int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16)
+
+
+# 513 rows of 100001 normals would hold 410 MB, so that pair is left out; at
+# 2**12 accepted trials per block, 513 rows span 1, 1, 1, 2, 3, 257 and 513
+# blocks at the other counts
+_POLAR_SHAPES = pytest.mark.parametrize(
+    "rows,count",
+    [(rows, count) for rows in (1, 7, 513) for count in (0, 1, 2, 3, 17, 4097, 100001)
+     if rows * count <= 10**6],
+)
+
+
+@_POLAR_SHAPES
+def test_batch_normals_compiled_and_fallback_equal_numpy_polar(rows, count, monkeypatch):
+    """Bit for bit: the compiled trial loop, the numpy fallback and ``_polar``."""
+    keys = RngStream(44, rows).substream_keys(rows)
+    expected = _bits(_numpy_polar(keys, count))
+    monkeypatch.setattr(_kernels, "_loaded", [None])
+    fallback = batch_normals(keys, count)
+    assert fallback.shape == (rows, count) and np.array_equal(_bits(fallback), expected)
+    if _kernels._find_compiler() is None:
+        pytest.skip("no C compiler found")
+    monkeypatch.undo()
+    assert _kernels._compiled() is not None
+    compiled = batch_normals(keys, count)
+    assert compiled.shape == (rows, count) and compiled.flags.c_contiguous
+    assert np.array_equal(_bits(compiled), expected)
+
+
 @pytest.mark.parametrize("count", [1, 2, 17, 1000])
 def test_short_rows_are_redrawn_with_the_same_bytes(count):
     keys = RngStream(43).substream_keys(50)
     # 3 trials hold at most 3 accepted pairs, so every row with count > 6
     # and some with fewer take the redraw path
-    assert np.array_equal(rng_module._polar(keys, count, 3), batch_normals(keys, count))
+    assert np.array_equal(_bits(rng_module._polar(keys, count, 3)), _bits(batch_normals(keys, count)))
 
 
-def test_batch_normals_rejects_negative_count():
+def test_batch_normals_rejects_negative_count(monkeypatch):
+    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
     with pytest.raises(DomainError):
         batch_normals(RngStream(1).substream_keys(2), -1)
+
+
+@pytest.mark.parametrize("count", [2.0, "3", None])
+def test_batch_normals_rejects_non_integer_count(count, monkeypatch):
+    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
+    with pytest.raises(DomainError):
+        batch_normals(RngStream(1).substream_keys(2), count)
+
+
+def test_concurrent_draws_equal_the_serial_draw():
+    keys = RngStream(45).substream_keys(40)
+    expected = _bits(batch_normals(keys, 3001))
+    threads = 4
+    start = threading.Barrier(threads)
+    results = [None] * threads
+
+    def draw(i):
+        start.wait(timeout=30)
+        results[i] = batch_normals(keys, 3001)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=draw, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(np.array_equal(_bits(r), expected) for r in results)
+
+
+def test_fallback_without_compiler_warns_once_and_draws_same_normals(monkeypatch):
+    keys = RngStream(46).substream_keys(30)
+    expected = _bits(_numpy_polar(keys, 101))
+    monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = batch_normals(keys, 101)
+        second = batch_normals(keys[:1], 101)
+    assert _kernels._loaded == [None]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    message = str(caught[0].message)
+    assert "normals" in message and "numpy loop" in message
+    assert np.array_equal(_bits(first), expected) and np.array_equal(_bits(second), expected[:1])
 
 
 def test_normals_prefix_stable_and_reproducible():
@@ -338,7 +424,9 @@ def _refuse_foreign_call(*args):
 
 
 _REFUSING_LIBRARY = SimpleNamespace(
-    ulrt_fisher_yates=_refuse_foreign_call, ulrt_split_sums=_refuse_foreign_call
+    ulrt_fisher_yates=_refuse_foreign_call,
+    ulrt_split_sums=_refuse_foreign_call,
+    ulrt_polar=_refuse_foreign_call,
 )
 
 

@@ -372,5 +372,26 @@ def test_tolerance_budget_is_respected(monkeypatch):
         chi2_upper_quantile(0.1, 2)
 
 
+def test_quantile_is_memoized_per_convergence_target_and_errors_are_not(monkeypatch):
+    monkeypatch.setattr(specfun, "_QUANTILES", {})
+    evaluations = []
+    sf = specfun.chi2_sf
+    monkeypatch.setattr(specfun, "chi2_sf", lambda x, d: evaluations.append(x) or sf(x, d))
+    first = chi2_upper_quantile(0.05, 7)
+    assert evaluations
+    evaluations.clear()
+    assert chi2_upper_quantile(0.05, 7) is first
+    assert chi2_upper_quantile(np.float64(0.05), np.int64(7)) is first
+    assert evaluations == []
+    monkeypatch.setattr(specfun, "REL_TOL", 1e-6)
+    assert chi2_upper_quantile(0.05, 7) == pytest.approx(first, rel=1e-5)
+    assert evaluations
+    monkeypatch.setattr(specfun, "MAX_ITER", 3)
+    for _ in range(2):
+        with pytest.raises(NumericError):
+            chi2_upper_quantile(0.05, 7)
+    assert len(specfun._QUANTILES) == 2
+
+
 def test_default_max_log_inv_alpha_exported():
     assert specfun.MAX_LOG_INV_ALPHA == 700.0
