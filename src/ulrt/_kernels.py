@@ -5,15 +5,16 @@ partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
 stream key, the subsampling and Monte Carlo paths with many.  ``split_means``
 draws the same subsets and sums each one's rows in draw order, so that the
 means of a batch of splits are a function of the code alone.  Three loops are
-C (``_subsets.c``, next to this file): those two, and the polar trial scan of
-:func:`ulrt.rng.batch_normals`.  The first call compiles the source with
-``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused multiply-add, so every
-product rounds as in numpy) into the per-user cache ``$XDG_CACHE_HOME/ulrt``
-(default ``~/.cache/ulrt``), keyed by a checksum of the source and the build
-command, and loads it with :mod:`ctypes`, which releases the GIL while a loop
-runs.  Without a compiler, or when the build or the load fails, the numpy
-loops ``_numpy_fisher_yates``, ``_numpy_split_sums`` and ``rng._polar`` give
-the same bytes, and the process emits one ``RuntimeWarning`` that says so.
+C (``_subsets.c``, next to this file): those two, and ``_polar_trials``, the
+polar trial scan of :func:`ulrt.rng.batch_normals`.  The first call compiles
+the source with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused
+multiply-add, so every product rounds as in numpy) into the per-user cache
+``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``), keyed by a checksum of
+the source and the build command, and loads it with :mod:`ctypes`, which
+releases the GIL while a loop runs.  Without a compiler, or when the build or
+the load fails, the numpy loops ``_numpy_fisher_yates``, ``_numpy_split_sums``
+and ``_numpy_polar`` give the same bytes, and the process emits one
+``RuntimeWarning`` that says so.  No other module picks between the two.
 
 The splitmix64 finalizer on uint64 arrays, :func:`_finalize_array`, and its
 constants live here; :mod:`ulrt.rng` builds its streams on them.
@@ -129,6 +130,18 @@ def split_means(data: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray,
         lib.ulrt_split_sums(keys.ctypes.data, keys.size, keys.shape[1], n, k,
                             data.ctypes.data, d, perm.ctypes.data, sums.ctypes.data)
     return sums / k, (data.sum(axis=1, keepdims=True) - sums) / (n - k)
+
+
+def _polar_trials(keys: np.ndarray, count: int, out: np.ndarray, s: np.ndarray) -> None:
+    """Row ``r`` of ``out`` and ``s`` gets the first accepted polar trials of
+    ``keys[r]``: unscaled ``u, v`` interleaved, and ``u * u + v * v``.  Private,
+    so that the benchmark's tracer leaves the scan in ``rng.batch_normals``."""
+    lib = _compiled()
+    if lib is not None:
+        return lib.ulrt_polar(keys.ctypes.data, keys.size, count, out.ctypes.data, s.ctypes.data)
+    pairs = s.shape[1]
+    # acceptance rate is pi/4; oversize by ~5 sigma so that redraws are rare
+    out[:], s[:] = _numpy_polar(keys, count, int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16)
 
 
 def _compiled():
@@ -257,6 +270,41 @@ def _numpy_split_sums(data: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     for i in range(1, k):
         sums += data[datasets, subsets[..., i]]
     return sums
+
+
+def _signed_unit(z: np.ndarray) -> np.ndarray:
+    """Raw draws at the Weyl points ``z``, mapped to [-1, 1)."""
+    u = _finalize_array(z).astype(np.float64)
+    u *= 2.0**-63
+    u -= 1.0
+    return u
+
+
+def _numpy_polar(keys: np.ndarray, count: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ulrt_polar`` in numpy, with ``trials`` trials laid out per row:
+    ``(out, s)`` as :func:`_polar_trials` leaves them.  A row with fewer than
+    ``ceil(count / 2)`` accepted trials is redrawn with twice as many."""
+    pairs = (count + 1) // 2
+    # Weyl points of the raw draws 2i; draw 2i + 1 is one golden step on
+    ctr = np.arange(1, 2 * trials, 2, dtype=np.uint64) * _U64_GOLDEN
+    u = _signed_unit(ctr + keys[:, None])
+    v = _signed_unit(ctr + (keys[:, None] + _U64_GOLDEN))
+    s = u * u
+    s += v * v
+    keep = (s > 0.0) & (s < 1.0)
+    counts = np.count_nonzero(keep, axis=1)
+    short = counts < pairs
+    keep[short] = False
+    # flat positions of each full row's first `pairs` accepted trials
+    full = counts[~short]
+    first = np.flatnonzero(keep)[(np.cumsum(full) - full)[:, None] + np.arange(pairs)]
+    out, s_out = np.empty((keys.size, count)), np.empty((keys.size, pairs))
+    out[~short, 0::2] = u.reshape(-1)[first]
+    out[~short, 1::2] = v.reshape(-1)[first][:, : count // 2]
+    s_out[~short] = s.reshape(-1)[first]
+    if short.any():
+        out[short], s_out[short] = _numpy_polar(keys[short], count, 2 * trials)
+    return out, s_out
 
 
 def log_mean_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -2,8 +2,8 @@
  * per stream key.
  *
  * The compiled form of ulrt._kernels._numpy_fisher_yates,
- * ulrt._kernels._numpy_split_sums and the trial scan of ulrt.rng._polar: the
- * same splitmix64 draws, the same swaps, the same additions in the same order
+ * ulrt._kernels._numpy_split_sums and ulrt._kernels._numpy_polar: the same
+ * splitmix64 draws, the same swaps, the same additions in the same order
  * and the same accepted trials, so the results are identical.  Built with
  * -ffp-contract=off, so that u * u + v * v rounds twice, as in numpy.  The
  * Python wrappers check their arguments and pass contiguous buffers:

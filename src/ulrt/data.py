@@ -219,7 +219,14 @@ def load_csv(path) -> SampleSet:
         header = next(reader, None)
         if not header or not all(h.strip().startswith("y") for h in header):
             raise DomainError(f"{path}: expected a header row y1..yd")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields under a header of {len(header)}")
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DomainError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DomainError(f"{path}: no observations")
     return SampleSet.from_values(np.asarray(rows, dtype=np.float64))

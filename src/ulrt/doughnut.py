@@ -28,7 +28,7 @@ from . import specfun
 from ._kernels import log_mean_exp, split_means, sq_norm
 from .data import SampleSet, SplitPair, part_size
 from .errors import DegenerateDirectionError, DomainError
-from .regions import log_threshold
+from .regions import _check_pair, log_threshold
 from .rng import RngStream
 
 DEFAULT_R_IN = 0.5
@@ -110,8 +110,7 @@ def intersection_power_exact(theta_norm: float, n: int, d: int, alpha: float) ->
 
 
 def _check_half_split(pair: SplitPair, n: int) -> None:
-    if pair.m0 + pair.m1 != n:
-        raise DomainError(f"pair covers {pair.m0 + pair.m1} observations, expected n={n}")
+    _check_pair(pair, n)
     if pair.m0 != pair.m1:
         raise DomainError("annulus tests are defined for half splits (p0 = 0.5, even n)")
 

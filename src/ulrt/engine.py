@@ -193,10 +193,11 @@ def build_spec(experiment_id: str, seed: int, **overrides) -> ExperimentSpec:
 
 
 def _check_counts(experiment_id: str, values: dict) -> None:
-    """Reject replication and split counts below 1 in axes or a grid cell."""
+    """Reject replication and split counts other than integers >= 1 in axes or grid cells."""
     for axis in ("reps", "replicates", "B"):
-        if axis in values and not (isinstance(values[axis], numbers.Real) and values[axis] >= 1):
-            raise DomainError(f"{experiment_id} needs {axis} >= 1, got {values[axis]!r}")
+        v = values.get(axis, 1)
+        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
+            raise DomainError(f"{experiment_id} needs {axis} >= 1, an integer, got {v!r}")
 
 
 def _grid_fig1(p: dict) -> list[dict]:

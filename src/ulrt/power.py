@@ -4,8 +4,8 @@ The null is rejected when the confidence set excludes the origin.  For the
 classical and limiting-subsampling spheres the rejection event depends on the
 data only through ``n ||mean||^2``, which is noncentral chi-squared, so power
 is available exactly (noncentral CDF) or via the large-noncentrality normal
-approximation.  The split, cross-fit, and finite-B subsampling tests have no
-tractable closed form and are estimated by Monte Carlo.
+approximation.  The split, cross-fit, and finite-B subsampling tests are
+estimated by Monte Carlo (the split test's power is also a 2-d integral).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ The mixing function is the splitmix64 finalizer over a Weyl sequence; all
 integer arithmetic is exact 64-bit wrapping arithmetic, identical on every
 platform.  Normals come from one batched polar draw, :func:`batch_normals`,
 over ``(C,)`` uint64 key arrays.  Its trial scan (draws, the map to [-1, 1)
-and the accept/reject test) is a compiled loop of :mod:`ulrt._kernels`, with
-the numpy loop :func:`_polar` as its fallback; both give the same bytes.  The
+and the accept/reject test) is :mod:`ulrt._kernels`' compiled loop, or its
+numpy twin ``_numpy_polar``; both give the same bytes.  The
 ``sqrt(-2 log(s) / s)`` factors stay in numpy, so the bytes depend on the
 ``np.log`` loop numpy dispatches to on the running CPU: its AVX-512 loop
 rounds some logs differently from glibc's libm.
@@ -62,11 +62,8 @@ def _child_keys(key, indices: np.ndarray) -> np.ndarray:
     return _finalize_array(salted + np.asarray(key, dtype=np.uint64))
 
 
-#: Trials per block of rows in :func:`batch_normals`.  The numpy loop holds
-#: about ten ``(rows, trials)`` temporaries of its block per worker thread:
-#: 0.3 MB at 2**12, where 2**14 added 5% to the peak RSS of the B = 1
-#: benchmark workload.  The compiled loop takes blocks of as many rows as
-#: hold 2**12 accepted trials.
+#: Accepted trials per block of rows in :func:`batch_normals`; the numpy twin
+#: holds about ten temporaries of ``1.27 * pairs + 16`` trials per block row.
 _TRIAL_BLOCK = 1 << 12
 
 
@@ -76,21 +73,15 @@ def batch_normals(keys: np.ndarray, count: int) -> np.ndarray:
     consumes its raw draws ``2i`` and ``2i + 1``; accepted trials yield two
     normals each, in trial order, so a row is a pure function of its key.
 
-    The compiled loop ``ulrt_polar`` scans the trials and leaves each row's
-    first ``ceil(count / 2)`` accepted ``(u, v)`` and ``s``; numpy then
-    scales them by ``sqrt(-2 log(s) / s)``.  That ``np.log`` ties the bytes
-    to numpy's CPU dispatch, as in the numpy fallback :func:`_polar`.
+    On row blocks of about 2**12 accepted trials, ``_kernels._polar_trials``
+    leaves each row's first ``ceil(count / 2)`` accepted ``(u, v)`` and ``s``,
+    and numpy scales them by ``sqrt(-2 log(s) / s)``.
     """
     if not isinstance(count, numbers.Integral) or count < 0:
         raise DomainError(f"count must be a nonnegative integer, got {count!r}")
     count = int(count)
     keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1)
     pairs = (count + 1) // 2
-    lib = _kernels._compiled()
-    if lib is None:
-        # acceptance rate is pi/4; oversize by ~5 sigma so that redraws are rare
-        trials = int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16
-        return _polar(keys, count, trials)
     out = np.empty((keys.size, count))
     if pairs == 0:
         return out
@@ -100,59 +91,13 @@ def batch_normals(keys: np.ndarray, count: int) -> np.ndarray:
     for lo in range(0, keys.size, step):
         rows = out[lo : lo + step]
         m = rows.shape[0]
-        lib.ulrt_polar(keys[lo:].ctypes.data, m, count, rows.ctypes.data, s.ctypes.data)
+        _kernels._polar_trials(keys[lo : lo + m], count, rows, s[:m])
         f = np.log(s[:m], out=factor[:m])
         f *= -2.0
         f /= s[:m]
         np.sqrt(f, out=f)
         rows[:, 0::2] *= f
         rows[:, 1::2] *= f[:, : count // 2]
-    return out
-
-
-def _signed_unit(z: np.ndarray) -> np.ndarray:
-    """Raw draws at the Weyl points ``z``, mapped to [-1, 1)."""
-    u = _finalize_array(z).astype(np.float64)
-    u *= 2.0**-63
-    u -= 1.0
-    return u
-
-
-def _polar(keys: np.ndarray, count: int, trials: int) -> np.ndarray:
-    """:func:`batch_normals` with ``trials`` trials laid out per row; a row
-    with fewer than ``ceil(count / 2)`` accepted trials is redrawn with
-    twice as many."""
-    out = np.empty((keys.size, count))
-    pairs = (count + 1) // 2
-    # Weyl points of the raw draws 2i; draw 2i + 1 is one golden step on
-    ctr = np.arange(1, 2 * trials, 2, dtype=np.uint64) * _U64_GOLDEN
-    step = max(1, _TRIAL_BLOCK // trials)
-    for lo in range(0, keys.size, step):
-        block = keys[lo : lo + step, None]
-        u = _signed_unit(ctr + block)
-        v = _signed_unit(ctr + (block + _U64_GOLDEN))
-        s = u * u
-        s += v * v
-        keep = s < 1.0
-        keep &= s > 0.0
-        counts = np.count_nonzero(keep, axis=1)
-        short = counts < pairs
-        keep[short] = False
-        # flat positions of each full row's first `pairs` accepted trials
-        full = counts[~short]
-        first = np.flatnonzero(keep)[(np.cumsum(full) - full)[:, None] + np.arange(pairs)]
-        s = s.reshape(-1)[first]
-        factor = np.log(s)
-        factor *= -2.0
-        factor /= s
-        np.sqrt(factor, out=factor)
-        u = u.reshape(-1)[first] * factor
-        v = v.reshape(-1)[first] * factor
-        rows = out[lo : lo + step]
-        rows[~short, 0::2] = u
-        rows[~short, 1::2] = v[:, : count // 2]
-        if short.any():
-            rows[short] = _polar(block[short, 0], count, 2 * trials)
     return out
 
 

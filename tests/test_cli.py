@@ -60,6 +60,24 @@ def test_region_import_path(tmp_path):
     assert float(classical["center_1"]) == pytest.approx(float(sample.mean[0]))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("y1,y2\n0.5,1.0\n3.0,abc\n", "line 3: could not convert string to float: 'abc'"),
+        ("y1,y2\n0.5,1.0\n2.0\n", "line 3: 1 fields under a header of 2"),
+    ],
+    ids=["not-a-number", "short-row"],
+)
+def test_region_import_malformed_csv_exits_2_naming_the_line(tmp_path, text, message):
+    source = tmp_path / "data.csv"
+    source.write_text(text)
+    out = tmp_path / "imported"
+    proc = run_cli(["region", "--import", str(source), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert f"{source} {message}" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_region_invalid_alpha_exits_2_without_output(tmp_path):
     out = tmp_path / "never"
     code = main(["region", "--alpha", "1.5", "--out", str(out)])
@@ -315,6 +333,21 @@ def test_experiment_spec_file_grid_count_below_one_exits_2(tmp_path, experiment_
     proc = run_cli(["experiment", "--spec-file", str(spec), "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reps", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("where", ["overrides", "grid"])
+def test_experiment_spec_file_non_integer_count_exits_2(tmp_path, where, reps):
+    cell = {"d": 2, "n": 100, "alpha": 0.1, "p0": 0.5, "reps": reps}
+    doc = {"experiment_id": "split_p0_fig3", "seed": 1}
+    doc.update({"grid": [cell]} if where == "grid" else {"overrides": {"reps": reps}})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    proc = run_cli(["experiment", "--spec-file", str(spec), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert f"needs reps >= 1, an integer, got {reps!r}" in proc.stderr
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from ulrt import engine
+from ulrt import _kernels, engine
 from ulrt.cli import main
 
 SEED = 20240601
@@ -68,8 +68,16 @@ def test_every_experiment_is_pinned():
     assert set(GOLDEN) == set(engine.EXPERIMENT_IDS)
 
 
-@pytest.mark.parametrize("experiment_id", sorted(GOLDEN))
-def test_golden_digest(experiment_id, tmp_path):
+@pytest.mark.parametrize(
+    "experiment_id,numpy_loops",
+    [pytest.param(e, False, id=e) for e in sorted(GOLDEN)]
+    + [pytest.param(e, True, id=f"{e}-numpy") for e in sorted(GOLDEN)],
+)
+def test_golden_digest(experiment_id, numpy_loops, tmp_path, monkeypatch):
+    """On the compiled loops and, with no library loaded, on their numpy
+    twins, which must give the same bytes."""
+    if numpy_loops:
+        monkeypatch.setattr(_kernels, "_loaded", [None])
     overrides, expected = GOLDEN[experiment_id]
     spec = engine.build_spec(experiment_id, SEED, **overrides)
     path = tmp_path / "rows.csv"

@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ulrt import _kernels, data
-from ulrt import rng as rng_module
 from ulrt._kernels import batch_fisher_yates, split_means
 from ulrt.errors import DomainError
 from ulrt.rng import _U64_GOLDEN, RngStream, _finalize_array, batch_normals
@@ -88,10 +87,11 @@ def _bits(z):
     return z.view(np.uint64)
 
 
-def _numpy_polar(keys, count):
-    """``rng._polar`` with the trials ``batch_normals`` lays out for it."""
-    pairs = (count + 1) // 2
-    return rng_module._polar(keys, count, int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16)
+def _polar_trials(keys, count):
+    """The raw ``(out, s)`` of the trial scan on the path ``_kernels`` picks."""
+    out, s = np.empty((keys.size, count)), np.empty((keys.size, (count + 1) // 2))
+    _kernels._polar_trials(keys, count, out, s)
+    return out, s
 
 
 # 513 rows of 100001 normals would hold 410 MB, so that pair is left out; at
@@ -106,19 +106,21 @@ _POLAR_SHAPES = pytest.mark.parametrize(
 
 @_POLAR_SHAPES
 def test_batch_normals_compiled_and_fallback_equal_numpy_polar(rows, count, monkeypatch):
-    """Bit for bit: the compiled trial loop, the numpy fallback and ``_polar``."""
+    """Bit for bit, through ``ulrt_polar`` and through its numpy twin: one raw
+    scan of all rows (the unscaled ``(u, v)`` pairs, whose last ``v`` an odd
+    count drops, and ``s``), and the draw in row blocks."""
     keys = RngStream(44, rows).substream_keys(rows)
-    expected = _bits(_numpy_polar(keys, count))
     monkeypatch.setattr(_kernels, "_loaded", [None])
-    fallback = batch_normals(keys, count)
-    assert fallback.shape == (rows, count) and np.array_equal(_bits(fallback), expected)
+    twin, fallback = _polar_trials(keys, count), batch_normals(keys, count)
+    assert fallback.shape == (rows, count) and np.all((twin[1] > 0.0) & (twin[1] < 1.0))
     if _kernels._find_compiler() is None:
         pytest.skip("no C compiler found")
     monkeypatch.undo()
     assert _kernels._compiled() is not None
     compiled = batch_normals(keys, count)
-    assert compiled.shape == (rows, count) and compiled.flags.c_contiguous
-    assert np.array_equal(_bits(compiled), expected)
+    assert compiled.flags.c_contiguous
+    for got, want in zip((*_polar_trials(keys, count), compiled), (*twin, fallback)):
+        assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("count", [1, 2, 17, 1000])
@@ -126,7 +128,8 @@ def test_short_rows_are_redrawn_with_the_same_bytes(count):
     keys = RngStream(43).substream_keys(50)
     # 3 trials hold at most 3 accepted pairs, so every row with count > 6
     # and some with fewer take the redraw path
-    assert np.array_equal(_bits(rng_module._polar(keys, count, 3)), _bits(batch_normals(keys, count)))
+    for got, want in zip(_kernels._numpy_polar(keys, count, 3), _polar_trials(keys, count)):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_batch_normals_rejects_negative_count(monkeypatch):
@@ -168,19 +171,19 @@ def test_concurrent_draws_equal_the_serial_draw():
 
 
 def test_fallback_without_compiler_warns_once_and_draws_same_normals(monkeypatch):
-    keys = RngStream(46).substream_keys(30)
-    expected = _bits(_numpy_polar(keys, 101))
+    keys = np.array([RngStream(2718, 28).key, *RngStream(46).substream_keys(29)], dtype=np.uint64)
     monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
     monkeypatch.setattr(_kernels, "_loaded", [])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = batch_normals(keys, 101)
-        second = batch_normals(keys[:1], 101)
+        first = batch_normals(keys, 1000)
+        second = batch_normals(keys[:1], 1000)
     assert _kernels._loaded == [None]
     assert [w.category for w in caught] == [RuntimeWarning]
     message = str(caught[0].message)
     assert "normals" in message and "numpy loop" in message
-    assert np.array_equal(_bits(first), expected) and np.array_equal(_bits(second), expected[:1])
+    assert hashlib.sha256(first[0].tobytes()).hexdigest() == NORMALS_SHA256[1000]
+    assert np.array_equal(_bits(second), _bits(first[:1]))
 
 
 def test_normals_prefix_stable_and_reproducible():
