@@ -24,7 +24,7 @@ from . import engine
 from . import power as pw
 from . import regions as rg
 from . import specfun
-from .data import load_csv, sample_gaussian, split, subsample_splits
+from .data import _write_csv, load_csv, sample_gaussian, split
 from .errors import DomainError, NumericError
 from .rng import RngStream
 
@@ -60,24 +60,6 @@ def _fmt12(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write_region_csv(path: Path, spheres) -> None:
-    d = spheres[0].d
-    header = ["kind"] + [f"center_{j + 1}" for j in range(d)] + ["sq_radius"]
-    lines = [",".join(header)]
-    for sphere in spheres:
-        lines.append(
-            ",".join([sphere.kind] + [repr(float(c)) for c in sphere.center] + [repr(sphere.sq_radius)])
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_boundary_csv(path: Path, boundary) -> None:
-    lines = ["angle,x,y"]
-    for phi, (x, y) in zip(boundary.angles, boundary.points):
-        lines.append(f"{float(phi)!r},{float(x)!r},{float(y)!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_region(args) -> int:
     alpha = args.alpha
     root = RngStream(args.seed)
@@ -87,34 +69,27 @@ def cmd_region(args) -> int:
         if args.d < 1 or args.n < 2:
             raise DomainError("need n >= 2 and d >= 1")
         sample = sample_gaussian(args.n, args.d, np.zeros(args.d), root.substream(0))
-    n = sample.n
     pair = split(sample, args.p0, root.substream(1))
-    split_reg = rg.split_region(pair, n, alpha)
     spheres = [
         rg.classical_region(sample, alpha),
-        split_reg,
+        rg.split_region(pair, sample.n, alpha),
         rg.limiting_subsampling_region(sample, alpha),
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_region_csv(out / "regions.csv", spheres)
+    _write_csv(
+        out / "regions.csv",
+        ["kind"] + [f"center_{j + 1}" for j in range(sample.d)] + ["sq_radius"],
+        ([sphere.kind, *sphere.center, sphere.sq_radius] for sphere in spheres),
+    )
 
     if sample.d == 2:
-        thresh = rg.log_threshold(alpha)
-        search = 10.0 * math.sqrt(split_reg.sq_radius)
-        cf_boundary = rg.region_boundary_2d(
-            rg.crossfit_member(pair, thresh), alpha, sample.mean,
-            args.rays, args.tol, search,
+        boundaries = rg.boundaries_2d(
+            sample, pair, alpha, args.rays, args.tol, root.substream(2).substream_keys(args.B)
         )
-        splits = subsample_splits(sample, args.B, args.p0, root.substream(2))
-        mean0 = np.stack([p.mean0 for p in splits])
-        mean1 = np.stack([p.mean1 for p in splits])
-        sub_boundary = rg.region_boundary_2d(
-            rg.subsampling_member(mean0, mean1, splits[0].m0, thresh),
-            alpha, sample.mean, args.rays, args.tol, search,
-        )
-        _write_boundary_csv(out / "boundary_crossfit.csv", cf_boundary)
-        _write_boundary_csv(out / "boundary_subsampling.csv", sub_boundary)
+        for kind, b in zip(("crossfit", "subsampling"), boundaries):
+            rows = np.column_stack((b.angles, b.points))
+            _write_csv(out / f"boundary_{kind}.csv", ["angle", "x", "y"], rows)
         print(f"wrote regions.csv, boundary_crossfit.csv, boundary_subsampling.csv to {out}")
     else:
         print(f"wrote regions.csv to {out} (boundary polygons need d = 2)")
@@ -178,16 +153,15 @@ def cmd_experiment(args) -> int:
     if workers is None:
         workers = _default_workers()
     dump = None
-    raw_lines: list[str] = []
+    raw_rows: list[tuple] = []
     if args.dump_raw:
         def dump(cell: int, name: str, lo: int, values: np.ndarray) -> None:
-            for i, v in enumerate(values):
-                raw_lines.append(f"{cell},{name},{lo + i},{float(v)!r}\n")
+            raw_rows.extend((cell, name, lo + i, v) for i, v in enumerate(values.tolist()))
     rows = engine.run(spec, workers=workers, dump=dump)
     out = Path(args.out) if args.out else Path(f"experiment_{spec.experiment_id}.csv")
     engine.rows_to_csv(rows, out)
     if args.dump_raw:
-        Path(args.dump_raw).write_text("cell,quantity,rep,value\n" + "".join(raw_lines))
+        _write_csv(args.dump_raw, ["cell", "quantity", "rep", "value"], raw_rows)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -285,7 +259,10 @@ def cmd_formula(args) -> int:
     fn, _ = _FORMULAS[args.name]
     result = fn(args)
     if args.json:
-        print(json.dumps(result))
+        # JSON has no NaN or infinity: a non-finite float is written as null
+        print(json.dumps({
+            k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in result.items()
+        }))
     else:
         for key, value in result.items():
             print(f"{key} = {_fmt12(value) if isinstance(value, float) else value}")

@@ -203,13 +203,29 @@ def replicate_split_means(
     return split_means(data, stream.substream_keys(lo, hi, child=1, grandchildren=B), k)
 
 
+def _fmt(value) -> str:
+    """One CSV field; a numpy scalar is written as the Python value it holds."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
+    return str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    """The package's one CSV writer: every field through :func:`_fmt`, ``\\n``
+    line ends, and a field holding a comma, quote or newline quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def save_csv(sample: SampleSet, path) -> None:
     """Write one observation per row with header ``y1..yd``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"y{j + 1}" for j in range(sample.d)])
-        for row in sample.values:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, [f"y{j + 1}" for j in range(sample.d)], sample.values)
 
 
 def load_csv(path) -> SampleSet:

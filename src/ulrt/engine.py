@@ -25,7 +25,6 @@ worker threads execute the chunks.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -42,6 +41,7 @@ from . import specfun
 from ._kernels import split_means, sq_norm
 from .data import (
     SampleSet,
+    _write_csv,
     part_size,
     replicate_split_means,
     sample_gaussian,
@@ -159,7 +159,10 @@ def _map_chunks(
 def _replicate(stream, reps, n, k, theta, B, reduce, workers, dump=None) -> dict[str, Accumulator]:
     """Fold ``reduce(mean0, mean1)`` over ``reps`` replications, where
     replication ``r`` draws from ``stream.substream(r)``; each chunk's
-    ``(C, B, d)`` means come from one :func:`ulrt.data.replicate_split_means`."""
+    ``(C, B, d)`` means come from one :func:`ulrt.data.replicate_split_means`.
+    A non-finite ``theta`` is refused: its statistics would be NaN, which never reject."""
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("theta must be finite")
 
     def run_chunk(lo: int, hi: int) -> dict:
         return reduce(*replicate_split_means(stream, lo, hi, n, k, theta, B))
@@ -196,8 +199,13 @@ def _check_counts(experiment_id: str, values: dict) -> None:
     """Reject replication and split counts other than integers >= 1 in axes or grid cells."""
     for axis in ("reps", "replicates", "B"):
         v = values.get(axis, 1)
-        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
+        if not (_is_integer(v) and v >= 1):
             raise DomainError(f"{experiment_id} needs {axis} >= 1, an integer, got {v!r}")
+
+
+def _is_integer(value) -> bool:
+    """An integer that is not a ``bool``: JSON's ``true`` and ``2.5`` are refused."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _grid_fig1(p: dict) -> list[dict]:
@@ -321,31 +329,23 @@ class _RunContext:
 
 
 def _exec_fig1(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    n, d, alpha, B = cell["n"], cell["d"], cell["alpha"], cell["B"]
-    sample = ctx.shared_sample(n, d)
+    n, alpha = cell["n"], cell["alpha"]
+    sample = ctx.shared_sample(n, cell["d"])
     stream = ctx.cell_stream(ci)
-    thresh = rg.log_threshold(alpha)
     pair = split(sample, 0.5, stream.substream(1))
-    split_reg = rg.split_region(pair, n, alpha)
-    classical = rg.classical_region(sample, alpha)
-    search = 10.0 * math.sqrt(split_reg.sq_radius)
-
-    keys = stream.substream(2).substream_keys(B)
-    k = part_size(n, 0.5)
-    mean0, mean1 = split_means(sample.values[None], keys[None], k)
-    sub_member = rg.subsampling_member(mean0[0], mean1[0], k, thresh)
-    cf_member = rg.crossfit_member(pair, thresh)
-
-    rows = []
-    base = {k_: cell[k_] for k_ in ("replicate", "n", "d", "alpha", "B")}
-    for kind, area in (
-        ("classical", math.pi * classical.sq_radius),
-        ("split", math.pi * split_reg.sq_radius),
-        ("crossfit", rg.region_boundary_2d(cf_member, alpha, sample.mean, cell["rays"], cell["tol"], search).polygon_area()),
-        ("subsampling", rg.region_boundary_2d(sub_member, alpha, sample.mean, cell["rays"], cell["tol"], search).polygon_area()),
-    ):
-        rows.append(SummaryRow(ctx.spec.experiment_id, dict(base, kind=kind), float(area), 0.0, 1))
-    return rows
+    crossfit, subsampling = rg.boundaries_2d(
+        sample, pair, alpha, cell["rays"], cell["tol"], stream.substream(2).substream_keys(cell["B"])
+    )
+    base = {k: cell[k] for k in ("replicate", "n", "d", "alpha", "B")}
+    return [
+        SummaryRow(ctx.spec.experiment_id, dict(base, kind=kind), float(area), 0.0, 1)
+        for kind, area in (
+            ("classical", math.pi * rg.classical_region(sample, alpha).sq_radius),
+            ("split", math.pi * rg.split_region(pair, n, alpha).sq_radius),
+            ("crossfit", crossfit.polygon_area()),
+            ("subsampling", subsampling.polygon_area()),
+        )
+    ]
 
 
 def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
@@ -495,11 +495,7 @@ def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     sample = ctx.shared_sample(n, d)
     stream = ctx.cell_stream(ci)
     pair = split(sample, p0, stream.substream(1))
-    thresh = rg.log_threshold(alpha)
-    search = 10.0 * math.sqrt(rg.split_region(pair, n, alpha).sq_radius)
-    boundary = rg.region_boundary_2d(
-        rg.crossfit_member(pair, thresh), alpha, sample.mean, cell["rays"], cell["tol"], search
-    )
+    boundary, _ = rg.boundaries_2d(sample, pair, alpha, cell["rays"], cell["tol"])
     pts = boundary.points
     diameter = 0.0
     if pts.shape[0] >= 2:
@@ -663,22 +659,10 @@ def coverage_suite(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
-
-
 def rows_to_csv(rows: list[SummaryRow], path) -> None:
     """Write SummaryRows with a header; column order is first-seen cell keys
-    followed by the estimate block, deterministic for a given spec.  A field
-    holding a comma, quote or newline is quoted, as :mod:`csv` does."""
+    followed by the estimate block, deterministic for a given spec.  Fields
+    are formatted and quoted by :func:`ulrt.data._write_csv`."""
     if not rows:
         raise DomainError("no rows to write")
     cell_cols: list[str] = []
@@ -687,14 +671,11 @@ def rows_to_csv(rows: list[SummaryRow], path) -> None:
             if key not in cell_cols:
                 cell_cols.append(key)
     columns = ["experiment"] + cell_cols + ["estimate", "stderr", "reps_used", "status"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            rendered = [row.experiment_id]
-            rendered += [_fmt(row.cell[c]) if c in row.cell else "" for c in cell_cols]
-            rendered += [_fmt(row.estimate), _fmt(row.stderr), str(row.reps_used), row.status]
-            writer.writerow(rendered)
+    _write_csv(path, columns, (
+        [row.experiment_id, *(row.cell.get(c, "") for c in cell_cols),
+         row.estimate, row.stderr, row.reps_used, row.status]
+        for row in rows
+    ))
 
 
 def load_spec_file(path) -> tuple[ExperimentSpec, int | None]:
@@ -709,19 +690,14 @@ def load_spec_file(path) -> tuple[ExperimentSpec, int | None]:
         raise DomainError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DomainError(f"{path}: expected a JSON object")
-    try:
-        experiment_id = doc["experiment_id"]
-        seed = int(doc["seed"])
-    except KeyError as exc:
-        raise DomainError(f"{path}: missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{path}: seed must be an integer") from exc
-    workers = doc.get("workers")
-    if workers is not None:
-        try:
-            workers = int(workers)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"{path}: workers must be an integer") from exc
+    for key in ("experiment_id", "seed"):
+        if key not in doc:
+            raise DomainError(f"{path}: missing required key {key!r}")
+    experiment_id, seed, workers = doc["experiment_id"], doc["seed"], doc.get("workers")
+    if not _is_integer(seed):
+        raise DomainError(f"{path}: seed must be an integer, got {seed!r}")
+    if workers is not None and not _is_integer(workers):
+        raise DomainError(f"{path}: workers must be an integer, got {workers!r}")
     if "grid" in doc:
         grid = doc["grid"]
         if not isinstance(grid, list) or not all(isinstance(c, dict) for c in grid):

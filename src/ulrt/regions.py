@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from ._kernels import log_mean_exp, sq_norm
+from ._kernels import log_mean_exp, split_means, sq_norm
 from .data import SampleSet, SplitPair
 from .errors import DomainError
 
@@ -434,3 +434,22 @@ def region_boundary_2d(
         failed_angles=angles[failed],
         alpha=alpha,
     )
+
+
+def boundaries_2d(
+    sample: SampleSet, pair: SplitPair, alpha: float, rays: int, tol: float, keys=None
+) -> tuple[Boundary2D, Boundary2D | None]:
+    """The cross-fit boundary of ``pair`` and the subsampling boundary of the
+    splits of size ``pair.m0`` drawn for the ``(B,)`` ``keys`` (``None``
+    without keys), each traced from the sample mean out to ten radii of the
+    split sphere of ``pair``."""
+    thresh = log_threshold(alpha)
+    search = 10.0 * math.sqrt(split_region(pair, sample.n, alpha).sq_radius)
+    members = [crossfit_member(pair, thresh)]
+    if keys is not None:
+        if len(keys) == 0:
+            raise DomainError("the subsampling boundary needs at least one split, B >= 1")
+        mean0, mean1 = split_means(sample.values[None], np.asarray(keys)[None], pair.m0)
+        members.append(subsampling_member(mean0[0], mean1[0], pair.m0, thresh))
+    traced = [region_boundary_2d(m, alpha, sample.mean, rays, tol, search) for m in members]
+    return traced[0], traced[1] if keys is not None else None

@@ -78,6 +78,22 @@ def test_region_import_malformed_csv_exits_2_naming_the_line(tmp_path, text, mes
     assert not out.exists()
 
 
+def test_region_without_subsampling_splits_exits_2(tmp_path):
+    out = tmp_path / "regions"
+    proc = run_cli(["region", "--B", "0", "--rays", "12", "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert "error: the subsampling boundary needs at least one split, B >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "boundary_subsampling.csv").exists()
+
+
+def test_region_files_end_lines_with_newline_only(tmp_path):
+    assert main(["region", "--rays", "12", "--B", "5", "--out", str(tmp_path)]) == 0
+    for name in ("regions.csv", "boundary_crossfit.csv", "boundary_subsampling.csv"):
+        raw = (tmp_path / name).read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw, name
+
+
 def test_region_invalid_alpha_exits_2_without_output(tmp_path):
     out = tmp_path / "never"
     code = main(["region", "--alpha", "1.5", "--out", str(out)])
@@ -200,6 +216,27 @@ def test_formula_json_mode(capsys):
     assert payload["domain_ok"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["ratio-bounds", "--log-inv-alpha", "1", "--d", "100000"], "upper"),
+        (["prob-leq4-bounds", "--alpha", "0.9", "--d", "1"], "lower"),
+    ],
+    ids=["nan", "-inf"],
+)
+def test_formula_json_writes_non_finite_values_as_null(capsys, argv, key):
+    assert main(["formula", *argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload[key] is None
+    assert all(v is None or not isinstance(v, float) or math.isfinite(v) for v in payload.values())
+    assert main(["formula", *argv]) == 0
+    assert f"{key} = {'nan' if key == 'upper' else '-inf'}" in capsys.readouterr().out
+
+
 def test_formula_intersect_power_matches_library(capsys):
     from ulrt.doughnut import intersection_power_exact
 
@@ -250,6 +287,21 @@ def test_experiment_spec_file_and_dump_raw(tmp_path):
         reps = [int(r["rep"]) for r in raw_rows if r["cell"] == cell]
         assert reps == list(range(120))
     assert {float(r["value"]) for r in raw_rows} <= {0.0, 1.0}
+
+
+def test_experiment_dump_raw_ends_lines_with_newline_only(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment_id": "split_p0_fig3", "seed": 4,
+        "overrides": {"ds": [2], "p0s": [0.5], "reps": 3},
+    }))
+    out, raw = tmp_path / "rows.csv", tmp_path / "raw.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out),
+                 "--dump-raw", str(raw)]) == 0
+    for path in (out, raw):
+        text = path.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text, path.name
+    assert raw.read_text().splitlines()[1].startswith("0,sq_radius,0,")
 
 
 def test_experiment_dump_raw_without_replications_writes_header_only(tmp_path):
@@ -348,6 +400,20 @@ def test_experiment_spec_file_non_integer_count_exits_2(tmp_path, where, reps):
     proc = run_cli(["experiment", "--spec-file", str(spec), "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
     assert f"needs reps >= 1, an integer, got {reps!r}" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("key", ["seed", "workers"])
+def test_experiment_spec_file_non_integer_seed_or_workers_exits_2(tmp_path, key, value):
+    doc = {"experiment_id": "ratio_bounds_fig4", "seed": 1, "overrides": {"ds": [10], "xs": [1.0]}}
+    doc[key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "rows.csv"
+    proc = run_cli(["experiment", "--spec-file", str(spec), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert f"{key} must be an integer, got {value!r}" in proc.stderr
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from ulrt.engine import (
     Accumulator,
     ExperimentSpec,
+    SummaryRow,
     build_spec,
     coverage_suite,
     load_spec_file,
@@ -228,6 +229,24 @@ def test_rows_to_csv_layout(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "experiment,d,x,log_inv_alpha,quantity,estimate,stderr,reps_used,status"
     assert all(line.startswith("ratio_bounds_fig4,") for line in lines[1:])
+
+
+def test_rows_to_csv_writes_numpy_scalars_as_python_values(tmp_path):
+    cell = {"p": np.float64(0.5), "k": np.int64(3), "ok": np.bool_(True), "flag": False}
+    rows = [SummaryRow("ratio_bounds_fig4", cell, np.float64(0.25), 0.0, 1)]
+    text = rows_as_text(rows, tmp_path, "out.csv")
+    assert text == (
+        "experiment,p,k,ok,flag,estimate,stderr,reps_used,status\n"
+        "ratio_bounds_fig4,0.5,3,true,false,0.25,0.0,1,ok\n"
+    )
+
+
+def test_non_finite_theta_cells_become_error_rows():
+    fig6 = run(build_spec("power_fig6", 2, ds=[2], lambdas=[math.nan], reps=20))
+    assert len(fig6) == 6
+    assert all(row.status == "error:DomainError" for row in fig6)
+    s4 = run(build_spec("hybrid_cases_figS4", 2, ds=[2], theta_norms=[math.nan], B=3, reps=5))
+    assert [row.status for row in s4] == ["error:DomainError"]
 
 
 def test_rows_to_csv_requires_rows(tmp_path):

@@ -121,6 +121,12 @@ def test_power_estimate_validation():
         PowerEstimate(0.5, -0.1, "monte_carlo")
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_mc_power_refuses_non_finite_theta(theta):
+    with pytest.raises(DomainError, match="theta must be finite"):
+        mc_power("split", [theta], 100, 0.1, reps=50, rng=RngStream(1))
+
+
 def test_mc_power_argument_validation():
     with pytest.raises(DomainError):
         mc_power("bogus", [0.0], 100, 0.1, reps=10, rng=RngStream(1))

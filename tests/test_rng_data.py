@@ -640,6 +640,15 @@ def test_csv_round_trip_exact(tmp_path):
     assert path.read_text().splitlines()[0] == "y1,y2,y3,y4"
 
 
+def test_save_csv_ends_lines_with_newline_only(tmp_path):
+    sample = data.sample_gaussian(3, 2, [0.0, 1.0], RngStream(22))
+    path = tmp_path / "sample.csv"
+    data.save_csv(sample, path)
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.count(b"\n") == 4
+    assert raw.splitlines()[1] == b",".join(repr(float(v)).encode() for v in sample.values[0])
+
+
 def test_csv_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n")
