@@ -75,24 +75,23 @@ def cmd_region(args) -> int:
         rg.split_region(pair, sample.n, alpha),
         rg.limiting_subsampling_region(sample, alpha),
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "regions.csv",
+    # every table is computed before any is written, so a failure writes none
+    tables = {"regions.csv": (
         ["kind"] + [f"center_{j + 1}" for j in range(sample.d)] + ["sq_radius"],
-        ([sphere.kind, *sphere.center, sphere.sq_radius] for sphere in spheres),
-    )
-
+        [[sphere.kind, *sphere.center, sphere.sq_radius] for sphere in spheres],
+    )}
     if sample.d == 2:
         boundaries = rg.boundaries_2d(
             sample, pair, alpha, args.rays, args.tol, root.substream(2).substream_keys(args.B)
         )
         for kind, b in zip(("crossfit", "subsampling"), boundaries):
-            rows = np.column_stack((b.angles, b.points))
-            _write_csv(out / f"boundary_{kind}.csv", ["angle", "x", "y"], rows)
-        print(f"wrote regions.csv, boundary_crossfit.csv, boundary_subsampling.csv to {out}")
-    else:
-        print(f"wrote regions.csv to {out} (boundary polygons need d = 2)")
+            tables[f"boundary_{kind}.csv"] = (["angle", "x", "y"], np.column_stack((b.angles, b.points)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    note = "" if sample.d == 2 else " (boundary polygons need d = 2)"
+    print(f"wrote {', '.join(tables)} to {out}{note}")
     return EXIT_OK
 
 

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -216,11 +219,21 @@ def _fmt(value) -> str:
 
 def _write_csv(path, header, rows) -> None:
     """The package's one CSV writer: every field through :func:`_fmt`, ``\\n``
-    line ends, and a field holding a comma, quote or newline quoted."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+    line ends, and a field holding a comma, quote or newline quoted.  The
+    rows go to a temporary file in the target directory, which replaces
+    ``path`` only once it is complete, so a failed write leaves no
+    truncated file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_csv(sample: SampleSet, path) -> None:

@@ -21,6 +21,17 @@ Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
 results are a pure function of ``(spec, master_seed)`` no matter how many
 worker threads execute the chunks.
+
+Scheduling rule: work goes to the thread pool only when it draws B > 1
+splits, whose subset draws and partition sums run in compiled loops that
+release the GIL.  So :func:`_replicate` pools the chunks of B > 1 cells only,
+fig2 pools its chunks of splits, and :func:`run` overlaps the cells of the
+presets marked ``split_batches`` (fig2, fig7 and S4).  Every other cell, and
+the chunks of every B = 1 cell, run on the calling thread, where threads
+would only contend for the GIL.  All pooled work goes through one ordered
+helper, :func:`_ordered`, onto one pool per worker count that the whole
+process shares: ``workers - 1`` threads, the waiting caller being the extra
+worker.  Rows stay in cell order and folds in chunk order.
 """
 
 from __future__ import annotations
@@ -28,9 +39,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -127,6 +140,59 @@ def _chunk_reps(n: int, d: int, B: int) -> int:
     return int(np.clip(2**27 // max(per_rep, 1), 1, 512))
 
 
+#: The shared pools, one per thread count, created on first use.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    with _POOLS_LOCK:
+        if threads not in _POOLS:
+            _POOLS[threads] = ThreadPoolExecutor(threads, thread_name_prefix="ulrt")
+        return _POOLS[threads]
+
+
+def _inline(task: Callable[[], object]) -> Future:
+    fut: Future = Future()
+    try:
+        fut.set_result(task())
+    except Exception as exc:
+        fut.set_exception(exc)
+    return fut
+
+
+def _ordered(tasks: list[Callable[[], object]], workers: int | None) -> Iterator:
+    """Yield each task's result (or raise its exception) in list order.
+
+    With ``workers > 1`` the tasks go to the shared pool of ``workers - 1``
+    threads.  While the caller waits for a result, it runs inline any task
+    of the list that no pool thread has started, so a task running in the
+    pool may itself call this helper without deadlock, and at most
+    ``workers`` tasks compute at once.  When a result raises, or the caller
+    stops early, the tasks not yet started are cancelled and the running
+    ones are waited for.
+    """
+    if workers is None or workers <= 1 or len(tasks) <= 1:
+        for task in tasks:
+            yield task()
+        return
+    pool = _pool(workers - 1)
+    futures = [pool.submit(task) for task in tasks]
+    try:
+        ahead = 0
+        for i in range(len(futures)):
+            ahead = max(ahead, i)
+            while ahead < len(futures) and not futures[i].done():
+                if futures[ahead].cancel():
+                    futures[ahead] = _inline(tasks[ahead])
+                ahead += 1
+            yield futures[i].result()
+    finally:
+        # a cancelled future counts as done only once a pool thread has
+        # dequeued it, so wait for the started ones alone
+        wait([fut for fut in futures if not fut.cancel()])
+
+
 def _map_chunks(
     reps: int,
     chunk: int,
@@ -134,25 +200,16 @@ def _map_chunks(
     workers: int | None,
     dump: Callable[[str, int, np.ndarray], None] | None = None,
 ) -> dict[str, Accumulator]:
-    """Run ``fn(lo, hi)`` over chunked replication ranges, in parallel when
-    ``workers`` allows, and fold the returned arrays in chunk order."""
+    """Run ``fn(lo, hi)`` over chunked replication ranges through
+    :func:`_ordered`, and fold the returned arrays in chunk order."""
     bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
     acc: dict[str, Accumulator] = {}
-
-    def fold(lo: int, out: dict) -> None:
+    tasks = [partial(fn, lo, hi) for lo, hi in bounds]
+    for (lo, _), out in zip(bounds, _ordered(tasks, workers)):
         for name, values in out.items():
             acc.setdefault(name, Accumulator()).fold(np.asarray(values, dtype=np.float64))
             if dump is not None:
                 dump(name, lo, np.asarray(values, dtype=np.float64))
-
-    if workers is None or workers <= 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            fold(lo, fn(lo, hi))
-        return acc
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
-        for (lo, _), fut in zip(bounds, futures):
-            fold(lo, fut.result())
     return acc
 
 
@@ -160,14 +217,16 @@ def _replicate(stream, reps, n, k, theta, B, reduce, workers, dump=None) -> dict
     """Fold ``reduce(mean0, mean1)`` over ``reps`` replications, where
     replication ``r`` draws from ``stream.substream(r)``; each chunk's
     ``(C, B, d)`` means come from one :func:`ulrt.data.replicate_split_means`.
-    A non-finite ``theta`` is refused: its statistics would be NaN, which never reject."""
+    Only B > 1 chunks go to the pool.  A non-finite ``theta`` is refused:
+    its statistics would be NaN, which never reject."""
     if not np.all(np.isfinite(theta)):
         raise DomainError("theta must be finite")
 
     def run_chunk(lo: int, hi: int) -> dict:
         return reduce(*replicate_split_means(stream, lo, hi, n, k, theta, B))
 
-    return _map_chunks(reps, _chunk_reps(n, theta.shape[0], B), run_chunk, workers, dump)
+    pooled = workers if B > 1 else None
+    return _map_chunks(reps, _chunk_reps(n, theta.shape[0], B), run_chunk, pooled, dump)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +369,22 @@ class _RunContext:
     workers: int | None
     dump: Callable[[int, str, int, np.ndarray], None] | None = None
     shared_cache: dict = field(default_factory=dict)
+    dump_buffers: dict = field(default_factory=dict)
 
     def cell_stream(self, cell_index: int) -> RngStream:
         return self.root.substream(1 + cell_index)
 
     def cell_dump(self, cell_index: int) -> Callable[[str, int, np.ndarray], None] | None:
+        """A cell's dump, buffered until :meth:`flush_dump`, so that cells
+        running at once in the pool still dump in cell order."""
         if self.dump is None:
             return None
-        return lambda name, lo, values: self.dump(cell_index, name, lo, values)
+        buffer = self.dump_buffers.setdefault(cell_index, [])
+        return lambda name, lo, values: buffer.append((name, lo, values))
+
+    def flush_dump(self, cell_index: int) -> None:
+        for entry in self.dump_buffers.pop(cell_index, ()):
+            self.dump(cell_index, *entry)
 
     def shared_sample(self, n: int, d: int) -> SampleSet:
         key = (n, d)
@@ -541,6 +608,9 @@ class Preset:
     build_grid: Callable[[dict], list[dict]]
     execute: Callable[[_RunContext, int, dict], list[SummaryRow]]
     axes: dict
+    #: Its cells draw B > 1 split batches, so :func:`run` overlaps them in
+    #: the shared pool; the cells of every other preset run on the caller.
+    split_batches: bool = False
 
 
 PRESETS = {
@@ -549,7 +619,7 @@ PRESETS = {
     )),
     "approx_fig2": Preset("2", _grid_fig2, _exec_fig2, dict(
         ds=(1, 20), ns=(1000, 10), B=20000, grid_points=21,
-    )),
+    ), split_batches=True),
     "split_p0_fig3": Preset("3", _grid_fig3, _exec_fig3, dict(
         ds=(1, 10, 100), n=1000, alpha=0.1, reps=1000, p0s=None,
     )),
@@ -566,7 +636,7 @@ PRESETS = {
     "doughnut_fig7": Preset("7", _grid_fig7, _exec_fig7, dict(
         ds=(2, 10), n=1000, alpha=0.1, B=100, reps=500,
         theta_norms=(0.0, 0.25, 0.45, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5),
-    )),
+    ), split_batches=True),
     "crossfit_p0_figS2": Preset("S2", _grid_figS2, _exec_figS2, dict(
         n=1000, d=2, alpha=0.1, p0s=(0.1, 0.3, 0.5, 0.7, 0.9), rays=180, tol=1e-5,
     )),
@@ -577,7 +647,7 @@ PRESETS = {
     "hybrid_cases_figS4": Preset("S4", _grid_figS4, _exec_figS4, dict(
         ds=(2, 10, 100), n=1000, alpha=0.1, B=100, reps=200,
         theta_norms=(0.0, 0.25, 0.45, 0.75, 1.1, 1.3, 1.5),
-    )),
+    ), split_batches=True),
 }
 
 EXPERIMENT_IDS = tuple(PRESETS)
@@ -596,20 +666,28 @@ def run(
 ) -> list[SummaryRow]:
     """Execute every grid cell; a numeric failure inside one cell yields a
     diagnostic row for that cell instead of aborting the run.  ``dump(cell,
-    name, rep, values)`` gets each chunk's values from replication ``rep`` on."""
+    name, rep, values)`` gets each chunk's values from replication ``rep`` on.
+    The cells of a ``split_batches`` preset overlap in the shared pool."""
     ctx = _RunContext(spec, RngStream(spec.master_seed), workers, dump)
     executor = _EXECUTORS[spec.experiment_id]
-    rows: list[SummaryRow] = []
-    for ci, cell in enumerate(spec.grid):
+
+    def cell_rows(ci: int, cell: dict) -> list[SummaryRow]:
         try:
-            rows.extend(executor(ctx, ci, dict(cell)))
+            return executor(ctx, ci, dict(cell))
         except (NumericError, DomainError, KeyError, TypeError, ValueError) as exc:
-            rows.append(
+            return [
                 SummaryRow(
                     spec.experiment_id, dict(cell), math.nan, math.nan, 0,
                     status=f"error:{type(exc).__name__}",
                 )
-            )
+            ]
+
+    tasks = [partial(cell_rows, ci, cell) for ci, cell in enumerate(spec.grid)]
+    pooled = workers if PRESETS[spec.experiment_id].split_batches else None
+    rows: list[SummaryRow] = []
+    for ci, cell_result in enumerate(_ordered(tasks, pooled)):
+        rows.extend(cell_result)
+        ctx.flush_dump(ci)
     return rows
 
 

@@ -107,14 +107,18 @@ class RngStream:
 
     ``substream(i)`` derives statistically independent child streams; the
     root of an experiment is conventionally ``RngStream(master_seed)``.
+    Both must lie in [0, 2**64): masking a value outside that range would
+    give two different seeds the same stream.
     """
 
     master_seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "master_seed", self.master_seed & _MASK64)
-        object.__setattr__(self, "stream_id", self.stream_id & _MASK64)
+        if not 0 <= self.master_seed <= _MASK64:
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.master_seed!r}")
+        if not 0 <= self.stream_id <= _MASK64:
+            raise DomainError(f"stream_id must be an integer in [0, 2**64), got {self.stream_id!r}")
 
     @property
     def key(self) -> int:

@@ -87,6 +87,15 @@ def test_region_without_subsampling_splits_exits_2(tmp_path):
     assert not (out / "boundary_subsampling.csv").exists()
 
 
+def test_failing_region_adds_no_file_to_out(tmp_path, capsys):
+    out = tmp_path / "regions"
+    out.mkdir()
+    (out / "keep.txt").write_text("earlier output\n")
+    assert main(["region", "--B", "0", "--rays", "12", "--out", str(out)]) == 2
+    assert "B >= 1" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+
 def test_region_files_end_lines_with_newline_only(tmp_path):
     assert main(["region", "--rays", "12", "--B", "5", "--out", str(tmp_path)]) == 0
     for name in ("regions.csv", "boundary_crossfit.csv", "boundary_subsampling.csv"):
@@ -415,6 +424,51 @@ def test_experiment_spec_file_non_integer_seed_or_workers_exits_2(tmp_path, key,
     assert proc.returncode == 2, proc.stderr
     assert f"{key} must be an integer, got {value!r}" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "rows.csv"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment_id": "ratio_prob_fig5", "seed": seed, "overrides": {"ds": [2], "reps": 10},
+    }))
+    for argv in (
+        ["figure", "5", "--d", "2", "--reps", "10", "--seed", str(seed), "--out", str(out)],
+        ["experiment", "--spec-file", str(spec), "--out", str(out)],
+        ["region", "--rays", "12", "--seed", str(seed), "--out", str(tmp_path / "region")],
+    ):
+        assert main(argv) == 2, argv
+        assert "must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+def test_seeds_at_both_ends_of_the_64_bit_range_run(tmp_path):
+    texts = []
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / f"{seed}.csv"
+        assert main(["figure", "5", "--d", "2", "--reps", "10", "--seed", str(seed),
+                     "--workers", "1", "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] != texts[1]
+
+
+def test_experiment_pooled_cells_give_the_same_bytes_at_every_worker_count(tmp_path):
+    spec = tmp_path / "spec.json"
+    # four subsampled cells (B > 1) of two chunks each, and four B = 1 or closed-form cells
+    spec.write_text(json.dumps({
+        "experiment_id": "doughnut_fig7", "seed": 31,
+        "overrides": {"ds": [2], "n": 100, "B": 5, "reps": 600, "theta_norms": [0.5, 1.2]},
+    }))
+    outputs = []
+    for workers in (1, 2, 3):
+        out, raw = tmp_path / f"rows{workers}.csv", tmp_path / f"raw{workers}.csv"
+        assert main(["experiment", "--spec-file", str(spec), "--workers", str(workers),
+                     "--out", str(out), "--dump-raw", str(raw)]) == 0
+        outputs.append((out.read_bytes(), raw.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    cells = [r["cell"] for r in csv.DictReader(outputs[0][1].decode().splitlines())]
+    assert cells == sorted(cells, key=int) and len(set(cells)) == 6
 
 
 def test_usage_error_exit_code():

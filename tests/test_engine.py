@@ -1,10 +1,13 @@
 """Experiment runner: determinism, aggregation, presets, failure isolation."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from ulrt import doughnut, engine
 from ulrt.engine import (
     Accumulator,
     ExperimentSpec,
@@ -15,7 +18,7 @@ from ulrt.engine import (
     rows_to_csv,
     run,
 )
-from ulrt.errors import DomainError
+from ulrt.errors import DomainError, NumericError
 from ulrt.rng import RngStream
 
 
@@ -56,10 +59,17 @@ def test_accumulator_se_proportion():
 
 
 def test_run_is_deterministic_across_worker_counts(tmp_path):
-    spec = build_spec("ratio_prob_fig5", 99, ds=[2], reps=600)
-    text1 = rows_as_text(run(spec, workers=1), tmp_path, "w1.csv")
-    text8 = rows_as_text(run(spec, workers=8), tmp_path, "w8.csv")
-    assert text1 == text8
+    specs = [
+        build_spec("ratio_prob_fig5", 99, ds=[2], reps=600),
+        # pooled cells, each with two chunks of B > 1 replications
+        build_spec("hybrid_cases_figS4", 99, ds=[2, 3], n=100, theta_norms=[0.0, 1.1], reps=600, B=5),
+        # pooled cells, each with two chunks of splits
+        build_spec("approx_fig2", 99, ds=[1, 3], ns=[10, 40], B=9000, grid_points=5),
+    ]
+    for spec in specs:
+        text1 = rows_as_text(run(spec, workers=1), tmp_path, "w1.csv")
+        text8 = rows_as_text(run(spec, workers=8), tmp_path, "w8.csv")
+        assert text1 == text8, spec.experiment_id
 
 
 def test_run_is_deterministic_across_invocations(tmp_path):
@@ -67,6 +77,60 @@ def test_run_is_deterministic_across_invocations(tmp_path):
     a = rows_as_text(run(spec, workers=2), tmp_path, "a.csv")
     b = rows_as_text(run(spec, workers=2), tmp_path, "b.csv")
     assert a == b
+
+
+def test_failing_pooled_cell_keeps_its_error_row_and_every_other_row(monkeypatch):
+    spec = build_spec("doughnut_fig7", 12, ds=[2, 3], n=100, theta_norms=[0.5, 1.2], reps=1100, B=5)
+    expected = run(spec, workers=1)
+    mc_reducer = doughnut.mc_reducer
+
+    def failing_reducer(method, n, k, d, *rest):
+        reduce = mc_reducer(method, n, k, d, *rest)
+        if (method, d) != ("subsampled_split", 3):
+            return reduce
+
+        def fail(mean0, mean1):
+            raise NumericError("injected")
+        return fail
+
+    monkeypatch.setattr(engine.dn, "mc_reducer", failing_reducer)
+    rows = run(spec, workers=2)
+    failed = [i for i, row in enumerate(rows) if row.status != "ok"]
+    assert [rows[i].status for i in failed] == ["error:NumericError"] * 2
+    assert {(rows[i].cell["method"], rows[i].cell["d"]) for i in failed} == {("subsampled_split", 3)}
+    assert len(rows) == len(expected)
+    for i, (row, want) in enumerate(zip(rows, expected)):
+        if i not in failed:
+            assert row == want
+
+
+def test_ordered_raises_in_list_order_and_cancels_the_tasks_not_started():
+    ran = []
+
+    def fail():
+        raise NumericError("first")
+
+    def record(i):
+        time.sleep(0.02)
+        ran.append(i)
+        return i
+
+    tasks = [fail] + [lambda i=i: record(i) for i in range(1, 10)]
+    with pytest.raises(NumericError, match="first"):
+        list(engine._ordered(tasks, 2))
+    settled = len(ran)
+    time.sleep(0.1)
+    assert len(ran) == settled < 9
+    assert list(engine._ordered([lambda i=i: record(i) for i in range(6)], 3)) == list(range(6))
+
+
+def test_repeated_pooled_runs_leave_one_shared_pool():
+    spec = build_spec("doughnut_fig7", 3, ds=[2], n=100, theta_norms=[0.5, 1.2], reps=4, B=5)
+    run(spec, workers=2)
+    before = threading.active_count()
+    for _ in range(20):
+        run(spec, workers=2)
+    assert threading.active_count() <= before + 1
 
 
 def test_different_seeds_differ():

@@ -649,6 +649,27 @@ def test_save_csv_ends_lines_with_newline_only(tmp_path):
     assert raw.splitlines()[1] == b",".join(repr(float(v)).encode() for v in sample.values[0])
 
 
+def test_write_interrupted_midway_leaves_no_truncated_csv(tmp_path, monkeypatch):
+    sample = data.sample_gaussian(50, 2, [0.0, 1.0], RngStream(23))
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("y1,y2\n1.0,2.0\n")
+    fmt, calls = data._fmt, []
+
+    def failing_fmt(value):
+        calls.append(value)
+        if len(calls) == 40:
+            raise OSError("disk full")
+        return fmt(value)
+
+    monkeypatch.setattr(data, "_fmt", failing_fmt)
+    for path in (kept, fresh):
+        calls.clear()
+        with pytest.raises(OSError, match="disk full"):
+            data.save_csv(sample, path)
+    assert kept.read_text() == "y1,y2\n1.0,2.0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
 def test_csv_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n")
