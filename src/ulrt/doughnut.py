@@ -86,7 +86,7 @@ def _intersection_rejects(
     means: np.ndarray, n: int, null: AnnulusNull, quantile: float
 ) -> np.ndarray:
     """Intersection-test rejections of a ``(C, d)`` stack of sample means."""
-    norms = np.sqrt(sq_norm(means, axis=-1))
+    norms = np.sqrt(sq_norm(means))
     gap = np.maximum(np.maximum(null.r_in - norms, norms - null.r_out), 0.0)
     return gap * gap > quantile / n
 
@@ -148,9 +148,9 @@ def _split_case_log_values(
 ) -> np.ndarray:
     """Vectorized split statistics; the projection distance is radial, so the
     zero-mean degenerate case needs no direction."""
-    norm0 = np.sqrt(sq_norm(mean0, axis=-1))
+    norm0 = np.sqrt(sq_norm(mean0))
     proj_gap = norm0 - np.clip(norm0, null.r_in, null.r_out)
-    delta = sq_norm(mean0 - mean1, axis=-1)
+    delta = sq_norm(mean0, mean1)
     return 0.25 * n * (proj_gap * proj_gap - delta)
 
 
@@ -158,9 +158,9 @@ def _ripr_case_log_values(
     mean0: np.ndarray, mean1: np.ndarray, n: int, null: AnnulusNull
 ) -> np.ndarray:
     """Vectorized RIPR statistics, for split means with ``||mean1|| > r_out``."""
-    norm1 = np.sqrt(sq_norm(mean1, axis=-1))
+    norm1 = np.sqrt(sq_norm(mean1))
     anchor = mean1 * (null.r_out / norm1)[..., None]
-    return 0.25 * n * (sq_norm(mean0 - anchor, axis=-1) - sq_norm(mean0 - mean1, axis=-1))
+    return 0.25 * n * (sq_norm(mean0, anchor) - sq_norm(mean0, mean1))
 
 
 def _hybrid_log_values(
@@ -168,7 +168,7 @@ def _hybrid_log_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized hybrid statistics and integer case codes (0 split, 1 unit,
     2 ripr) for stacks of split means."""
-    norm1 = np.sqrt(sq_norm(mean1, axis=-1))
+    norm1 = np.sqrt(sq_norm(mean1))
     values = np.zeros(norm1.shape)
     cases = np.ones(norm1.shape, dtype=np.int8)
     split_mask = norm1 < null.r_in

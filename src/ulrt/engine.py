@@ -42,7 +42,7 @@ import numbers
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -76,6 +76,7 @@ class ExperimentSpec:
             raise DomainError(f"unknown experiment_id {self.experiment_id!r}")
         if not self.grid:
             raise DomainError("experiment grid is empty")
+        _check_cells(self.experiment_id, self.grid)
 
 
 @dataclass
@@ -255,8 +256,8 @@ def build_spec(experiment_id: str, seed: int, **overrides) -> ExperimentSpec:
 
 
 def _check_counts(experiment_id: str, values: dict) -> None:
-    """Reject replication and split counts other than integers >= 1 in axes or grid cells."""
-    for axis in ("reps", "replicates", "B"):
+    """Reject counts and sizes other than integers >= 1 in axes or grid cells."""
+    for axis in ("reps", "replicates", "B", "d", "n", "rays", "grid_points"):
         v = values.get(axis, 1)
         if not (_is_integer(v) and v >= 1):
             raise DomainError(f"{experiment_id} needs {axis} >= 1, an integer, got {v!r}")
@@ -265,6 +266,48 @@ def _check_counts(experiment_id: str, values: dict) -> None:
 def _is_integer(value) -> bool:
     """An integer that is not a ``bool``: JSON's ``true`` and ``2.5`` are refused."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: What a cell value must be, by the type of the preset's own default value.
+_CELL_TYPES = {
+    "an integer": _is_integer,
+    "a real number": _is_real,
+    "a string": lambda v: isinstance(v, str),
+}
+
+
+@cache
+def _cell_schema(experiment_id: str) -> dict[str, str]:
+    """Each axis of a preset's cells and what its value must be, read off
+    the first cell of the preset's default grid."""
+    preset = PRESETS[experiment_id]
+    return {
+        key: next(kind for kind, check in _CELL_TYPES.items() if check(value))
+        for key, value in preset.build_grid(dict(preset.axes))[0].items()
+    }
+
+
+def _check_cells(experiment_id: str, grid) -> None:
+    """Refuse, before any cell runs, a cell that lacks one of the preset's
+    axes or gives one a value of the wrong type (``bool`` is no number).
+    Keys beyond the axes are kept: they become CSV columns that label the
+    cell's rows, and a misspelled axis still fails as a missing one."""
+    schema = _cell_schema(experiment_id)
+    for i, cell in enumerate(grid):
+        if not isinstance(cell, dict):
+            raise DomainError(f"{experiment_id} grid cell {i} is not a mapping: {cell!r}")
+        _check_counts(experiment_id, cell)
+        for key, kind in schema.items():
+            if key not in cell:
+                raise DomainError(f"{experiment_id} grid cell {i} lacks the axis {key!r}")
+            if not _CELL_TYPES[kind](cell[key]):
+                raise DomainError(
+                    f"{experiment_id} grid cell {i}: {key} must be {kind}, got {cell[key]!r}"
+                )
 
 
 def _grid_fig1(p: dict) -> list[dict]:
@@ -424,8 +467,9 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     offsets = np.linspace(-1.0, 1.0, points) * 2.0 / math.sqrt(n * d)
     cs = cbar + offsets
     thetas = cs[:, None] * np.ones(d)[None, :]
-    scaled_dist = np.sqrt(n * sq_norm(sample.mean[None, :] - thetas, axis=1))
-    analytic = np.exp((0.3 * n) * sq_norm(sample.mean[None, :] - thetas, axis=1)) * 0.4 ** (d / 2.0)
+    dist = sq_norm(thetas, sample.mean)
+    scaled_dist = np.sqrt(n * dist)
+    analytic = np.exp((0.3 * n) * dist) * 0.4 ** (d / 2.0)
 
     chunk = int(np.clip(2**27 // (16 * n), 256, 8192))
     parent = stream.substream(1)
@@ -566,8 +610,7 @@ def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     pts = boundary.points
     diameter = 0.0
     if pts.shape[0] >= 2:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        diameter = float(np.sqrt(sq_norm(diffs, axis=2)).max())
+        diameter = float(np.sqrt(sq_norm(pts[:, None, :], pts[None, :, :])).max())
     return [
         SummaryRow(ctx.spec.experiment_id, dict(cell, quantity="area"), boundary.polygon_area(), 0.0, 1),
         SummaryRow(ctx.spec.experiment_id, dict(cell, quantity="diameter"), diameter, 0.0, 1),
@@ -664,8 +707,9 @@ def run(
     workers: int | None = None,
     dump: Callable[[int, str, int, np.ndarray], None] | None = None,
 ) -> list[SummaryRow]:
-    """Execute every grid cell; a numeric failure inside one cell yields a
-    diagnostic row for that cell instead of aborting the run.  ``dump(cell,
+    """Execute every grid cell; a ``NumericError`` or ``DomainError`` inside
+    one cell yields a diagnostic row for that cell instead of aborting the
+    run (a malformed cell never gets here: the spec refuses it).  ``dump(cell,
     name, rep, values)`` gets each chunk's values from replication ``rep`` on.
     The cells of a ``split_batches`` preset overlap in the shared pool."""
     ctx = _RunContext(spec, RngStream(spec.master_seed), workers, dump)
@@ -674,7 +718,7 @@ def run(
     def cell_rows(ci: int, cell: dict) -> list[SummaryRow]:
         try:
             return executor(ctx, ci, dict(cell))
-        except (NumericError, DomainError, KeyError, TypeError, ValueError) as exc:
+        except (NumericError, DomainError) as exc:
             return [
                 SummaryRow(
                     spec.experiment_id, dict(cell), math.nan, math.nan, 0,
@@ -717,7 +761,7 @@ def coverage_suite(
         def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
             if method == "classical":
                 overall = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
-                covered = n * sq_norm(overall, axis=1) <= quantile
+                covered = n * sq_norm(overall) <= quantile
             else:
                 covered = rg.log_values(method, theta, mean0, mean1, k, n - k) < thresh
             return {"covered": covered.astype(np.float64)}
@@ -781,8 +825,6 @@ def load_spec_file(path) -> tuple[ExperimentSpec, int | None]:
         if not isinstance(grid, list) or not all(isinstance(c, dict) for c in grid):
             raise DomainError(f"{path}: grid must be a list of objects")
         spec = ExperimentSpec(experiment_id, tuple(grid), seed)
-        for cell in grid:
-            _check_counts(experiment_id, cell)
     else:
         overrides = doc.get("overrides", {})
         if not isinstance(overrides, dict):

@@ -79,7 +79,7 @@ class SphericalRegion:
         """Membership of one ``(d,)`` point as a ``bool``, or of each row of
         a ``(G, d)`` batch as a ``(G,)`` boolean array."""
         theta = np.asarray(theta, dtype=np.float64)
-        dist = sq_norm(theta - self.center)
+        dist = sq_norm(theta, self.center)
         inside = dist <= self.sq_radius if self.kind in self._CLOSED else dist < self.sq_radius
         return inside if theta.ndim > 1 else bool(inside)
 
@@ -145,8 +145,8 @@ def split_log_values(thetas, mean0: np.ndarray, mean1: np.ndarray, m0) -> np.nda
     or a ``(B,)`` array of them.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
-    dist = sq_norm(mean0 - thetas[..., None, :], axis=-1)
-    return 0.5 * m0 * (dist - sq_norm(mean0 - mean1, axis=-1))
+    dist = sq_norm(mean0, thetas[..., None, :])
+    return 0.5 * m0 * (dist - sq_norm(mean0, mean1))
 
 
 def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1=None) -> np.ndarray:
@@ -190,7 +190,7 @@ def split_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = No
 def split_sq_radius(mean0: np.ndarray, mean1: np.ndarray, m0: int, alpha: float) -> np.ndarray:
     """Squared radius ``(2/m0) ln(1/alpha) + ||mean0 - mean1||^2`` of the
     split sphere, over ``(..., d)`` part means with ``m0`` points in part 0."""
-    return (2.0 / m0) * log_threshold(alpha) + sq_norm(mean0 - mean1, axis=-1)
+    return (2.0 / m0) * log_threshold(alpha) + sq_norm(mean0, mean1)
 
 
 def split_region(pair: SplitPair, n: int, alpha: float) -> SphericalRegion:
@@ -377,7 +377,7 @@ class Boundary2D:
         return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
     def radii(self) -> np.ndarray:
-        return np.sqrt(sq_norm(self.points - self.center, axis=1))
+        return np.sqrt(sq_norm(self.points, self.center))
 
 
 def region_boundary_2d(

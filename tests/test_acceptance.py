@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ulrt import data, engine, regions, specfun
-from ulrt._kernels import split_means, sq_norm
+from ulrt._kernels import split_means
 from ulrt.doughnut import AnnulusNull, subsampled_doughnut_test
 from ulrt.power import mc_power, power_classical, power_limiting_subsampling
 from ulrt.rng import RngStream, batch_normals
@@ -71,8 +71,8 @@ def test_criterion_02_e_variable_bound():
             block = batch_normals(root.substream_keys(lo, hi, child=0), n * d).reshape(-1, n, d)
             keys = root.substream_keys(lo, hi, child=1, grandchildren=1)
             mean0, mean1 = split_means(block, keys, k)
-            delta = sq_norm(mean0[:, 0, :] - mean1[:, 0, :], axis=1)
-            log_t = 0.5 * k * (sq_norm(mean0[:, 0, :], axis=1) - delta)
+            delta = np.sum(np.square(mean0[:, 0, :] - mean1[:, 0, :]), axis=1)
+            log_t = 0.5 * k * (np.sum(np.square(mean0[:, 0, :]), axis=1) - delta)
             values[lo:hi] = np.exp(log_t)
         mc_se = values.std(ddof=1) / math.sqrt(reps)
         assert values.mean() <= 1.0 + 3.0 * mc_se, (values.mean(), mc_se)
@@ -153,7 +153,7 @@ def test_criterion_05_crossfit_containment_and_area():
             mean0, mean1 = split_means(block, keys, k)
             mean0, mean1 = mean0[:, 0, :], mean1[:, 0, :]
             overall = block.mean(axis=1)
-            delta = sq_norm(mean0 - mean1, axis=1)
+            delta = np.sum(np.square(mean0 - mean1), axis=1)
             ball_sq = (4.0 / n) * L + delta
             # probe cloud around the overall mean, scaled to the ball radius
             c = hi - lo
@@ -163,15 +163,15 @@ def test_criterion_05_crossfit_containment_and_area():
                 0.75 * np.sqrt(ball_sq)[:, None, None]
             )
             log_f = 0.5 * k * (
-                sq_norm(thetas - mean0[:, None, :], axis=2) - delta[:, None]
+                np.sum(np.square(thetas - mean0[:, None, :]), axis=2) - delta[:, None]
             )
             log_s = 0.5 * (n - k) * (
-                sq_norm(thetas - mean1[:, None, :], axis=2) - delta[:, None]
+                np.sum(np.square(thetas - mean1[:, None, :]), axis=2) - delta[:, None]
             )
             log_cf = np.logaddexp(log_f, log_s) - math.log(2.0)
             member = log_cf < L
             member_count += int(member.sum())
-            dist_sq = sq_norm(thetas - overall[:, None, :], axis=2)
+            dist_sq = np.sum(np.square(thetas - overall[:, None, :]), axis=2)
             assert np.all(dist_sq[member] < ball_sq[:, None].repeat(probes, 1)[member])
         assert member_count > 10_000  # the probes genuinely exercise membership
 

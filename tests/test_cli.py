@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from ulrt.cli import main
+from ulrt.engine import load_spec_file
+from ulrt.errors import DomainError
 
 
 def run_cli(args, cwd=None):
@@ -174,8 +177,10 @@ def test_figure_reproducible_across_workers(tmp_path):
         (["4", "--reps", "5"], "does not take --reps"),
         (["3", "--d", "2", "--reps", "0"], "needs reps >= 1"),
         (["7", "--d", "2", "--reps", "5", "--B", "0"], "needs B >= 1"),
+        (["2", "--n", "0"], "needs n >= 1"),
     ],
-    ids=["fig1-single-d", "fig1-two-d", "fig2-n", "fig4-reps", "fig3-reps-0", "fig7-B-0"],
+    ids=["fig1-single-d", "fig1-two-d", "fig2-n", "fig4-reps", "fig3-reps-0", "fig7-B-0",
+         "fig2-n-0"],
 )
 def test_figure_flags_map_to_preset_axes(tmp_path, capsys, argv, expected):
     out = tmp_path / "fig.csv"
@@ -358,7 +363,7 @@ def test_experiment_csv_quotes_cell_values_holding_commas(tmp_path):
         "seed": 1,
         "grid": [
             dict(cell, method="a,b", theta_norm=0.5),
-            dict(cell, method="intersection", theta_norm=[0.1, 0.2]),
+            dict(cell, method="intersection", theta_norm=0.5, label=[0.1, 0.2]),
         ],
     }))
     out = tmp_path / "rows.csv"
@@ -366,8 +371,29 @@ def test_experiment_csv_quotes_cell_values_holding_commas(tmp_path):
     rows = list(csv.DictReader(open(out)))
     assert all(None not in row for row in rows)
     assert [r["method"] for r in rows] == ["a,b", "intersection"]
-    assert [r["theta_norm"] for r in rows] == ["0.5", "[0.1, 0.2]"]
-    assert all(r["status"].startswith("error:") for r in rows)
+    assert [r["label"] for r in rows] == ["", "[0.1, 0.2]"]
+    assert [r["status"] for r in rows] == ["error:DomainError", "ok"]
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({"d": 2, "n": 100, "alpha": 0.1, "reps": 5}, "grid cell 0 lacks the axis 'p0'"),
+        ({"d": 2, "n": 100, "alpha": "0.1", "p0": 0.5, "reps": 5},
+         "grid cell 0: alpha must be a real number, got '0.1'"),
+    ],
+    ids=["missing-key", "wrong-type"],
+)
+def test_experiment_spec_file_malformed_grid_cell_exits_2(tmp_path, cell, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment_id": "split_p0_fig3", "seed": 1, "grid": [cell]}))
+    out = tmp_path / "rows.csv"
+    proc = run_cli(["experiment", "--spec-file", str(spec), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert not out.exists()
+    with pytest.raises(DomainError, match=re.escape(message)):
+        load_spec_file(spec)
 
 
 def test_experiment_missing_file_exits_2(tmp_path):

@@ -1,6 +1,7 @@
 """Experiment runner: determinism, aggregation, presets, failure isolation."""
 
 import math
+import re
 import threading
 import time
 
@@ -239,15 +240,38 @@ def test_fig4_default_grid_has_no_error_rows():
     assert [r.status for r in rows] == ["ok"] * len(rows)
 
 
-def test_malformed_explicit_cell_yields_diagnostic_row():
-    spec = ExperimentSpec(
-        "ratio_bounds_fig4",
-        (dict(d=2, x=1.0), dict(d=2)),  # second cell is missing its axis
-        3,
-    )
+@pytest.mark.parametrize(
+    "experiment_id, cell, message",
+    [
+        ("ratio_bounds_fig4", dict(d=2), "grid cell 1 lacks the axis 'x'"),
+        ("ratio_bounds_fig4", dict(d=2, x="1.0"), "grid cell 1: x must be a real number, got '1.0'"),
+        ("ratio_bounds_fig4", dict(d=2, x=True), "grid cell 1: x must be a real number, got True"),
+        ("ratio_bounds_fig4", dict(d=2.0, x=1.0), "needs d >= 1, an integer, got 2.0"),
+        ("ratio_bounds_fig4", dict(d=-3, x=1.0), "needs d >= 1, an integer, got -3"),
+        ("split_p0_fig3", dict(d=2, n=100, alpha=0.1, reps=5), "grid cell 1 lacks the axis 'p0'"),
+        ("intersect_power_figS3", dict(method=1, d=2, n=100, alpha=0.1, theta_norm=0.3, reps=5),
+         "grid cell 1: method must be a string, got 1"),
+    ],
+    ids=["missing", "string-number", "bool-number", "float-size", "negative-size",
+         "fig3-missing-p0", "number-name"],
+)
+def test_malformed_explicit_cell_is_refused_before_any_cell_runs(
+    experiment_id, cell, message, monkeypatch
+):
+    ran = []
+    monkeypatch.setitem(engine._EXECUTORS, experiment_id, lambda *args: ran.append(args))
+    good = build_spec(experiment_id, 3).grid[0]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        run(ExperimentSpec(experiment_id, (good, cell), 3))
+    assert ran == []
+
+
+def test_extra_cell_keys_become_label_columns(tmp_path):
+    spec = ExperimentSpec("ratio_bounds_fig4", (dict(d=2, x=1.0, label="run a"),), 3)
     rows = run(spec)
-    assert sum(r.status == "error:KeyError" for r in rows) == 1
-    assert sum(r.status == "ok" for r in rows) == 3
+    assert [r.status for r in rows] == ["ok"] * 3
+    header = rows_as_text(rows, tmp_path, "out.csv").splitlines()[0]
+    assert header.startswith("experiment,d,x,label,")
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrt import data, engine, regions
+from ulrt import _kernels, data, engine, regions
 from ulrt.errors import DomainError
 from ulrt.regions import (
     LogStatistic,
@@ -169,6 +169,53 @@ def test_split_e_variable_bound():
         values[r] = math.exp(split_log_statistic(np.zeros(d), pair, n).log_value)
     mc_se = values.std(ddof=1) / math.sqrt(reps)
     assert values.mean() <= 1.0 + 3.0 * mc_se
+
+
+# ---------------------------------------------------------------------------
+# squared distances: numpy's summation order, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+def _spread(rng, shape):
+    # magnitudes over six decades, so that any other summation order rounds differently
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+
+@pytest.mark.parametrize("d", range(1, 141))
+def test_sq_norm_is_numpys_sum_bit_for_bit(d, monkeypatch):
+    """``sq_norm(a, b)`` equals ``np.sum(np.square(a - b), axis=-1)`` on both
+    sides of its column gate; this also fails if numpy changes its order."""
+    column_sums, columns = _kernels._column_sq_norm, []
+
+    def spy(a, b, d):
+        columns.append(d)
+        return column_sums(a, b, d)
+
+    monkeypatch.setattr(_kernels, "_column_sq_norm", spy)
+    rng = np.random.default_rng(d)
+    column_path = d <= _kernels._COLUMN_MAX_D
+    gate = _kernels._COLUMN_MIN_VECTORS * d if column_path else 3
+    cases = []
+    for vectors in (gate - 1, gate):
+        a = _spread(rng, (vectors, d))
+        cases += [(a, _spread(rng, (vectors, d))), (a, 0.0), (a, 0.5)]
+    means = _spread(rng, (gate, 2, d))
+    cases.append((means[:, 0], means[:, 1]))  # strided outer axis
+    cases.append((_spread(rng, (3, gate, d)), _spread(rng, (3, gate, d))))
+    cases.append((_spread(rng, (gate, d)), _spread(rng, (5, 1, d))))  # broadcast (G, 1, d)
+    for a, b in cases:
+        _assert_same_bits(_kernels.sq_norm(a, b), np.sum(np.square(a - b), axis=-1))
+    # the three cases one vector below the gate go to numpy, the rest by column
+    assert columns == ([d] * (len(cases) - 3) if column_path else [])
+    if d <= _kernels._PAIRWISE_BLOCK:
+        # the column order itself, also where the gate sends vectors to numpy
+        for a, b in cases:
+            _assert_same_bits(column_sums(a, b, d), np.sum(np.square(a - b), axis=-1))
 
 
 # ---------------------------------------------------------------------------
