@@ -4,17 +4,19 @@ Everything here is exact batch arithmetic.  ``batch_fisher_yates`` is the one
 partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
 stream key, the subsampling and Monte Carlo paths with many.  ``split_means``
 draws the same subsets and sums each one's rows in draw order, so that the
-means of a batch of splits are a function of the code alone.  Three loops are
-C (``_subsets.c``, next to this file): those two, and ``_polar_trials``, the
-polar trial scan of :func:`ulrt.rng.batch_normals`.  The first call compiles
-the source with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused
-multiply-add, so every product rounds as in numpy) into the per-user cache
-``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``), keyed by a checksum of
-the source and the build command, and loads it with :mod:`ctypes`, which
-releases the GIL while a loop runs.  Without a compiler, or when the build or
-the load fails, the numpy loops ``_numpy_fisher_yates``, ``_numpy_split_sums``
-and ``_numpy_polar`` give the same bytes, and the process emits one
-``RuntimeWarning`` that says so.  No other module picks between the two.
+means of a batch of splits are a function of the code alone.  Four loops are
+C (``_subsets.c``, next to this file): those two, ``_polar_trials``, the
+polar trial scan of :func:`ulrt.rng.batch_normals`, and ``_split_log_values``,
+the log split statistic behind :func:`ulrt.regions.split_log_values`.  The
+first call compiles the source with ``cc -O3 -shared -fPIC -ffp-contract=off``
+(no fused multiply-add, so every product rounds as in numpy) into the
+per-user cache ``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``), keyed by
+a checksum of the source and the build command, and loads it with
+:mod:`ctypes`, which releases the GIL while a loop runs.  Without a compiler, or when the build or
+the load fails, the numpy loops ``_numpy_fisher_yates``, ``_numpy_split_sums``,
+``_numpy_polar`` and ``_numpy_split_log_values`` give the same bytes, and the
+process emits one ``RuntimeWarning`` that says so.  No other module picks
+between the two.
 
 The splitmix64 finalizer on uint64 arrays, :func:`_finalize_array`, and its
 constants live here; :mod:`ulrt.rng` builds its streams on them.
@@ -24,11 +26,13 @@ contract is numpy's bytes: it sums in numpy's pairwise order (Higham, SIAM J.
 Sci. Comput. 14:783, 1993), column by column when there are many short
 vectors, so it equals ``np.sum(np.square(a - b), axis=-1)`` bit for bit.
 ``tests/test_regions.py::test_sq_norm_is_numpys_sum_bit_for_bit`` pins that
-for d = 1 to 140, and fails if a numpy release changes its order.
+for d = 1 to 140, and fails if a numpy release changes its order.  The
+compiled statistic sums in the same order, so it keeps the same bytes.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import shutil
@@ -180,11 +184,14 @@ def _load_compiled():
             lib.ulrt_fisher_yates.argtypes = [ptr, i64, i64, i64, ptr, ptr]
             lib.ulrt_split_sums.argtypes = [ptr, i64, i64, i64, i64, ptr, i64, ptr, ptr]
             lib.ulrt_polar.argtypes = [ptr, i64, i64, ptr, ptr]
-            for fn in (lib.ulrt_fisher_yates, lib.ulrt_split_sums, lib.ulrt_polar):
+            lib.ulrt_split_log_values.argtypes = [
+                ptr, i64, ptr, ptr, i64, i64, ctypes.c_double, ptr]
+            for fn in (lib.ulrt_fisher_yates, lib.ulrt_split_sums, lib.ulrt_polar,
+                       lib.ulrt_split_log_values):
                 fn.restype = None
             return lib
     warnings.warn(
-        "ulrt draws normals and subsets and sums splits with the numpy loops, "
+        "ulrt draws normals and subsets, sums splits and scores them with the numpy loops, "
         f"not the compiled ones: {reason}",
         RuntimeWarning,
         stacklevel=4,
@@ -405,3 +412,64 @@ def _column_sq_norm(a: np.ndarray, b, d: int) -> np.ndarray:
     for j in range(body, d):
         r0 += column(j, tmp)
     return r0
+
+
+#: :func:`_split_log_values` runs ``ulrt_split_log_values`` when it scores at
+#: least this many values, G points times R splits.  Measured on 2 AVX-512
+#: vCPUs against numpy 2.4, one point against ``(R, 1, d)`` means: the loop
+#: wins from about 250 values at d = 2 to 20 (at 2048 values 18 against 30 us
+#: at d = 2, 26 against 91 us at d = 5) and from about 2048 at d = 1, where
+#: numpy's column sums are as fast.  Its four ``.ctypes.data`` pointers cost
+#: about 12 us a call, so below the gate it loses; the gate keeps the B = 1
+#: reducers of the Monte Carlo cells (at most 512 splits a chunk) on numpy.
+_LOOP_MIN_VALUES = 2048
+#: The numpy twin scores ``(G, d)`` points against ``(R, d)`` means in blocks
+#: of points whose ``(block, R, d)`` differences hold at most this many
+#: values (at least one point per block), so that a large grid builds no
+#: ``(G, R, d)`` temporary.
+_TWIN_BLOCK_VALUES = 2**16
+
+
+def _split_log_values(thetas: np.ndarray, mean0: np.ndarray, mean1: np.ndarray, m0) -> np.ndarray:
+    """The log split statistics of :func:`ulrt.regions.split_log_values`:
+    ``0.5 * m0 * (sq_norm(mean0, theta) - sq_norm(mean0, mean1))``, bit for
+    bit.
+
+    ``ulrt_split_log_values`` scores every point against every split in one
+    call when ``thetas`` is ``(d,)`` against ``(..., B, d)`` means or ``(G,
+    d)`` against ``(B, d)`` means, all three float64 and both means of one
+    shape, ``d <= _PAIRWISE_BLOCK``, ``m0`` a scalar or a ``(B,)`` array,
+    and the call scores at least ``_LOOP_MIN_VALUES`` values.  Every other
+    input goes to :func:`_numpy_split_log_values`.
+    """
+    d, shape = mean0.shape[-1], thetas.shape[:-1] + mean0.shape[:-1]
+    lib = None
+    if (math.prod(shape) >= _LOOP_MIN_VALUES and mean1.shape == mean0.shape
+            and thetas.shape[-1:] == (d,) and (thetas.ndim == 1 or thetas.ndim == mean0.ndim == 2)
+            and 0 < d <= _PAIRWISE_BLOCK and np.shape(m0) in ((), mean0.shape[-2:-1])
+            and thetas.dtype == mean0.dtype == mean1.dtype == np.float64):
+        lib = _compiled()
+    if lib is None:
+        return _numpy_split_log_values(thetas, mean0, mean1, m0)
+    thetas, mean0, mean1 = (np.ascontiguousarray(a) for a in (thetas, mean0, mean1))
+    out = np.empty(shape)
+    scalar = np.ndim(m0) == 0
+    lib.ulrt_split_log_values(thetas.ctypes.data, thetas.size // d, mean0.ctypes.data,
+                              mean1.ctypes.data, mean0.size // d, d,
+                              0.5 * m0 if scalar else 1.0, out.ctypes.data)
+    if not scalar:
+        out *= 0.5 * m0  # 1.0 * x is x, so this rounds as 0.5 * m0 * (...)
+    return out
+
+
+def _numpy_split_log_values(thetas: np.ndarray, mean0: np.ndarray, mean1: np.ndarray, m0):
+    """:func:`_split_log_values` in numpy, the statistic as written; ``(G,
+    d)`` points against ``(R, d)`` means go in blocks of
+    ``_TWIN_BLOCK_VALUES``."""
+    delta = sq_norm(mean0, mean1)
+    points = thetas[..., None, :]
+    step = max(1, _TWIN_BLOCK_VALUES // max(mean0.size, 1))
+    if thetas.ndim == mean0.ndim == 2 and step < thetas.shape[0]:
+        return np.concatenate([0.5 * m0 * (sq_norm(mean0, points[lo : lo + step]) - delta)
+                               for lo in range(0, thetas.shape[0], step)])
+    return 0.5 * m0 * (sq_norm(mean0, points) - delta)

@@ -1,14 +1,16 @@
 /* Partial Fisher-Yates subset draws, split sums and polar trials, one row
- * per stream key.
+ * per stream key, and the log split statistic.
  *
  * The compiled form of ulrt._kernels._numpy_fisher_yates,
- * ulrt._kernels._numpy_split_sums and ulrt._kernels._numpy_polar: the same
- * splitmix64 draws, the same swaps, the same additions in the same order
- * and the same accepted trials, so the results are identical.  Built with
- * -ffp-contract=off, so that u * u + v * v rounds twice, as in numpy.  The
- * Python wrappers check their arguments and pass contiguous buffers:
- * keys[rows], perm[n] (scratch), out[rows * k], data[C * n * d],
- * sums[rows * d], and for the trials out[rows * count] and s[rows * pairs].
+ * ulrt._kernels._numpy_split_sums, ulrt._kernels._numpy_polar and
+ * ulrt._kernels._numpy_split_log_values: the same splitmix64 draws, the
+ * same swaps, the same additions in the same order and the same accepted
+ * trials, so the results are identical.  Built with -ffp-contract=off, so
+ * that u * u + v * v rounds twice, as in numpy.  The Python wrappers check
+ * their arguments and pass contiguous buffers: keys[rows], perm[n]
+ * (scratch), out[rows * k], data[C * n * d], sums[rows * d], for the trials
+ * out[rows * count] and s[rows * pairs], and for the statistic theta[G * d],
+ * mean0[R * d], mean1[R * d] and out[G * R].
  */
 #include <stdint.h>
 #include <string.h>
@@ -148,4 +150,76 @@ void ulrt_polar(const uint64_t *keys, int64_t rows, int64_t count, double *restr
             j += (t < 1.0) & (t > 0.0);
         }
     }
+}
+
+/* sum_j (x[j] - y[j])^2 for j < d <= 128, added in numpy's pairwise order
+ * (the order of np.sum on a contiguous row): below 8 terms one running sum;
+ * otherwise eight interleaved sums over the first d - d % 8 terms, paired as
+ * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest one by
+ * one. */
+static inline double sq_dist(const double *restrict x, const double *restrict y, int64_t d)
+{
+    if (d < 8) {
+        double res = 0.0;
+        for (int64_t j = 0; j < d; j++) {
+            double t = x[j] - y[j];
+            res += t * t;
+        }
+        return res;
+    }
+    double r[8];
+    for (int t = 0; t < 8; t++) {
+        double u = x[t] - y[t];
+        r[t] = u * u;
+    }
+    int64_t j = 8, body = d - d % 8;
+    for (; j < body; j += 8)
+        for (int t = 0; t < 8; t++) {
+            double u = x[j + t] - y[j + t];
+            r[t] += u * u;
+        }
+    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; j < d; j++) {
+        double u = x[j] - y[j];
+        res += u * u;
+    }
+    return res;
+}
+
+/* The statistic in the layout of ulrt_split_log_values, for a d that is a
+ * constant wherever this is inlined.  The last row of out first holds each
+ * split's |mean0_r - mean1_r|^2, which every row reads before the last
+ * overwrites it in place. */
+static inline __attribute__((always_inline)) void
+score(const double *restrict theta, int64_t G, const double *restrict mean0,
+      const double *restrict mean1, int64_t R, int64_t d, double half_m0, double *out)
+{
+    double *delta = out + (G - 1) * R;
+    for (int64_t r = 0; r < R; r++)
+        delta[r] = sq_dist(mean0 + r * d, mean1 + r * d, d);
+    for (int64_t g = 0; g < G; g++) {
+        const double *t = theta + g * d;
+        double *row = out + g * R;
+        for (int64_t r = 0; r < R; r++)
+            row[r] = half_m0 * (sq_dist(mean0 + r * d, t, d) - delta[r]);
+    }
+}
+
+/* out[g * R + r] = half_m0 * (|mean0_r - theta_g|^2 - |mean0_r - mean1_r|^2)
+ * for G >= 1 points and R splits of d <= 128 coordinates: the log split
+ * statistic.  Below 8 coordinates d is a constant of each loop, which the
+ * compiler unrolls and vectorizes across splits. */
+void ulrt_split_log_values(const double *restrict theta, int64_t G, const double *restrict mean0,
+                           const double *restrict mean1, int64_t R, int64_t d, double half_m0,
+                           double *restrict out)
+{
+#define SCORE(D)                                                                                  \
+    case D:                                                                                       \
+        score(theta, G, mean0, mean1, R, D, half_m0, out);                                        \
+        return;
+    switch (d) {
+        SCORE(1) SCORE(2) SCORE(3) SCORE(4) SCORE(5) SCORE(6) SCORE(7)
+    }
+#undef SCORE
+    score(theta, G, mean0, mean1, R, d, half_m0, out);
 }

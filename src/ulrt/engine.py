@@ -477,11 +477,10 @@ def _exec_fig2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     def run_chunk(lo: int, hi: int) -> dict:
         keys = parent.substream_keys(lo, hi)
         mean0, mean1 = split_means(sample.values[None], keys[None], k)
-        # one grid point at a time keeps each temporary at (chunk, d)
-        return {
-            f"t{g}": np.exp(rg.split_log_values(thetas[g], mean0[0], mean1[0], k))
-            for g in range(points)
-        }
+        # one (points, chunk) call: no (points, chunk, d) temporary on either kernel path
+        values = rg.split_log_values(thetas, mean0[0], mean1[0], k)
+        np.exp(values, out=values)
+        return {f"t{g}": values[g] for g in range(points)}
 
     acc = _map_chunks(B, chunk, run_chunk, ctx.workers, ctx.cell_dump(ci))
     rows = []
@@ -518,7 +517,10 @@ def _exec_fig3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
 def _exec_fig4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     d, x = cell["d"], cell["x"]
-    L = 10.0**x
+    try:
+        L = 10.0**x
+    except OverflowError:
+        raise DomainError(f"ln(1/alpha) = 10**{x} overflows a double") from None
     bounds = rg.ratio_bounds_log(L, d)
     rows = [
         SummaryRow(ctx.spec.experiment_id, dict(cell, log_inv_alpha=L, quantity="lower"), bounds.lower, 0.0, 0),

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from ._kernels import log_mean_exp, split_means, sq_norm
+from ._kernels import _split_log_values, log_mean_exp, split_means, sq_norm
 from .data import SampleSet, SplitPair
 from .errors import DomainError
 
@@ -144,9 +144,7 @@ def split_log_values(thetas, mean0: np.ndarray, mean1: np.ndarray, m0) -> np.nda
     ``m0`` is the realized likelihood-part size (``n * p0`` when integral),
     or a ``(B,)`` array of them.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    dist = sq_norm(mean0, thetas[..., None, :])
-    return 0.5 * m0 * (dist - sq_norm(mean0, mean1))
+    return _split_log_values(np.asarray(thetas, dtype=np.float64), mean0, mean1, m0)
 
 
 def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1=None) -> np.ndarray:

@@ -35,6 +35,12 @@ MAX_ITER = 500
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
 
+#: :func:`noncentral_chi2_cdf` refuses lambda/2 from here on.  Its recurrence
+#: steps through the Poisson indices k near lambda/2 and divides by
+#: k + 1 - lambda/2, which is exact only while those indices are exact
+#: doubles; from 2**53 on it rounds to 0.
+_MAX_HALF_NONCENTRALITY = 2.0**52
+
 #: :func:`chi2_upper_quantile` results by ``(alpha, d, MAX_ITER, REL_TOL)``:
 #: the closed-form power and threshold tests ask for the same few quantiles
 #: on every call.  A plain dict, not ``functools.lru_cache``, so that the
@@ -211,6 +217,8 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     Each direction stops when a geometric bound on its unsummed Poisson tail
     drops below half of :data:`ABS_TOL` times the summed mass, and the sum is
     divided by that mass, so rounding in the mode weight cannot stall it.
+    Raises ``NumericError`` for ``lambda/2 >= 2**52``, past the exact
+    indices the recurrence needs.
     """
     _check_dim(d)
     if not math.isfinite(x) or x < 0.0:
@@ -223,6 +231,10 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
         return 0.0
 
     half = 0.5 * noncentrality
+    if half >= _MAX_HALF_NONCENTRALITY:
+        raise NumericError(
+            f"noncentral chi-squared series needs lambda/2 < 2**52, got lambda={noncentrality}"
+        )
     k0 = int(half)
     a = 0.5 * d
     s = 0.5 * x

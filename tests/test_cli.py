@@ -274,6 +274,24 @@ def test_formula_numeric_failure_exits_3(capsys):
     assert main(["formula", "chi2-quantile", "--alpha", "1e-310", "--d", "2"]) == 3
 
 
+def test_formula_noncentral_cdf_beyond_its_series_exits_3(capsys):
+    argv = ["formula", "noncentral-cdf", "--x", "1", "--d", "2", "--noncentrality", "1e300"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: noncentral chi-squared series needs lambda/2 < 2**52")
+
+
+def test_each_main_call_parses_from_the_defaults(capsys):
+    """``main`` reuses one parser; a flag of one call must not reach the next."""
+    from ulrt.regions import ratio_expected_split_vs_classical
+
+    assert main(["formula", "ratio", "--d", "5"]) == 0
+    assert main(["formula", "ratio"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"ratio = {ratio_expected_split_vs_classical(0.1, d):.12g}" for d in (5, 2)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # experiment command
 # ---------------------------------------------------------------------------
@@ -373,6 +391,20 @@ def test_experiment_csv_quotes_cell_values_holding_commas(tmp_path):
     assert [r["method"] for r in rows] == ["a,b", "intersection"]
     assert [r["label"] for r in rows] == ["", "[0.1, 0.2]"]
     assert [r["status"] for r in rows] == ["error:DomainError", "ok"]
+
+
+def test_experiment_fig4_cell_past_the_double_range_is_an_error_row(tmp_path):
+    # 10.0**400 overflows; the cell must fail alone, not end the run
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment_id": "ratio_bounds_fig4", "seed": 1,
+        "grid": [{"d": 10, "x": 400}, {"d": 10, "x": 1.0}],
+    }))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out)))
+    statuses = [(r["x"], r["status"]) for r in rows]
+    assert statuses == [("400", "error:DomainError")] + [("1.0", "ok")] * 3
 
 
 @pytest.mark.parametrize(

@@ -234,6 +234,14 @@ def test_poisoned_cell_yields_diagnostic_row():
     assert bad_rows[0].status == "error:NumericError"
 
 
+def test_noncentral_series_beyond_its_range_yields_an_error_row():
+    # lambda = 1e300: the Poisson indices of the series are no longer exact doubles
+    cell = dict(test="classical", method="exact", d=2, n=1000, alpha=0.1,
+                n_theta_sq=1e300, reps=10, B=1)
+    rows = run(ExperimentSpec("power_fig6", (cell, dict(cell, n_theta_sq=8.0)), 7))
+    assert [r.status for r in rows] == ["error:NumericError", "ok"]
+
+
 def test_fig4_default_grid_has_no_error_rows():
     # its (d = 1e5, x = 0) cell needs the chi-squared quantile at a = 50,000
     rows = run(build_spec("ratio_bounds_fig4", 3))

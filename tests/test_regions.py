@@ -218,6 +218,97 @@ def test_sq_norm_is_numpys_sum_bit_for_bit(d, monkeypatch):
             _assert_same_bits(column_sums(a, b, d), np.sum(np.square(a - b), axis=-1))
 
 
+class _LoopSpy:
+    """The compiled library, recording the points times splits of each
+    ``ulrt_split_log_values`` call."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def ulrt_split_log_values(self, theta, points, mean0, mean1, splits, *rest):
+        self.calls.append(points * splits)
+        return self.lib.ulrt_split_log_values(theta, points, mean0, mean1, splits, *rest)
+
+
+def _statistic_as_written(thetas, mean0, mean1, m0):
+    dist = np.sum(np.square(mean0 - thetas[..., None, :]), axis=-1)
+    return 0.5 * m0 * (dist - np.sum(np.square(mean0 - mean1), axis=-1))
+
+
+def _check_split_log_values(d, shapes, monkeypatch):
+    """``split_log_values`` at ``(points, mean shape)`` pairs (``points`` 0
+    for one ``(d,)`` point) equals the numpy expression bit for bit, with a
+    scalar and a ``(B,)`` ``m0``: on the compiled loop where its domain says
+    so, and on the twin for the rest and when no library is loaded."""
+    if _kernels._find_compiler() is None:
+        pytest.skip("no C compiler found")
+    spy = _LoopSpy(_kernels._compiled())
+    monkeypatch.setattr(_kernels, "_loaded", [spy])
+    rng = np.random.default_rng(1000 + d)
+    expected_calls = []
+    for points, shape in shapes:
+        thetas = _spread(rng, (max(points, 1), d))
+        thetas = thetas if points else thetas[0]
+        mean0, mean1 = _spread(rng, (*shape, d)), _spread(rng, (*shape, d))
+        values = math.prod(thetas.shape[:-1] + shape)
+        for m0 in (37, rng.integers(1, 100, shape[-1]).astype(np.float64)):
+            want = _statistic_as_written(thetas, mean0, mean1, m0)
+            _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, m0), want)
+            loop_shape = points == 0 or len(shape) == 1
+            big = values >= _kernels._LOOP_MIN_VALUES
+            if loop_shape and big and d <= _kernels._PAIRWISE_BLOCK:
+                expected_calls.append(values)
+            with monkeypatch.context() as numpy_only:
+                numpy_only.setattr(_kernels, "_loaded", [None])
+                _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, m0), want)
+    assert spy.calls == expected_calls
+    return len(expected_calls)
+
+
+def _gate_sides(points):
+    """Split counts just below and at the loop's gate for ``points`` points."""
+    at = -(-_kernels._LOOP_MIN_VALUES // max(points, 1))
+    return [(points, (at - 1,)), (points, (at,))]
+
+
+@pytest.mark.parametrize("d", range(1, 141))
+def test_split_log_values_is_the_statistic_as_written(d, monkeypatch):
+    """Every d the loop sums (1 to 128) and some past it, at 21 grid points."""
+    calls = _check_split_log_values(d, _gate_sides(21), monkeypatch)
+    assert calls == (2 if d <= _kernels._PAIRWISE_BLOCK else 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 20, 128, 129])
+def test_split_log_values_takes_the_loop_only_in_its_domain(d, monkeypatch):
+    """One point, 21 and 180 points against ``(R, d)`` means, and one point
+    against ``(C, B, d)`` means, on both sides of the gate."""
+    shapes = _gate_sides(0) + _gate_sides(21) + _gate_sides(180)
+    shapes += [(0, (31, 66)), (0, (64, 32)), (21, (1, 98))]
+    calls = _check_split_log_values(d, shapes, monkeypatch)
+    # (21, d) points against (1, 98, d) means broadcast, so they stay on numpy
+    assert calls == (8 if d <= _kernels._PAIRWISE_BLOCK else 0)
+
+
+@pytest.mark.parametrize("numpy_loops", [False, True], ids=["compiled", "numpy"])
+def test_fig2_chunk_in_one_call_equals_its_points_one_by_one(numpy_loops, monkeypatch):
+    """fig2 scores a chunk's splits at all grid points in one call, then takes
+    ``np.exp`` in place; its rows equal the per-point values and exps."""
+    if numpy_loops:
+        monkeypatch.setattr(_kernels, "_loaded", [None])
+    n, d, k, chunk = 100, 20, 50, 8192
+    sample = data.sample_gaussian(n, d, np.zeros(d), RngStream(17))
+    keys = RngStream(18).substream_keys(chunk)
+    mean0, mean1 = _kernels.split_means(sample.values[None], keys[None], k)
+    thetas = (sample.mean.mean() + np.linspace(-0.2, 0.2, 21))[:, None] * np.ones(d)
+    values = regions.split_log_values(thetas, mean0[0], mean1[0], k)
+    np.exp(values, out=values)
+    for g, theta in enumerate(thetas):
+        _assert_same_bits(values[g], np.exp(regions.split_log_values(theta, mean0[0], mean1[0], k)))
+
+
 # ---------------------------------------------------------------------------
 # cross-fit statistic
 # ---------------------------------------------------------------------------

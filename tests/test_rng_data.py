@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -397,6 +398,20 @@ def test_build_goes_to_a_private_per_user_cache(monkeypatch, tmp_path):
     cache = tmp_path / "ulrt"
     assert cache.stat().st_mode & 0o777 == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+
+def test_compiled_source_builds_without_warnings(tmp_path):
+    """The build flags plus -Wall -Wextra -Werror, so that a warning in a C
+    loop fails here instead of passing silently into the per-user cache."""
+    cc = _kernels._find_compiler()
+    if cc is None:
+        pytest.skip("no C compiler found")
+    proc = subprocess.run(
+        [cc, *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "subsets.so"),
+         _kernels._SOURCE],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_shared_writable_cache_falls_back(monkeypatch, tmp_path):
