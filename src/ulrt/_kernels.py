@@ -438,27 +438,22 @@ def _split_log_values(thetas: np.ndarray, mean0: np.ndarray, mean1: np.ndarray, 
     ``ulrt_split_log_values`` scores every point against every split in one
     call when ``thetas`` is ``(d,)`` against ``(..., B, d)`` means or ``(G,
     d)`` against ``(B, d)`` means, all three float64 and both means of one
-    shape, ``d <= _PAIRWISE_BLOCK``, ``m0`` a scalar or a ``(B,)`` array,
-    and the call scores at least ``_LOOP_MIN_VALUES`` values.  Every other
-    input goes to :func:`_numpy_split_log_values`.
+    shape, ``d <= _PAIRWISE_BLOCK``, and the call scores at least
+    ``_LOOP_MIN_VALUES`` values.  Every other input goes to
+    :func:`_numpy_split_log_values`.  ``m0`` is a scalar.
     """
     d, shape = mean0.shape[-1], thetas.shape[:-1] + mean0.shape[:-1]
     lib = None
     if (math.prod(shape) >= _LOOP_MIN_VALUES and mean1.shape == mean0.shape
             and thetas.shape[-1:] == (d,) and (thetas.ndim == 1 or thetas.ndim == mean0.ndim == 2)
-            and 0 < d <= _PAIRWISE_BLOCK and np.shape(m0) in ((), mean0.shape[-2:-1])
-            and thetas.dtype == mean0.dtype == mean1.dtype == np.float64):
+            and 0 < d <= _PAIRWISE_BLOCK and thetas.dtype == mean0.dtype == mean1.dtype == np.float64):
         lib = _compiled()
     if lib is None:
         return _numpy_split_log_values(thetas, mean0, mean1, m0)
     thetas, mean0, mean1 = (np.ascontiguousarray(a) for a in (thetas, mean0, mean1))
     out = np.empty(shape)
-    scalar = np.ndim(m0) == 0
     lib.ulrt_split_log_values(thetas.ctypes.data, thetas.size // d, mean0.ctypes.data,
-                              mean1.ctypes.data, mean0.size // d, d,
-                              0.5 * m0 if scalar else 1.0, out.ctypes.data)
-    if not scalar:
-        out *= 0.5 * m0  # 1.0 * x is x, so this rounds as 0.5 * m0 * (...)
+                              mean1.ctypes.data, mean0.size // d, d, 0.5 * m0, out.ctypes.data)
     return out
 
 

@@ -25,7 +25,7 @@ from . import engine
 from . import power as pw
 from . import regions as rg
 from . import specfun
-from .data import _write_csv, load_csv, sample_gaussian, split
+from .data import _write_csv, load_csv, sample_gaussian, split, subsample_splits
 from .errors import DomainError, NumericError
 from .rng import RngStream
 
@@ -82,9 +82,8 @@ def cmd_region(args) -> int:
         [[sphere.kind, *sphere.center, sphere.sq_radius] for sphere in spheres],
     )}
     if sample.d == 2:
-        boundaries = rg.boundaries_2d(
-            sample, pair, alpha, args.rays, args.tol, root.substream(2).substream_keys(args.B)
-        )
+        splits = subsample_splits(sample, args.B, args.p0, root.substream(2))
+        boundaries = rg.boundaries_2d(sample, pair, alpha, args.rays, args.tol, splits)
         for kind, b in zip(("crossfit", "subsampling"), boundaries):
             tables[f"boundary_{kind}.csv"] = (["angle", "x", "y"], np.column_stack((b.angles, b.points)))
     out = Path(args.out)

@@ -1,14 +1,16 @@
 """Gaussian sampling, reproducible dataset splitting, and mean caching.
 
 A :class:`SampleSet` is an immutable n-by-d matrix of observations with its
-column mean cached; a :class:`SplitPair` is an index partition into the
-likelihood-evaluation part (``indices0``) and the estimation part
-(``indices1``), with both part means cached.
+column mean cached; a :class:`SplitPair` holds the part means of ``B`` random
+splits of a sample into the likelihood-evaluation part and the estimation
+part, which is all that any statistic reads of a split.
 
 Splitting draws a uniformly random size-``round(n * p0)`` subset via a partial
-Fisher-Yates shuffle.  All randomness flows through :class:`RngStream` values
-or their uint64 keys, so identical streams reproduce identical datasets and
-partitions.
+Fisher-Yates shuffle, and :func:`ulrt._kernels.split_means` sums its rows in
+draw order: :func:`split` and :func:`subsample_splits` get their means from
+it, as the Monte Carlo cells do.  All randomness flows through
+:class:`RngStream` values or their uint64 keys, so identical streams
+reproduce identical datasets and partitions.
 
 Monte Carlo replications need only the part means of their splits.
 :func:`replicate_split_means` returns them for a chunk of replications, from
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import batch_fisher_yates, split_means
+from ._kernels import split_means
 from .errors import DomainError
 from .rng import RngStream, batch_normals
 
@@ -71,49 +73,31 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class SplitPair:
-    """An index partition of a sample with both part means cached.
+    """The part means of ``B`` splits of one sample.
 
-    ``p0`` is the requested proportion for the likelihood-evaluation part;
+    Row ``b`` of the ``(B, d)`` arrays ``mean0`` and ``mean1`` holds the means
+    of split ``b``'s likelihood-evaluation part, of ``m0`` observations, and
+    of its estimation part, of ``m1``.  ``p0`` is the requested proportion;
     the realized part size is ``round(n * p0)`` (half up), so ``m0 / n`` can
     differ from ``p0`` when ``n * p0`` is not an integer.
     """
 
-    indices0: np.ndarray
-    indices1: np.ndarray
-    p0: float
     mean0: np.ndarray
     mean1: np.ndarray
+    m0: int
+    m1: int
+    p0: float
 
-    @classmethod
-    def from_indices(
-        cls, sample: SampleSet, indices0: np.ndarray, p0: float | None = None
-    ) -> "SplitPair":
-        indices0 = np.sort(np.asarray(indices0, dtype=np.int64))
-        n = sample.n
-        mask = np.zeros(n, dtype=bool)
-        if indices0.size and (indices0[0] < 0 or indices0[-1] >= n):
-            raise DomainError("indices0 out of range")
-        mask[indices0] = True
-        if mask.sum() != indices0.size:
-            raise DomainError("indices0 contains duplicates")
-        indices1 = np.nonzero(~mask)[0]
-        if indices0.size < 1 or indices1.size < 1:
+    def __post_init__(self) -> None:
+        mean0, mean1 = (_frozen(np.array(m, dtype=np.float64)) for m in (self.mean0, self.mean1))
+        if mean0.ndim != 2 or mean0.shape != mean1.shape or len(mean0) < 1:
+            raise DomainError(
+                f"split means must be two (B, d) arrays with B >= 1, got {mean0.shape} and {mean1.shape}"
+            )
+        if self.m0 < 1 or self.m1 < 1:
             raise DomainError("both parts of a split must be nonempty")
-        return cls(
-            indices0=_frozen(indices0),
-            indices1=_frozen(indices1),
-            p0=float(p0 if p0 is not None else indices0.size / n),
-            mean0=_frozen(sample.values[indices0].mean(axis=0)),
-            mean1=_frozen(sample.values[indices1].mean(axis=0)),
-        )
-
-    @property
-    def m0(self) -> int:
-        return self.indices0.size
-
-    @property
-    def m1(self) -> int:
-        return self.indices1.size
+        object.__setattr__(self, "mean0", mean0)
+        object.__setattr__(self, "mean1", mean1)
 
 
 def part_size(n: int, p0: float) -> int:
@@ -146,25 +130,29 @@ def sample_gaussian(n: int, d: int, theta, rng: RngStream) -> SampleSet:
     return SampleSet.from_values(values)
 
 
+def _split_record(sample: SampleSet, keys: np.ndarray, p0: float) -> SplitPair:
+    """The splits of ``sample`` that :func:`ulrt._kernels.split_means` draws
+    for the ``(B,)`` ``keys``, with parts of ``round(n * p0)`` and the rest."""
+    k = part_size(sample.n, p0)
+    mean0, mean1 = split_means(sample.values[None], keys[None], k)
+    return SplitPair(mean0[0], mean1[0], k, sample.n - k, float(p0))
+
+
 def split(sample: SampleSet, p0: float, rng: RngStream) -> SplitPair:
-    """Uniformly random partition with ``|D0| = round(n * p0)``.
+    """One uniformly random partition with ``|D0| = round(n * p0)``: the
+    ``B = 1`` record, drawn by ``rng``'s own key.
 
     Repeated calls with the same stream return the same partition.
     """
-    k = part_size(sample.n, p0)
-    indices0 = batch_fisher_yates(np.array([rng.key], dtype=np.uint64), sample.n, k)[0]
-    return SplitPair.from_indices(sample, indices0, p0=p0)
+    return _split_record(sample, np.array([rng.key], dtype=np.uint64), p0)
 
 
-def subsample_splits(sample: SampleSet, B: int, p0: float, rng: RngStream) -> list[SplitPair]:
-    """``B`` independent splits, split ``b`` drawn from ``rng.substream(b)``."""
+def subsample_splits(sample: SampleSet, B: int, p0: float, rng: RngStream) -> SplitPair:
+    """One record of ``B`` independent splits, split ``b`` drawn from
+    ``rng.substream(b)``."""
     if B < 1:
-        raise DomainError(f"B must be at least 1, got {B}")
-    n = sample.n
-    k = part_size(n, p0)
-    keys = rng.substream_keys(B)
-    subsets = batch_fisher_yates(keys, n, k)
-    return [SplitPair.from_indices(sample, subset, p0=p0) for subset in subsets]
+        raise DomainError(f"subsampling needs at least one split, B >= 1, got B={B}")
+    return _split_record(sample, rng.substream_keys(B), p0)
 
 
 def sample_part_means(keys: np.ndarray, n: int, k: int, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from ._kernels import log_mean_exp, split_means, sq_norm
-from .data import SampleSet, SplitPair, part_size
+from ._kernels import log_mean_exp, sq_norm
+from .data import SampleSet, SplitPair, subsample_splits
 from .errors import DegenerateDirectionError, DomainError
 from .regions import _check_pair, log_threshold
 from .rng import RngStream
@@ -119,19 +119,19 @@ def doughnut_split_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> 
     """Log split statistic against the annulus null MLE:
     ``(n/4) (||mean0 - proj(mean0)||^2 - ||mean0 - mean1||^2)``."""
     _check_half_split(pair, n)
-    return float(_split_case_log_values(pair.mean0, pair.mean1, n, null))
+    return float(_split_case_log_values(pair.mean0[0], pair.mean1[0], n, null))
 
 
 def doughnut_ripr_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> float:
     """Log boundary-projection (RIPR) statistic, defined for ``||mean1|| > r_out``:
     ``(n/4) (||mean0 - r_out mean1 / ||mean1||||^2 - ||mean0 - mean1||^2)``."""
     _check_half_split(pair, n)
-    norm1 = math.sqrt(float(sq_norm(pair.mean1)))
+    norm1 = math.sqrt(float(sq_norm(pair.mean1[0])))
     if norm1 <= null.r_out:
         raise DomainError(
             f"RIPR statistic requires ||mean1|| > r_out = {null.r_out}, got {norm1}"
         )
-    return float(_ripr_case_log_values(pair.mean0, pair.mean1, n, null))
+    return float(_ripr_case_log_values(pair.mean0[0], pair.mean1[0], n, null))
 
 
 def hybrid_log_statistic(
@@ -139,7 +139,7 @@ def hybrid_log_statistic(
 ) -> tuple[float, HybridCase]:
     """Case-selected hybrid statistic and its case tag."""
     _check_half_split(pair, n)
-    values, cases = _hybrid_log_values(pair.mean0[None], pair.mean1[None], n, null)
+    values, cases = _hybrid_log_values(pair.mean0, pair.mean1, n, null)
     return float(values[0]), list(HybridCase)[cases[0]]
 
 
@@ -221,19 +221,16 @@ def subsampled_doughnut_test(
     """Subsampled split or hybrid test of the annulus null.
 
     Rejects when the log of the average per-split statistic reaches
-    ``ln(1/alpha)``.  Split ``b`` is drawn from ``rng.substream(b)``, the
-    same convention as :func:`ulrt.data.subsample_splits`.
+    ``ln(1/alpha)``.  The ``B`` half-splits are
+    :func:`ulrt.data.subsample_splits` of ``rng``.
     """
     if kind not in ("split", "hybrid"):
         raise DomainError(f"kind must be 'split' or 'hybrid', got {kind!r}")
-    if B < 1:
-        raise DomainError(f"B must be >= 1, got {B}")
     n = sample.n
     if n % 2:
         raise DomainError("subsampled annulus tests require even n")
-    k = part_size(n, 0.5)
-    mean0, mean1 = split_means(sample.values[None], rng.substream_keys(B)[None], k)
-    values, cases = _subsampled_log_values(mean0[0], mean1[0], n, null, kind == "hybrid")
+    splits = subsample_splits(sample, B, 0.5, rng)
+    values, cases = _subsampled_log_values(splits.mean0, splits.mean1, n, null, kind == "hybrid")
     fractions = tuple(float(np.mean(cases == c)) for c in (0, 1, 2))
     reject = bool(log_mean_exp(values) >= log_threshold(alpha))
     return DoughnutTestResult(reject, fractions, values, cases)

@@ -59,6 +59,7 @@ from .data import (
     replicate_split_means,
     sample_gaussian,
     split,
+    subsample_splits,
 )
 from .errors import DomainError, NumericError
 from .rng import RngStream
@@ -443,9 +444,8 @@ def _exec_fig1(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     sample = ctx.shared_sample(n, cell["d"])
     stream = ctx.cell_stream(ci)
     pair = split(sample, 0.5, stream.substream(1))
-    crossfit, subsampling = rg.boundaries_2d(
-        sample, pair, alpha, cell["rays"], cell["tol"], stream.substream(2).substream_keys(cell["B"])
-    )
+    splits = subsample_splits(sample, cell["B"], 0.5, stream.substream(2))
+    crossfit, subsampling = rg.boundaries_2d(sample, pair, alpha, cell["rays"], cell["tol"], splits)
     base = {k: cell[k] for k in ("replicate", "n", "d", "alpha", "B")}
     return [
         SummaryRow(ctx.spec.experiment_id, dict(base, kind=kind), float(area), 0.0, 1)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from ._kernels import _split_log_values, log_mean_exp, split_means, sq_norm
+from ._kernels import _split_log_values, log_mean_exp, sq_norm
 from .data import SampleSet, SplitPair
 from .errors import DomainError
 
@@ -117,9 +117,13 @@ def _as_theta(theta, d: int) -> np.ndarray:
     return theta
 
 
-def _check_pair(pair: SplitPair, n: int) -> None:
+def _check_pair(pair: SplitPair, n: int, single: bool = True) -> None:
+    """Refuse a record of splits of another sample size, or, where one split
+    is meant (``single``), a record of ``B != 1`` splits."""
     if pair.m0 + pair.m1 != n:
         raise DomainError(f"pair covers {pair.m0 + pair.m1} observations, expected n={n}")
+    if single and len(pair.mean0) != 1:
+        raise DomainError(f"expected one split, got a record of B={len(pair.mean0)}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +145,7 @@ def split_log_values(thetas, mean0: np.ndarray, mean1: np.ndarray, m0) -> np.nda
 
     ``thetas`` is ``(..., d)`` and ``mean0``/``mean1`` are ``(..., B, d)``
     split means, with leading axes broadcasting; returns ``(..., B)``.
-    ``m0`` is the realized likelihood-part size (``n * p0`` when integral),
-    or a ``(B,)`` array of them.
+    ``m0`` is the realized likelihood-part size (``n * p0`` when integral).
     """
     return _split_log_values(np.asarray(thetas, dtype=np.float64), mean0, mean1, m0)
 
@@ -166,23 +169,18 @@ def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1=N
     raise DomainError(f"unknown statistic kind {kind!r}")
 
 
-def _log_statistic(kind: str, theta, splits: list[SplitPair], n: int, alpha) -> LogStatistic:
-    """:func:`log_values` of one point and a list of splits, as a ``LogStatistic``."""
-    if not splits:
-        raise DomainError("need at least one split")
-    for pair in splits:
-        _check_pair(pair, n)
-    theta = _as_theta(theta, splits[0].mean0.shape[0])
-    mean0 = np.stack([p.mean0 for p in splits])
-    mean1 = np.stack([p.mean1 for p in splits])
-    m0 = np.array([p.m0 for p in splits], dtype=np.float64)
-    return LogStatistic(float(log_values(kind, theta, mean0, mean1, m0, n - m0)), kind, n, alpha)
+def _log_statistic(kind: str, theta, pair: SplitPair, n: int, alpha) -> LogStatistic:
+    """:func:`log_values` of one point and a record of splits, as a ``LogStatistic``."""
+    _check_pair(pair, n, single=kind != "subsampling")
+    theta = _as_theta(theta, pair.mean0.shape[1])
+    value = log_values(kind, theta, pair.mean0, pair.mean1, pair.m0, pair.m1)
+    return LogStatistic(float(value), kind, n, alpha)
 
 
 def split_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = None) -> LogStatistic:
     """Log split likelihood-ratio statistic at ``theta``: :func:`split_log_values`
     of the one split."""
-    return _log_statistic("split", theta, [pair], n, alpha)
+    return _log_statistic("split", theta, pair, n, alpha)
 
 
 def split_sq_radius(mean0: np.ndarray, mean1: np.ndarray, m0: int, alpha: float) -> np.ndarray:
@@ -196,34 +194,35 @@ def split_region(pair: SplitPair, n: int, alpha: float) -> SphericalRegion:
     :func:`split_sq_radius`."""
     _check_pair(pair, n)
     alpha = _check_alpha(alpha)
-    sq_radius = split_sq_radius(pair.mean0, pair.mean1, pair.m0, alpha)
-    return SphericalRegion(pair.mean0, float(sq_radius), alpha, "split")
+    sq_radius = split_sq_radius(pair.mean0[0], pair.mean1[0], pair.m0, alpha)
+    return SphericalRegion(pair.mean0[0], float(sq_radius), alpha, "split")
 
 
 def crossfit_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = None) -> LogStatistic:
     """Log cross-fit statistic: the average of the split statistic and its
     role-swapped counterpart, combined by log-sum-exp."""
-    return _log_statistic("crossfit", theta, [pair], n, alpha)
+    return _log_statistic("crossfit", theta, pair, n, alpha)
 
 
 def crossfit_member(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
     """Batched membership evaluator of the cross-fit set at log threshold
     ``thresh``, for :func:`region_boundary_2d`."""
-    mean0, mean1 = pair.mean0[None], pair.mean1[None]
-    return lambda thetas: log_values("crossfit", thetas, mean0, mean1, pair.m0, pair.m1) < thresh
+    return lambda thetas: log_values(
+        "crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1) < thresh
 
 
 def subsampling_log_statistic(
-    theta, splits: list[SplitPair], n: int, alpha: float | None = None
+    theta, splits: SplitPair, n: int, alpha: float | None = None
 ) -> LogStatistic:
-    """Log of the average split statistic over ``B`` partitions."""
+    """Log of the average split statistic over the ``B`` splits of a record."""
     return _log_statistic("subsampling", theta, splits, n, alpha)
 
 
-def subsampling_member(mean0, mean1, m0: int, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched membership evaluator of the subsampling set of the ``(B, d)``
-    split means at log threshold ``thresh``, for :func:`region_boundary_2d`."""
-    return lambda thetas: log_values("subsampling", thetas, mean0, mean1, m0) < thresh
+def subsampling_member(splits: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched membership evaluator of the subsampling set of a record of
+    splits at log threshold ``thresh``, for :func:`region_boundary_2d`."""
+    return lambda thetas: log_values(
+        "subsampling", thetas, splits.mean0, splits.mean1, splits.m0) < thresh
 
 
 def limiting_sq_radius(alpha: float, d: int, n: int) -> float:
@@ -435,19 +434,16 @@ def region_boundary_2d(
 
 
 def boundaries_2d(
-    sample: SampleSet, pair: SplitPair, alpha: float, rays: int, tol: float, keys=None
+    sample: SampleSet, pair: SplitPair, alpha: float, rays: int, tol: float, splits=None
 ) -> tuple[Boundary2D, Boundary2D | None]:
     """The cross-fit boundary of ``pair`` and the subsampling boundary of the
-    splits of size ``pair.m0`` drawn for the ``(B,)`` ``keys`` (``None``
-    without keys), each traced from the sample mean out to ten radii of the
-    split sphere of ``pair``."""
+    record ``splits`` (``None`` without one), each traced from the sample
+    mean out to ten radii of the split sphere of ``pair``."""
     thresh = log_threshold(alpha)
     search = 10.0 * math.sqrt(split_region(pair, sample.n, alpha).sq_radius)
     members = [crossfit_member(pair, thresh)]
-    if keys is not None:
-        if len(keys) == 0:
-            raise DomainError("the subsampling boundary needs at least one split, B >= 1")
-        mean0, mean1 = split_means(sample.values[None], np.asarray(keys)[None], pair.m0)
-        members.append(subsampling_member(mean0[0], mean1[0], pair.m0, thresh))
+    if splits is not None:
+        _check_pair(splits, sample.n, single=False)
+        members.append(subsampling_member(splits, thresh))
     traced = [region_boundary_2d(m, alpha, sample.mean, rays, tol, search) for m in members]
-    return traced[0], traced[1] if keys is not None else None
+    return traced[0], traced[1] if splits is not None else None

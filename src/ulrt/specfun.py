@@ -36,10 +36,12 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-10
 
 #: :func:`noncentral_chi2_cdf` refuses lambda/2 from here on.  Its recurrence
-#: steps through the Poisson indices k near lambda/2 and divides by
-#: k + 1 - lambda/2, which is exact only while those indices are exact
-#: doubles; from 2**53 on it rounds to 0.
-_MAX_HALF_NONCENTRALITY = 2.0**52
+#: takes a number of Python steps that grows as sqrt(lambda): at d = 2 and
+#: x = lambda on one Xeon vCPU, lambda = 1e8 took 0.15 s and lambda = 2.14e9,
+#: just under the bound, 0.74 s, where lambda = 1e12 takes 14 s.  The bound
+#: also keeps the Poisson indices k exact doubles, so that k + 1 - lambda/2,
+#: a divisor, never rounds to 0 (it would from lambda/2 = 2**53 on).
+_MAX_HALF_NONCENTRALITY = 2.0**30
 
 #: :func:`chi2_upper_quantile` results by ``(alpha, d, MAX_ITER, REL_TOL)``:
 #: the closed-form power and threshold tests ask for the same few quantiles
@@ -217,8 +219,8 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     Each direction stops when a geometric bound on its unsummed Poisson tail
     drops below half of :data:`ABS_TOL` times the summed mass, and the sum is
     divided by that mass, so rounding in the mode weight cannot stall it.
-    Raises ``NumericError`` for ``lambda/2 >= 2**52``, past the exact
-    indices the recurrence needs.
+    Raises ``NumericError`` for ``lambda/2 >= 2**30``, past which the
+    recurrence would take seconds to hours.
     """
     _check_dim(d)
     if not math.isfinite(x) or x < 0.0:
@@ -233,7 +235,7 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     half = 0.5 * noncentrality
     if half >= _MAX_HALF_NONCENTRALITY:
         raise NumericError(
-            f"noncentral chi-squared series needs lambda/2 < 2**52, got lambda={noncentrality}"
+            f"noncentral chi-squared series needs lambda/2 < 2**30, got lambda={noncentrality}"
         )
     k0 = int(half)
     a = 0.5 * d

@@ -85,7 +85,7 @@ def test_region_without_subsampling_splits_exits_2(tmp_path):
     out = tmp_path / "regions"
     proc = run_cli(["region", "--B", "0", "--rays", "12", "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
-    assert "error: the subsampling boundary needs at least one split, B >= 1" in proc.stderr
+    assert "error: subsampling needs at least one split, B >= 1, got B=0" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "boundary_subsampling.csv").exists()
 
@@ -275,10 +275,12 @@ def test_formula_numeric_failure_exits_3(capsys):
 
 
 def test_formula_noncentral_cdf_beyond_its_series_exits_3(capsys):
-    argv = ["formula", "noncentral-cdf", "--x", "1", "--d", "2", "--noncentrality", "1e300"]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric error: noncentral chi-squared series needs lambda/2 < 2**52")
+    # 1e12 would take 14 s of recurrence steps; 1e300 is past every exact Poisson index
+    for x, lam in (("1", "1e300"), ("1e12", "1e12")):
+        argv = ["formula", "noncentral-cdf", "--x", x, "--d", "2", "--noncentrality", lam]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: noncentral chi-squared series needs lambda/2 < 2**30")
 
 
 def test_each_main_call_parses_from_the_defaults(capsys):

@@ -25,15 +25,8 @@ from ulrt.rng import RngStream
 
 
 def pair_with_means(mean0, mean1):
-    """Builds a 4-observation sample whose half-split has the given means."""
-    mean0 = np.asarray(mean0, dtype=np.float64)
-    mean1 = np.asarray(mean1, dtype=np.float64)
-    d = mean0.shape[0]
-    shift = np.zeros(d)
-    shift[0] = 1.0
-    values = np.stack([mean0 + shift, mean0 - shift, mean1 + shift, mean1 - shift])
-    sample = data.SampleSet.from_values(values)
-    return data.SplitPair.from_indices(sample, [0, 1])
+    """The half-split of a 4-observation sample with the given part means."""
+    return data.SplitPair(np.atleast_2d(mean0), np.atleast_2d(mean1), 2, 2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +220,13 @@ def test_ripr_dominates_split_statistic():
     assert checked > 50
 
 
+def test_scalar_statistics_refuse_a_record_of_many():
+    pair = data.SplitPair([[0.9, 0.0], [0.3, 0.0]], [[1.4, 0.0], [1.2, 0.0]], 2, 2, 0.5)
+    for statistic in (doughnut_split_log_statistic, doughnut_ripr_log_statistic, hybrid_log_statistic):
+        with pytest.raises(DomainError, match="expected one split"):
+            statistic(pair, 4, AnnulusNull())
+
+
 def test_ripr_e_variable_with_indicator():
     # E[R 1(applicable)] <= 1 at the null boundary ||theta|| = 1
     n, d, reps = 20, 2, 20_000
@@ -300,8 +300,8 @@ def test_subsampled_matches_scalar_statistics():
     sample = data.sample_gaussian(100, 2, [0.9, 0.4], RngStream(45))
     stream = RngStream(46)
     result = subsampled_doughnut_test(sample, AnnulusNull(), 0.1, 16, "hybrid", stream)
-    splits = data.subsample_splits(sample, 16, 0.5, stream)
-    for b, pair in enumerate(splits):
+    for b in range(16):
+        pair = data.split(sample, 0.5, stream.substream(b))
         value, case = hybrid_log_statistic(pair, 100, AnnulusNull())
         assert result.log_values[b] == pytest.approx(value, abs=1e-10)
         assert ("split_case", "unit_case", "ripr_case")[result.cases[b]] == case.value

@@ -22,7 +22,7 @@ WORKERS = 2
 GOLDEN = {
     "regions_fig1": (
         dict(n=200, B=20, replicates=1, rays=24, tol=1e-4),
-        "11a6cf087d8873e20e68360a8517c27505ca48d84a3c3c5c1ef638625c16960b",
+        "d19442ffcd3200ff7a516c653776b2cea3a08412e659001201a31f3e9af2bb73",
     ),
     "approx_fig2": (
         dict(ds=(1, 2), ns=(100,), B=200, grid_points=5),
@@ -51,7 +51,7 @@ GOLDEN = {
     ),
     "crossfit_p0_figS2": (
         dict(n=200, p0s=(0.3, 0.5), rays=24, tol=1e-4),
-        "4ea5b4a81c266e6f6bd8860bafb429693222fbc9a6ff86017c00e8c115b42e7a",
+        "7cf668c140d0b13de042505d0d3f200cef0e1b399e25bf15abaf90fd10bd31ef",
     ),
     "intersect_power_figS3": (
         dict(ds=(2,), n=200, reps=100, theta_norms=(0.0, 1.2)),
@@ -88,15 +88,22 @@ def test_golden_digest(experiment_id, numpy_loops, tmp_path, monkeypatch):
 #: ``ulrt region --seed SEED --rays 25`` at the defaults n = 1000, d = 2,
 #: B = 100 and tol = 1e-6.
 REGION_GOLDEN = {
-    "regions.csv": "39026e3c2b408b25484a61acce02efd3541c9b0393e5982bc2a10c14839c6860",
+    "regions.csv": "7fee18df90b56d8728de5fa1a125d2b2d937e0a952a0b215830499b38619bb55",
     "boundary_crossfit.csv": "7f8532aec3ea831121d334847a2fc1f883cbc664cd3639940bfb942079251afa",
     "boundary_subsampling.csv": "f12863f5b2d03d4e7429c9cfc38347c6b011b8b57dfe16977c97049798f9ad00",
 }
 
 
 def test_region_command_digests(tmp_path):
-    assert main(["region", "--seed", str(SEED), "--rays", "25", "--out", str(tmp_path)]) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in REGION_GOLDEN
-    }
-    assert digests == REGION_GOLDEN
+    assert _region_digests(tmp_path) == REGION_GOLDEN
+
+
+def test_region_command_digests_on_numpy_loops(tmp_path, monkeypatch):
+    """With no library loaded, the numpy twins give the same bytes."""
+    monkeypatch.setattr(_kernels, "_loaded", [None])
+    assert _region_digests(tmp_path) == REGION_GOLDEN
+
+
+def _region_digests(out):
+    assert main(["region", "--seed", str(SEED), "--rays", "25", "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REGION_GOLDEN}

@@ -240,9 +240,9 @@ def _statistic_as_written(thetas, mean0, mean1, m0):
 
 def _check_split_log_values(d, shapes, monkeypatch):
     """``split_log_values`` at ``(points, mean shape)`` pairs (``points`` 0
-    for one ``(d,)`` point) equals the numpy expression bit for bit, with a
-    scalar and a ``(B,)`` ``m0``: on the compiled loop where its domain says
-    so, and on the twin for the rest and when no library is loaded."""
+    for one ``(d,)`` point) equals the numpy expression bit for bit: on the
+    compiled loop where its domain says so, and on the twin for the rest and
+    when no library is loaded."""
     if _kernels._find_compiler() is None:
         pytest.skip("no C compiler found")
     spy = _LoopSpy(_kernels._compiled())
@@ -254,16 +254,15 @@ def _check_split_log_values(d, shapes, monkeypatch):
         thetas = thetas if points else thetas[0]
         mean0, mean1 = _spread(rng, (*shape, d)), _spread(rng, (*shape, d))
         values = math.prod(thetas.shape[:-1] + shape)
-        for m0 in (37, rng.integers(1, 100, shape[-1]).astype(np.float64)):
-            want = _statistic_as_written(thetas, mean0, mean1, m0)
-            _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, m0), want)
-            loop_shape = points == 0 or len(shape) == 1
-            big = values >= _kernels._LOOP_MIN_VALUES
-            if loop_shape and big and d <= _kernels._PAIRWISE_BLOCK:
-                expected_calls.append(values)
-            with monkeypatch.context() as numpy_only:
-                numpy_only.setattr(_kernels, "_loaded", [None])
-                _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, m0), want)
+        want = _statistic_as_written(thetas, mean0, mean1, 37)
+        _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, 37), want)
+        loop_shape = points == 0 or len(shape) == 1
+        big = values >= _kernels._LOOP_MIN_VALUES
+        if loop_shape and big and d <= _kernels._PAIRWISE_BLOCK:
+            expected_calls.append(values)
+        with monkeypatch.context() as numpy_only:
+            numpy_only.setattr(_kernels, "_loaded", [None])
+            _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, 37), want)
     assert spy.calls == expected_calls
     return len(expected_calls)
 
@@ -278,7 +277,7 @@ def _gate_sides(points):
 def test_split_log_values_is_the_statistic_as_written(d, monkeypatch):
     """Every d the loop sums (1 to 128) and some past it, at 21 grid points."""
     calls = _check_split_log_values(d, _gate_sides(21), monkeypatch)
-    assert calls == (2 if d <= _kernels._PAIRWISE_BLOCK else 0)
+    assert calls == (1 if d <= _kernels._PAIRWISE_BLOCK else 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 20, 128, 129])
@@ -289,7 +288,7 @@ def test_split_log_values_takes_the_loop_only_in_its_domain(d, monkeypatch):
     shapes += [(0, (31, 66)), (0, (64, 32)), (21, (1, 98))]
     calls = _check_split_log_values(d, shapes, monkeypatch)
     # (21, d) points against (1, 98, d) means broadcast, so they stay on numpy
-    assert calls == (8 if d <= _kernels._PAIRWISE_BLOCK else 0)
+    assert calls == (4 if d <= _kernels._PAIRWISE_BLOCK else 0)
 
 
 @pytest.mark.parametrize("numpy_loops", [False, True], ids=["compiled", "numpy"])
@@ -315,10 +314,8 @@ def test_fig2_chunk_in_one_call_equals_its_points_one_by_one(numpy_loops, monkey
 
 
 def test_crossfit_equals_split_when_means_coincide():
-    values = np.array([[1.0, 2.0], [3.0, -1.0], [3.0, -1.0], [1.0, 2.0]])
-    sample = data.SampleSet.from_values(values)
-    pair = data.SplitPair.from_indices(sample, [0, 1])
-    assert np.allclose(pair.mean0, pair.mean1)
+    # the half-split {(1, 2), (3, -1)} | {(3, -1), (1, 2)} of four observations
+    pair = data.SplitPair([[2.0, 0.5]], [[2.0, 0.5]], 2, 2, 0.5)
     for theta in ([0.0, 0.0], [2.0, 0.5], [-1.0, 3.0]):
         split_val = split_log_statistic(theta, pair, 4).log_value
         cf_val = crossfit_log_statistic(theta, pair, 4).log_value
@@ -354,7 +351,7 @@ def test_crossfit_contained_in_recentered_ball(dataset):
 def test_subsampling_single_split_reduction(dataset):
     _, pair = dataset
     theta = [0.01, -0.02]
-    lone = subsampling_log_statistic(theta, [pair], 1000).log_value
+    lone = subsampling_log_statistic(theta, pair, 1000).log_value
     assert lone == split_log_statistic(theta, pair, 1000).log_value
 
 
@@ -363,9 +360,7 @@ def test_subsampling_log_sum_exp_shift_invariance(dataset):
     splits = data.subsample_splits(sample, 50, 0.5, RngStream(9))
     theta = np.array([0.05, 0.0])
     stat = subsampling_log_statistic(theta, splits, 1000).log_value
-    logs = np.array(
-        [split_log_statistic(theta, p, 1000).log_value for p in splits]
-    )
+    logs = regions.split_log_values(theta, splits.mean0, splits.mean1, splits.m0)
     peak = logs.max()
     reference = peak + math.log(np.mean(np.exp(logs - peak)))
     assert stat == pytest.approx(reference, abs=1e-12)
@@ -374,10 +369,8 @@ def test_subsampling_log_sum_exp_shift_invariance(dataset):
 def test_subsampling_matches_batch_kernel(dataset):
     sample, _ = dataset
     splits = data.subsample_splits(sample, 50, 0.5, RngStream(10))
-    mean0 = np.stack([p.mean0 for p in splits])
-    mean1 = np.stack([p.mean1 for p in splits])
     thetas = np.array([[0.0, 0.0], [0.08, -0.03], [0.2, 0.2]])
-    batch = regions.log_values("subsampling", thetas, mean0, mean1, 500)
+    batch = regions.log_values("subsampling", thetas, splits.mean0, splits.mean1, 500)
     for g, theta in enumerate(thetas):
         direct = subsampling_log_statistic(theta, splits, 1000).log_value
         assert batch[g] == pytest.approx(direct, abs=1e-12)
@@ -386,7 +379,7 @@ def test_subsampling_matches_batch_kernel(dataset):
 def test_subsampling_stable_for_huge_exponents():
     sample = data.sample_gaussian(1_000_000, 1, [0.0], RngStream(12))
     splits = data.subsample_splits(sample, 3, 0.5, RngStream(13))
-    theta = splits[0].mean0 + 10.0
+    theta = splits.mean0[0] + 10.0
     stat = subsampling_log_statistic(theta, splits, 1_000_000).log_value
     assert math.isfinite(stat)
     assert stat > 2.0e7  # exponent about (n/4) * 100 in the raw domain
@@ -394,7 +387,31 @@ def test_subsampling_stable_for_huge_exponents():
 
 def test_subsampling_requires_splits():
     with pytest.raises(DomainError):
-        subsampling_log_statistic([0.0], [], 10)
+        no_splits = data.SplitPair(np.empty((0, 1)), np.empty((0, 1)), 5, 5, 0.5)
+        subsampling_log_statistic([0.0], no_splits, 10)
+
+
+@pytest.mark.parametrize("mean0, mean1, m0, m1", [
+    ([0.0, 1.0], [1.0, 0.0], 2, 2),  # (d,) means, not (B, d)
+    ([[0.0, 1.0]], [[1.0, 0.0], [0.5, 0.5]], 2, 2),  # parts of different B
+    ([[0.0, 1.0]], [[1.0, 0.0]], 0, 4),  # an empty part
+], ids=["one-dimensional", "mismatched", "empty-part"])
+def test_split_record_refuses_malformed_means(mean0, mean1, m0, m1):
+    with pytest.raises(DomainError):
+        data.SplitPair(mean0, mean1, m0, m1, 0.5)
+
+
+def test_one_split_functions_refuse_a_record_of_many(dataset):
+    sample, _ = dataset
+    splits = data.subsample_splits(sample, 2, 0.5, RngStream(9))
+    for call in (
+        lambda: split_log_statistic([0.0, 0.0], splits, 1000),
+        lambda: crossfit_log_statistic([0.0, 0.0], splits, 1000),
+        lambda: split_region(splits, 1000, 0.1),
+        lambda: regions.boundaries_2d(sample, splits, 0.1, 8, 1e-3),
+    ):
+        with pytest.raises(DomainError, match="expected one split, got a record of B=2"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +642,7 @@ def test_subsampling_boundary_inside_split_seeded():
     pair = data.split(sample, 0.5, root.substream(1))
     split_reg = split_region(pair, 1000, 0.1)
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
-    mean0 = np.stack([p.mean0 for p in splits])
-    mean1 = np.stack([p.mean1 for p in splits])
-    member = regions.subsampling_member(mean0, mean1, 500, log_threshold(0.1))
+    member = regions.subsampling_member(splits, log_threshold(0.1))
     boundary = region_boundary_2d(
         member, 0.1, sample.mean, 90, 1e-6, 10.0 * math.sqrt(split_reg.sq_radius)
     )
@@ -672,8 +687,6 @@ def _boundary_cases():
     split_reg = split_region(pair, 1000, 0.1)
     search = 10.0 * math.sqrt(split_reg.sq_radius)
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
-    mean0 = np.stack([p.mean0 for p in splits])
-    mean1 = np.stack([p.mean1 for p in splits])
     thresh = log_threshold(0.1)
     crossfit = regions.crossfit_member(pair, thresh)
     half_plane = lambda theta: theta[:, 0] < 0.5  # noqa: E731
@@ -681,7 +694,7 @@ def _boundary_cases():
         "split_sphere": (split_reg.contains, split_reg.center, 64, 1e-8, search),
         "crossfit": (crossfit, sample.mean, 90, 1e-6, search),
         "subsampling_B100": (
-            regions.subsampling_member(mean0, mean1, 500, thresh), sample.mean, 90, 1e-6, search
+            regions.subsampling_member(splits, thresh), sample.mean, 90, 1e-6, search
         ),
         "half_plane": (half_plane, np.zeros(2), 8, 1e-6, 1.0),
         "odd_rays": (crossfit, sample.mean, 7, 1e-6, search),

@@ -266,7 +266,7 @@ def test_split_deterministic():
     sample = data.sample_gaussian(100, 2, [0.0, 0.0], RngStream(1))
     a = data.split(sample, 0.3, RngStream(9))
     b = data.split(sample, 0.3, RngStream(9))
-    assert np.array_equal(a.indices0, b.indices0)
+    assert np.array_equal(a.mean0, b.mean0) and np.array_equal(a.mean1, b.mean1)
 
 
 def test_split_mean_identity():
@@ -286,19 +286,25 @@ def test_split_partition_property(n, p0_pct, seed):
     assume(1 <= math.floor(n * p0_pct / 100.0 + 0.5) <= n - 1)
     sample = data.sample_gaussian(n, 1, [0.0], RngStream(5, 5))
     pair = data.split(sample, p0_pct / 100.0, RngStream(seed))
-    merged = np.concatenate([pair.indices0, pair.indices1])
-    assert np.array_equal(np.sort(merged), np.arange(n))
-    assert pair.m0 == int(math.floor(n * p0_pct / 100.0 + 0.5))
+    k = int(math.floor(n * p0_pct / 100.0 + 0.5))
+    assert pair.m0 == k and pair.m1 == n - k
+    # the split's parts are the drawn subset and its complement
+    subset = batch_fisher_yates(np.array([RngStream(seed).key], dtype=np.uint64), n, k)[0]
+    assert np.unique(subset).size == k and 0 <= subset.min() and subset.max() < n
+    rest = np.setdiff1d(np.arange(n), subset)
+    assert np.allclose(pair.mean0[0], sample.values[subset].mean(axis=0), rtol=0.0, atol=1e-12)
+    assert np.allclose(pair.mean1[0], sample.values[rest].mean(axis=0), rtol=0.0, atol=1e-12)
 
 
 def test_split_exchangeability():
-    sample = data.sample_gaussian(10, 1, [0.0], RngStream(123))
+    # observation i is the unit vector e_i, so m0 * mean0 indicates the first part
+    sample = data.SampleSet.from_values(np.eye(10))
     root = RngStream(77)
     counts = np.zeros(10)
     reps = 10_000
     for r in range(reps):
         pair = data.split(sample, 0.5, root.substream(r))
-        counts[pair.indices0] += 1
+        counts += pair.m0 * pair.mean0[0]
     freqs = counts / reps
     assert np.all(np.abs(freqs - 0.5) <= 0.02)
 
@@ -316,7 +322,7 @@ def test_split_matches_batch_kernel():
     pair = data.split(sample, 0.4, stream)
     k = pair.m0
     perm = batch_fisher_yates(np.array([stream.key], dtype=np.uint64), 257, k)
-    assert set(perm[0, :k].tolist()) == set(pair.indices0.tolist())
+    assert np.allclose(pair.mean0[0], sample.values[perm[0]].mean(axis=0), rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -619,20 +625,38 @@ def test_subsample_splits_sizes_and_determinism():
     stream = RngStream(55)
     splits_a = data.subsample_splits(sample, 100, 0.5, stream)
     splits_b = data.subsample_splits(sample, 100, 0.5, stream)
-    assert len(splits_a) == 100
-    for a, b in zip(splits_a, splits_b):
-        assert a.m0 == 50
-        assert np.array_equal(a.indices0, b.indices0)
+    assert splits_a.mean0.shape == splits_a.mean1.shape == (100, 2)
+    assert splits_a.m0 == splits_a.m1 == 50
+    assert np.array_equal(splits_a.mean0, splits_b.mean0)
+    assert np.array_equal(splits_a.mean1, splits_b.mean1)
 
 
 def test_subsample_splits_match_per_stream_split():
     sample = data.sample_gaussian(64, 2, [0.0, 0.0], RngStream(2))
     stream = RngStream(3)
     splits = data.subsample_splits(sample, 8, 0.5, stream)
-    for b, pair in enumerate(splits):
+    for b in range(8):
         direct = data.split(sample, 0.5, stream.substream(b))
-        assert np.array_equal(pair.indices0, direct.indices0)
-        assert np.allclose(pair.mean0, direct.mean0, atol=1e-12)
+        assert np.array_equal(splits.mean0[b], direct.mean0[0])
+        assert np.array_equal(splits.mean1[b], direct.mean1[0])
+
+
+@pytest.mark.parametrize("numpy_loops", [False, True], ids=["compiled", "numpy"])
+def test_split_records_sum_in_split_means_order(numpy_loops, monkeypatch):
+    """``split`` and ``subsample_splits`` equal ``split_means`` for the same
+    keys bit for bit: one summation order for every split of a dataset."""
+    if numpy_loops:
+        monkeypatch.setattr(_kernels, "_loaded", [None])
+    sample = data.sample_gaussian(257, 3, [0.5, 0.0, -1.0], RngStream(14))
+    stream = RngStream(15)
+    k = data.part_size(257, 0.4)
+    mean0, mean1 = split_means(sample.values[None], stream.substream_keys(20)[None], k)
+    splits = data.subsample_splits(sample, 20, 0.4, stream)
+    pair = data.split(sample, 0.4, stream.substream(3))
+    for got, want in ((splits.mean0, mean0[0]), (splits.mean1, mean1[0]),
+                      (pair.mean0, mean0[0, 3:4]), (pair.mean1, mean1[0, 3:4])):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_subsample_splits_validation():
