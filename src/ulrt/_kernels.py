@@ -1,30 +1,32 @@
 """Vectorized inner loops shared by the statistics and the experiment runner.
 
-Everything here is exact batch arithmetic.  ``batch_fisher_yates`` is the one
-partial Fisher-Yates shuffle: :func:`ulrt.data.split` calls it with a single
-stream key, the subsampling and Monte Carlo paths with many.  ``split_means``
-draws the same subsets and sums each one's rows in draw order, so that the
-means of a batch of splits are a function of the code alone.  Four loops are
-C (``_subsets.c``, next to this file): those two, ``_polar_trials``, the
-polar trial scan of :func:`ulrt.rng.batch_normals`, and ``_split_log_values``,
-the log split statistic behind :func:`ulrt.regions.split_log_values`.  The
-first call compiles the source with ``cc -O3 -shared -fPIC -ffp-contract=off``
-(no fused multiply-add, so every product rounds as in numpy) into the
-per-user cache ``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``), keyed by
-a checksum of the source and the build command, and loads it with
-:mod:`ctypes`, which releases the GIL while a loop runs.  Without a compiler, or when the build or
-the load fails, the numpy loops ``_numpy_fisher_yates``, ``_numpy_split_sums``,
-``_numpy_polar`` and ``_numpy_split_log_values`` give the same bytes, and the
-process emits one ``RuntimeWarning`` that says so.  No other module picks
-between the two.
+Everything here is exact batch arithmetic.  ``split_means`` is the one subset
+draw: it takes each split's first part by a partial Fisher-Yates shuffle of
+the split's stream key and sums that part's rows in draw order, so that the
+means of a batch of splits are a function of the code alone.
+:func:`ulrt.data.split` calls it with a single key, the subsampling and Monte
+Carlo paths with many.  Three loops are C (``_subsets.c``, next to this
+file): the split sums of ``split_means``, ``_polar_trials``, the polar trial
+scan of :func:`ulrt.rng.batch_normals`, and ``_split_log_values``, the log
+split statistic behind :func:`ulrt.regions.split_log_values`.  The first call
+compiles the source with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused
+multiply-add, so every product rounds as in numpy) into the per-user cache
+``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``), keyed by a checksum of
+the source and the build command, and loads it with :mod:`ctypes`, which
+releases the GIL while a loop runs.  Without a compiler, or when the build or
+the load fails, the numpy loops ``_numpy_split_sums`` (with its shuffle
+``_numpy_fisher_yates``), ``_numpy_polar`` and ``_numpy_split_log_values``
+give the same bytes, and the process emits one ``RuntimeWarning`` that says
+so.  No other module picks between the two.
 
 The splitmix64 finalizer on uint64 arrays, :func:`_finalize_array`, and its
 constants live here; :mod:`ulrt.rng` builds its streams on them.
 
 :func:`sq_norm` evaluates every squared distance of the statistics.  Its
 contract is numpy's bytes: it sums in numpy's pairwise order (Higham, SIAM J.
-Sci. Comput. 14:783, 1993), column by column when there are many short
-vectors, so it equals ``np.sum(np.square(a - b), axis=-1)`` bit for bit.
+Sci. Comput. 14:783, 1993), one running sum column by column when there are
+many vectors of at most seven coordinates, so it equals
+``np.sum(np.square(a - b), axis=-1)`` bit for bit.
 ``tests/test_regions.py::test_sq_norm_is_numpys_sum_bit_for_bit`` pins that
 for d = 1 to 140, and fails if a numpy release changes its order.  The
 compiled statistic sums in the same order, so it keeps the same bytes.
@@ -91,36 +93,19 @@ def _check_sizes(n, k) -> tuple[int, int]:
     return int(n), int(k)
 
 
-def batch_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Partial Fisher-Yates shuffles for many streams at once.
-
-    Returns an ``(R, k)`` int32 matrix whose row ``r`` is the size-``k``
-    subset of ``0..n-1`` drawn by stream ``keys[r]``: the first ``k``
-    entries, in order, of the permutation after ``k`` swap steps.  Step
-    ``i`` swaps position ``i`` with position ``i + draw_i % (n - i)``, where
-    ``draw_i`` is draw ``i`` of the stream.  ``keys`` must be a 1-d integer
-    array (it is converted to contiguous uint64), and ``0 <= k <= n < 2**31``.
-    """
-    keys = _check_keys(keys, 1)
-    n, k = _check_sizes(n, k)
-    lib = _compiled()
-    if lib is None:
-        return _numpy_fisher_yates(keys, n, k)
-    out = np.empty((keys.shape[0], k), dtype=np.int32)
-    perm = np.empty(n, dtype=np.int32)
-    lib.ulrt_fisher_yates(keys.ctypes.data, keys.shape[0], n, k, perm.ctypes.data, out.ctypes.data)
-    return out
-
-
 def split_means(data: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Means of both parts of a batch of random splits.
 
     ``data`` is a contiguous float64 ``(C, n, d)`` array and ``keys`` a
     ``(C, B)`` integer array (converted to contiguous uint64): split ``b`` of
-    dataset ``c`` takes as its first part the size-``k`` subset that
-    :func:`batch_fisher_yates` draws for ``keys[c, b]``, and the rest as its
-    second.  The first part's rows are summed in draw order, one column at a
-    time.  Returns ``(mean0, mean1)``, each ``(C, B, d)``; ``1 <= k < n``.
+    dataset ``c`` takes as its first part the size-``k`` subset of rows that
+    stream ``keys[c, b]`` draws, and the rest as its second.  The subset is
+    the first ``k`` entries, in order, of the permutation of ``0..n-1`` after
+    ``k`` partial Fisher-Yates steps: step ``i`` swaps position ``i`` with
+    position ``i + draw_i % (n - i)``, where ``draw_i`` is draw ``i`` of the
+    stream.  The first part's rows are summed in draw order, one column at a
+    time.  Returns ``(mean0, mean1)``, each ``(C, B, d)``; ``1 <= k < n <
+    2**31``.
     """
     if not (isinstance(data, np.ndarray) and data.ndim == 3 and data.dtype == np.float64
             and data.flags.c_contiguous):
@@ -181,13 +166,11 @@ def _load_compiled():
             reason = f"building or loading {_SOURCE} failed ({exc})"
         else:
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            lib.ulrt_fisher_yates.argtypes = [ptr, i64, i64, i64, ptr, ptr]
             lib.ulrt_split_sums.argtypes = [ptr, i64, i64, i64, i64, ptr, i64, ptr, ptr]
             lib.ulrt_polar.argtypes = [ptr, i64, i64, ptr, ptr]
             lib.ulrt_split_log_values.argtypes = [
                 ptr, i64, ptr, ptr, i64, i64, ctypes.c_double, ptr]
-            for fn in (lib.ulrt_fisher_yates, lib.ulrt_split_sums, lib.ulrt_polar,
-                       lib.ulrt_split_log_values):
+            for fn in (lib.ulrt_split_sums, lib.ulrt_polar, lib.ulrt_split_log_values):
                 fn.restype = None
             return lib
     warnings.warn(
@@ -238,7 +221,9 @@ def _build(cc: str) -> str:
 
 
 def _numpy_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
-    """:func:`batch_fisher_yates` in numpy, for contiguous uint64 ``keys``.
+    """The subsets of :func:`split_means` in numpy, for contiguous uint64
+    ``keys``: an ``(R, k)`` int32 matrix whose row ``r`` is drawn by
+    ``keys[r]``.
 
     Rows run in blocks of ``_FY_BLOCK``.  A block keeps its permutations
     step-major, as an ``(n, w)`` array, so that step ``i`` reads and writes
@@ -333,10 +318,10 @@ def log_mean_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-#: numpy sums a reduction of up to this many elements with ``_UNROLL``
-#: interleaved partial sums; longer ones it halves recursively.
+#: numpy sums a reduction of up to this many elements with eight
+#: interleaved partial sums, the order of ``sq_dist`` in ``_subsets.c``;
+#: longer ones it halves recursively, so the compiled statistic stops here.
 _PAIRWISE_BLOCK = 128
-_UNROLL = 8
 #: :func:`sq_norm` sums column by column when the vectors have at most
 #: ``_COLUMN_MAX_D`` coordinates and number at least ``_COLUMN_MIN_VECTORS``
 #: per coordinate.  Measured on 2 AVX-512 vCPUs against numpy 2.4, one
@@ -347,8 +332,9 @@ _UNROLL = 8
 #: calls of a column sum hand the GIL back and forth: figure 2's d = 20
 #: statistic (8192 vectors) ran 6% slower by column there, and 7% faster
 #: with d = 20 left to numpy.  Hence a gate above the one-thread crossover,
-#: and no columns past the first eight.
-_COLUMN_MAX_D = 8
+#: and no columns past seven, where numpy's sum is one running sum from
+#: column 0.
+_COLUMN_MAX_D = 7
 _COLUMN_MIN_VECTORS = 128
 
 
@@ -357,13 +343,11 @@ def sq_norm(a: np.ndarray, b=0.0) -> np.ndarray:
     bit ``np.sum(np.square(a - b), axis=-1)``.
 
     ``a`` is a ``(..., d)`` float64 array and ``b`` a float or an array that
-    broadcasts against it.  Many short vectors are summed one column at a
-    time, in numpy's pairwise order (below 8 columns one running sum from
-    column 0; up to ``_PAIRWISE_BLOCK`` columns eight interleaved sums, paired
-    as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the tail
-    columns one by one), without building the ``(..., d)`` differences:
-    numpy pays tens of nanoseconds per vector when the summed axis is short.
-    Other inputs go to numpy itself.
+    broadcasts against it.  Many vectors of at most ``_COLUMN_MAX_D``
+    coordinates are summed one column at a time, in numpy's order below 8
+    terms, one running sum from column 0, without building the ``(..., d)``
+    differences: numpy pays tens of nanoseconds per vector when the summed
+    axis is short.  Other inputs go to numpy itself.
     """
     d = a.shape[-1]
     if (0 < d <= _COLUMN_MAX_D and np.broadcast(a, b).size >= _COLUMN_MIN_VECTORS * d * d
@@ -379,39 +363,19 @@ def sq_norm(a: np.ndarray, b=0.0) -> np.ndarray:
 
 
 def _column_sq_norm(a: np.ndarray, b, d: int) -> np.ndarray:
-    """:func:`sq_norm` summed column by column in numpy's pairwise order,
-    for ``1 <= d <= _PAIRWISE_BLOCK``; at most nine vector-count arrays live
-    at once."""
+    """:func:`sq_norm` summed column by column, one running sum from column
+    0, for ``1 <= d <= _COLUMN_MAX_D``; two vector-count arrays live at
+    once."""
     if np.ndim(b) == 0:
         b = np.full(d, b)
-
-    def column(j: int, out=None) -> np.ndarray:
-        out = np.subtract(a[..., j], b[..., j], out=out)
-        out *= out
-        return out
-
-    if d < _UNROLL:
-        total = column(0)
-        tmp = np.empty_like(total)
-        for j in range(1, d):
-            total += column(j, tmp)
-        return total
-    acc = [column(j) for j in range(_UNROLL)]
-    tmp = np.empty_like(acc[0])
-    body = d - d % _UNROLL
-    for j in range(_UNROLL, body):
-        acc[j % _UNROLL] += column(j, tmp)
-    r0, r1, r2, r3, r4, r5, r6, r7 = acc
-    r0 += r1
-    r2 += r3
-    r0 += r2
-    r4 += r5
-    r6 += r7
-    r4 += r6
-    r0 += r4
-    for j in range(body, d):
-        r0 += column(j, tmp)
-    return r0
+    total = np.subtract(a[..., 0], b[..., 0])
+    total *= total
+    tmp = np.empty_like(total)
+    for j in range(1, d):
+        np.subtract(a[..., j], b[..., j], out=tmp)
+        tmp *= tmp
+        total += tmp
+    return total
 
 
 #: :func:`_split_log_values` runs ``ulrt_split_log_values`` when it scores at

@@ -1,16 +1,16 @@
-/* Partial Fisher-Yates subset draws, split sums and polar trials, one row
- * per stream key, and the log split statistic.
+/* Split sums over partial Fisher-Yates subset draws and polar trials, one
+ * row per stream key, and the log split statistic.
  *
- * The compiled form of ulrt._kernels._numpy_fisher_yates,
- * ulrt._kernels._numpy_split_sums, ulrt._kernels._numpy_polar and
+ * The compiled form of ulrt._kernels._numpy_split_sums (with its shuffle,
+ * _numpy_fisher_yates), ulrt._kernels._numpy_polar and
  * ulrt._kernels._numpy_split_log_values: the same splitmix64 draws, the
  * same swaps, the same additions in the same order and the same accepted
  * trials, so the results are identical.  Built with -ffp-contract=off, so
  * that u * u + v * v rounds twice, as in numpy.  The Python wrappers check
- * their arguments and pass contiguous buffers: keys[rows], perm[n]
- * (scratch), out[rows * k], data[C * n * d], sums[rows * d], for the trials
- * out[rows * count] and s[rows * pairs], and for the statistic theta[G * d],
- * mean0[R * d], mean1[R * d] and out[G * R].
+ * their arguments and pass contiguous buffers: for the sums keys[rows],
+ * perm[n] (scratch), data[C * n * d] and sums[rows * d], for the trials
+ * keys[rows], out[rows * count] and s[rows * pairs], and for the statistic
+ * theta[G * d], mean0[R * d], mean1[R * d] and out[G * R].
  */
 #include <stdint.h>
 #include <string.h>
@@ -35,15 +35,6 @@ static void shuffle(uint64_t key, int64_t n, int64_t k, int32_t *perm)
         int32_t picked = perm[j];
         perm[j] = perm[i];
         perm[i] = picked;
-    }
-}
-
-void ulrt_fisher_yates(const uint64_t *keys, int64_t rows, int64_t n, int64_t k,
-                       int32_t *perm, int32_t *out)
-{
-    for (int64_t r = 0; r < rows; r++, out += k) {
-        shuffle(keys[r], n, k, perm);
-        memcpy(out, perm, (size_t)k * sizeof(int32_t));
     }
 }
 

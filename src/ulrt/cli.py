@@ -34,14 +34,21 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _default_workers() -> int:
+def _workers(flag: int | None, file_workers: int | None = None) -> int:
+    """``--workers``, else the spec file's count (checked as it is read),
+    else ``ULRT_WORKERS``, else the CPU count; each an integer >= 1."""
+    if flag is not None:
+        return engine._check_workers(flag, "--workers")
+    if file_workers is not None:
+        return file_workers
     env = os.environ.get("ULRT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"ULRT_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = env
+    return engine._check_workers(value, "ULRT_WORKERS")
 
 
 def _int_list(text: str) -> list[int]:
@@ -138,9 +145,10 @@ def cmd_figure(args) -> int:
             value = [value]
         overrides[axis] = value
     spec = engine.build_spec(experiment_id, args.seed, **overrides)
-    workers = args.workers if args.workers is not None else _default_workers()
-    rows = engine.run(spec, workers=workers)
+    workers = _workers(args.workers)
     out = Path(args.out) if args.out else Path(f"figure_{figure_id}.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)  # fail before the run, not after it
+    rows = engine.run(spec, workers=workers)
     engine.rows_to_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
@@ -148,16 +156,17 @@ def cmd_figure(args) -> int:
 
 def cmd_experiment(args) -> int:
     spec, file_workers = engine.load_spec_file(args.spec_file)
-    workers = args.workers if args.workers is not None else file_workers
-    if workers is None:
-        workers = _default_workers()
+    workers = _workers(args.workers, file_workers)
+    out = Path(args.out) if args.out else Path(f"experiment_{spec.experiment_id}.csv")
+    out.parent.mkdir(parents=True, exist_ok=True)
     dump = None
     raw_rows: list[tuple] = []
     if args.dump_raw:
+        Path(args.dump_raw).parent.mkdir(parents=True, exist_ok=True)
+
         def dump(cell: int, name: str, lo: int, values: np.ndarray) -> None:
             raw_rows.extend((cell, name, lo + i, v) for i, v in enumerate(values.tolist()))
     rows = engine.run(spec, workers=workers, dump=dump)
-    out = Path(args.out) if args.out else Path(f"experiment_{spec.experiment_id}.csv")
     engine.rows_to_csv(rows, out)
     if args.dump_raw:
         _write_csv(args.dump_raw, ["cell", "quantity", "rep", "value"], raw_rows)
@@ -344,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

@@ -43,7 +43,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """An n-by-d matrix of observations with the column mean cached."""
 
@@ -71,7 +71,7 @@ class SampleSet:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitPair:
     """The part means of ``B`` splits of one sample.
 

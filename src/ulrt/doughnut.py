@@ -184,7 +184,7 @@ def _hybrid_log_values(
     return values, cases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoughnutTestResult:
     """Outcome of a subsampled annulus test.
 

@@ -269,6 +269,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_workers(value, source: str) -> int:
+    """A worker count from ``source``, a flag, the environment or a spec
+    file: an integer >= 1."""
+    if not _is_integer(value):
+        raise DomainError(f"{source} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{source} must be at least 1, got {value}")
+    return int(value)
+
+
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -820,8 +830,8 @@ def load_spec_file(path) -> tuple[ExperimentSpec, int | None]:
     experiment_id, seed, workers = doc["experiment_id"], doc["seed"], doc.get("workers")
     if not _is_integer(seed):
         raise DomainError(f"{path}: seed must be an integer, got {seed!r}")
-    if workers is not None and not _is_integer(workers):
-        raise DomainError(f"{path}: workers must be an integer, got {workers!r}")
+    if workers is not None:
+        workers = _check_workers(workers, f"{path}: workers")
     if "grid" in doc:
         grid = doc["grid"]
         if not isinstance(grid, list) or not all(isinstance(c, dict) for c in grid):

@@ -48,7 +48,7 @@ def log_threshold(alpha: float) -> float:
     return -math.log(_check_alpha(alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalRegion:
     """A sphere ``{theta : ||theta - center||^2 <= sq_radius}``.
 
@@ -352,7 +352,7 @@ def limiting_vs_expected_split_ratio(alpha: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Boundary2D:
     """Closed polyline of membership-boundary points found by radial bisection.
 

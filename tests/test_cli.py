@@ -204,6 +204,66 @@ def test_figure_bad_ulrt_workers_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+_FIG4_SPEC = {"experiment_id": "ratio_bounds_fig4", "seed": 1, "overrides": {"ds": [10], "xs": [1.0]}}
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_worker_count_below_1_on_the_command_line_exits_2(tmp_path, capsys, count):
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "4", "--d", "10", "--workers", count, "--out", str(out)]) == 2
+    assert f"--workers must be at least 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_worker_count_below_1_in_ulrt_workers_exits_2(tmp_path, monkeypatch, capsys, count):
+    monkeypatch.setenv("ULRT_WORKERS", count)
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "4", "--d", "10", "--out", str(out)]) == 2
+    assert f"ULRT_WORKERS must be at least 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_worker_count_below_1_in_a_spec_file_exits_2(tmp_path, capsys, count):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**_FIG4_SPEC, "workers": count}))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 2
+    assert f"workers must be at least 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_into_new_nested_directories_is_written(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_FIG4_SPEC))
+    figure_out = tmp_path / "a" / "b" / "fig4.csv"
+    rows, raw = tmp_path / "c" / "rows.csv", tmp_path / "d" / "e" / "raw.csv"
+    assert main(["figure", "4", "--d", "10", "--workers", "1", "--out", str(figure_out)]) == 0
+    assert main(["experiment", "--spec-file", str(spec), "--workers", "1", "--out", str(rows),
+                 "--dump-raw", str(raw)]) == 0
+    assert figure_out.read_text().startswith("experiment,d,")
+    assert rows.read_text().startswith("experiment,d,")
+    assert raw.read_text().startswith("cell,quantity,rep,value")
+
+
+def test_output_under_a_regular_file_exits_2_before_the_run(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_FIG4_SPEC))
+    for argv in (
+        ["figure", "4", "--d", "10", "--out", str(blocker / "fig4.csv")],
+        ["experiment", "--spec-file", str(spec), "--out", str(blocker / "rows.csv")],
+        ["experiment", "--spec-file", str(spec), "--out", str(tmp_path / "rows.csv"),
+         "--dump-raw", str(blocker / "raw.csv")],
+    ):
+        assert main([*argv, "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "spec.json"]
+
+
 # ---------------------------------------------------------------------------
 # formula command
 # ---------------------------------------------------------------------------

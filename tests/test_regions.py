@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrt import _kernels, data, engine, regions
+from ulrt.doughnut import AnnulusNull, subsampled_doughnut_test
 from ulrt.errors import DomainError
 from ulrt.regions import (
+    Boundary2D,
     LogStatistic,
     SphericalRegion,
     classical_region,
@@ -212,7 +214,7 @@ def test_sq_norm_is_numpys_sum_bit_for_bit(d, monkeypatch):
         _assert_same_bits(_kernels.sq_norm(a, b), np.sum(np.square(a - b), axis=-1))
     # the three cases one vector below the gate go to numpy, the rest by column
     assert columns == ([d] * (len(cases) - 3) if column_path else [])
-    if d <= _kernels._PAIRWISE_BLOCK:
+    if column_path:
         # the column order itself, also where the gate sends vectors to numpy
         for a, b in cases:
             _assert_same_bits(column_sums(a, b, d), np.sum(np.square(a - b), axis=-1))
@@ -747,3 +749,21 @@ def test_dimension_mismatch_rejected(dataset):
     _, pair = dataset
     with pytest.raises(DomainError):
         split_log_statistic([0.0, 0.0, 0.0], pair, 1000)
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    """``==`` on two records with equal arrays returns a bool, not numpy's
+    ambiguous truth value, and ``hash`` does not raise."""
+    sample = data.sample_gaussian(20, 2, [0.0, 0.0], RngStream(11))
+    twins = [
+        lambda: data.SampleSet.from_values(sample.values),
+        lambda: data.split(sample, 0.5, RngStream(12)),
+        lambda: classical_region(sample, 0.1),
+        lambda: Boundary2D(np.zeros(2), np.zeros(3), np.zeros((3, 2)), np.zeros(0), 0.1),
+        lambda: subsampled_doughnut_test(sample, AnnulusNull(), 0.1, 4, "hybrid", RngStream(13)),
+    ]
+    for make in twins:
+        first, second = make(), make()
+        assert (first == second) is False and (first != second) is True
+        assert (first == first) is True
+        assert isinstance(hash(first), int) and len({first, second, first}) == 2

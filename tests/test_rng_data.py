@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ulrt import _kernels, data
-from ulrt._kernels import batch_fisher_yates, split_means
+from ulrt._kernels import split_means
 from ulrt.errors import DomainError
 from ulrt.rng import _U64_GOLDEN, RngStream, _finalize_array, batch_normals
 
@@ -289,7 +289,7 @@ def test_split_partition_property(n, p0_pct, seed):
     k = int(math.floor(n * p0_pct / 100.0 + 0.5))
     assert pair.m0 == k and pair.m1 == n - k
     # the split's parts are the drawn subset and its complement
-    subset = batch_fisher_yates(np.array([RngStream(seed).key], dtype=np.uint64), n, k)[0]
+    subset = _row_major_fisher_yates([RngStream(seed).key], n, k)[0, :k]
     assert np.unique(subset).size == k and 0 <= subset.min() and subset.max() < n
     rest = np.setdiff1d(np.arange(n), subset)
     assert np.allclose(pair.mean0[0], sample.values[subset].mean(axis=0), rtol=0.0, atol=1e-12)
@@ -321,7 +321,7 @@ def test_split_matches_batch_kernel():
     stream = RngStream(15)
     pair = data.split(sample, 0.4, stream)
     k = pair.m0
-    perm = batch_fisher_yates(np.array([stream.key], dtype=np.uint64), 257, k)
+    perm = _row_major_fisher_yates([stream.key], 257, k)[:, :k]
     assert np.allclose(pair.mean0[0], sample.values[perm[0]].mean(axis=0), rtol=0.0, atol=1e-12)
 
 
@@ -331,7 +331,8 @@ def test_split_matches_batch_kernel():
 
 
 def _row_major_fisher_yates(keys, n, k):
-    """The row-major loop ``batch_fisher_yates`` replaced, kept as reference."""
+    """The reference shuffle, row-major: every row's permutation after ``k``
+    partial Fisher-Yates steps; the subset is its first ``k`` entries."""
     keys = np.asarray(keys, dtype=np.uint64)
     rows = keys.shape[0]
     ctr = np.arange(1, k + 1, dtype=np.uint64)
@@ -351,9 +352,29 @@ _FY_ROWS = pytest.mark.parametrize("rows", [1, 7, 1023, 1024, 1025, 3000])
 _FY_SIZES = pytest.mark.parametrize("n,k", [(2, 1), (10, 5), (257, 128), (1000, 500), (1000, 999)])
 
 
-def _check_against_row_major_loop(rows, n, k):
+@_FY_ROWS
+@_FY_SIZES
+def test_batch_fisher_yates_matches_row_major_loop(rows, n, k):
+    """The compiled shuffle, seen through ``split_means`` at d = 1: each
+    split's sum is the reference subset's values added in draw order, bit for
+    bit.  The values spread over six decades, so that another subset or
+    another order rounds differently.  Skipped only where no C compiler is
+    found."""
+    if _kernels._find_compiler() is None:
+        pytest.skip("no C compiler found")
+    assert _kernels._compiled() is not None
+    keys = RngStream(31, rows).substream_keys(rows).reshape(1, rows)
+    values = _spread_values(n).reshape(1, n, 1)
+    means = split_means(values, keys, k)
+    assert all(m.shape == (1, rows, 1) for m in means)
+    assert _means_bytes(means) == _means_bytes(_sequential_split_means(values, keys, k))
+
+
+@_FY_ROWS
+@_FY_SIZES
+def test_numpy_fisher_yates_matches_row_major_loop(rows, n, k):
     keys = RngStream(31, rows).substream_keys(rows)
-    subsets = batch_fisher_yates(keys, n, k)
+    subsets = _kernels._numpy_fisher_yates(keys, n, k)
     assert subsets.shape == (rows, k) and subsets.dtype == np.int32
     assert np.array_equal(subsets, _row_major_fisher_yates(keys, n, k)[:, :k])
     assert subsets.min() >= 0 and subsets.max() < n
@@ -361,36 +382,21 @@ def _check_against_row_major_loop(rows, n, k):
     assert np.all(ordered[:, 1:] != ordered[:, :-1])
 
 
-@_FY_ROWS
-@_FY_SIZES
-def test_batch_fisher_yates_matches_row_major_loop(rows, n, k):
-    """The compiled path; skipped only where no C compiler is found."""
-    if _kernels._find_compiler() is None:
-        pytest.skip("no C compiler found")
-    assert _kernels._compiled() is not None
-    _check_against_row_major_loop(rows, n, k)
-
-
-@_FY_ROWS
-@_FY_SIZES
-def test_numpy_fisher_yates_matches_row_major_loop(rows, n, k, monkeypatch):
-    monkeypatch.setattr(_kernels, "_loaded", [None])
-    _check_against_row_major_loop(rows, n, k)
-
-
 def test_fallback_without_compiler_warns_once_and_draws_same_subsets(monkeypatch):
-    keys = RngStream(34).substream_keys(300)
-    expected = _row_major_fisher_yates(keys, 100, 40)[:, :40]
+    keys = RngStream(34).substream_keys(300).reshape(1, 300)
+    values = _spread_values(100).reshape(1, 100, 1)
+    expected = _sequential_split_means(values, keys, 40)
     monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
     monkeypatch.setattr(_kernels, "_loaded", [])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = batch_fisher_yates(keys, 100, 40)
-        second = batch_fisher_yates(keys[:1], 100, 40)
+        first = split_means(values, keys, 40)
+        second = split_means(values, keys[:, :1], 40)
     assert _kernels._loaded == [None]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "numpy loop" in str(caught[0].message)
-    assert np.array_equal(first, expected) and np.array_equal(second, expected[:1])
+    assert _means_bytes(first) == _means_bytes(expected)
+    assert _means_bytes(second) == _means_bytes(m[:, :1] for m in expected)
 
 
 def test_build_goes_to_a_private_per_user_cache(monkeypatch, tmp_path):
@@ -448,41 +454,32 @@ def _refuse_foreign_call(*args):
 
 
 _REFUSING_LIBRARY = SimpleNamespace(
-    ulrt_fisher_yates=_refuse_foreign_call,
     ulrt_split_sums=_refuse_foreign_call,
     ulrt_polar=_refuse_foreign_call,
 )
 
 
-@pytest.mark.parametrize(
-    "keys,n,k",
-    [
-        (np.arange(3, dtype=np.uint64), 10, 11),
-        (np.arange(3, dtype=np.uint64), 10, -1),
-        (np.arange(3, dtype=np.uint64), 2**31, 1),
-        (np.arange(3, dtype=np.uint64), 10.0, 5),
-        (np.arange(3.0), 10, 5),
-        (np.arange(6, dtype=np.uint64).reshape(2, 3), 10, 5),
-    ],
-)
-def test_batch_fisher_yates_rejects_bad_arguments_before_the_foreign_call(keys, n, k, monkeypatch):
-    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
+@pytest.mark.parametrize("n,k", [(10, 11), (10, -1), (2**31, 1), (10.0, 5), (10, 5.0)])
+def test_subset_sizes_outside_the_c_loops_range_are_refused(n, k):
+    """The size check of ``split_means``: the C shuffle indexes rows with
+    int32, so ``n`` must stay below 2**31, which no test array can reach."""
     with pytest.raises(DomainError):
-        batch_fisher_yates(keys, n, k)
+        _kernels._check_sizes(n, k)
 
 
-def test_batch_fisher_yates_converts_keys_to_contiguous_uint64():
-    keys = RngStream(35).substream_keys(40)
-    expected = batch_fisher_yates(keys, 50, 20)
-    assert np.array_equal(batch_fisher_yates(keys.view(np.int64), 50, 20), expected)
-    spaced = np.empty(80, dtype=np.uint64)
-    spaced[::2] = keys
-    assert np.array_equal(batch_fisher_yates(spaced[::2], 50, 20), expected)
+def test_split_means_converts_keys_to_contiguous_uint64():
+    values, keys = _split_means_case(2, 20, 50, 3)
+    expected = _means_bytes(split_means(values, keys, 20))
+    assert _means_bytes(split_means(values, keys.view(np.int64), 20)) == expected
+    spaced = np.empty((2, 40), dtype=np.uint64)
+    spaced[:, ::2] = keys
+    assert _means_bytes(split_means(values, spaced[:, ::2], 20)) == expected
 
 
 def test_racing_first_calls_load_once_and_agree(monkeypatch):
-    keys = RngStream(36).substream_keys(64)
-    expected = _row_major_fisher_yates(keys, 1000, 500)[:, :500]
+    keys = RngStream(36).substream_keys(64).reshape(1, 64)
+    values = _spread_values(1000).reshape(1, 1000, 1)
+    expected = _means_bytes(_sequential_split_means(values, keys, 500))
     loads = []
     load = _kernels._load_compiled
     monkeypatch.setattr(_kernels, "_load_compiled", lambda: loads.append(1) or load())
@@ -493,7 +490,7 @@ def test_racing_first_calls_load_once_and_agree(monkeypatch):
 
     def first_call(i):
         start.wait(timeout=30)
-        results[i] = batch_fisher_yates(keys, 1000, 500)
+        results[i] = _means_bytes(split_means(values, keys, 500))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -507,7 +504,7 @@ def test_racing_first_calls_load_once_and_agree(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert loads == [1]
-    assert all(np.array_equal(r, expected) for r in results)
+    assert results == [expected] * threads
 
 
 def test_split_means_matches_put_along_axis_sums():
@@ -515,7 +512,7 @@ def test_split_means_matches_put_along_axis_sums():
     c, b, n, d, k = 3, 40, 50, 4, 20
     values = RngStream(32).normals(c * n * d).reshape(c, n, d)
     keys = RngStream(33).substream_keys(c * b).reshape(c, b)
-    subsets = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, b, k)
+    subsets = _row_major_fisher_yates(keys.reshape(-1), n, k)[:, :k].reshape(c, b, k)
     onehot = np.zeros((c, b, n))
     np.put_along_axis(onehot, subsets.astype(np.int64), 1.0, axis=2)
     sums0 = onehot @ values
@@ -527,18 +524,26 @@ def test_split_means_matches_put_along_axis_sums():
 
 
 def _sequential_split_means(values, keys, k):
-    """Each first part's rows added one at a time, in draw order."""
+    """Each first part's rows added one at a time, in draw order, to the
+    reference subsets: one numpy add per step across all splits."""
     c, b = keys.shape
-    n, d = values.shape[1:]
-    subsets = batch_fisher_yates(keys.reshape(-1), n, k).reshape(c, b, k)
-    sums = np.empty((c, b, d))
-    for ci in range(c):
-        for bi in range(b):
-            acc = values[ci, subsets[ci, bi, 0]]
-            for i in subsets[ci, bi, 1:]:
-                acc = acc + values[ci, i]
-            sums[ci, bi] = acc
+    n = values.shape[1]
+    subsets = _row_major_fisher_yates(keys.reshape(-1), n, k)[:, :k].reshape(c, b, k)
+    datasets = np.arange(c)[:, None]
+    sums = values[datasets, subsets[..., 0]]
+    for i in range(1, k):
+        sums = sums + values[datasets, subsets[..., i]]
     return sums / k, (values.sum(axis=1, keepdims=True) - sums) / (n - k)
+
+
+def _means_bytes(means):
+    return b"".join(m.tobytes() for m in means)
+
+
+def _spread_values(n):
+    """``n`` values over six decades, so that a sum of other values, or of
+    the same ones in another order, rounds differently."""
+    return RngStream(39, n).normals(n) * 10.0 ** np.linspace(-3.0, 3.0, n)
 
 
 def _split_means_case(c, b, n, d):
@@ -556,16 +561,16 @@ def test_split_means_compiled_equals_numpy_and_sequential_sums(d, c, b, n, k, mo
     d = 15 takes every column block below 16; k = 69 at d > 16 spans three
     tiles of rows."""
     values, keys = _split_means_case(c, b, n, d)
-    expected = b"".join(m.tobytes() for m in _sequential_split_means(values, keys, k))
+    expected = _means_bytes(_sequential_split_means(values, keys, k))
     monkeypatch.setattr(_kernels, "_loaded", [None])
     fallback = split_means(values, keys, k)
     assert all(m.shape == (c, b, d) for m in fallback)
-    assert b"".join(m.tobytes() for m in fallback) == expected
+    assert _means_bytes(fallback) == expected
     if _kernels._find_compiler() is None:
         pytest.skip("no C compiler found")
     monkeypatch.undo()
     assert _kernels._compiled() is not None
-    assert b"".join(m.tobytes() for m in split_means(values, keys, k)) == expected
+    assert _means_bytes(split_means(values, keys, k)) == expected
 
 
 _GOOD_VALUES = np.zeros((2, 10, 3))
@@ -584,11 +589,12 @@ _GOOD_KEYS = np.arange(8, dtype=np.uint64).reshape(2, 4)
         (_GOOD_VALUES, np.arange(12, dtype=np.uint64).reshape(3, 4), 5),
         (_GOOD_VALUES, _GOOD_KEYS, 0),
         (_GOOD_VALUES, _GOOD_KEYS, 10),
+        (_GOOD_VALUES, _GOOD_KEYS, 11),
         (_GOOD_VALUES, _GOOD_KEYS, -1),
         (_GOOD_VALUES, _GOOD_KEYS, 5.0),
     ],
     ids=["2-d", "float32", "strided", "list", "1-d-keys", "float-keys", "keys-per-dataset",
-         "k-0", "k-n", "k-negative", "k-float"],
+         "k-0", "k-n", "k-above-n", "k-negative", "k-float"],
 )
 def test_split_means_rejects_bad_arguments_before_the_foreign_call(values, keys, k, monkeypatch):
     monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
@@ -605,7 +611,6 @@ def test_fallback_without_compiler_warns_once_and_draws_same_means(monkeypatch):
         warnings.simplefilter("always")
         first = split_means(values, keys, 17)
         second = split_means(values[:1], keys[:1, :2], 17)
-        batch_fisher_yates(keys.reshape(-1), 40, 17)
     assert _kernels._loaded == [None]
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "numpy loop" in str(caught[0].message)
