@@ -467,6 +467,25 @@ def test_subset_sizes_outside_the_c_loops_range_are_refused(n, k):
         _kernels._check_sizes(n, k)
 
 
+@pytest.mark.parametrize(
+    "keys,n,k",
+    [
+        pytest.param(np.arange(3.0).reshape(1, 3), 10, 5, id="keys4-10-5"),
+        pytest.param(np.arange(6, dtype=np.uint64).reshape(1, 2, 3), 10, 5, id="keys5-10-5"),
+    ],
+)
+def test_batch_fisher_yates_rejects_bad_arguments_before_the_foreign_call(keys, n, k, monkeypatch):
+    """Float keys and keys of the wrong rank never reach the C shuffle.
+
+    The name and ids are those of the key cases of the shuffle's former
+    one-row-per-stream entry point; ``split_means`` now runs its key check.
+    Its size cases are ``test_subset_sizes_outside_the_c_loops_range_are_refused``.
+    """
+    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
+    with pytest.raises(DomainError):
+        split_means(np.zeros((1, n, 3)), keys, k)
+
+
 def test_split_means_converts_keys_to_contiguous_uint64():
     values, keys = _split_means_case(2, 20, 50, 3)
     expected = _means_bytes(split_means(values, keys, 20))
