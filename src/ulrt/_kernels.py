@@ -5,19 +5,21 @@ draw: it takes each split's first part by a partial Fisher-Yates shuffle of
 the split's stream key and sums that part's rows in draw order, so that the
 means of a batch of splits are a function of the code alone.
 :func:`ulrt.data.split` calls it with a single key, the subsampling and Monte
-Carlo paths with many.  Three loops are C (``_subsets.c``, next to this
-file): the split sums of ``split_means``, ``_polar_trials``, the polar trial
-scan of :func:`ulrt.rng.batch_normals`, and ``_split_log_values``, the log
-split statistic behind :func:`ulrt.regions.split_log_values`.  The first call
-compiles the source with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused
-multiply-add, so every product rounds as in numpy) into the per-user cache
-``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``), keyed by a checksum of
-the source and the build command, and loads it with :mod:`ctypes`, which
-releases the GIL while a loop runs.  Without a compiler, or when the build or
-the load fails, the numpy loops ``_numpy_split_sums`` (with its shuffle
-``_numpy_fisher_yates``), ``_numpy_polar`` and ``_numpy_split_log_values``
-give the same bytes, and the process emits one ``RuntimeWarning`` that says
-so.  No other module picks between the two.
+Carlo paths with many.  Three loops are C, the methods of the extension
+module ``_subsets`` (``_subsets.c``, next to this file): ``split_sums``
+behind ``split_means``, ``polar`` behind ``_polar_trials`` and
+:func:`ulrt.rng.batch_normals`, and ``split_log_values`` behind
+:func:`ulrt.regions.split_log_values`.  The first call compiles the source
+with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused multiply-add, so
+every product rounds as in numpy) and the include path of ``Python.h`` into
+the per-user cache ``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``),
+keyed by a checksum of the source, the command and the extension suffix, and
+imports it; a method takes arrays as buffers and runs without the GIL.
+Without a compiler or ``Python.h``, or when the build or the load fails, the
+numpy loops ``_numpy_split_sums`` (with its shuffle ``_numpy_fisher_yates``),
+``_numpy_polar`` and ``_numpy_split_log_values`` give the same bytes, and the
+process emits one ``RuntimeWarning`` that says why.  No other module picks
+between the two.
 
 The splitmix64 finalizer on uint64 arrays, :func:`_finalize_array`, and its
 constants live here; :mod:`ulrt.rng` builds its streams on them.
@@ -34,10 +36,11 @@ compiled statistic sums in the same order, so it keeps the same bytes.
 
 from __future__ import annotations
 
-import math
+import importlib.machinery
 import numbers
 import os
 import shutil
+import sysconfig
 import threading
 import warnings
 
@@ -70,11 +73,11 @@ _FY_BLOCK = 1024
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_subsets.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-#: Held while the first call builds and loads the library, so that the
+#: Held while the first call builds and loads the module, so that the
 #: engine's worker threads build it once.
 _LOAD_LOCK = threading.Lock()
-#: ``[lib]`` once a call has tried to load the library; ``lib`` is the loaded
-#: library, or ``None`` when the numpy loops run instead.
+#: ``[lib]`` once a call has tried to load the module; ``lib`` is the loaded
+#: module, or ``None`` when the numpy loops run instead.
 _loaded: list = []
 
 
@@ -122,9 +125,7 @@ def split_means(data: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray,
         sums = _numpy_split_sums(data, keys, k)
     else:
         sums = np.empty((c, keys.shape[1], d))
-        perm = np.empty(n, dtype=np.int32)
-        lib.ulrt_split_sums(keys.ctypes.data, keys.size, keys.shape[1], n, k,
-                            data.ctypes.data, d, perm.ctypes.data, sums.ctypes.data)
+        lib.split_sums(keys, keys.shape[1], n, k, data, d, np.empty(n, dtype=np.int32), sums)
     return sums / k, (data.sum(axis=1, keepdims=True) - sums) / (n - k)
 
 
@@ -134,14 +135,14 @@ def _polar_trials(keys: np.ndarray, count: int, out: np.ndarray, s: np.ndarray) 
     so that the benchmark's tracer leaves the scan in ``rng.batch_normals``."""
     lib = _compiled()
     if lib is not None:
-        return lib.ulrt_polar(keys.ctypes.data, keys.size, count, out.ctypes.data, s.ctypes.data)
+        return lib.polar(keys, count, out, s)
     pairs = s.shape[1]
     # acceptance rate is pi/4; oversize by ~5 sigma so that redraws are rare
     out[:], s[:] = _numpy_polar(keys, count, int(pairs * 1.2733) + int(4.0 * pairs**0.5) + 16)
 
 
 def _compiled():
-    """The compiled library, built and loaded on first use, or ``None`` when
+    """The compiled module, built and loaded on first use, or ``None`` when
     the numpy loops must run."""
     with _LOAD_LOCK:
         if not _loaded:
@@ -153,47 +154,46 @@ def _find_compiler() -> str | None:
     return shutil.which("cc")
 
 
-def _load_compiled():
-    import ctypes
+def _find_headers() -> str | None:
+    include = sysconfig.get_paths()["include"]
+    return include if os.path.isfile(os.path.join(include, "Python.h")) else None
 
-    cc = _find_compiler()
+
+def _load_compiled():
+    cc, include = _find_compiler(), _find_headers()
     if cc is None:
         reason = "no C compiler (cc) on PATH"
+    elif include is None:
+        reason = "no Python.h (the Python development headers) in sysconfig's include path"
     else:
         try:
-            lib = ctypes.CDLL(_build(cc))
-        except OSError as exc:
-            reason = f"building or loading {_SOURCE} failed ({exc})"
-        else:
-            i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            lib.ulrt_split_sums.argtypes = [ptr, i64, i64, i64, i64, ptr, i64, ptr, ptr]
-            lib.ulrt_polar.argtypes = [ptr, i64, i64, ptr, ptr]
-            lib.ulrt_split_log_values.argtypes = [
-                ptr, i64, ptr, ptr, i64, i64, ctypes.c_double, ptr]
-            for fn in (lib.ulrt_split_sums, lib.ulrt_polar, lib.ulrt_split_log_values):
-                fn.restype = None
+            path = _build(cc, include)
+            loader = importlib.machinery.ExtensionFileLoader("ulrt._subsets", path)
+            lib = loader.create_module(importlib.machinery.ModuleSpec(loader.name, loader, origin=path))
+            loader.exec_module(lib)
             return lib
-    warnings.warn(
-        "ulrt draws normals and subsets, sums splits and scores them with the numpy loops, "
-        f"not the compiled ones: {reason}",
-        RuntimeWarning,
-        stacklevel=4,
-    )
+        except (OSError, ImportError) as exc:
+            reason = f"building or loading {_SOURCE} failed ({exc})"
+    warnings.warn("ulrt draws normals and subsets, sums splits and scores them with the numpy "
+                  f"loops, not the compiled ones: {reason}", RuntimeWarning, stacklevel=4)
     return None
 
 
-def _build(cc: str) -> str:
-    """Path of the library built from ``_SOURCE`` by ``cc``, compiling it into
-    the per-user cache unless that source and command were built before.
+def _build(cc: str, include: str) -> str:
+    """Path of the extension module built from ``_SOURCE`` by ``cc`` against
+    the headers in ``include``, compiling it into the per-user cache unless
+    that source and command were built before.
 
-    The cache key is a CRC-32 and an Adler-32 of the source and the command:
-    ``hashlib`` would load OpenSSL, about 3.6 MB of resident memory, and the
-    key only tells builds apart inside a directory private to the user."""
+    The cache key is a CRC-32 and an Adler-32 of the source, the command and
+    the extension suffix, which names the machine: ``hashlib`` would load
+    OpenSSL, about 3.6 MB of resident memory, and the key only tells builds
+    apart inside a directory private to the user."""
     import zlib
 
-    command = [cc, *_CFLAGS]
+    command = [cc, *_CFLAGS, f"-I{include}"]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
     with open(_SOURCE, "rb") as fh:
-        blob = fh.read() + "\0".join(["", *command, os.uname().machine]).encode()
+        blob = fh.read() + "\0".join(["", *command, suffix]).encode()
     cache = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "ulrt"
     )
@@ -201,7 +201,7 @@ def _build(cc: str) -> str:
     st = os.stat(cache)
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
         raise OSError(f"{cache} is not a private directory of this user")
-    target = os.path.join(cache, f"subsets-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}.so")
+    target = os.path.join(cache, f"subsets-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}{suffix}")
     if not os.path.exists(target):
         import subprocess
         import tempfile
@@ -280,7 +280,7 @@ def _signed_unit(z: np.ndarray) -> np.ndarray:
 
 
 def _numpy_polar(keys: np.ndarray, count: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """``ulrt_polar`` in numpy, with ``trials`` trials laid out per row:
+    """The compiled ``polar`` in numpy, with ``trials`` trials laid out per row:
     ``(out, s)`` as :func:`_polar_trials` leaves them.  A row with fewer than
     ``ceil(count / 2)`` accepted trials is redrawn with twice as many."""
     pairs = (count + 1) // 2
@@ -378,15 +378,6 @@ def _column_sq_norm(a: np.ndarray, b, d: int) -> np.ndarray:
     return total
 
 
-#: :func:`_split_log_values` runs ``ulrt_split_log_values`` when it scores at
-#: least this many values, G points times R splits.  Measured on 2 AVX-512
-#: vCPUs against numpy 2.4, one point against ``(R, 1, d)`` means: the loop
-#: wins from about 250 values at d = 2 to 20 (at 2048 values 18 against 30 us
-#: at d = 2, 26 against 91 us at d = 5) and from about 2048 at d = 1, where
-#: numpy's column sums are as fast.  Its four ``.ctypes.data`` pointers cost
-#: about 12 us a call, so below the gate it loses; the gate keeps the B = 1
-#: reducers of the Monte Carlo cells (at most 512 splits a chunk) on numpy.
-_LOOP_MIN_VALUES = 2048
 #: The numpy twin scores ``(G, d)`` points against ``(R, d)`` means in blocks
 #: of points whose ``(block, R, d)`` differences hold at most this many
 #: values (at least one point per block), so that a large grid builds no
@@ -399,25 +390,22 @@ def _split_log_values(thetas: np.ndarray, mean0: np.ndarray, mean1: np.ndarray, 
     ``0.5 * m0 * (sq_norm(mean0, theta) - sq_norm(mean0, mean1))``, bit for
     bit.
 
-    ``ulrt_split_log_values`` scores every point against every split in one
-    call when ``thetas`` is ``(d,)`` against ``(..., B, d)`` means or ``(G,
-    d)`` against ``(B, d)`` means, all three float64 and both means of one
-    shape, ``d <= _PAIRWISE_BLOCK``, and the call scores at least
-    ``_LOOP_MIN_VALUES`` values.  Every other input goes to
+    The compiled ``split_log_values`` scores every point against every split
+    in one call when ``thetas`` is ``(d,)`` against ``(..., B, d)`` means or
+    ``(G, d)`` against ``(B, d)`` means, all three float64 and both means of
+    one shape, and ``d <= _PAIRWISE_BLOCK``.  Every other input goes to
     :func:`_numpy_split_log_values`.  ``m0`` is a scalar.
     """
     d, shape = mean0.shape[-1], thetas.shape[:-1] + mean0.shape[:-1]
     lib = None
-    if (math.prod(shape) >= _LOOP_MIN_VALUES and mean1.shape == mean0.shape
-            and thetas.shape[-1:] == (d,) and (thetas.ndim == 1 or thetas.ndim == mean0.ndim == 2)
-            and 0 < d <= _PAIRWISE_BLOCK and thetas.dtype == mean0.dtype == mean1.dtype == np.float64):
+    if (mean1.shape == mean0.shape and thetas.shape[-1:] == (d,) and 0 < d <= _PAIRWISE_BLOCK
+            and (thetas.ndim == 1 < mean0.ndim or thetas.ndim == mean0.ndim == 2)
+            and thetas.dtype == mean0.dtype == mean1.dtype == np.float64):
         lib = _compiled()
     if lib is None:
         return _numpy_split_log_values(thetas, mean0, mean1, m0)
-    thetas, mean0, mean1 = (np.ascontiguousarray(a) for a in (thetas, mean0, mean1))
     out = np.empty(shape)
-    lib.ulrt_split_log_values(thetas.ctypes.data, thetas.size // d, mean0.ctypes.data,
-                              mean1.ctypes.data, mean0.size // d, d, 0.5 * m0, out.ctypes.data)
+    lib.split_log_values(*(np.ascontiguousarray(a) for a in (thetas, mean0, mean1)), d, 0.5 * m0, out)
     return out
 
 

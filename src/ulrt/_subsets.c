@@ -1,5 +1,6 @@
 /* Split sums over partial Fisher-Yates subset draws and polar trials, one
- * row per stream key, and the log split statistic.
+ * row per stream key, and the log split statistic: the CPython extension
+ * module _subsets, which ulrt._kernels builds and loads.
  *
  * The compiled form of ulrt._kernels._numpy_split_sums (with its shuffle,
  * _numpy_fisher_yates), ulrt._kernels._numpy_polar and
@@ -7,11 +8,15 @@
  * same swaps, the same additions in the same order and the same accepted
  * trials, so the results are identical.  Built with -ffp-contract=off, so
  * that u * u + v * v rounds twice, as in numpy.  The Python wrappers check
- * their arguments and pass contiguous buffers: for the sums keys[rows],
- * perm[n] (scratch), data[C * n * d] and sums[rows * d], for the trials
- * keys[rows], out[rows * count] and s[rows * pairs], and for the statistic
- * theta[G * d], mean0[R * d], mean1[R * d] and out[G * R].
+ * their arguments and pass contiguous buffers (PEP 3118): for the sums
+ * keys[rows], data[C * n * d], perm[n] (scratch) and sums[rows * d], for the
+ * trials keys[rows], out[rows * count] and s[rows * pairs], and for the
+ * statistic theta[G * d], mean0[R * d], mean1[R * d] and out[G * R].  Each
+ * method reads rows, G and R from the buffer lengths, refuses buffers of
+ * any other size with ValueError, and runs its loop without the GIL.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -87,9 +92,9 @@ static void add_all_columns(const double *x, int64_t d, const int32_t *perm, int
  * sums = ((x[s0] + x[s1]) + x[s2]) + ..., column by column.  When a row is
  * wider than COLS, the picked rows go in tiles of ROWS, so that every
  * column block of a tile reads rows still in the L1 cache.  Needs k >= 1. */
-void ulrt_split_sums(const uint64_t *keys, int64_t rows, int64_t B, int64_t n, int64_t k,
-                     const double *restrict data, int64_t d, int32_t *restrict perm,
-                     double *restrict sums)
+static void ulrt_split_sums(const uint64_t *keys, int64_t rows, int64_t B, int64_t n, int64_t k,
+                            const double *restrict data, int64_t d, int32_t *restrict perm,
+                            double *restrict sums)
 {
     int64_t tile = d > COLS ? ROWS : k;
     for (int64_t r = 0; r < rows; r++, sums += d) {
@@ -123,8 +128,8 @@ static inline double signed_unit(uint64_t z)
  * by sqrt(-2 log(s) / s).  Every trial is written, and the next one
  * overwrites it unless the accept bit moved j on, so that the unpredictable
  * acceptance takes no branch. */
-void ulrt_polar(const uint64_t *keys, int64_t rows, int64_t count, double *restrict out,
-                double *restrict s)
+static void ulrt_polar(const uint64_t *keys, int64_t rows, int64_t count, double *restrict out,
+                       double *restrict s)
 {
     const uint64_t golden = 0x9E3779B97F4A7C15ULL;
     int64_t pairs = (count + 1) / 2, full = count / 2;
@@ -200,9 +205,9 @@ score(const double *restrict theta, int64_t G, const double *restrict mean0,
  * for G >= 1 points and R splits of d <= 128 coordinates: the log split
  * statistic.  Below 8 coordinates d is a constant of each loop, which the
  * compiler unrolls and vectorizes across splits. */
-void ulrt_split_log_values(const double *restrict theta, int64_t G, const double *restrict mean0,
-                           const double *restrict mean1, int64_t R, int64_t d, double half_m0,
-                           double *restrict out)
+static void ulrt_split_log_values(const double *restrict theta, int64_t G,
+                                  const double *restrict mean0, const double *restrict mean1,
+                                  int64_t R, int64_t d, double half_m0, double *restrict out)
 {
 #define SCORE(D)                                                                                  \
     case D:                                                                                       \
@@ -213,4 +218,93 @@ void ulrt_split_log_values(const double *restrict theta, int64_t G, const double
     }
 #undef SCORE
     score(theta, G, mean0, mean1, R, d, half_m0, out);
+}
+
+/* Releases the count buffers of a method call; returns None, or raises
+ * ValueError when the buffer sizes did not fit (ok == 0). */
+static PyObject *done(int ok, Py_buffer *views, int count)
+{
+    for (int i = 0; i < count; i++)
+        PyBuffer_Release(&views[i]);
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "buffer sizes do not fit the arguments");
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+/* split_sums(keys, B, n, k, data, d, perm, sums) */
+static PyObject *split_sums(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer v[4]; /* keys, data, perm, sums */
+    Py_ssize_t B, n, k, d;
+    if (!PyArg_ParseTuple(args, "y*nnny*nw*w*", &v[0], &B, &n, &k, &v[1], &d, &v[2], &v[3]))
+        return NULL;
+    Py_ssize_t rows = v[0].len / 8;
+    int ok = v[0].len % 8 == 0 && 1 <= k && k <= n && n <= INT32_MAX && d >= 0
+             && v[2].len == n * 4 && v[3].len == rows * d * 8
+             && (rows == 0 || (B >= 1 && rows % B == 0 && v[1].len == rows / B * n * d * 8));
+    if (ok) {
+        Py_BEGIN_ALLOW_THREADS
+        ulrt_split_sums(v[0].buf, rows, B, n, k, v[1].buf, d, v[2].buf, v[3].buf);
+        Py_END_ALLOW_THREADS
+    }
+    return done(ok, v, 4);
+}
+
+/* polar(keys, count, out, s) */
+static PyObject *polar(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer v[3]; /* keys, out, s */
+    Py_ssize_t count;
+    if (!PyArg_ParseTuple(args, "y*nw*w*", &v[0], &count, &v[1], &v[2]))
+        return NULL;
+    Py_ssize_t rows = v[0].len / 8;
+    int ok = v[0].len % 8 == 0 && count >= 0 && v[1].len == rows * count * 8
+             && v[2].len == rows * ((count + 1) / 2) * 8;
+    if (ok) {
+        Py_BEGIN_ALLOW_THREADS
+        ulrt_polar(v[0].buf, rows, count, v[1].buf, v[2].buf);
+        Py_END_ALLOW_THREADS
+    }
+    return done(ok, v, 3);
+}
+
+/* split_log_values(theta, mean0, mean1, d, half_m0, out) */
+static PyObject *split_log_values(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer v[4]; /* theta, mean0, mean1, out */
+    Py_ssize_t d;
+    double half_m0;
+    if (!PyArg_ParseTuple(args, "y*y*y*ndw*", &v[0], &v[1], &v[2], &d, &half_m0, &v[3]))
+        return NULL;
+    int ok = d >= 1 && v[0].len % (8 * d) == 0 && v[1].len % (8 * d) == 0 && v[2].len == v[1].len;
+    Py_ssize_t G = ok ? v[0].len / (8 * d) : 0, R = ok ? v[1].len / (8 * d) : 0;
+    ok = ok && v[3].len == G * R * 8;
+    if (ok && G > 0) {
+        Py_BEGIN_ALLOW_THREADS
+        ulrt_split_log_values(v[0].buf, G, v[1].buf, v[2].buf, R, d, half_m0, v[3].buf);
+        Py_END_ALLOW_THREADS
+    }
+    return done(ok, v, 4);
+}
+
+static PyMethodDef methods[] = {
+    {"split_sums", split_sums, METH_VARARGS, NULL},
+    {"polar", polar, METH_VARARGS, NULL},
+    {"split_log_values", split_log_values, METH_VARARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_subsets",
+    .m_methods = methods,
+};
+
+/* Multi-phase initialization (PEP 489), so that builds in several caches can
+ * each be loaded into one process. */
+PyMODINIT_FUNC PyInit__subsets(void)
+{
+    return PyModuleDef_Init(&module);
 }

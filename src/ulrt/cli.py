@@ -25,7 +25,7 @@ from . import engine
 from . import power as pw
 from . import regions as rg
 from . import specfun
-from .data import _write_csv, load_csv, sample_gaussian, split, subsample_splits
+from .data import _check_n_d, _write_csv, load_csv, sample_gaussian, split, subsample_splits
 from .errors import DomainError, NumericError
 from .rng import RngStream
 
@@ -74,8 +74,7 @@ def cmd_region(args) -> int:
     if args.import_path is not None:
         sample = load_csv(args.import_path)
     else:
-        if args.d < 1 or args.n < 2:
-            raise DomainError("need n >= 2 and d >= 1")
+        _check_n_d(args.n, args.d)
         sample = sample_gaussian(args.n, args.d, np.zeros(args.d), root.substream(0))
     pair = split(sample, args.p0, root.substream(1))
     spheres = [

@@ -55,9 +55,7 @@ class SampleSet:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise DomainError(f"values must be a 2-d array, got shape {values.shape}")
-        n, d = values.shape
-        if n < 2 or d < 1:
-            raise DomainError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+        _check_n_d(*values.shape)
         if not np.all(np.isfinite(values)):
             raise DomainError("values must be finite")
         return cls(values=_frozen(values), mean=_frozen(values.mean(axis=0)))
@@ -117,10 +115,14 @@ def part_size(n: int, p0: float) -> int:
     return k
 
 
-def sample_gaussian(n: int, d: int, theta, rng: RngStream) -> SampleSet:
-    """``n`` iid draws from N(theta, I_d), deterministic given ``rng``."""
+def _check_n_d(n: int, d: int) -> None:
     if n < 2 or d < 1:
         raise DomainError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+
+
+def sample_gaussian(n: int, d: int, theta, rng: RngStream) -> SampleSet:
+    """``n`` iid draws from N(theta, I_d), deterministic given ``rng``."""
+    _check_n_d(n, d)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if theta.shape != (d,):
         raise DomainError(f"theta must have length d={d}, got {theta.shape}")

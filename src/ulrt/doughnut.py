@@ -26,7 +26,7 @@ import numpy as np
 
 from . import specfun
 from ._kernels import log_mean_exp, sq_norm
-from .data import SampleSet, SplitPair, subsample_splits
+from .data import SampleSet, SplitPair, _check_n_d, subsample_splits
 from .errors import DegenerateDirectionError, DomainError
 from .regions import _check_pair, log_threshold
 from .rng import RngStream
@@ -101,6 +101,7 @@ def intersection_power_exact(theta_norm: float, n: int, d: int, alpha: float) ->
     """
     if theta_norm < 0.0:
         raise DomainError(f"theta_norm must be >= 0, got {theta_norm}")
+    _check_n_d(n, d)
     c = specfun.chi2_upper_quantile(alpha, d)
     lam = n * theta_norm * theta_norm
     value = 1.0 - specfun.noncentral_chi2_cdf(n + 2.0 * math.sqrt(n * c) + c, d, lam)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .data import part_size
+from .data import _check_n_d, part_size
 from .errors import DomainError
 from .regions import _LOG_5_HALVES, log_threshold, log_values
 
@@ -43,8 +43,7 @@ class PowerEstimate:
 def _validate(theta_sq_norm: float, n: int, d: int, method: str) -> None:
     if theta_sq_norm < 0.0 or not math.isfinite(theta_sq_norm):
         raise DomainError(f"theta_sq_norm must be >= 0, got {theta_sq_norm}")
-    if n < 2 or d < 1:
-        raise DomainError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    _check_n_d(n, d)
     if method not in _METHODS:
         raise DomainError(f"method must be 'exact' or 'approx', got {method!r}")
 

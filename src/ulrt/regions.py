@@ -26,7 +26,7 @@ import numpy as np
 
 from . import specfun
 from ._kernels import _split_log_values, log_mean_exp, sq_norm
-from .data import SampleSet, SplitPair
+from .data import SampleSet, SplitPair, _check_n_d
 from .errors import DomainError
 
 _LN2 = math.log(2.0)
@@ -228,6 +228,7 @@ def subsampling_member(splits: SplitPair, thresh: float) -> Callable[[np.ndarray
 def limiting_sq_radius(alpha: float, d: int, n: int) -> float:
     """Squared radius of the large-B subsampling sphere,
     ``(10 / 3n) ln((5/2)^{d/2} / alpha)``."""
+    _check_n_d(n, d)
     return (10.0 / (3.0 * n)) * (0.5 * d * _LOG_5_HALVES + log_threshold(alpha))
 
 
@@ -264,8 +265,7 @@ def expected_sq_radius_split(alpha: float, d: int, n: int, p0: float) -> float:
     L = log_threshold(alpha)
     if not (0.0 < p0 < 1.0):
         raise DomainError(f"p0 must lie strictly in (0, 1), got {p0}")
-    if n < 2 or d < 1:
-        raise DomainError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    _check_n_d(n, d)
     return (2.0 / (n * p0)) * L + (1.0 / (n * p0) + 1.0 / (n * (1.0 - p0))) * d
 
 
@@ -344,6 +344,8 @@ def limiting_vs_expected_split_ratio(alpha: float, d: int) -> float:
     """Squared-radius ratio of the limiting subsampling sphere to the
     expected split sphere: ``(5/6) ((d/2) ln(5/2) + L) / (d + L)``."""
     L = log_threshold(alpha)
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
     return (5.0 / 6.0) * (0.5 * d * _LOG_5_HALVES + L) / (d + L)
 
 

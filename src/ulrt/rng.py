@@ -22,6 +22,7 @@ rounds some logs differently from glibc's libm.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,15 @@ def _finalize(z: int) -> int:
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _check_u64(value, what: str, top: int = _MASK64) -> int:
+    """``value`` as a Python int, as the key arithmetic needs (a numpy integer
+    would overflow); anything but an integer in [0, top] is refused."""
+    index = operator.index(value) if hasattr(value, "__index__") else -1
+    if not 0 <= index <= top:
+        raise DomainError(f"{what} must be an integer in [0, 2**64), got {value!r}")
+    return index
 
 
 def _child_key(key: int, index: int) -> int:
@@ -107,26 +117,23 @@ class RngStream:
 
     ``substream(i)`` derives statistically independent child streams; the
     root of an experiment is conventionally ``RngStream(master_seed)``.
-    Both must lie in [0, 2**64): masking a value outside that range would
-    give two different seeds the same stream.
+    Both, and every child index, must be integers in [0, 2**64): masking a
+    value outside that range would make two seeds or children one stream.
     """
 
     master_seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _MASK64:
-            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.master_seed!r}")
-        if not 0 <= self.stream_id <= _MASK64:
-            raise DomainError(f"stream_id must be an integer in [0, 2**64), got {self.stream_id!r}")
+        object.__setattr__(self, "master_seed", _check_u64(self.master_seed, "seed"))
+        object.__setattr__(self, "stream_id", _check_u64(self.stream_id, "stream_id"))
 
     @property
     def key(self) -> int:
         return _child_key(_finalize(self.master_seed), self.stream_id)
 
     def substream(self, index: int) -> "RngStream":
-        if index < 0:
-            raise DomainError("substream index must be nonnegative")
+        index = _check_u64(index, "substream index")
         return RngStream(self.master_seed, _child_key(self.stream_id, index))
 
     def substream_keys(self, start: int, stop=None, child=None, grandchildren=None) -> np.ndarray:
@@ -140,9 +147,10 @@ class RngStream:
         """
         if stop is None:
             start, stop = 0, start
+        start, stop = (_check_u64(i, "substream index", _MASK64 + 1) for i in (start, stop))
         sids = _child_keys(self.stream_id, np.arange(start, stop, dtype=np.uint64))
         if child is not None:
-            sids = _child_keys(sids, np.full(1, child, dtype=np.uint64))
+            sids = _child_keys(sids, np.full(1, _check_u64(child, "child index"), dtype=np.uint64))
         if grandchildren is not None:
             sids = _child_keys(sids[:, None], np.arange(grandchildren, dtype=np.uint64))
         return _child_keys(_finalize(self.master_seed), sids)

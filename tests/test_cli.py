@@ -323,6 +323,22 @@ def test_formula_intersect_power_matches_library(capsys):
     assert payload["power"] == pytest.approx(intersection_power_exact(1.2, 1000, 2, 0.1))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limiting-sq-radius", "--n", "0"],
+        ["limiting-sq-radius", "--d", "-5"],
+        ["intersect-power", "--n", "-5"],
+        ["intersect-power", "--n", "0"],
+    ],
+    ids=["limiting-n-0", "limiting-d-negative", "intersect-n-negative", "intersect-n-0"],
+)
+def test_formula_size_below_its_domain_exits_2(capsys, argv):
+    assert main(["formula", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: need n >= 2 and d >= 1")
+
+
 def test_formula_unknown_name_lists_registry(capsys):
     assert main(["formula", "not-a-formula"]) == 2
     err = capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulrt import _kernels, data, engine, regions
-from ulrt.doughnut import AnnulusNull, subsampled_doughnut_test
+from ulrt.doughnut import AnnulusNull, intersection_power_exact, subsampled_doughnut_test
 from ulrt.errors import DomainError
 from ulrt.regions import (
     Boundary2D,
@@ -17,6 +17,7 @@ from ulrt.regions import (
     classical_region,
     crossfit_log_statistic,
     expected_sq_radius_split,
+    limiting_sq_radius,
     limiting_subsampling_region,
     limiting_vs_expected_split_ratio,
     log_threshold,
@@ -221,8 +222,8 @@ def test_sq_norm_is_numpys_sum_bit_for_bit(d, monkeypatch):
 
 
 class _LoopSpy:
-    """The compiled library, recording the points times splits of each
-    ``ulrt_split_log_values`` call."""
+    """The compiled module, recording the points times splits (the size of
+    ``out``) of each ``split_log_values`` call."""
 
     def __init__(self, lib):
         self.lib, self.calls = lib, []
@@ -230,9 +231,9 @@ class _LoopSpy:
     def __getattr__(self, name):
         return getattr(self.lib, name)
 
-    def ulrt_split_log_values(self, theta, points, mean0, mean1, splits, *rest):
-        self.calls.append(points * splits)
-        return self.lib.ulrt_split_log_values(theta, points, mean0, mean1, splits, *rest)
+    def split_log_values(self, theta, mean0, mean1, d, half_m0, out):
+        self.calls.append(out.size)
+        return self.lib.split_log_values(theta, mean0, mean1, d, half_m0, out)
 
 
 def _statistic_as_written(thetas, mean0, mean1, m0):
@@ -255,13 +256,10 @@ def _check_split_log_values(d, shapes, monkeypatch):
         thetas = _spread(rng, (max(points, 1), d))
         thetas = thetas if points else thetas[0]
         mean0, mean1 = _spread(rng, (*shape, d)), _spread(rng, (*shape, d))
-        values = math.prod(thetas.shape[:-1] + shape)
         want = _statistic_as_written(thetas, mean0, mean1, 37)
         _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, 37), want)
-        loop_shape = points == 0 or len(shape) == 1
-        big = values >= _kernels._LOOP_MIN_VALUES
-        if loop_shape and big and d <= _kernels._PAIRWISE_BLOCK:
-            expected_calls.append(values)
+        if (points == 0 or len(shape) == 1) and d <= _kernels._PAIRWISE_BLOCK:
+            expected_calls.append(math.prod(thetas.shape[:-1] + shape))
         with monkeypatch.context() as numpy_only:
             numpy_only.setattr(_kernels, "_loaded", [None])
             _assert_same_bits(regions.split_log_values(thetas, mean0, mean1, 37), want)
@@ -269,28 +267,28 @@ def _check_split_log_values(d, shapes, monkeypatch):
     return len(expected_calls)
 
 
-def _gate_sides(points):
-    """Split counts just below and at the loop's gate for ``points`` points."""
-    at = -(-_kernels._LOOP_MIN_VALUES // max(points, 1))
-    return [(points, (at - 1,)), (points, (at,))]
+def _split_counts(points):
+    """One split, the B = 1 reducers' shape, and 98 splits, for ``points``
+    points."""
+    return [(points, (1,)), (points, (98,))]
 
 
 @pytest.mark.parametrize("d", range(1, 141))
 def test_split_log_values_is_the_statistic_as_written(d, monkeypatch):
     """Every d the loop sums (1 to 128) and some past it, at 21 grid points."""
-    calls = _check_split_log_values(d, _gate_sides(21), monkeypatch)
-    assert calls == (1 if d <= _kernels._PAIRWISE_BLOCK else 0)
+    calls = _check_split_log_values(d, _split_counts(21), monkeypatch)
+    assert calls == (2 if d <= _kernels._PAIRWISE_BLOCK else 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 20, 128, 129])
 def test_split_log_values_takes_the_loop_only_in_its_domain(d, monkeypatch):
     """One point, 21 and 180 points against ``(R, d)`` means, and one point
-    against ``(C, B, d)`` means, on both sides of the gate."""
-    shapes = _gate_sides(0) + _gate_sides(21) + _gate_sides(180)
-    shapes += [(0, (31, 66)), (0, (64, 32)), (21, (1, 98))]
+    against ``(C, B, d)`` means, at every split count."""
+    shapes = _split_counts(0) + _split_counts(21) + _split_counts(180)
+    shapes += [(0, (31, 66)), (0, (64, 32)), (0, (2048,)), (21, (1, 98))]
     calls = _check_split_log_values(d, shapes, monkeypatch)
     # (21, d) points against (1, 98, d) means broadcast, so they stay on numpy
-    assert calls == (4 if d <= _kernels._PAIRWISE_BLOCK else 0)
+    assert calls == (9 if d <= _kernels._PAIRWISE_BLOCK else 0)
 
 
 @pytest.mark.parametrize("numpy_loops", [False, True], ids=["compiled", "numpy"])
@@ -521,6 +519,18 @@ def test_expected_sq_radius_boundary_rejected():
         expected_sq_radius_split(0.1, 2, 1000, 0.0)
     with pytest.raises(DomainError):
         expected_sq_radius_split(0.1, 2, 1000, 1.0)
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (0, 2), (-5, 2), (1000, 0), (1000, -5)])
+def test_closed_forms_refuse_n_below_2_or_d_below_1(n, d):
+    for closed_form in (lambda: expected_sq_radius_split(0.1, d, n, 0.5),
+                        lambda: limiting_sq_radius(0.1, d, n),
+                        lambda: intersection_power_exact(0.5, n, d, 0.1)):
+        with pytest.raises(DomainError, match="need n >= 2 and d >= 1"):
+            closed_form()
+    if d < 1:
+        with pytest.raises(DomainError, match="d must be >= 1"):
+            limiting_vs_expected_split_ratio(0.1, d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import sysconfig
 import threading
 import warnings
 from types import SimpleNamespace
@@ -52,6 +53,37 @@ def test_substream_keys_match_scalar_derivation():
         assert int(children[r - 5]) == stream.substream(r).substream(2).key
         for b in range(6):
             assert int(nested[r - 5, b]) == stream.substream(r).substream(1).substream(b).key
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: s.substream(2**64),
+        lambda s: s.substream(-1),
+        lambda s: s.substream(2.0),
+        lambda s: s.substream_keys(2**64 - 1, 2**64 + 1),
+        lambda s: s.substream_keys(-1, 3),
+        lambda s: s.substream_keys(2.0),
+        lambda s: s.substream_keys(3, child=2**64),
+    ],
+    ids=["index-2**64", "index-negative", "index-float", "stop-above", "start-negative",
+         "stop-float", "child-2**64"],
+)
+def test_substream_indices_outside_64_bits_or_not_integers_are_refused(call):
+    """Masking 2**64 to 64 bits would give substream 0 again."""
+    with pytest.raises(DomainError, match=r"must be an integer in \[0, 2\*\*64\)"):
+        call(RngStream(5))
+
+
+def test_substream_indices_at_both_ends_of_the_64_bit_range_derive():
+    stream = RngStream(5)
+    assert stream.substream(2**64 - 1) != stream.substream(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy integers must not overflow in the key arithmetic
+        assert stream.substream(np.uint64(7)) == stream.substream(7)
+        assert RngStream(np.uint64(2**64 - 1)).key == RngStream(2**64 - 1).key
+    keys = stream.substream_keys(2**64 - 2, 2**64)
+    assert [int(k) for k in keys] == [stream.substream(2**64 - i).key for i in (2, 1)]
 
 
 # SHA-256 of RngStream(2718, 28).normals(count).tobytes(), taken before the
@@ -107,7 +139,7 @@ _POLAR_SHAPES = pytest.mark.parametrize(
 
 @_POLAR_SHAPES
 def test_batch_normals_compiled_and_fallback_equal_numpy_polar(rows, count, monkeypatch):
-    """Bit for bit, through ``ulrt_polar`` and through its numpy twin: one raw
+    """Bit for bit, through the compiled ``polar`` and through its numpy twin: one raw
     scan of all rows (the unscaled ``(u, v)`` pairs, whose last ``v`` an odd
     count drops, and ``s``), and the draw in row blocks."""
     keys = RngStream(44, rows).substream_keys(rows)
@@ -400,30 +432,105 @@ def test_fallback_without_compiler_warns_once_and_draws_same_subsets(monkeypatch
 
 
 def test_build_goes_to_a_private_per_user_cache(monkeypatch, tmp_path):
-    if _kernels._find_compiler() is None:
-        pytest.skip("no C compiler found")
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(_kernels, "_loaded", [])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _kernels._compiled() is not None
-    cache = tmp_path / "ulrt"
-    assert cache.stat().st_mode & 0o777 == 0o700
-    assert [p.suffix for p in cache.iterdir()] == [".so"]
+    """Each fresh cache gets its own build, which loads beside the modules
+    already loaded in this process and sums the same bytes."""
+    if _kernels._find_compiler() is None or _kernels._find_headers() is None:
+        pytest.skip("no C compiler or no Python.h found")
+    values, keys = _split_means_case(2, 5, 30, 3)
+    expected = _means_bytes(_sequential_split_means(values, keys, 12))
+    modules = []
+    for name in ("first", "second"):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / name))
+        monkeypatch.setattr(_kernels, "_loaded", [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modules.append(_kernels._compiled())
+        assert modules[-1] is not None
+        assert _means_bytes(split_means(values, keys, 12)) == expected
+        cache = tmp_path / name / "ulrt"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert [p.name.endswith(sysconfig.get_config_var("EXT_SUFFIX")) for p in cache.iterdir()] == [True]
+    assert modules[0] is not modules[1]
 
 
 def test_compiled_source_builds_without_warnings(tmp_path):
-    """The build flags plus -Wall -Wextra -Werror, so that a warning in a C
-    loop fails here instead of passing silently into the per-user cache."""
-    cc = _kernels._find_compiler()
-    if cc is None:
-        pytest.skip("no C compiler found")
+    """The build flags and headers plus -Wall -Wextra -Werror, so that a
+    warning in a C loop or the method glue fails here instead of passing
+    silently into the per-user cache."""
+    cc, include = _kernels._find_compiler(), _kernels._find_headers()
+    if cc is None or include is None:
+        pytest.skip("no C compiler or no Python.h found")
     proc = subprocess.run(
-        [cc, *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "subsets.so"),
-         _kernels._SOURCE],
+        [cc, *_kernels._CFLAGS, f"-I{include}", "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "subsets.so"), _kernels._SOURCE],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_fallback_without_python_headers_warns_once_and_gives_same_bytes(monkeypatch):
+    keys = np.array([RngStream(2718, 28).key, *RngStream(46).substream_keys(29)], dtype=np.uint64)
+    values, split_keys = _split_means_case(3, 7, 40, 5)
+    expected = _sequential_split_means(values, split_keys, 17)
+    monkeypatch.setattr(_kernels, "_find_headers", lambda: None)
+    monkeypatch.setattr(_kernels, "_loaded", [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        normals = batch_normals(keys, 1000)
+        means = split_means(values, split_keys, 17)
+    assert _kernels._loaded == [None]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "Python.h" in str(caught[0].message) and "numpy loop" in str(caught[0].message)
+    assert hashlib.sha256(normals[0].tobytes()).hexdigest() == NORMALS_SHA256[1000]
+    assert _means_bytes(means) == _means_bytes(expected)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _method_call(method):
+    """A call of the compiled ``method`` whose output buffer is the
+    argument, and the size that output must have."""
+    lib = _kernels._compiled()
+    if lib is None:
+        pytest.skip("no compiled module")
+    keys = RngStream(47).substream_keys(3)
+    if method == "split_sums":
+        return lambda out: lib.split_sums(keys, 3, 10, 4, np.ones((1, 10, 2)), 2,
+                                          np.empty(10, dtype=np.int32), out), 6
+    if method == "polar":
+        return lambda out: lib.polar(keys, 2, np.empty((3, 2)), out), 3
+    return lambda out: lib.split_log_values(np.full(2, 2.0), np.zeros((3, 2)), np.ones((3, 2)),
+                                            2, 1.0, out), 3
+
+
+@pytest.mark.parametrize("bad_out", [_read_only, lambda a: np.repeat(a, 2)[::2]],
+                         ids=["read-only", "strided"])
+@pytest.mark.parametrize("method", ["split_sums", "polar", "split_log_values"])
+def test_methods_refuse_an_output_buffer_they_cannot_write_in_place(method, bad_out):
+    """An output that the loop could not fill in place is a ``TypeError``
+    before the loop runs, and the same call with a writable contiguous
+    buffer fills it."""
+    call, size = _method_call(method)
+    with pytest.raises(TypeError):
+        call(bad_out(np.zeros(size)))
+    out = np.zeros(size)
+    assert call(out) is None
+    assert np.all(out != 0.0)
+
+
+@pytest.mark.parametrize("method", ["split_sums", "polar", "split_log_values"])
+def test_methods_refuse_an_output_buffer_of_another_size(method):
+    """The methods read their row counts from the buffer lengths, so an
+    output one value short or long is a ``ValueError`` and stays unwritten."""
+    call, size = _method_call(method)
+    for wrong in (size - 1, size + 1):
+        out = np.zeros(wrong)
+        with pytest.raises(ValueError, match="buffer sizes"):
+            call(out)
+        assert not out.any()
 
 
 def test_shared_writable_cache_falls_back(monkeypatch, tmp_path):
@@ -454,8 +561,9 @@ def _refuse_foreign_call(*args):
 
 
 _REFUSING_LIBRARY = SimpleNamespace(
-    ulrt_split_sums=_refuse_foreign_call,
-    ulrt_polar=_refuse_foreign_call,
+    split_sums=_refuse_foreign_call,
+    polar=_refuse_foreign_call,
+    split_log_values=_refuse_foreign_call,
 )
 
 
