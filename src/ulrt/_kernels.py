@@ -5,21 +5,27 @@ draw: it takes each split's first part by a partial Fisher-Yates shuffle of
 the split's stream key and sums that part's rows in draw order, so that the
 means of a batch of splits are a function of the code alone.
 :func:`ulrt.data.split` calls it with a single key, the subsampling and Monte
-Carlo paths with many.  Three loops are C, the methods of the extension
-module ``_subsets`` (``_subsets.c``, next to this file): ``split_sums``
-behind ``split_means``, ``polar`` behind ``_polar_trials`` and
+Carlo paths with many.  ``exact_split_means`` draws the same subsets and then
+the split sums from their exact law given them, a Gaussian with the subsets'
+Gram matrix as covariance, so that a B > 1 Monte Carlo replication of many
+coordinates builds no dataset.  Four loops are C, the methods of the
+extension module ``_subsets`` (``_subsets.c``, next to this file):
+``split_sums`` behind ``split_means``, ``exact_sums`` behind
+``exact_split_means``, ``polar`` behind ``_polar_trials`` and
 :func:`ulrt.rng.batch_normals`, and ``split_log_values`` behind
-:func:`ulrt.regions.split_log_values`.  The first call compiles the source
-with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no fused multiply-add, so
-every product rounds as in numpy) and the include path of ``Python.h`` into
-the per-user cache ``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``),
-keyed by a checksum of the source, the command and the extension suffix, and
-imports it; a method takes arrays as buffers and runs without the GIL.
-Without a compiler or ``Python.h``, or when the build or the load fails, the
-numpy loops ``_numpy_split_sums`` (with its shuffle ``_numpy_fisher_yates``),
-``_numpy_polar`` and ``_numpy_split_log_values`` give the same bytes, and the
-process emits one ``RuntimeWarning`` that says why.  No other module picks
-between the two.
+:func:`ulrt.regions.split_log_values`.  The first call imports the module
+from the per-user cache ``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``),
+keyed by a checksum of the source, the flags, the extension suffix,
+``sys.version`` and ``sys.base_prefix``; when it is not there, it first
+compiles the source with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no
+fused multiply-add, so every product rounds as in numpy) and the include
+path of ``Python.h``.  A method takes arrays as buffers and runs without the
+GIL.  Without a cached build and without a compiler or ``Python.h``, or when
+the build or the load fails, the numpy loops ``_numpy_split_sums`` (with its
+shuffle ``_numpy_fisher_yates``), ``_numpy_exact_sums``, ``_numpy_polar``
+and ``_numpy_split_log_values`` give the same bytes, and the process emits
+one ``RuntimeWarning`` that says why.  No other module picks between the
+two.
 
 The splitmix64 finalizer on uint64 arrays, :func:`_finalize_array`, and its
 constants live here; :mod:`ulrt.rng` builds its streams on them.
@@ -37,10 +43,10 @@ compiled statistic sums in the same order, so it keeps the same bytes.
 from __future__ import annotations
 
 import importlib.machinery
-import numbers
+import operator
 import os
 import shutil
-import sysconfig
+import sys
 import threading
 import warnings
 
@@ -89,11 +95,13 @@ def _check_keys(keys, ndim: int) -> np.ndarray:
 
 
 def _check_sizes(n, k) -> tuple[int, int]:
-    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
-        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}")
+    try:
+        n, k = operator.index(n), operator.index(k)
+    except TypeError:
+        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
     if not 0 <= k <= n < 2**31:
         raise DomainError(f"need 0 <= k <= n < 2**31, got k={k}, n={n}")
-    return int(n), int(k)
+    return n, k
 
 
 def split_means(data: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +137,58 @@ def split_means(data: np.ndarray, keys: np.ndarray, k: int) -> tuple[np.ndarray,
     return sums / k, (data.sum(axis=1, keepdims=True) - sums) / (n - k)
 
 
+#: The pivoted Cholesky of :func:`exact_split_means` stops at a pivot of at
+#: most ``n * _RANK_RTOL``.  The Gram matrix holds integers up to n, and its
+#: factor rounds off by about (B + 1) * 2**-52 * n, some 1e-14 * n at B = 100,
+#: so a rank-deficient G (B + 1 > n) stops well above its roundoff; dropping a
+#: true pivot this small would change no variance by more than 1e-9 * n.
+_RANK_RTOL = 1e-9
+
+
+def exact_split_means(z: np.ndarray, keys: np.ndarray, n: int, k: int,
+                      theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The part means of :func:`split_means` for ``C`` datasets of ``n``
+    N(theta, I_d) rows, drawn from their exact law given the subsets, so that
+    no dataset is built.
+
+    ``keys`` is ``(C, B)`` and draws the same subsets ``S_b`` as in
+    :func:`split_means`; ``z`` is a contiguous float64 ``(C, B + 1, d)``
+    array of standard normals.  Given the subsets, the first-part sums
+    ``T_b`` and the total ``T`` are jointly Gaussian with means ``k * theta``
+    and ``n * theta`` and covariance ``G (x) I_d``, where ``G`` is the Gram
+    matrix of the membership rows: ``G[b, b'] = |S_b & S_b'|``, ``G[b, T] =
+    k`` and ``G[T, T] = n``.  With the pivoted Cholesky ``P L L' P' = G``
+    (stopped at numerical rank, so B + 1 > n works), ``(T_1, .., T_B, T) = mu
+    + P L z``, each row summed in column order.  Returns ``(mean0, mean1)``,
+    each ``(C, B, d)``: ``T_b / k`` and ``(T - T_b) / (n - k)``.  The compiled
+    ``exact_sums`` and the numpy twin ``_numpy_exact_sums`` give the same
+    bytes; no step calls BLAS or LAPACK.
+    """
+    keys = _check_keys(keys, 2)
+    n, k = _check_sizes(n, k)
+    if not 1 <= k < n:
+        raise DomainError(f"both parts of a split must be nonempty, got k={k}, n={n}")
+    c, b = keys.shape
+    theta = np.asarray(theta, dtype=np.float64)
+    if not (isinstance(z, np.ndarray) and z.dtype == np.float64 and z.flags.c_contiguous
+            and z.shape[:2] == (c, b + 1) and z.ndim == 3 and theta.shape == z.shape[2:]):
+        raise DomainError(f"z must be a contiguous float64 ({c}, {b + 1}, d) array for d = "
+                          f"len(theta), got {getattr(z, 'dtype', type(z).__name__)} "
+                          f"{np.shape(z)} and theta {theta.shape}")
+    tol = n * _RANK_RTOL
+    lib = _compiled()
+    if lib is None:
+        sums = _numpy_exact_sums(keys, n, k, z, tol)
+    else:
+        sums = np.empty_like(z)
+        lib.exact_sums(keys, b, n, k, z, z.shape[2], tol, sums)
+    first = sums[:, :b]
+    first += k * theta
+    total = sums[:, b:]
+    total += n * theta
+    return first / k, (total - first) / (n - k)
+
+
 def _polar_trials(keys: np.ndarray, count: int, out: np.ndarray, s: np.ndarray) -> None:
     """Row ``r`` of ``out`` and ``s`` gets the first accepted polar trials of
     ``keys[r]``: unscaled ``u, v`` interleaved, and ``u * u + v * v``.  Private,
@@ -155,45 +215,57 @@ def _find_compiler() -> str | None:
 
 
 def _find_headers() -> str | None:
+    import sysconfig
+
     include = sysconfig.get_paths()["include"]
     return include if os.path.isfile(os.path.join(include, "Python.h")) else None
 
 
 def _load_compiled():
-    cc, include = _find_compiler(), _find_headers()
-    if cc is None:
-        reason = "no C compiler (cc) on PATH"
-    elif include is None:
-        reason = "no Python.h (the Python development headers) in sysconfig's include path"
-    else:
-        try:
-            path = _build(cc, include)
+    """The module from the per-user cache, built there first when missing.
+
+    A cached build loads without looking for the compiler or the headers:
+    ``sysconfig.get_paths()`` alone imports ``_sysconfigdata``, most of a
+    cold load's time, so only a missing build pays for it."""
+    reason = None
+    try:
+        path = _cached_path()
+        if not os.path.exists(path):
+            cc, include = _find_compiler(), _find_headers()
+            if cc is None:
+                reason = "no C compiler (cc) on PATH"
+            elif include is None:
+                reason = "no Python.h (the Python development headers) in sysconfig's include path"
+            else:
+                _build(cc, include, path)
+        if reason is None:
             loader = importlib.machinery.ExtensionFileLoader("ulrt._subsets", path)
             lib = loader.create_module(importlib.machinery.ModuleSpec(loader.name, loader, origin=path))
             loader.exec_module(lib)
             return lib
-        except (OSError, ImportError) as exc:
-            reason = f"building or loading {_SOURCE} failed ({exc})"
+    except (OSError, ImportError) as exc:
+        reason = f"building or loading {_SOURCE} failed ({exc})"
     warnings.warn("ulrt draws normals and subsets, sums splits and scores them with the numpy "
                   f"loops, not the compiled ones: {reason}", RuntimeWarning, stacklevel=4)
     return None
 
 
-def _build(cc: str, include: str) -> str:
-    """Path of the extension module built from ``_SOURCE`` by ``cc`` against
-    the headers in ``include``, compiling it into the per-user cache unless
-    that source and command were built before.
+def _cached_path() -> str:
+    """Where the per-user cache keeps the build of ``_SOURCE`` for this
+    interpreter, in a directory it makes private to the user if needed.
 
-    The cache key is a CRC-32 and an Adler-32 of the source, the command and
-    the extension suffix, which names the machine: ``hashlib`` would load
-    OpenSSL, about 3.6 MB of resident memory, and the key only tells builds
-    apart inside a directory private to the user."""
+    The key is a CRC-32 and an Adler-32 of the source, the flags, the
+    extension suffix (which names the machine), ``sys.version`` and
+    ``sys.base_prefix``: ``hashlib`` would load OpenSSL, about 3.6 MB of
+    resident memory, and the key only tells builds apart inside a directory
+    private to the user.  The include path of ``Python.h`` is left out, as
+    looking it up is what a cached build saves; the interpreter it belongs to
+    is in the key."""
     import zlib
 
-    command = [cc, *_CFLAGS, f"-I{include}"]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     with open(_SOURCE, "rb") as fh:
-        blob = fh.read() + "\0".join(["", *command, suffix]).encode()
+        blob = fh.read() + "\0".join(["", *_CFLAGS, suffix, sys.version, sys.base_prefix]).encode()
     cache = os.path.join(
         os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "ulrt"
     )
@@ -201,23 +273,27 @@ def _build(cc: str, include: str) -> str:
     st = os.stat(cache)
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
         raise OSError(f"{cache} is not a private directory of this user")
-    target = os.path.join(cache, f"subsets-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}{suffix}")
-    if not os.path.exists(target):
-        import subprocess
-        import tempfile
+    return os.path.join(cache, f"subsets-{zlib.crc32(blob):08x}{zlib.adler32(blob):08x}{suffix}")
 
-        # build under a temporary name, so no process loads a half-written file
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(fd)
-        try:
-            proc = subprocess.run([*command, "-o", tmp, _SOURCE], capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise OSError(f"{cc} exited {proc.returncode}: {proc.stderr.strip()}")
-            os.replace(tmp, target)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return target
+
+def _build(cc: str, include: str, target: str) -> None:
+    """Compile ``_SOURCE`` with ``cc`` against the headers in ``include``
+    into ``target``, under a temporary name first, so that no process loads
+    a half-written file."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *_CFLAGS, f"-I{include}", "-o", tmp, _SOURCE],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise OSError(f"{cc} exited {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _numpy_fisher_yates(keys: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -271,6 +347,59 @@ def _numpy_split_sums(data: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
+#: Set bits of each byte value, for the popcounts of the numpy twin.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+
+
+def _numpy_exact_sums(keys: np.ndarray, n: int, k: int, z: np.ndarray, tol: float) -> np.ndarray:
+    """The centred sums of :func:`exact_split_means` in numpy, for
+    contiguous uint64 ``(C, B)`` ``keys``: the compiled ``exact_sums``
+    operation for operation, so bit for bit.  Row ``q`` in pivot order
+    starts at ``L(q, 0) * z[0]`` and adds ``L(q, j) * z[j]`` for ``j <=
+    min(q, r - 1)``, in order; row ``piv[q]`` of the result gets it."""
+    c, b = keys.shape
+    m = b + 1
+    subsets = _numpy_fisher_yates(keys.reshape(-1), n, k).reshape(c, b, k)
+    sums = np.empty_like(z)
+    for r in range(c):
+        member = np.zeros((b, n), dtype=bool)
+        member[np.arange(b)[:, None], subsets[r]] = True
+        bits = np.packbits(member, axis=1)
+        gram = np.full((m, m), float(k))
+        gram[:b, :b] = _BYTE_BITS[bits[:, None, :] & bits[None, :, :]].sum(axis=2)
+        gram[b, b] = n
+        lower, piv = _numpy_pivoted_cholesky(gram, tol)
+        acc = lower[:, 0, None] * z[r, 0]
+        for j in range(1, lower.shape[1]):
+            acc[j:] += lower[j:, j, None] * z[r, j]
+        sums[r, piv] = acc
+    return sums
+
+
+def _numpy_pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The compiled ``pivoted_cholesky`` in numpy: ``(L, piv)`` with ``L``
+    the ``(m, r)`` factor, rows in pivot order, and ``piv[q]`` the index of
+    ``gram`` that pivot row ``q`` holds.  Step ``j`` pivots on the first
+    largest trailing diagonal entry and stops when it is not above ``tol``."""
+    m = gram.shape[0]
+    s = gram.copy()
+    lower = np.zeros((m, m))
+    piv = np.arange(m)
+    for j in range(m):
+        p = j + int(np.argmax(np.diagonal(s)[j:]))
+        if not s[p, p] > tol:
+            return lower[:, :j], piv
+        if p != j:
+            for a in (s, s.T, lower, piv):
+                a[[j, p]] = a[[p, j]]
+        root = np.sqrt(s[j, j])
+        col = s[j + 1 :, j] / root
+        lower[j, j] = root
+        lower[j + 1 :, j] = col
+        s[j + 1 :, j + 1 :] -= col[:, None] * col
+    return lower, piv
+
+
 def _signed_unit(z: np.ndarray) -> np.ndarray:
     """Raw draws at the Weyl points ``z``, mapped to [-1, 1)."""
     u = _finalize_array(z).astype(np.float64)
@@ -311,11 +440,10 @@ def log_mean_exp(values: np.ndarray, axis: int = -1) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     peak = np.max(values, axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
+    shifted = values - peak
+    np.exp(shifted, out=shifted)
     with np.errstate(divide="ignore"):
-        out = np.squeeze(peak, axis=axis) + np.log(
-            np.mean(np.exp(values - peak), axis=axis)
-        )
-    return out
+        return np.squeeze(peak, axis=axis) + np.log(np.mean(shifted, axis=axis))
 
 
 #: numpy sums a reduction of up to this many elements with eight

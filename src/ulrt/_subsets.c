@@ -1,22 +1,28 @@
-/* Split sums over partial Fisher-Yates subset draws and polar trials, one
- * row per stream key, and the log split statistic: the CPython extension
- * module _subsets, which ulrt._kernels builds and loads.
+/* Split sums over partial Fisher-Yates subset draws, the same subsets' split
+ * sums drawn from their exact law, polar trials, one row per stream key, and
+ * the log split statistic: the CPython extension module _subsets, which
+ * ulrt._kernels builds and loads.
  *
  * The compiled form of ulrt._kernels._numpy_split_sums (with its shuffle,
- * _numpy_fisher_yates), ulrt._kernels._numpy_polar and
+ * _numpy_fisher_yates), ulrt._kernels._numpy_exact_sums (with
+ * _numpy_pivoted_cholesky), ulrt._kernels._numpy_polar and
  * ulrt._kernels._numpy_split_log_values: the same splitmix64 draws, the
- * same swaps, the same additions in the same order and the same accepted
- * trials, so the results are identical.  Built with -ffp-contract=off, so
- * that u * u + v * v rounds twice, as in numpy.  The Python wrappers check
- * their arguments and pass contiguous buffers (PEP 3118): for the sums
- * keys[rows], data[C * n * d], perm[n] (scratch) and sums[rows * d], for the
- * trials keys[rows], out[rows * count] and s[rows * pairs], and for the
- * statistic theta[G * d], mean0[R * d], mean1[R * d] and out[G * R].  Each
- * method reads rows, G and R from the buffer lengths, refuses buffers of
- * any other size with ValueError, and runs its loop without the GIL.
+ * same swaps, the same additions, products, divisions and square roots in
+ * the same order and the same accepted trials, so the results are
+ * identical, and none depends on a BLAS or LAPACK.  Built with
+ * -ffp-contract=off, so that u * u + v * v rounds twice, as in numpy.  The
+ * Python wrappers check their arguments and pass contiguous buffers (PEP
+ * 3118): for the sums keys[rows], data[C * n * d], perm[n] (scratch) and
+ * sums[rows * d], for the exact-law sums keys[C * B], z[C * (B + 1) * d] and
+ * sums[C * (B + 1) * d], for the trials keys[rows], out[rows * count] and
+ * s[rows * pairs], and for the statistic theta[G * d], mean0[R * d],
+ * mean1[R * d] and out[G * R].  Each method reads rows, C, G and R from the
+ * buffer lengths, refuses buffers of any other size with ValueError, and
+ * runs its loop without the GIL.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -103,6 +109,135 @@ static void ulrt_split_sums(const uint64_t *keys, int64_t rows, int64_t B, int64
         memcpy(sums, x + (int64_t)perm[0] * d, (size_t)d * sizeof(double));
         for (int64_t i = 1; i < k; i += tile)
             add_all_columns(x, d, perm + i, k - i < tile ? k - i : tile, sums);
+    }
+}
+
+/* |x & y| for bitsets of `words` words: the portable SWAR count (Warren,
+ * Hacker's Delight, 2nd ed., section 5-1), so that the build needs no
+ * -mpopcnt.  Each word leaves its count per byte (at most 8), 31 words add
+ * up per byte without a carry, and each block of them sums its bytes in
+ * 16-bit lanes and then across them. */
+static int64_t common_bits(const uint64_t *x, const uint64_t *y, int64_t words)
+{
+    const uint64_t m1 = 0x5555555555555555ULL, m2 = 0x3333333333333333ULL,
+                   m4 = 0x0F0F0F0F0F0F0F0FULL, m8 = 0x00FF00FF00FF00FFULL;
+    int64_t count = 0;
+    for (int64_t lo = 0; lo < words; lo += 31) {
+        int64_t hi = words - lo < 31 ? words : lo + 31;
+        uint64_t bytes = 0;
+        for (int64_t w = lo; w < hi; w++) {
+            uint64_t v = x[w] & y[w];
+            v -= (v >> 1) & m1;
+            v = (v & m2) + ((v >> 2) & m2);
+            bytes += (v + (v >> 4)) & m4;
+        }
+        bytes = (bytes & m8) + ((bytes >> 8) & m8);
+        count += (int64_t)((bytes * 0x0001000100010001ULL) >> 48);
+    }
+    return count;
+}
+
+/* Exchanges indices j < p of the symmetric matrix whose lower triangle a
+ * holds column-major, a[l * m + i] = a(i, l) for i >= l: the LAPACK dpstrf
+ * swap, which also swaps rows j and p of the factor's first j columns. */
+static void swap_symmetric(double *a, int64_t m, int64_t j, int64_t p)
+{
+    double t;
+#define SWAP(x, y) (t = (x), (x) = (y), (y) = t)
+    for (int64_t c = 0; c < j; c++)
+        SWAP(a[c * m + j], a[c * m + p]);
+    SWAP(a[j * m + j], a[p * m + p]);
+    for (int64_t i = j + 1; i < p; i++)
+        SWAP(a[j * m + i], a[i * m + p]);
+    for (int64_t i = p + 1; i < m; i++)
+        SWAP(a[j * m + i], a[p * m + i]);
+#undef SWAP
+}
+
+/* Pivoted Cholesky of the m x m positive semidefinite a (lower triangle,
+ * column-major as above), right-looking, in place: step j takes as pivot the
+ * first largest diagonal entry of the trailing Schur complement, stops when
+ * it is not above tol, and otherwise makes column j of L, with
+ * a(i, l) -= L(i, j) * L(l, j) for every trailing i >= l.  Leaves L in the
+ * first r columns (rows in pivot order), piv[q] the original index of pivot
+ * row q, and returns the rank r. */
+static int64_t pivoted_cholesky(double *a, int64_t m, double tol, int64_t *piv)
+{
+    for (int64_t i = 0; i < m; i++)
+        piv[i] = i;
+    for (int64_t j = 0; j < m; j++) {
+        int64_t p = j;
+        for (int64_t i = j + 1; i < m; i++)
+            if (a[i * m + i] > a[p * m + p])
+                p = i;
+        if (!(a[p * m + p] > tol))
+            return j;
+        if (p != j) {
+            swap_symmetric(a, m, j, p);
+            int64_t t = piv[j];
+            piv[j] = piv[p];
+            piv[p] = t;
+        }
+        double *cj = a + j * m;
+        double root = sqrt(cj[j]);
+        cj[j] = root;
+        for (int64_t i = j + 1; i < m; i++)
+            cj[i] /= root;
+        for (int64_t l = j + 1; l < m; l++) {
+            double *cl = a + l * m, f = cj[l];
+            for (int64_t i = l; i < m; i++)
+                cl[i] -= cj[i] * f;
+        }
+    }
+    return m;
+}
+
+/* The centred first-part sums of B splits per replication and the centred
+ * total, drawn from their exact law given the subsets: for replication r,
+ * with the subsets S_b that keys[r * B + b] draws (as in ulrt_split_sums),
+ * the m = B + 1 sums are jointly N(0, G (x) I_d), where G is the Gram matrix
+ * of the membership rows (G[b][b'] = |S_b & S_b'|, G[b][B] = k, G[B][B] = n).
+ * G comes from popcounts of per-subset bitsets, L from pivoted_cholesky with
+ * rank r, and pivot row q of the output is sum_{j <= min(q, r - 1)} L(q, j)
+ * z[j], added in column order; it goes to row piv[q] of sums[r * m * d ..].
+ * z and sums are rows * m * d, scratch holds m * m doubles (a), m indices
+ * (piv), n int32 (perm) and B * ceil(n / 64) words (bits). */
+static void ulrt_exact_sums(const uint64_t *keys, int64_t reps, int64_t B, int64_t n, int64_t k,
+                            const double *restrict z, int64_t d, double tol, double *restrict sums,
+                            double *restrict a, int64_t *restrict piv, int32_t *restrict perm,
+                            uint64_t *restrict bits)
+{
+    int64_t m = B + 1, words = (n + 63) / 64;
+    for (int64_t r = 0; r < reps; r++, keys += B, z += m * d, sums += m * d) {
+        memset(bits, 0, (size_t)(B * words) * sizeof(uint64_t));
+        for (int64_t b = 0; b < B; b++) {
+            shuffle(keys[b], n, k, perm);
+            for (int64_t i = 0; i < k; i++)
+                bits[b * words + (perm[i] >> 6)] |= 1ULL << (perm[i] & 63);
+        }
+        for (int64_t l = 0; l < B; l++) {
+            const uint64_t *x = bits + l * words;
+            a[l * m + l] = (double)k;
+            for (int64_t i = l + 1; i < B; i++) {
+                a[l * m + i] = (double)common_bits(x, bits + i * words, words);
+            }
+            a[l * m + B] = (double)k;
+        }
+        a[B * m + B] = (double)n;
+        int64_t rank = pivoted_cholesky(a, m, tol, piv);
+        for (int64_t q = 0; q < m; q++) {
+            double *out = sums + piv[q] * d;
+            int64_t last = q < rank - 1 ? q : rank - 1;
+            double f = a[q];
+            for (int64_t t = 0; t < d; t++)
+                out[t] = f * z[t];
+            for (int64_t j = 1; j <= last; j++) {
+                const double *zj = z + j * d;
+                f = a[j * m + q];
+                for (int64_t t = 0; t < d; t++)
+                    out[t] += f * zj[t];
+            }
+        }
     }
 }
 
@@ -252,6 +387,44 @@ static PyObject *split_sums(PyObject *Py_UNUSED(self), PyObject *args)
     return done(ok, v, 4);
 }
 
+/* exact_sums(keys, B, n, k, z, d, tol, sums) */
+static PyObject *exact_sums(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    Py_buffer v[3]; /* keys, z, sums */
+    Py_ssize_t B, n, k, d;
+    double tol;
+    if (!PyArg_ParseTuple(args, "y*nnny*ndw*", &v[0], &B, &n, &k, &v[1], &d, &tol, &v[2]))
+        return NULL;
+    Py_ssize_t rows = v[0].len / 8, reps = B >= 1 ? rows / B : 0;
+    int ok = v[0].len % 8 == 0 && B >= 1 && rows % B == 0 && 1 <= k && k <= n
+             && n <= INT32_MAX && d >= 0 && tol > 0.0 && v[1].len == reps * (B + 1) * d * 8
+             && v[2].len == v[1].len;
+    if (ok && reps > 0) {
+        Py_ssize_t m = B + 1, words = (n + 63) / 64;
+        double *a = PyMem_RawMalloc((size_t)(m * m) * sizeof(double));
+        int64_t *piv = PyMem_RawMalloc((size_t)m * sizeof(int64_t));
+        int32_t *perm = PyMem_RawMalloc((size_t)n * sizeof(int32_t));
+        uint64_t *bits = PyMem_RawMalloc((size_t)(B * words) * sizeof(uint64_t));
+        if (a && piv && perm && bits) {
+            Py_BEGIN_ALLOW_THREADS
+            ulrt_exact_sums(v[0].buf, reps, B, n, k, v[1].buf, d, tol, v[2].buf, a, piv, perm,
+                            bits);
+            Py_END_ALLOW_THREADS
+        }
+        int failed = !(a && piv && perm && bits);
+        PyMem_RawFree(a);
+        PyMem_RawFree(piv);
+        PyMem_RawFree(perm);
+        PyMem_RawFree(bits);
+        if (failed) {
+            for (int i = 0; i < 3; i++)
+                PyBuffer_Release(&v[i]);
+            return PyErr_NoMemory();
+        }
+    }
+    return done(ok, v, 3);
+}
+
 /* polar(keys, count, out, s) */
 static PyObject *polar(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -291,6 +464,7 @@ static PyObject *split_log_values(PyObject *Py_UNUSED(self), PyObject *args)
 
 static PyMethodDef methods[] = {
     {"split_sums", split_sums, METH_VARARGS, NULL},
+    {"exact_sums", exact_sums, METH_VARARGS, NULL},
     {"polar", polar, METH_VARARGS, NULL},
     {"split_log_values", split_log_values, METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL},

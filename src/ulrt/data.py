@@ -16,9 +16,12 @@ Monte Carlo replications need only the part means of their splits.
 :func:`replicate_split_means` returns them for a chunk of replications, from
 ``(C,)`` key arrays and one :func:`ulrt.rng.batch_normals` draw for the whole
 chunk: a single split (B = 1) draws the two means from their exact law with
-:func:`sample_part_means`, and B > 1 splits simulate the full dataset and
-split it B times, through :func:`ulrt._kernels.split_means`, which draws
-each subset and sums its rows in draw order.
+:func:`sample_part_means`.  B > 1 splits of fewer than ``_EXACT_MIN_D``
+coordinates simulate the full dataset and split it B times, through
+:func:`ulrt._kernels.split_means`, which draws each subset and sums its rows
+in draw order; from ``_EXACT_MIN_D`` on, :func:`ulrt._kernels.exact_split_means`
+draws the same subsets and then the split sums from their exact law given
+them, with ``(B + 1) * d`` normals in place of ``n * d``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import split_means
+from ._kernels import exact_split_means, split_means
 from .errors import DomainError
 from .rng import RngStream, batch_normals
 
@@ -176,6 +179,19 @@ def sample_part_means(keys: np.ndarray, n: int, k: int, theta) -> tuple[np.ndarr
     return z[:, :d] / math.sqrt(k) + theta, z[:, d:] / math.sqrt(n - k) + theta
 
 
+#: B > 1 replications of at least this many coordinates draw their split
+#: sums from the exact law (:func:`ulrt._kernels.exact_split_means`) instead
+#: of summing the rows of a simulated dataset.  Measured on 2 AVX-512 vCPUs,
+#: one thread, at n = 1000, k = 500, B = 100 (the B > 1 presets), median ms
+#: per replication of nine alternating runs, rows against exact law: d = 2
+#: 0.39 / 0.61, 10 0.62 / 0.69, 12 0.62 / 0.59, 14 0.61 / 0.53, 16 0.60 /
+#: 0.61, 20 0.95 / 0.75, 32 1.06 / 0.71, 100 2.87 / 0.93, 1000 34 / 3.3.
+#: The exact law costs about 0.6 ms whatever d (subset draws, Gram matrix,
+#: Cholesky), and the rows about 0.03 ms per coordinate; they cross at d =
+#: 12 to 16.  Below the gate the row path keeps fig7's default bytes.
+_EXACT_MIN_D = 16
+
+
 def replicate_split_means(
     stream: RngStream, lo: int, hi: int, n: int, k: int, theta: np.ndarray, B: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -183,17 +199,26 @@ def replicate_split_means(
     datasets of replications ``lo .. hi-1``, replication ``r`` drawing from
     ``stream.substream(r)``; returns ``(mean0, mean1)``, each ``(C, B, d)``.
 
-    Substream 0 of a replication draws its data: with ``B = 1`` only the
-    two part means (:func:`sample_part_means`), with ``B > 1`` the full
-    ``n``-by-``d`` dataset, whose splits descend from substream 1.
+    Substream 0 of a replication draws its data, and split ``b`` is drawn
+    by ``substream(1).substream(b)``.  With ``B = 1`` substream 0 draws only
+    the two part means (:func:`sample_part_means`); with ``B > 1`` and ``d <
+    _EXACT_MIN_D`` the full ``n``-by-``d`` dataset, which each split sums;
+    with ``B > 1`` and ``d >= _EXACT_MIN_D`` a ``(B + 1, d)`` block of
+    normals, from which :func:`ulrt._kernels.exact_split_means` draws the
+    split sums given the subsets, building no dataset.
     """
     keys = stream.substream_keys(lo, hi, child=0)
     if B == 1:
         mean0, mean1 = sample_part_means(keys, n, k, theta)
         return mean0[:, None, :], mean1[:, None, :]
-    data = batch_normals(keys, n * theta.shape[0]).reshape(hi - lo, n, -1)
+    d = theta.shape[0]
+    split_keys = stream.substream_keys(lo, hi, child=1, grandchildren=B)
+    if d >= _EXACT_MIN_D:
+        z = batch_normals(keys, (B + 1) * d).reshape(hi - lo, B + 1, d)
+        return exact_split_means(z, split_keys, n, k, theta)
+    data = batch_normals(keys, n * d).reshape(hi - lo, n, d)
     data += theta
-    return split_means(data, stream.substream_keys(lo, hi, child=1, grandchildren=B), k)
+    return split_means(data, split_keys, k)
 
 
 def _fmt(value) -> str:

@@ -13,9 +13,14 @@ run through it; it passes a chunk to :func:`ulrt.data.replicate_split_means`
 as a stream and a replication range.  Within a replication, substream 0
 draws the data: a single-split (B = 1) cell draws only its two part means
 (``2d`` normals, see :func:`ulrt.data.sample_part_means`), and a B > 1 cell
-draws the full ``n``-by-``d`` dataset, whose splits descend from substream 1.
-The engine lays out cells and shapes rows; the statistics come from the
-library, and the annulus tests are decided by :func:`ulrt.doughnut.mc_reducer`.
+the full ``n``-by-``d`` dataset, or from ``data._EXACT_MIN_D`` coordinates on
+the normals of its split sums' exact law; its splits descend from substream
+1.  Figure 7 decides each B > 1 ``subsampled_split`` cell and its
+``subsampled_hybrid`` twin (every other key equal) in one task, on the split
+cell's stream (common random numbers), so the split rows are the cell's own
+and the hybrid rows share its draw.  The engine lays out cells and shapes
+rows; the statistics come from the library, and the annulus tests are
+decided by :func:`ulrt.doughnut.mc_reducer`.
 
 Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
@@ -304,9 +309,11 @@ def _cell_schema(experiment_id: str) -> dict[str, str]:
 
 def _check_cells(experiment_id: str, grid) -> None:
     """Refuse, before any cell runs, a cell that lacks one of the preset's
-    axes or gives one a value of the wrong type (``bool`` is no number).
-    Keys beyond the axes are kept: they become CSV columns that label the
-    cell's rows, and a misspelled axis still fails as a missing one."""
+    axes or gives one a value of the wrong type (``bool`` is no number), and
+    data that cannot be split: fewer than two observations, or a ``p0`` that
+    leaves a part empty.  Keys beyond the axes are kept: they become CSV
+    columns that label the cell's rows, and a misspelled axis still fails as
+    a missing one."""
     schema = _cell_schema(experiment_id)
     for i, cell in enumerate(grid):
         if not isinstance(cell, dict):
@@ -319,6 +326,14 @@ def _check_cells(experiment_id: str, grid) -> None:
                 raise DomainError(
                     f"{experiment_id} grid cell {i}: {key} must be {kind}, got {cell[key]!r}"
                 )
+        if "n" in schema and cell["n"] < 2:
+            raise DomainError(f"{experiment_id} grid cell {i}: n = {cell['n']} observations "
+                              "cannot be split, need n >= 2")
+        if "p0" in schema:
+            try:
+                part_size(cell["n"], cell["p0"])
+            except DomainError as exc:
+                raise DomainError(f"{experiment_id} grid cell {i}: {exc}") from None
 
 
 def _grid_fig1(p: dict) -> list[dict]:
@@ -583,16 +598,45 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, cell["reps"])]
 
 
-def _annulus_power(ctx: _RunContext, ci: int, cell: dict, method: str) -> dict[str, Accumulator]:
-    """Accumulators of the Monte Carlo annulus test ``method`` at
-    ``theta_norm * e_1``, as :func:`ulrt.doughnut.mc_reducer` names them."""
+def _annulus_draw(ctx: _RunContext, ci: int, cell: dict, dumps: dict) -> dict:
+    """The Monte Carlo annulus tests named by ``dumps`` (method -> its
+    dump), decided on one draw at ``theta_norm * e_1`` from cell ``ci``'s
+    stream: method -> its accumulators, as :func:`ulrt.doughnut.mc_reducer`
+    names them, or the ``NumericError`` or ``DomainError`` its reducer
+    raised.  Several methods share each replication's split means (common
+    random numbers), and one that fails leaves the others running."""
     n, d = cell["n"], cell["d"]
     k = part_size(n, 0.5)
-    reduce = dn.mc_reducer(method, n, k, d, cell["alpha"], dn.AnnulusNull())
+    reducers = {m: dn.mc_reducer(m, n, k, d, cell["alpha"], dn.AnnulusNull()) for m in dumps}
     theta = np.zeros(d)
     theta[0] = cell["theta_norm"]
-    B = 1 if method == "intersection" else cell["B"]
-    return _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce, ctx.workers, ctx.cell_dump(ci))
+    B = 1 if "intersection" in dumps else cell["B"]
+    if len(reducers) == 1:
+        ((method, reduce),) = reducers.items()
+        return {method: _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce,
+                                   ctx.workers, dumps[method])}
+    failed: dict = {}
+
+    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
+        out = {}
+        for method, one in reducers.items():
+            if method not in failed:
+                try:
+                    values = one(mean0, mean1)
+                except (NumericError, DomainError) as exc:
+                    failed.setdefault(method, exc)
+                    continue
+                out.update({(method, name): v for name, v in values.items()})
+        return out
+
+    def dump(key, lo: int, values: np.ndarray) -> None:
+        if dumps[key[0]] is not None:
+            dumps[key[0]](key[1], lo, values)
+
+    acc = _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce, ctx.workers,
+                     dump if any(dumps.values()) else None)
+    return {method: failed.get(method) or {name: a for (m, name), a in acc.items() if m == method}
+            for method in reducers}
 
 
 def _annulus_row(ctx: _RunContext, ci: int, cell: dict, method: str) -> list[SummaryRow]:
@@ -601,7 +645,12 @@ def _annulus_row(ctx: _RunContext, ci: int, cell: dict, method: str) -> list[Sum
     if method == "intersection_exact":
         value = dn.intersection_power_exact(cell["theta_norm"], cell["n"], cell["d"], cell["alpha"])
         return [SummaryRow(ctx.spec.experiment_id, dict(cell), value, 0.0, 0)]
-    acc = _annulus_power(ctx, ci, cell, method)
+    return _mc_annulus_row(ctx, cell, _annulus_draw(ctx, ci, cell, {method: ctx.cell_dump(ci)})[method])
+
+
+def _mc_annulus_row(ctx: _RunContext, cell: dict, acc: dict) -> list[SummaryRow]:
+    if isinstance(acc, Exception):
+        raise acc
     a = acc.pop("reject")
     extra = {name: b.mean for name, b in acc.items()}
     return [
@@ -611,6 +660,45 @@ def _annulus_row(ctx: _RunContext, ci: int, cell: dict, method: str) -> list[Sum
 
 def _exec_fig7(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     return _annulus_row(ctx, ci, cell, cell["method"])
+
+
+#: The fig7 methods that share one draw per (d, theta_norm) when B > 1.
+_FIG7_PAIR = ("subsampled_split", "subsampled_hybrid")
+
+
+def _fig7_pairs(grid) -> list[tuple[int, int]]:
+    """The ``(split, hybrid)`` cell indices of fig7 that run as one task:
+    each B > 1 ``subsampled_split`` cell with the first unpaired
+    ``subsampled_hybrid`` cell whose every other key is equal."""
+    waiting: dict[str, list[int]] = {}
+    keyed = []
+    for ci, cell in enumerate(grid):
+        if cell["method"] in _FIG7_PAIR and cell["B"] > 1:
+            key = repr(sorted((k, v) for k, v in cell.items() if k != "method"))
+            keyed.append((ci, cell["method"], key))
+            if cell["method"] == _FIG7_PAIR[1]:
+                waiting.setdefault(key, []).append(ci)
+    return [(ci, waiting[key].pop(0)) for ci, method, key in keyed
+            if method == _FIG7_PAIR[0] and waiting.get(key)]
+
+
+def _exec_fig7_pair(ctx: _RunContext, split_ci: int, hybrid_ci: int) -> dict[int, list[SummaryRow]]:
+    """The rows of fig7's cells ``split_ci`` and ``hybrid_ci``, both decided
+    on the split cell's draw, so that the split rows are those the cell gives
+    alone; a cell that fails gets its error row."""
+    cells = {ci: ctx.spec.grid[ci] for ci in (split_ci, hybrid_ci)}
+    try:
+        accs = _annulus_draw(ctx, split_ci, cells[split_ci],
+                             {cells[ci]["method"]: ctx.cell_dump(ci) for ci in cells})
+    except (NumericError, DomainError) as exc:
+        accs = {cells[ci]["method"]: exc for ci in cells}
+    out = {}
+    for ci, cell in cells.items():
+        try:
+            out[ci] = _mc_annulus_row(ctx, dict(cell), accs[cell["method"]])
+        except (NumericError, DomainError) as exc:
+            out[ci] = [_error_row(ctx.spec.experiment_id, cell, exc)]
+    return out
 
 
 def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
@@ -640,7 +728,7 @@ def _exec_figS3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 
 
 def _exec_figS4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    acc = _annulus_power(ctx, ci, cell, "subsampled_hybrid")
+    acc = _annulus_draw(ctx, ci, cell, {"subsampled_hybrid": ctx.cell_dump(ci)})["subsampled_hybrid"]
     a = acc.pop("reject")
     rows = [SummaryRow(ctx.spec.experiment_id, dict(cell, quantity="power"), a.mean, a.se_proportion(), a.count)]
     for name, b in acc.items():
@@ -666,6 +754,10 @@ class Preset:
     #: Its cells draw B > 1 split batches, so :func:`run` overlaps them in
     #: the shared pool; the cells of every other preset run on the caller.
     split_batches: bool = False
+    #: ``pairs(grid)`` lists the ``(i, j)`` cells that :func:`run` runs as
+    #: one task, ``execute_pair(ctx, i, j)``, which gives both cells' rows.
+    pairs: Callable[[tuple], list[tuple[int, int]]] | None = None
+    execute_pair: Callable[[_RunContext, int, int], dict[int, list[SummaryRow]]] | None = None
 
 
 PRESETS = {
@@ -691,7 +783,7 @@ PRESETS = {
     "doughnut_fig7": Preset("7", _grid_fig7, _exec_fig7, dict(
         ds=(2, 10), n=1000, alpha=0.1, B=100, reps=500,
         theta_norms=(0.0, 0.25, 0.45, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5),
-    ), split_batches=True),
+    ), split_batches=True, pairs=_fig7_pairs, execute_pair=_exec_fig7_pair),
     "crossfit_p0_figS2": Preset("S2", _grid_figS2, _exec_figS2, dict(
         n=1000, d=2, alpha=0.1, p0s=(0.1, 0.3, 0.5, 0.7, 0.9), rays=180, tol=1e-5,
     )),
@@ -726,25 +818,40 @@ def run(
     The cells of a ``split_batches`` preset overlap in the shared pool."""
     ctx = _RunContext(spec, RngStream(spec.master_seed), workers, dump)
     executor = _EXECUTORS[spec.experiment_id]
+    preset = PRESETS[spec.experiment_id]
 
-    def cell_rows(ci: int, cell: dict) -> list[SummaryRow]:
+    def cell_rows(ci: int) -> dict[int, list[SummaryRow]]:
+        cell = spec.grid[ci]
         try:
-            return executor(ctx, ci, dict(cell))
+            return {ci: executor(ctx, ci, dict(cell))}
         except (NumericError, DomainError) as exc:
-            return [
-                SummaryRow(
-                    spec.experiment_id, dict(cell), math.nan, math.nan, 0,
-                    status=f"error:{type(exc).__name__}",
-                )
-            ]
+            return {ci: [_error_row(spec.experiment_id, cell, exc)]}
 
-    tasks = [partial(cell_rows, ci, cell) for ci, cell in enumerate(spec.grid)]
-    pooled = workers if PRESETS[spec.experiment_id].split_batches else None
+    paired = {ci: pair for pair in (preset.pairs(spec.grid) if preset.pairs else ()) for ci in pair}
+    tasks = [
+        partial(cell_rows, ci) if ci not in paired else partial(preset.execute_pair, ctx, *paired[ci])
+        for ci in range(len(spec.grid))
+        if ci not in paired or ci == min(paired[ci])
+    ]
+    pooled = workers if preset.split_batches else None
     rows: list[SummaryRow] = []
-    for ci, cell_result in enumerate(_ordered(tasks, pooled)):
-        rows.extend(cell_result)
-        ctx.flush_dump(ci)
+    ready: dict[int, list[SummaryRow]] = {}
+    emitted = 0
+    for result in _ordered(tasks, pooled):
+        # tasks go in the order of their first cells, so every cell before
+        # a task's first cell is ready once the task is
+        ready.update(result)
+        while emitted in ready:
+            rows.extend(ready.pop(emitted))
+            ctx.flush_dump(emitted)
+            emitted += 1
     return rows
+
+
+def _error_row(experiment_id: str, cell: dict, exc: Exception) -> SummaryRow:
+    """The diagnostic row of a cell that raised ``exc``."""
+    return SummaryRow(experiment_id, dict(cell), math.nan, math.nan, 0,
+                      status=f"error:{type(exc).__name__}")
 
 
 def coverage_suite(

@@ -21,7 +21,6 @@ rounds some logs differently from glibc's libm.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -87,9 +86,13 @@ def batch_normals(keys: np.ndarray, count: int) -> np.ndarray:
     leaves each row's first ``ceil(count / 2)`` accepted ``(u, v)`` and ``s``,
     and numpy scales them by ``sqrt(-2 log(s) / s)``.
     """
-    if not isinstance(count, numbers.Integral) or count < 0:
+    try:
+        index = operator.index(count)
+    except TypeError:
+        index = -1
+    if index < 0:
         raise DomainError(f"count must be a nonnegative integer, got {count!r}")
-    count = int(count)
+    count = index
     keys = np.ascontiguousarray(keys, dtype=np.uint64).reshape(-1)
     pairs = (count + 1) // 2
     out = np.empty((keys.size, count))

@@ -196,6 +196,40 @@ def test_figure_flags_map_to_preset_axes(tmp_path, capsys, argv, expected):
             assert {r[column] for r in rows} == values
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["7", "--n", "1"], "n = 1 observations cannot be split"),
+        (["2", "--n", "1"], "approx_fig2 grid cell 0: n = 1 observations cannot be split"),
+        (["3", "--n", "1"], "n = 1 observations cannot be split"),
+        (["5", "--n", "1"], "n = 1 observations cannot be split"),
+        (["3", "--n", "10", "--p0", "0.99"], "split p0=0.99 leaves an empty part for n=10"),
+        (["3", "--p0", "1.5"], "p0 must lie in (0, 1)"),
+        (["S2", "--p0", "0.5,0.0001"], "grid cell 1: split p0=0.0001 leaves an empty part"),
+    ],
+    ids=["fig7-n-1", "fig2-ns-1", "fig3-n-1", "fig5-n-1", "fig3-p0-empty-part", "fig3-p0-above-1",
+         "S2-p0-empty-part"],
+)
+def test_data_that_cannot_be_split_exits_2_before_the_run(tmp_path, capsys, argv, expected):
+    """Such a grid used to run to a CSV of ``error:DomainError`` rows and
+    exit 0; the spec now refuses it, and no file is written."""
+    out = tmp_path / "fig.csv"
+    assert main(["figure", *argv, "--workers", "1", "--out", str(out)]) == 2
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spec_file_cell_with_one_observation_exits_2(tmp_path, capsys):
+    cell = {"method": "intersection", "d": 2, "n": 1, "alpha": 0.1, "theta_norm": 0.5, "B": 2,
+            "reps": 4}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment_id": "doughnut_fig7", "seed": 1, "grid": [cell]}))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 2
+    assert "cannot be split" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_bad_ulrt_workers_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ULRT_WORKERS", "abc")
     out = tmp_path / "fig4.csv"

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from ulrt import _kernels, engine
+from ulrt import _kernels, data, engine
 from ulrt.cli import main
 
 SEED = 20240601
@@ -47,7 +47,7 @@ GOLDEN = {
     ),
     "doughnut_fig7": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.1)),
-        "a82fe5c507c9a532c92283e7861a9f6196cee4d47b18a727f2ca970013eecc9a",
+        "aac69d0bcb70644a5eca17c6024792158cb571243a12b8fa5c3ee1f08f590306",
     ),
     "crossfit_p0_figS2": (
         dict(n=200, p0s=(0.3, 0.5), rays=24, tol=1e-4),
@@ -79,6 +79,37 @@ def test_golden_digest(experiment_id, numpy_loops, tmp_path, monkeypatch):
     if numpy_loops:
         monkeypatch.setattr(_kernels, "_loaded", [None])
     overrides, expected = GOLDEN[experiment_id]
+    spec = engine.build_spec(experiment_id, SEED, **overrides)
+    path = tmp_path / "rows.csv"
+    engine.rows_to_csv(engine.run(spec, workers=WORKERS), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+
+
+#: The B > 1 cells of these specs have d >= ``data._EXACT_MIN_D``, so their
+#: split sums come from the exact law; fig7 decides its split and hybrid
+#: cells on one shared draw.
+EXACT_LAW_GOLDEN = {
+    "doughnut_fig7": (
+        dict(ds=(20,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.1)),
+        "fa84ad06b3151661be74460ad7fe7399f97f02cf51def1b7c6647f756ad030e0",
+    ),
+    "hybrid_cases_figS4": (
+        dict(ds=(20,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.25)),
+        "191593ba48a6c9969b20d111c345e19df023e172cb99f1572f4d5f4a7e0b7130",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment_id,numpy_loops",
+    [pytest.param(e, False, id=e) for e in sorted(EXACT_LAW_GOLDEN)]
+    + [pytest.param(e, True, id=f"{e}-numpy") for e in sorted(EXACT_LAW_GOLDEN)],
+)
+def test_exact_law_golden_digest(experiment_id, numpy_loops, tmp_path, monkeypatch):
+    overrides, expected = EXACT_LAW_GOLDEN[experiment_id]
+    assert min(overrides["ds"]) >= data._EXACT_MIN_D
+    if numpy_loops:
+        monkeypatch.setattr(_kernels, "_loaded", [None])
     spec = engine.build_spec(experiment_id, SEED, **overrides)
     path = tmp_path / "rows.csv"
     engine.rows_to_csv(engine.run(spec, workers=WORKERS), path)

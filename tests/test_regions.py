@@ -189,6 +189,28 @@ def _spread(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
 
 
+def _old_log_mean_exp(values, axis=-1):
+    """``_kernels.log_mean_exp`` as written before it reused its one temporary."""
+    values = np.asarray(values, dtype=np.float64)
+    peak = np.max(values, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(peak, axis=axis) + np.log(np.mean(np.exp(values - peak), axis=axis))
+
+
+def test_log_mean_exp_equals_the_two_temporary_expression_bit_for_bit():
+    """Rows of finite values over many decades, rows holding -inf, and rows
+    of -inf alone (whose result is -inf), along either axis."""
+    values = RngStream(61).normals(40 * 137).reshape(40, 137) * 10.0 ** np.linspace(-3, 3, 137)
+    values[3, ::5] = -np.inf
+    values[7] = -np.inf
+    for axis in (-1, 0):
+        got, want = _kernels.log_mean_exp(values, axis=axis), _old_log_mean_exp(values, axis=axis)
+        assert got.tobytes() == want.tobytes()
+    assert _kernels.log_mean_exp(values)[7] == -np.inf
+    assert _kernels.log_mean_exp(values[3]).tobytes() == _old_log_mean_exp(values[3]).tobytes()
+
+
 @pytest.mark.parametrize("d", range(1, 141))
 def test_sq_norm_is_numpys_sum_bit_for_bit(d, monkeypatch):
     """``sq_norm(a, b)`` equals ``np.sum(np.square(a - b), axis=-1)`` on both

@@ -178,6 +178,24 @@ def test_batch_normals_rejects_non_integer_count(count, monkeypatch):
         batch_normals(RngStream(1).substream_keys(2), count)
 
 
+def test_sizes_and_counts_take_any_integer_index_and_refuse_the_rest(monkeypatch):
+    """``operator.index``: numpy integers pass, a float or a string is a
+    ``DomainError`` before the foreign call."""
+    assert _kernels._check_sizes(np.int64(10), np.int32(5)) == (10, 5)
+    assert type(_kernels._check_sizes(np.int64(10), np.int64(5))[0]) is int
+    keys = RngStream(1).substream_keys(2)
+    expected = _bits(batch_normals(keys, 3))
+    assert np.array_equal(_bits(batch_normals(keys, np.int64(3))), expected)
+    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
+    for bad in (2.0, "3"):
+        with pytest.raises(DomainError):
+            _kernels._check_sizes(bad, 1)
+        with pytest.raises(DomainError):
+            _kernels._check_sizes(10, bad)
+        with pytest.raises(DomainError):
+            batch_normals(keys, bad)
+
+
 def test_concurrent_draws_equal_the_serial_draw():
     keys = RngStream(45).substream_keys(40)
     expected = _bits(batch_normals(keys, 3001))
@@ -203,7 +221,14 @@ def test_concurrent_draws_equal_the_serial_draw():
     assert all(np.array_equal(_bits(r), expected) for r in results)
 
 
-def test_fallback_without_compiler_warns_once_and_draws_same_normals(monkeypatch):
+@pytest.fixture
+def cold_cache(monkeypatch, tmp_path):
+    """An empty per-user cache.  A cached build loads without looking for a
+    compiler or the headers, so their absence shows only on a cold cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+
+def test_fallback_without_compiler_warns_once_and_draws_same_normals(monkeypatch, cold_cache):
     keys = np.array([RngStream(2718, 28).key, *RngStream(46).substream_keys(29)], dtype=np.uint64)
     monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
     monkeypatch.setattr(_kernels, "_loaded", [])
@@ -414,7 +439,7 @@ def test_numpy_fisher_yates_matches_row_major_loop(rows, n, k):
     assert np.all(ordered[:, 1:] != ordered[:, :-1])
 
 
-def test_fallback_without_compiler_warns_once_and_draws_same_subsets(monkeypatch):
+def test_fallback_without_compiler_warns_once_and_draws_same_subsets(monkeypatch, cold_cache):
     keys = RngStream(34).substream_keys(300).reshape(1, 300)
     values = _spread_values(100).reshape(1, 100, 1)
     expected = _sequential_split_means(values, keys, 40)
@@ -453,6 +478,21 @@ def test_build_goes_to_a_private_per_user_cache(monkeypatch, tmp_path):
     assert modules[0] is not modules[1]
 
 
+def test_warm_cache_loads_without_sysconfig_data():
+    """A cached build loads in a fresh process without ``sysconfig``'s
+    data module, whose import was most of a warm load's time.  The first of
+    the two processes builds the module if the cache lacks it."""
+    if _kernels._compiled() is None:
+        pytest.skip("no compiled module")
+    script = ("import sys; from ulrt import _kernels; lib = _kernels._compiled(); "
+              "print(lib is not None, sorted(m for m in sys.modules if '_sysconfigdata' in m))")
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "[]"]
+
+
 def test_compiled_source_builds_without_warnings(tmp_path):
     """The build flags and headers plus -Wall -Wextra -Werror, so that a
     warning in a C loop or the method glue fails here instead of passing
@@ -468,7 +508,7 @@ def test_compiled_source_builds_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_fallback_without_python_headers_warns_once_and_gives_same_bytes(monkeypatch):
+def test_fallback_without_python_headers_warns_once_and_gives_same_bytes(monkeypatch, cold_cache):
     keys = np.array([RngStream(2718, 28).key, *RngStream(46).substream_keys(29)], dtype=np.uint64)
     values, split_keys = _split_means_case(3, 7, 40, 5)
     expected = _sequential_split_means(values, split_keys, 17)
@@ -502,13 +542,16 @@ def _method_call(method):
                                           np.empty(10, dtype=np.int32), out), 6
     if method == "polar":
         return lambda out: lib.polar(keys, 2, np.empty((3, 2)), out), 3
+    if method == "exact_sums":
+        z = RngStream(48).normals(8)
+        return lambda out: lib.exact_sums(keys, 3, 10, 4, z, 2, 1e-8, out), 8
     return lambda out: lib.split_log_values(np.full(2, 2.0), np.zeros((3, 2)), np.ones((3, 2)),
                                             2, 1.0, out), 3
 
 
 @pytest.mark.parametrize("bad_out", [_read_only, lambda a: np.repeat(a, 2)[::2]],
                          ids=["read-only", "strided"])
-@pytest.mark.parametrize("method", ["split_sums", "polar", "split_log_values"])
+@pytest.mark.parametrize("method", ["split_sums", "exact_sums", "polar", "split_log_values"])
 def test_methods_refuse_an_output_buffer_they_cannot_write_in_place(method, bad_out):
     """An output that the loop could not fill in place is a ``TypeError``
     before the loop runs, and the same call with a writable contiguous
@@ -521,7 +564,7 @@ def test_methods_refuse_an_output_buffer_they_cannot_write_in_place(method, bad_
     assert np.all(out != 0.0)
 
 
-@pytest.mark.parametrize("method", ["split_sums", "polar", "split_log_values"])
+@pytest.mark.parametrize("method", ["split_sums", "exact_sums", "polar", "split_log_values"])
 def test_methods_refuse_an_output_buffer_of_another_size(method):
     """The methods read their row counts from the buffer lengths, so an
     output one value short or long is a ``ValueError`` and stays unwritten."""
@@ -562,6 +605,7 @@ def _refuse_foreign_call(*args):
 
 _REFUSING_LIBRARY = SimpleNamespace(
     split_sums=_refuse_foreign_call,
+    exact_sums=_refuse_foreign_call,
     polar=_refuse_foreign_call,
     split_log_values=_refuse_foreign_call,
 )
@@ -729,7 +773,7 @@ def test_split_means_rejects_bad_arguments_before_the_foreign_call(values, keys,
         split_means(values, keys, k)
 
 
-def test_fallback_without_compiler_warns_once_and_draws_same_means(monkeypatch):
+def test_fallback_without_compiler_warns_once_and_draws_same_means(monkeypatch, cold_cache):
     values, keys = _split_means_case(3, 7, 40, 5)
     expected = _sequential_split_means(values, keys, 17)
     monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
