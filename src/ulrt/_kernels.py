@@ -8,22 +8,28 @@ means of a batch of splits are a function of the code alone.
 Carlo paths with many.  ``exact_split_means`` draws the same subsets and then
 the split sums from their exact law given them, a Gaussian with the subsets'
 Gram matrix as covariance, so that a B > 1 Monte Carlo replication of many
-coordinates builds no dataset.  Four loops are C, the methods of the
+coordinates builds no dataset.  Seven loops are C, the methods of the
 extension module ``_subsets`` (``_subsets.c``, next to this file):
 ``split_sums`` behind ``split_means``, ``exact_sums`` behind
 ``exact_split_means``, ``polar`` behind ``_polar_trials`` and
-:func:`ulrt.rng.batch_normals`, and ``split_log_values`` behind
-:func:`ulrt.regions.split_log_values`.  The first call imports the module
+:func:`ulrt.rng.batch_normals`, ``split_log_values`` behind
+:func:`ulrt.regions.split_log_values`, and the special-function loops of
+:mod:`ulrt.specfun`, ``gamma_p_series``, ``gamma_q_contfrac`` and
+``noncentral_mixture``, behind ``_gamma_p_series``, ``_gamma_q_contfrac``
+and ``_noncentral_mixture``.  The first call imports the module
 from the per-user cache ``$XDG_CACHE_HOME/ulrt`` (default ``~/.cache/ulrt``),
 keyed by a checksum of the source, the flags, the extension suffix,
 ``sys.version`` and ``sys.base_prefix``; when it is not there, it first
 compiles the source with ``cc -O3 -shared -fPIC -ffp-contract=off`` (no
 fused multiply-add, so every product rounds as in numpy) and the include
 path of ``Python.h``.  A method takes arrays as buffers and runs without the
-GIL.  Without a cached build and without a compiler or ``Python.h``, or when
-the build or the load fails, the numpy loops ``_numpy_split_sums`` (with its
+GIL; the special-function methods take and return floats and keep the GIL.
+Without a cached build and without a compiler or ``Python.h``, or when the
+build or the load fails, the numpy loops ``_numpy_split_sums`` (with its
 shuffle ``_numpy_fisher_yates``), ``_numpy_exact_sums``, ``_numpy_polar``
-and ``_numpy_split_log_values`` give the same bytes, and the process emits
+and ``_numpy_split_log_values``, and the Python loops
+``_python_gamma_p_series``, ``_python_gamma_q_contfrac`` and
+``_python_noncentral_mixture``, give the same bytes, and the process emits
 one ``RuntimeWarning`` that says why.  No other module picks between the
 two.
 
@@ -43,6 +49,7 @@ compiled statistic sums in the same order, so it keeps the same bytes.
 from __future__ import annotations
 
 import importlib.machinery
+import math
 import operator
 import os
 import shutil
@@ -83,7 +90,7 @@ _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 #: engine's worker threads build it once.
 _LOAD_LOCK = threading.Lock()
 #: ``[lib]`` once a call has tried to load the module; ``lib`` is the loaded
-#: module, or ``None`` when the numpy loops run instead.
+#: module, or ``None`` when the numpy and Python loops run instead.
 _loaded: list = []
 
 
@@ -246,7 +253,8 @@ def _load_compiled():
     except (OSError, ImportError) as exc:
         reason = f"building or loading {_SOURCE} failed ({exc})"
     warnings.warn("ulrt draws normals and subsets, sums splits and scores them with the numpy "
-                  f"loops, not the compiled ones: {reason}", RuntimeWarning, stacklevel=4)
+                  "loops, and evaluates the special functions with the Python loops, not the "
+                  f"compiled ones: {reason}", RuntimeWarning, stacklevel=4)
     return None
 
 
@@ -548,3 +556,112 @@ def _numpy_split_log_values(thetas: np.ndarray, mean0: np.ndarray, mean1: np.nda
         return np.concatenate([0.5 * m0 * (sq_norm(mean0, points[lo : lo + step]) - delta)
                                for lo in range(0, thetas.shape[0], step)])
     return 0.5 * m0 * (sq_norm(mean0, points) - delta)
+
+
+# The special-function loops of ulrt.specfun.  Each returns its value, or
+# None when it used up its step budget; specfun raises the NumericError.  The
+# Python twins use math.exp, math.log and math.lgamma, and the compiled
+# methods the same libm exp and log and a port of CPython's lgamma, so both
+# give the same bytes.  Private, so that the benchmark's tracer leaves their
+# time with the specfun function that calls them.
+
+
+def _gamma_p_series(a: float, x: float, budget: int) -> float | None:
+    """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
+    lib = _compiled()
+    if lib is None:
+        return _python_gamma_p_series(a, x, budget)
+    return lib.gamma_p_series(a, x, budget)
+
+
+def _gamma_q_contfrac(a: float, x: float, budget: int) -> float | None:
+    """Regularized upper incomplete gamma Q(a, x) by Lentz's continued fraction."""
+    lib = _compiled()
+    if lib is None:
+        return _python_gamma_q_contfrac(a, x, budget)
+    return lib.gamma_q_contfrac(a, x, budget)
+
+
+def _noncentral_mixture(half: float, k0: int, a: float, s: float, log_s: float, w0: float,
+                        p0: float, budget: int, abs_tol: float) -> float | None:
+    """The Poisson mixture of :func:`ulrt.specfun.noncentral_chi2_cdf`, summed
+    outward from the mode ``k0`` with weight ``w0`` and central CDF ``p0``."""
+    lib = _compiled()
+    if lib is None:
+        return _python_noncentral_mixture(half, k0, a, s, log_s, w0, p0, budget, abs_tol)
+    return lib.noncentral_mixture(half, k0, a, s, log_s, w0, p0, budget, abs_tol)
+
+
+def _python_gamma_p_series(a: float, x: float, budget: int) -> float | None:
+    """:func:`_gamma_p_series` in Python."""
+    term = 1.0 / a
+    total = term
+    denom = a
+    for _ in range(budget):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if abs(term) < abs(total) * 1e-16:
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return None
+
+
+def _python_gamma_q_contfrac(a: float, x: float, budget: int) -> float | None:
+    """:func:`_gamma_q_contfrac` in Python."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    h = d
+    for i in range(1, budget + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return None
+
+
+def _python_noncentral_mixture(half: float, k0: int, a: float, s: float, log_s: float, w0: float,
+                               p0: float, budget: int, abs_tol: float) -> float | None:
+    """:func:`_noncentral_mixture` in Python."""
+
+    def g(k: int) -> float:
+        """``g(a + k) = e^-s s^(a+k) / Gamma(a + k + 1)``."""
+        return math.exp(-s + (a + k) * log_s - math.lgamma(a + k + 1.0))
+
+    total = w0 * p0
+    mass = w0
+    w_up, k_up, p_up = w0, k0, p0
+    w_down, k_down, p_down = w0, k0, p0
+    for _ in range(budget):
+        # a direction steps while a geometric bound on its unsummed tail
+        # exceeds half the tolerance: the weight ratio half/(k+1) only falls
+        # going up, k/half only falls going down, and the lower tail has
+        # k_down terms at most
+        tol = 0.5 * abs_tol * mass
+        up = w_up * half / (k_up + 1 - half) > tol
+        down = w_down * k_down / max(half - k_down, 1.0) > tol
+        if not (up or down):
+            return min(max(total / mass, 0.0), 1.0)
+        if up:
+            p_up = max(p_up - g(k_up), 0.0)
+            k_up += 1
+            w_up *= half / k_up
+            total += w_up * p_up
+            mass += w_up
+        if down:
+            w_down *= k_down / half
+            k_down -= 1
+            p_down = min(p_down + g(k_down), 1.0)
+            total += w_down * p_down
+            mass += w_down
+    return None

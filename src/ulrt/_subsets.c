@@ -1,24 +1,30 @@
 /* Split sums over partial Fisher-Yates subset draws, the same subsets' split
- * sums drawn from their exact law, polar trials, one row per stream key, and
- * the log split statistic: the CPython extension module _subsets, which
- * ulrt._kernels builds and loads.
+ * sums drawn from their exact law, polar trials, one row per stream key, the
+ * log split statistic, and the loops of the special functions (the
+ * incomplete gamma series and continued fraction, and the Poisson mixture of
+ * the noncentral chi-squared CDF): the CPython extension module _subsets,
+ * which ulrt._kernels builds and loads.
  *
  * The compiled form of ulrt._kernels._numpy_split_sums (with its shuffle,
  * _numpy_fisher_yates), ulrt._kernels._numpy_exact_sums (with
- * _numpy_pivoted_cholesky), ulrt._kernels._numpy_polar and
- * ulrt._kernels._numpy_split_log_values: the same splitmix64 draws, the
- * same swaps, the same additions, products, divisions and square roots in
- * the same order and the same accepted trials, so the results are
- * identical, and none depends on a BLAS or LAPACK.  Built with
- * -ffp-contract=off, so that u * u + v * v rounds twice, as in numpy.  The
- * Python wrappers check their arguments and pass contiguous buffers (PEP
- * 3118): for the sums keys[rows], data[C * n * d], perm[n] (scratch) and
- * sums[rows * d], for the exact-law sums keys[C * B], z[C * (B + 1) * d] and
- * sums[C * (B + 1) * d], for the trials keys[rows], out[rows * count] and
- * s[rows * pairs], and for the statistic theta[G * d], mean0[R * d],
- * mean1[R * d] and out[G * R].  Each method reads rows, C, G and R from the
- * buffer lengths, refuses buffers of any other size with ValueError, and
- * runs its loop without the GIL.
+ * _numpy_pivoted_cholesky), ulrt._kernels._numpy_polar,
+ * ulrt._kernels._numpy_split_log_values, and the Python loops
+ * ulrt._kernels._python_gamma_p_series, _python_gamma_q_contfrac and
+ * _python_noncentral_mixture: the same splitmix64 draws, the same swaps, the
+ * same additions, products, divisions and square roots in the same order and
+ * the same accepted trials, so the results are identical, and none depends
+ * on a BLAS or LAPACK.  The special functions take exp and log from libm, as
+ * math.exp and math.log do, and lgamma from py_lgamma below, a port of
+ * CPython's own math.lgamma.  Built with -ffp-contract=off, so that u * u +
+ * v * v rounds twice, as in numpy and in Python.  The Python wrappers check
+ * their arguments and pass contiguous buffers (PEP 3118): for the sums
+ * keys[rows], data[C * n * d], perm[n] (scratch) and sums[rows * d], for the
+ * exact-law sums keys[C * B], z[C * (B + 1) * d] and sums[C * (B + 1) * d],
+ * for the trials keys[rows], out[rows * count] and s[rows * pairs], and for
+ * the statistic theta[G * d], mean0[R * d], mean1[R * d] and out[G * R].
+ * Each of these methods reads rows, C, G and R from the buffer lengths,
+ * refuses buffers of any other size with ValueError, and runs its loop
+ * without the GIL; the special functions take and return floats.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -355,6 +361,171 @@ static void ulrt_split_log_values(const double *restrict theta, int64_t G,
     score(theta, G, mean0, mean1, R, d, half_m0, out);
 }
 
+/* CPython's math.lgamma for x >= 1e-20 (m_lgamma in Modules/mathmodule.c;
+ * the loops pass x >= 0.5): Lanczos' sum with N = 13 and
+ * g = 6.024680040776729583740234375, by Horner in x below 5 and in 1/x from
+ * 5 on, in the same operations, so that it returns the bytes of math.lgamma,
+ * which glibc's lgamma does not.  The denominator is x (x + 1) ... (x + 11).
+ * x + g - 0.5 adds left to right: x + (g - 0.5) rounds differently. */
+enum { LANCZOS_N = 13 };
+static const double lanczos_g = 6.024680040776729583740234375;
+static const double lanczos_num[LANCZOS_N] = {
+    23531376880.41076, 42919803642.6491, 35711959237.35567, 17921034426.03721,
+    6039542586.352028, 1439720407.3117216, 248874557.86205417, 31426415.585400194,
+    2876370.6289353725, 186056.26539522348, 8071.672002365816, 210.82427775157936,
+    2.5066282746310002,
+};
+static const double lanczos_den[LANCZOS_N] = {
+    0.0, 39916800.0, 120543840.0, 150917976.0, 105258076.0, 45995730.0, 13339535.0,
+    2637558.0, 357423.0, 32670.0, 1925.0, 66.0, 1.0,
+};
+
+static double py_lgamma(double x)
+{
+    if (x == 1.0 || x == 2.0)
+        return 0.0;
+    double num = 0.0, den = 0.0;
+    if (x < 5.0)
+        for (int i = LANCZOS_N; --i >= 0;) {
+            num = num * x + lanczos_num[i];
+            den = den * x + lanczos_den[i];
+        }
+    else
+        for (int i = 0; i < LANCZOS_N; i++) {
+            num = num / x + lanczos_num[i];
+            den = den / x + lanczos_den[i];
+        }
+    double r = log(num / den) - lanczos_g;
+    r += (x - 0.5) * (log(x + lanczos_g - 0.5) - 1);
+    return r;
+}
+
+/* How a special-function loop ended: with its value, out of its step
+ * budget, or where math.lgamma or math.exp would raise OverflowError (a
+ * finite argument with an infinite result). */
+enum { CONVERGED, NO_CONVERGENCE, RANGE_ERROR };
+
+/* exp(head - lgamma(t)), as math.exp and math.lgamma compute it: the
+ * prefactor exp(-x + a log(x) - lgamma(a)) of both incomplete gamma
+ * expansions and the mixture terms.  Sets *status to RANGE_ERROR where
+ * either raises. */
+static double exp_minus_lgamma(double head, double t, int *status)
+{
+    double lg = py_lgamma(t), arg = head - lg, r = exp(arg);
+    if (isinf(lg) || (isinf(r) && isfinite(arg)))
+        *status = RANGE_ERROR;
+    return r;
+}
+
+/* P(a, x) by its power series, at most `budget` steps. */
+static int ulrt_gamma_p_series(double a, double x, Py_ssize_t budget, double *value)
+{
+    double term = 1.0 / a, total = term, denom = a;
+    for (Py_ssize_t i = 0; i < budget; i++) {
+        denom += 1.0;
+        term *= x / denom;
+        total += term;
+        if (fabs(term) < fabs(total) * 1e-16) {
+            int status = CONVERGED;
+            *value = total * exp_minus_lgamma(-x + a * log(x), a, &status);
+            return status;
+        }
+    }
+    return NO_CONVERGENCE;
+}
+
+/* Q(a, x) by Lentz's continued fraction, at most `budget` steps. */
+static int ulrt_gamma_q_contfrac(double a, double x, Py_ssize_t budget, double *value)
+{
+    const double tiny = 1e-300;
+    double b = x + 1.0 - a, c = 1.0 / tiny, d = b != 0.0 ? 1.0 / b : 1.0 / tiny, h = d;
+    for (Py_ssize_t i = 1; i <= budget; i++) {
+        double an = -(double)i * ((double)i - a);
+        b += 2.0;
+        d = an * d + b;
+        if (fabs(d) < tiny)
+            d = tiny;
+        c = b + an / c;
+        if (fabs(c) < tiny)
+            c = tiny;
+        d = 1.0 / d;
+        double delta = d * c;
+        h *= delta;
+        if (fabs(delta - 1.0) < 1e-16) {
+            int status = CONVERGED;
+            *value = h * exp_minus_lgamma(-x + a * log(x), a, &status);
+            return status;
+        }
+    }
+    return NO_CONVERGENCE;
+}
+
+/* g(a + k) = e^-s s^(a + k) / Gamma(a + k + 1), a term of the mixture. */
+static inline double g(double a, double s, double log_s, int64_t k, int *status)
+{
+    return exp_minus_lgamma(-s + (a + (double)k) * log_s, a + (double)k + 1.0, status);
+}
+
+/* Python's max(x, y) and min(x, y) for floats: x unless y compares above
+ * (below) it, so that -0.0 and NaN come out as in Python. */
+static inline double py_max(double x, double y) { return y > x ? y : x; }
+static inline double py_min(double x, double y) { return y < x ? y : x; }
+
+/* The Poisson mixture of the noncentral chi-squared CDF, summed outward from
+ * the mode k0 with weight w0 and central CDF p0, at most `budget` steps;
+ * half = lambda / 2, a = d / 2 and s = x / 2.  A direction steps while a
+ * geometric bound on its unsummed tail exceeds 0.5 * abs_tol * mass. */
+static int ulrt_noncentral_mixture(double half, int64_t k0, double a, double s, double log_s,
+                                   double w0, double p0, Py_ssize_t budget, double abs_tol,
+                                   double *value)
+{
+    int status = CONVERGED;
+    double total = w0 * p0, mass = w0;
+    double w_up = w0, p_up = p0, w_down = w0, p_down = p0;
+    int64_t k_up = k0, k_down = k0;
+    for (Py_ssize_t i = 0; i < budget; i++) {
+        double tol = 0.5 * abs_tol * mass;
+        int up = w_up * half / ((double)(k_up + 1) - half) > tol;
+        int down = w_down * (double)k_down / py_max(half - (double)k_down, 1.0) > tol;
+        if (!(up || down)) {
+            *value = py_min(py_max(total / mass, 0.0), 1.0);
+            return CONVERGED;
+        }
+        if (up) {
+            p_up = py_max(p_up - g(a, s, log_s, k_up, &status), 0.0);
+            if (status != CONVERGED)
+                return status;
+            k_up += 1;
+            w_up *= half / (double)k_up;
+            total += w_up * p_up;
+            mass += w_up;
+        }
+        if (down) {
+            w_down *= (double)k_down / half;
+            k_down -= 1;
+            p_down = py_min(p_down + g(a, s, log_s, k_down, &status), 1.0);
+            if (status != CONVERGED)
+                return status;
+            total += w_down * p_down;
+            mass += w_down;
+        }
+    }
+    return NO_CONVERGENCE;
+}
+
+/* The value of a special-function loop that ended with status, None when
+ * it ran out of steps, or OverflowError as math raises it. */
+static PyObject *special_result(int status, double value)
+{
+    if (status == NO_CONVERGENCE)
+        Py_RETURN_NONE;
+    if (status == RANGE_ERROR) {
+        PyErr_SetString(PyExc_OverflowError, "math range error");
+        return NULL;
+    }
+    return PyFloat_FromDouble(value);
+}
+
 /* Releases the count buffers of a method call; returns None, or raises
  * ValueError when the buffer sizes did not fit (ok == 0). */
 static PyObject *done(int ok, Py_buffer *views, int count)
@@ -462,11 +633,50 @@ static PyObject *split_log_values(PyObject *Py_UNUSED(self), PyObject *args)
     return done(ok, v, 4);
 }
 
+/* gamma_p_series(a, x, budget) and gamma_q_contfrac(a, x, budget): a float,
+ * or None after budget steps.  They keep the GIL: at the presets' shapes a
+ * call takes a microsecond or two. */
+static PyObject *gamma_p_series(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    double a, x, value = 0.0;
+    Py_ssize_t budget;
+    if (!PyArg_ParseTuple(args, "ddn", &a, &x, &budget))
+        return NULL;
+    int status = ulrt_gamma_p_series(a, x, budget, &value);
+    return special_result(status, value);
+}
+
+static PyObject *gamma_q_contfrac(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    double a, x, value = 0.0;
+    Py_ssize_t budget;
+    if (!PyArg_ParseTuple(args, "ddn", &a, &x, &budget))
+        return NULL;
+    int status = ulrt_gamma_q_contfrac(a, x, budget, &value);
+    return special_result(status, value);
+}
+
+/* noncentral_mixture(half, k0, a, s, log_s, w0, p0, budget, abs_tol): a
+ * float, or None after budget steps; keeps the GIL, as above. */
+static PyObject *noncentral_mixture(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    double half, a, s, log_s, w0, p0, abs_tol, value = 0.0;
+    Py_ssize_t k0, budget;
+    if (!PyArg_ParseTuple(args, "dndddddnd", &half, &k0, &a, &s, &log_s, &w0, &p0, &budget,
+                          &abs_tol))
+        return NULL;
+    int status = ulrt_noncentral_mixture(half, k0, a, s, log_s, w0, p0, budget, abs_tol, &value);
+    return special_result(status, value);
+}
+
 static PyMethodDef methods[] = {
     {"split_sums", split_sums, METH_VARARGS, NULL},
     {"exact_sums", exact_sums, METH_VARARGS, NULL},
     {"polar", polar, METH_VARARGS, NULL},
     {"split_log_values", split_log_values, METH_VARARGS, NULL},
+    {"gamma_p_series", gamma_p_series, METH_VARARGS, NULL},
+    {"gamma_q_contfrac", gamma_q_contfrac, METH_VARARGS, NULL},
+    {"noncentral_mixture", noncentral_mixture, METH_VARARGS, NULL},
     {NULL, NULL, 0, NULL},
 };
 

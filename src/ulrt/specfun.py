@@ -7,7 +7,10 @@ a Poisson mixture.  The incomplete gamma uses the classical regime split
 iteration budget that grows like the square root of its shape; the quantile
 is found by bracketed bisection, which converges unconditionally.  The
 noncentral CDF evaluates one incomplete gamma, at the Poisson mode, and
-reaches the other mixture terms by its recurrence in the shape.
+reaches the other mixture terms by its recurrence in the shape.  The loops
+of the two expansions and of the mixture run in :mod:`ulrt._kernels`,
+compiled or as their Python twins, with the same bytes; this module checks
+the arguments, sets the budgets and raises when a loop runs out of steps.
 
 All functions are pure and validate their arguments with :class:`DomainError`
 or :class:`NumericError`.
@@ -16,7 +19,10 @@ or :class:`NumericError`.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
+from . import _kernels
 from .errors import DomainError, NumericError
 
 _SQRT2 = math.sqrt(2.0)
@@ -36,11 +42,12 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-10
 
 #: :func:`noncentral_chi2_cdf` refuses lambda/2 from here on.  Its recurrence
-#: takes a number of Python steps that grows as sqrt(lambda): at d = 2 and
-#: x = lambda on one Xeon vCPU, lambda = 1e8 took 0.15 s and lambda = 2.14e9,
-#: just under the bound, 0.74 s, where lambda = 1e12 takes 14 s.  The bound
-#: also keeps the Poisson indices k exact doubles, so that k + 1 - lambda/2,
-#: a divisor, never rounds to 0 (it would from lambda/2 = 2**53 on).
+#: takes a number of steps that grows as sqrt(lambda): at d = 2 and x =
+#: lambda on one Xeon vCPU, the compiled loop took 12 ms at lambda = 1e8,
+#: 47 ms at 2.14e9, just under the bound, and 1.0 s at 1e12 (its Python twin
+#: 0.09, 0.47 and 10.8 s).  The bound also keeps the Poisson indices k exact
+#: doubles, so that k + 1 - lambda/2, a divisor, never rounds to 0 (it would
+#: from lambda/2 = 2**53 on).
 _MAX_HALF_NONCENTRALITY = 2.0**30
 
 #: :func:`chi2_upper_quantile` results by ``(alpha, d, MAX_ITER, REL_TOL)``:
@@ -51,7 +58,11 @@ _QUANTILES: dict[tuple[float, int, int, float], float] = {}
 
 
 def _check_dim(d: int) -> None:
-    if int(d) != d or d < 1:
+    """``d`` must be a positive integer: an integer other than a bool, or an
+    integral float such as 2.0.  A plain int skips the ABC check, which costs
+    a few hundred nanoseconds on each step of a quantile bisection."""
+    real = type(d) is int or isinstance(d, numbers.Real) and not isinstance(d, bool)
+    if not (real and d >= 1 and d % 1 == 0):
         raise DomainError(f"degrees of freedom must be a positive integer, got {d}")
 
 
@@ -81,46 +92,9 @@ def chi2_pdf(x: float, d: int) -> float:
 def _budget(a: float) -> int:
     """Iteration budget of a series whose terms spread like ``sqrt(a)``: the
     incomplete gamma at shape ``a`` (both of its expansions) and the Poisson
-    mixture at Poisson mean ``a``."""
-    return MAX_ITER * (1 + int(math.sqrt(a) / 8))
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_budget(a)):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericError(f"incomplete gamma series did not converge (a={a}, x={x})")
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by Lentz's continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _budget(a) + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
+    mixture at Poisson mean ``a``.  Capped at ``sys.maxsize``, the most steps
+    a compiled loop takes, which no loop would finish anyway."""
+    return min(MAX_ITER * (1 + int(math.sqrt(a) / 8)), sys.maxsize)
 
 
 def _chi2_cdf_sf(x: float, d: int) -> tuple[float, float]:
@@ -131,9 +105,13 @@ def _chi2_cdf_sf(x: float, d: int) -> tuple[float, float]:
     if s == 0.0:
         return 0.0, 1.0
     if s < a + 1.0:
-        p = _gamma_p_series(a, s)
+        p = _kernels._gamma_p_series(a, s, _budget(a))
+        if p is None:
+            raise NumericError(f"incomplete gamma series did not converge (a={a}, x={s})")
         return p, 1.0 - p
-    q = _gamma_q_contfrac(a, s)
+    q = _kernels._gamma_q_contfrac(a, s, _budget(a))
+    if q is None:
+        raise NumericError(f"incomplete gamma continued fraction did not converge (a={a}, x={s})")
     return 1.0 - q, q
 
 
@@ -240,41 +218,12 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     k0 = int(half)
     a = 0.5 * d
     s = 0.5 * x
-    log_s = math.log(s)
-
-    def g(k: int) -> float:
-        """``g(a + k) = e^-s s^(a+k) / Gamma(a + k + 1)``."""
-        return math.exp(-s + (a + k) * log_s - math.lgamma(a + k + 1.0))
-
     w0 = math.exp(-half + k0 * math.log(half) - math.lgamma(k0 + 1))
     p0 = _chi2_cdf_sf(x, d + 2 * k0)[0]
-    total = w0 * p0
-    mass = w0
-
-    w_up, k_up, p_up = w0, k0, p0
-    w_down, k_down, p_down = w0, k0, p0
-    for _ in range(_budget(half)):
-        # a direction steps while a geometric bound on its unsummed tail
-        # exceeds half the tolerance: the weight ratio half/(k+1) only falls
-        # going up, k/half only falls going down, and the lower tail has
-        # k_down terms at most
-        tol = 0.5 * ABS_TOL * mass
-        up = w_up * half / (k_up + 1 - half) > tol
-        down = w_down * k_down / max(half - k_down, 1.0) > tol
-        if not (up or down):
-            return min(max(total / mass, 0.0), 1.0)
-        if up:
-            p_up = max(p_up - g(k_up), 0.0)
-            k_up += 1
-            w_up *= half / k_up
-            total += w_up * p_up
-            mass += w_up
-        if down:
-            w_down *= k_down / half
-            k_down -= 1
-            p_down = min(p_down + g(k_down), 1.0)
-            total += w_down * p_down
-            mass += w_down
-    raise NumericError(
-        f"noncentral chi-squared series did not converge (x={x}, d={d}, lambda={noncentrality})"
-    )
+    value = _kernels._noncentral_mixture(half, k0, a, s, math.log(s), w0, p0, _budget(half),
+                                         ABS_TOL)
+    if value is None:
+        raise NumericError(
+            f"noncentral chi-squared series did not converge (x={x}, d={d}, lambda={noncentrality})"
+        )
+    return value

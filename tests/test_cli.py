@@ -373,6 +373,32 @@ def test_formula_size_below_its_domain_exits_2(capsys, argv):
     assert captured.out == "" and captured.err.startswith("error: need n >= 2 and d >= 1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["noncentral-cdf", "--x", "2200", "--d", "10", "--noncentrality", "2000"],
+    ["chi2-quantile", "--alpha", "1e-6", "--d", "100"],
+    ["power-classical", "--theta-sq-norm", "0.01", "--n", "1000", "--d", "10", "--alpha", "0.05"],
+], ids=["noncentral-cdf", "chi2-quantile", "power-classical"])
+def test_formula_prints_the_same_digits_without_a_compiler(capsys, monkeypatch, tmp_path, argv):
+    """The special functions' Python twins, which run on a cold cache with
+    no compiler, print what the compiled loops print."""
+    from ulrt import _kernels, specfun
+
+    outputs = []
+    for compiler in (True, False):
+        monkeypatch.setattr(specfun, "_QUANTILES", {})
+        if compiler:
+            assert main(["formula", *argv]) == 0
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+            monkeypatch.setattr(_kernels, "_find_compiler", lambda: None)
+            monkeypatch.setattr(_kernels, "_loaded", [])
+            with pytest.warns(RuntimeWarning, match="no C compiler"):
+                assert main(["formula", *argv]) == 0
+            assert _kernels._loaded == [None]
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and " = " in outputs[0]
+
+
 def test_formula_unknown_name_lists_registry(capsys):
     assert main(["formula", "not-a-formula"]) == 2
     err = capsys.readouterr().err

@@ -6,13 +6,14 @@ the code under test.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulrt import specfun
+from ulrt import _kernels, specfun
 from ulrt.errors import DomainError, NumericError
 from ulrt.power import power_classical
 from ulrt.specfun import (
@@ -214,6 +215,20 @@ def test_quantile_rejects_bad_alpha():
             chi2_upper_quantile(alpha, 3)
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, None, True, 0, -2, 2.5, "3"],
+                         ids=["nan", "inf", "None", "True", "0", "-2", "2.5", "str"])
+def test_degrees_of_freedom_must_be_a_positive_integer(d):
+    for call in (lambda: chi2_cdf(1.0, d), lambda: chi2_upper_quantile(0.1, d),
+                 lambda: noncentral_chi2_cdf(1.0, d, 2.0)):
+        with pytest.raises(DomainError, match="degrees of freedom must be a positive integer"):
+            call()
+
+
+def test_degrees_of_freedom_may_be_an_integral_float_or_numpy_integer():
+    assert chi2_cdf(3.0, 2.0) == chi2_cdf(3.0, np.int64(2)) == chi2_cdf(3.0, 2)
+    assert chi2_upper_quantile(0.1, 7.0) == chi2_upper_quantile(0.1, 7)
+
+
 def test_quantile_refuses_extreme_alpha():
     with pytest.raises(NumericError):
         chi2_upper_quantile(1e-310, 2)
@@ -299,17 +314,42 @@ def per_term_mixture(x: float, d: int, lam: float, terms: int = 200) -> float:
     )
 
 
+def kernel_paths(monkeypatch):
+    """Runs the caller's loop body on the compiled special-function loops,
+    when the module loads here, and then on their Python twins."""
+    lib = _kernels._compiled()
+    for loaded in ([lib] if lib is not None else []) + [None]:
+        monkeypatch.setattr(_kernels, "_loaded", [loaded])
+        yield loaded
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _on_both_paths(fn, cases) -> list[tuple[bytes, bytes]]:
+    """``fn(*case)`` for every case on the compiled loops and on the Python
+    twins, as pairs of bytes; skips when the module does not load."""
+    if _kernels._compiled() is None:
+        pytest.skip("no compiled module")
+    compiled = [_bits(fn(*case)) for case in cases]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_loaded", [None])
+        return list(zip(compiled, [_bits(fn(*case)) for case in cases]))
+
+
 def test_noncentral_recurrence_matches_per_term_mixture(monkeypatch):
     # a far smaller truncation leaves only the recurrence's rounding
     monkeypatch.setattr(specfun, "ABS_TOL", 1e-16)
-    for d in (1, 2, 3, 10, 50):
-        for lam in (0.01, 0.5, 1.0, 3.0, 10.0, 30.0):
-            mean, sd = d + lam, math.sqrt(2.0 * (d + 2.0 * lam))
-            for z in (-3, -2, -1, 0, 1, 2, 4, 8):
-                x = mean + z * sd
-                if x > 0.0:
-                    mine = noncentral_chi2_cdf(x, d, lam)
-                    assert mine == pytest.approx(per_term_mixture(x, d, lam), abs=2e-14)
+    for _ in kernel_paths(monkeypatch):
+        for d in (1, 2, 3, 10, 50):
+            for lam in (0.01, 0.5, 1.0, 3.0, 10.0, 30.0):
+                mean, sd = d + lam, math.sqrt(2.0 * (d + 2.0 * lam))
+                for z in (-3, -2, -1, 0, 1, 2, 4, 8):
+                    x = mean + z * sd
+                    if x > 0.0:
+                        mine = noncentral_chi2_cdf(x, d, lam)
+                        assert mine == pytest.approx(per_term_mixture(x, d, lam), abs=2e-14)
 
 
 def test_noncentral_underflowing_start_term():
@@ -353,6 +393,20 @@ def test_noncentral_sweep(d):
 
 
 @pytest.mark.sweep
+@pytest.mark.parametrize("d", [1, 10, 1000, 10**5])
+def test_compiled_loops_equal_their_twins_sweep(d):
+    """The documented range's far end, where a twin call takes up to a
+    second: lambda up to 2.14e9, just under the 2**31 cap, whose mode
+    weight also sends the incomplete gamma to shapes near 1e9."""
+    cases = []
+    for lam in (1e7, 1e8, 1e9, 2.14e9):
+        mean, sd = d + lam, math.sqrt(2.0 * (d + 2.0 * lam))
+        cases += [(mean + z * sd, d, lam) for z in (-3, 0, 3)]
+    pairs = _on_both_paths(noncentral_chi2_cdf, cases)
+    assert [case for case, (compiled, twin) in zip(cases, pairs) if compiled != twin] == []
+
+
+@pytest.mark.sweep
 @pytest.mark.parametrize("d", [1, 2, 10, 100, 1000, 10**4, 10**5, 10**6])
 def test_quantile_sweep(d):
     stats = pytest.importorskip("scipy.stats")
@@ -362,14 +416,104 @@ def test_quantile_sweep(d):
 
 
 # ---------------------------------------------------------------------------
+# the compiled special-function loops and their Python twins
+# ---------------------------------------------------------------------------
+
+
+_TWIN_DIMS = (1, 2, 10, 100, 10**5)
+
+
+def test_incomplete_gamma_loops_equal_their_twins_bit_for_bit():
+    """Both expansions, through the CDF and the survival function: x in the
+    far lower tail, a few standard deviations out, at the mode d - 2 and
+    around the switch at x = d + 2, and in the far upper tail."""
+    cases = []
+    for d in _TWIN_DIMS:
+        sd = math.sqrt(2.0 * d)
+        xs = {1e-3 * d, max(d - 2.0, 0.5), d + 1.5, d + 2.0, d + 2.5,
+              *(d + z * sd for z in (-8, -3, -1, 1, 3, 8, 40))}
+        cases += [(x, d) for x in sorted(xs) if x > 0.0]
+    series = [case for case in cases if 0.5 * case[0] < 0.5 * case[1] + 1.0]
+    assert 0 < len(series) < len(cases)
+    for fn in (chi2_cdf, chi2_sf):
+        for compiled, twin in _on_both_paths(fn, cases):
+            assert compiled == twin
+
+
+def test_noncentral_mixture_equals_its_twin_bit_for_bit():
+    """d from 1 to 1e5 and lambda from 1e-3 to 1e6, with x in both far tails,
+    a few standard deviations out and at the mean."""
+    cases = []
+    for d in _TWIN_DIMS:
+        for lam in (10.0**e for e in range(-3, 7)):
+            mean, sd = d + lam, math.sqrt(2.0 * (d + 2.0 * lam))
+            xs = {1e-3 * mean, *(mean + z * sd for z in (-8, -3, 0, 3, 8))}
+            cases += [(x, d, lam) for x in sorted(xs) if x > 0.0]
+    pairs = _on_both_paths(noncentral_chi2_cdf, cases)
+    assert [case for case, (compiled, twin) in zip(cases, pairs) if compiled != twin] == []
+
+
+def test_compiled_lgamma_is_math_lgamma():
+    """The compiled loops call a port of CPython's lgamma; read it out
+    through the mixture method.  Started at mode k0 = 3 of half = 1 with
+    weight 1 and CDF 0, the mixture takes one step down and returns
+    3 * g / 4, with g = exp(-s + (a + 2) log(s) - lgamma(a + 3)) and both
+    the product by 3 and the division by 4 exact, so a result equals the
+    twin's exactly when g does.  s = a + 3 keeps the exponent near 0, where
+    a one-ulp change of lgamma moves g.  The lgamma arguments are the
+    half-integers to 2**12, 2**j and 2**j + 0.5 up to 2**30, random
+    half-integers below 2**30, and random reals from 0.5 on."""
+    rng = np.random.default_rng(20261020)
+    targets = np.concatenate([
+        np.arange(1, 2**13) * 0.5,
+        2.0 ** np.arange(31), 2.0 ** np.arange(31) + 0.5,
+        np.floor(2.0 ** rng.uniform(12, 30, 2000)) + 0.5,
+        0.5 + rng.exponential(4.0, 2000), 2.0 ** rng.uniform(-1, 30, 2000),
+    ])
+    cases = [(1.0, 3, t - 3.0, t, math.log(t), 1.0, 0.0, 5, 3.0) for t in targets.tolist()]
+    for case in cases[:3]:
+        a = case[2]
+        g = math.exp(-case[3] + (a + 2) * case[4] - math.lgamma(a + 2 + 1.0))
+        assert _kernels._python_noncentral_mixture(*case) == 3.0 * g / 4.0
+    pairs = _on_both_paths(_kernels._noncentral_mixture, cases)
+    assert [case[3] for case, (compiled, twin) in zip(cases, pairs) if compiled != twin] == []
+
+
+def test_range_errors_of_math_are_raised_on_both_kernel_paths(monkeypatch):
+    """Where math.lgamma overflows (d past 5e305), both paths raise its
+    OverflowError."""
+    for _ in kernel_paths(monkeypatch):
+        with pytest.raises(OverflowError, match="math range error"):
+            chi2_cdf(1.0, 1e306)
+
+
+# ---------------------------------------------------------------------------
 # tolerance plumbing
 # ---------------------------------------------------------------------------
 
 
 def test_tolerance_budget_is_respected(monkeypatch):
     monkeypatch.setattr(specfun, "MAX_ITER", 3)
-    with pytest.raises(NumericError):
-        chi2_upper_quantile(0.1, 2)
+    for _ in kernel_paths(monkeypatch):
+        with pytest.raises(NumericError):
+            chi2_upper_quantile(0.1, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi2_cdf(40.0, 50), "incomplete gamma series did not converge (a=25.0, x=20.0)"),
+    (lambda: chi2_sf(80.0, 50),
+     "incomplete gamma continued fraction did not converge (a=25.0, x=40.0)"),
+    # the incomplete gamma at the mode converges in 4 of its 6 steps, the
+    # mixture's lower tail needs far more than its 6
+    (lambda: noncentral_chi2_cdf(1e-3, 2, 200.0),
+     "noncentral chi-squared series did not converge (x=0.001, d=2, lambda=200.0)"),
+], ids=["series", "continued-fraction", "mixture"])
+def test_exhausted_budget_raises_the_same_error_on_both_kernel_paths(call, message, monkeypatch):
+    monkeypatch.setattr(specfun, "MAX_ITER", 3)
+    for _ in kernel_paths(monkeypatch):
+        with pytest.raises(NumericError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_quantile_is_memoized_per_convergence_target_and_errors_are_not(monkeypatch):
