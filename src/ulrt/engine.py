@@ -15,12 +15,13 @@ draws the data: a single-split (B = 1) cell draws only its two part means
 (``2d`` normals, see :func:`ulrt.data.sample_part_means`), and a B > 1 cell
 the full ``n``-by-``d`` dataset, or from ``data._EXACT_MIN_D`` coordinates on
 the normals of its split sums' exact law; its splits descend from substream
-1.  Figure 7 decides each B > 1 ``subsampled_split`` cell and its
-``subsampled_hybrid`` twin (every other key equal) in one task, on the split
-cell's stream (common random numbers), so the split rows are the cell's own
-and the hybrid rows share its draw.  The engine lays out cells and shapes
-rows; the statistics come from the library, and the annulus tests are
-decided by :func:`ulrt.doughnut.mc_reducer`.
+1.  The Monte Carlo annulus cells of fig7, S3 and S4 draw at theta = 0 and
+add their own theta to the split means (:func:`_exec_group`); the B > 1
+cells of one power curve form a draw group (:func:`_draw_groups`), one task
+whose draw, on the stream of its first cell, serves every cell of the group
+(common random numbers).  The engine lays out cells and shapes rows; the
+statistics come from the library, and the annulus tests are decided by
+:func:`ulrt.doughnut.mc_reducer`.
 
 Replications are evaluated in fixed-size chunks (vectorized internally) and
 reduced with a streaming count/mean/M2 accumulator merged in chunk order, so
@@ -30,8 +31,9 @@ worker threads execute the chunks.
 Scheduling rule: work goes to the thread pool only when it draws B > 1
 splits, whose subset draws and partition sums run in compiled loops that
 release the GIL.  So :func:`_replicate` pools the chunks of B > 1 cells only,
-fig2 pools its chunks of splits, and :func:`run` overlaps the cells of the
-presets marked ``split_batches`` (fig2, fig7 and S4).  Every other cell, and
+fig2 pools its chunks of splits, and :func:`run` overlaps the tasks (cells
+and draw groups) of the presets marked ``split_batches`` (fig2, fig7 and
+S4).  Every other cell, and
 the chunks of every B = 1 cell, run on the calling thread, where threads
 would only contend for the GIL.  All pooled work goes through one ordered
 helper, :func:`_ordered`, onto one pool per worker count that the whole
@@ -391,8 +393,10 @@ def _grid_fig6(p: dict) -> list[dict]:
     return cells
 
 
+_FIG7_METHODS = ("intersection", "intersection_exact", "subsampled_split", "subsampled_hybrid")
+
+
 def _grid_fig7(p: dict) -> list[dict]:
-    methods = ("intersection", "intersection_exact", "subsampled_split", "subsampled_hybrid")
     return [
         dict(
             method=m, d=d, n=p["n"], alpha=p["alpha"], theta_norm=float(t),
@@ -400,7 +404,7 @@ def _grid_fig7(p: dict) -> list[dict]:
         )
         for d in p["ds"]
         for t in p["theta_norms"]
-        for m in methods
+        for m in _FIG7_METHODS
     ]
 
 
@@ -598,107 +602,103 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, cell["reps"])]
 
 
-def _annulus_draw(ctx: _RunContext, ci: int, cell: dict, dumps: dict) -> dict:
-    """The Monte Carlo annulus tests named by ``dumps`` (method -> its
-    dump), decided on one draw at ``theta_norm * e_1`` from cell ``ci``'s
-    stream: method -> its accumulators, as :func:`ulrt.doughnut.mc_reducer`
-    names them, or the ``NumericError`` or ``DomainError`` its reducer
-    raised.  Several methods share each replication's split means (common
-    random numbers), and one that fails leaves the others running."""
-    n, d = cell["n"], cell["d"]
+#: The Monte Carlo annulus tests that draw B > 1 splits.
+_SUBSAMPLED = ("subsampled_split", "subsampled_hybrid")
+
+
+def _draw_groups(grid, method: Callable[[dict], str | None]) -> list[tuple[int, ...]]:
+    """The draw groups of an annulus grid, each in cell order: the B > 1
+    subsampled cells (``method(cell)`` names a cell's test) whose keys
+    other than ``method`` and ``theta_norm`` are all equal, where there are
+    two or more of them."""
+    groups: dict[str, list[int]] = {}
+    for ci, cell in enumerate(grid):
+        if method(cell) in _SUBSAMPLED and cell["B"] > 1:
+            key = repr(sorted((k, v) for k, v in cell.items() if k not in ("method", "theta_norm")))
+            groups.setdefault(key, []).append(ci)
+    return [tuple(group) for group in groups.values() if len(group) > 1]
+
+
+def _exec_group(ctx: _RunContext, cis: tuple[int, ...]) -> dict[int, list[SummaryRow]]:
+    """The rows of the Monte Carlo annulus cells ``cis``, a draw group or a
+    single cell, all decided on one draw at theta = 0 from the stream of the
+    first cell (common random numbers).  The split subsets do not depend on
+    the data, so the split means at theta are those at 0 plus theta in law:
+    each cell in turn adds its own ``theta_norm * e_1`` to a chunk's ``(C,
+    B, d)`` means and folds its own accumulators.  A cell whose test raises
+    a ``NumericError`` or ``DomainError`` gets its error row and the others
+    keep theirs."""
+    grid, annulus = ctx.spec.grid, PRESETS[ctx.spec.experiment_id].annulus
+    n, d, reps = grid[cis[0]]["n"], grid[cis[0]]["d"], grid[cis[0]]["reps"]
     k = part_size(n, 0.5)
-    reducers = {m: dn.mc_reducer(m, n, k, d, cell["alpha"], dn.AnnulusNull()) for m in dumps}
-    theta = np.zeros(d)
-    theta[0] = cell["theta_norm"]
-    B = 1 if "intersection" in dumps else cell["B"]
-    if len(reducers) == 1:
-        ((method, reduce),) = reducers.items()
-        return {method: _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce,
-                                   ctx.workers, dumps[method])}
-    failed: dict = {}
+    tests, failed = {}, {}
+    for ci in cis:
+        cell, method = grid[ci], annulus.method(grid[ci])
+        try:
+            if method is None:
+                raise DomainError(f"{ctx.spec.experiment_id} has no method {cell['method']!r}")
+            if not math.isfinite(cell["theta_norm"]):
+                raise DomainError("theta must be finite")
+            tests[ci] = (dn.mc_reducer(method, n, k, d, cell["alpha"], dn.AnnulusNull()),
+                         cell["theta_norm"])
+            B = cell["B"] if method in _SUBSAMPLED else 1
+        except (NumericError, DomainError) as exc:
+            failed[ci] = exc
 
     def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
+        # theta moves the first coordinate only: each cell rewrites that
+        # column in place from a copy, so no (C, B, d) temporary is made, and
+        # the other columns, drawn at 0 (never -0.0), are what adding 0 gives
+        first0, first1 = mean0[..., 0].copy(), mean1[..., 0].copy()
         out = {}
-        for method, one in reducers.items():
-            if method not in failed:
-                try:
-                    values = one(mean0, mean1)
-                except (NumericError, DomainError) as exc:
-                    failed.setdefault(method, exc)
-                    continue
-                out.update({(method, name): v for name, v in values.items()})
+        for ci, (one, theta_norm) in tests.items():
+            if ci in failed:
+                continue
+            np.add(first0, theta_norm, out=mean0[..., 0])
+            np.add(first1, theta_norm, out=mean1[..., 0])
+            try:
+                values = one(mean0, mean1)
+            except (NumericError, DomainError) as exc:
+                failed.setdefault(ci, exc)
+                continue
+            out.update({(ci, name): v for name, v in values.items()})
         return out
 
-    def dump(key, lo: int, values: np.ndarray) -> None:
-        if dumps[key[0]] is not None:
-            dumps[key[0]](key[1], lo, values)
+    dumps = {ci: ctx.cell_dump(ci) for ci in tests}
+    dump = None if ctx.dump is None else lambda key, lo, values: dumps[key[0]](key[1], lo, values)
+    acc = _replicate(ctx.cell_stream(cis[0]), reps, n, k, np.zeros(d), B, reduce, ctx.workers,
+                     dump) if tests else {}
+    return {
+        ci: [_error_row(ctx.spec.experiment_id, grid[ci], failed[ci])] if ci in failed
+        else annulus.rows(ctx, dict(grid[ci]), {name: a for (c, name), a in acc.items() if c == ci})
+        for ci in cis
+    }
 
-    acc = _replicate(ctx.cell_stream(ci), cell["reps"], n, k, theta, B, reduce, ctx.workers,
-                     dump if any(dumps.values()) else None)
-    return {method: failed.get(method) or {name: a for (m, name), a in acc.items() if m == method}
-            for method in reducers}
 
-
-def _annulus_row(ctx: _RunContext, ci: int, cell: dict, method: str) -> list[SummaryRow]:
-    """The one row of a fig7 or S3 cell: the exact intersection power, or the
-    rejection rate of a Monte Carlo test with any case fractions it reports."""
-    if method == "intersection_exact":
+def _exec_annulus(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
+    """A fig7, S3 or S4 cell run alone: the exact intersection power, or a
+    Monte Carlo test as a draw group of one."""
+    if PRESETS[ctx.spec.experiment_id].annulus.method(cell) == "intersection_exact":
         value = dn.intersection_power_exact(cell["theta_norm"], cell["n"], cell["d"], cell["alpha"])
         return [SummaryRow(ctx.spec.experiment_id, dict(cell), value, 0.0, 0)]
-    return _mc_annulus_row(ctx, cell, _annulus_draw(ctx, ci, cell, {method: ctx.cell_dump(ci)})[method])
+    return _exec_group(ctx, (ci,))[ci]
 
 
-def _mc_annulus_row(ctx: _RunContext, cell: dict, acc: dict) -> list[SummaryRow]:
-    if isinstance(acc, Exception):
-        raise acc
+def _power_row(ctx: _RunContext, cell: dict, acc: dict) -> list[SummaryRow]:
+    """The one row of a fig7 or S3 Monte Carlo cell: the rejection rate,
+    with any case fractions its test reports as columns."""
     a = acc.pop("reject")
     extra = {name: b.mean for name, b in acc.items()}
-    return [
-        SummaryRow(ctx.spec.experiment_id, dict(cell, **extra), a.mean, a.se_proportion(), a.count)
-    ]
+    return [SummaryRow(ctx.spec.experiment_id, dict(cell, **extra), a.mean, a.se_proportion(), a.count)]
 
 
-def _exec_fig7(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    return _annulus_row(ctx, ci, cell, cell["method"])
-
-
-#: The fig7 methods that share one draw per (d, theta_norm) when B > 1.
-_FIG7_PAIR = ("subsampled_split", "subsampled_hybrid")
-
-
-def _fig7_pairs(grid) -> list[tuple[int, int]]:
-    """The ``(split, hybrid)`` cell indices of fig7 that run as one task:
-    each B > 1 ``subsampled_split`` cell with the first unpaired
-    ``subsampled_hybrid`` cell whose every other key is equal."""
-    waiting: dict[str, list[int]] = {}
-    keyed = []
-    for ci, cell in enumerate(grid):
-        if cell["method"] in _FIG7_PAIR and cell["B"] > 1:
-            key = repr(sorted((k, v) for k, v in cell.items() if k != "method"))
-            keyed.append((ci, cell["method"], key))
-            if cell["method"] == _FIG7_PAIR[1]:
-                waiting.setdefault(key, []).append(ci)
-    return [(ci, waiting[key].pop(0)) for ci, method, key in keyed
-            if method == _FIG7_PAIR[0] and waiting.get(key)]
-
-
-def _exec_fig7_pair(ctx: _RunContext, split_ci: int, hybrid_ci: int) -> dict[int, list[SummaryRow]]:
-    """The rows of fig7's cells ``split_ci`` and ``hybrid_ci``, both decided
-    on the split cell's draw, so that the split rows are those the cell gives
-    alone; a cell that fails gets its error row."""
-    cells = {ci: ctx.spec.grid[ci] for ci in (split_ci, hybrid_ci)}
-    try:
-        accs = _annulus_draw(ctx, split_ci, cells[split_ci],
-                             {cells[ci]["method"]: ctx.cell_dump(ci) for ci in cells})
-    except (NumericError, DomainError) as exc:
-        accs = {cells[ci]["method"]: exc for ci in cells}
-    out = {}
-    for ci, cell in cells.items():
-        try:
-            out[ci] = _mc_annulus_row(ctx, dict(cell), accs[cell["method"]])
-        except (NumericError, DomainError) as exc:
-            out[ci] = [_error_row(ctx.spec.experiment_id, cell, exc)]
-    return out
+def _figS4_rows(ctx: _RunContext, cell: dict, acc: dict) -> list[SummaryRow]:
+    """S4's rows of a cell: the power, then each case fraction."""
+    a = acc.pop("reject")
+    rows = [SummaryRow(ctx.spec.experiment_id, dict(cell, quantity="power"), a.mean, a.se_proportion(), a.count)]
+    for name, b in acc.items():
+        rows.append(SummaryRow(ctx.spec.experiment_id, dict(cell, quantity=name), b.mean, b.se_mean(), b.count))
+    return rows
 
 
 def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
@@ -721,19 +721,14 @@ def _exec_figS2(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 _FIGS3_METHODS = {"exact": "intersection_exact", "mc": "intersection"}
 
 
-def _exec_figS3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    if cell["method"] not in _FIGS3_METHODS:
-        raise DomainError(f"intersect_power_figS3 has no method {cell['method']!r}")
-    return _annulus_row(ctx, ci, cell, _FIGS3_METHODS[cell["method"]])
+@dataclass(frozen=True)
+class _Annulus:
+    """How a preset's cells run the annulus tests: ``method(cell)`` names a
+    cell's test (``None`` for an unknown one), and ``rows(ctx, cell, acc)``
+    shapes a Monte Carlo cell's rows from its accumulators."""
 
-
-def _exec_figS4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    acc = _annulus_draw(ctx, ci, cell, {"subsampled_hybrid": ctx.cell_dump(ci)})["subsampled_hybrid"]
-    a = acc.pop("reject")
-    rows = [SummaryRow(ctx.spec.experiment_id, dict(cell, quantity="power"), a.mean, a.se_proportion(), a.count)]
-    for name, b in acc.items():
-        rows.append(SummaryRow(ctx.spec.experiment_id, dict(cell, quantity=name), b.mean, b.se_mean(), b.count))
-    return rows
+    method: Callable[[dict], str | None]
+    rows: Callable[[_RunContext, dict, dict], list[SummaryRow]]
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +749,9 @@ class Preset:
     #: Its cells draw B > 1 split batches, so :func:`run` overlaps them in
     #: the shared pool; the cells of every other preset run on the caller.
     split_batches: bool = False
-    #: ``pairs(grid)`` lists the ``(i, j)`` cells that :func:`run` runs as
-    #: one task, ``execute_pair(ctx, i, j)``, which gives both cells' rows.
-    pairs: Callable[[tuple], list[tuple[int, int]]] | None = None
-    execute_pair: Callable[[_RunContext, int, int], dict[int, list[SummaryRow]]] | None = None
+    #: Its cells run the annulus tests; :func:`run` runs each draw group
+    #: (:func:`_draw_groups`) as one task, :func:`_exec_group`.
+    annulus: _Annulus | None = None
 
 
 PRESETS = {
@@ -780,21 +774,23 @@ PRESETS = {
         ds=(1, 2), n=1000, alpha=0.1, reps=1000, B=100,
         lambdas=(0.0, 2.0, 4.0, 8.0, 15.0, 25.0, 40.0, 60.0),
     )),
-    "doughnut_fig7": Preset("7", _grid_fig7, _exec_fig7, dict(
+    "doughnut_fig7": Preset("7", _grid_fig7, _exec_annulus, dict(
         ds=(2, 10), n=1000, alpha=0.1, B=100, reps=500,
         theta_norms=(0.0, 0.25, 0.45, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5),
-    ), split_batches=True, pairs=_fig7_pairs, execute_pair=_exec_fig7_pair),
+    ), split_batches=True, annulus=_Annulus(
+        lambda cell: cell["method"] if cell["method"] in _FIG7_METHODS else None, _power_row,
+    )),
     "crossfit_p0_figS2": Preset("S2", _grid_figS2, _exec_figS2, dict(
         n=1000, d=2, alpha=0.1, p0s=(0.1, 0.3, 0.5, 0.7, 0.9), rays=180, tol=1e-5,
     )),
-    "intersect_power_figS3": Preset("S3", _grid_figS3, _exec_figS3, dict(
+    "intersect_power_figS3": Preset("S3", _grid_figS3, _exec_annulus, dict(
         ds=(2, 10), n=1000, alpha=0.1, reps=1000,
         theta_norms=(0.0, 0.15, 0.3, 0.45, 1.05, 1.2, 1.35, 1.5),
-    )),
-    "hybrid_cases_figS4": Preset("S4", _grid_figS4, _exec_figS4, dict(
+    ), annulus=_Annulus(lambda cell: _FIGS3_METHODS.get(cell["method"]), _power_row)),
+    "hybrid_cases_figS4": Preset("S4", _grid_figS4, _exec_annulus, dict(
         ds=(2, 10, 100), n=1000, alpha=0.1, B=100, reps=200,
         theta_norms=(0.0, 0.25, 0.45, 0.75, 1.1, 1.3, 1.5),
-    ), split_batches=True),
+    ), split_batches=True, annulus=_Annulus(lambda cell: "subsampled_hybrid", _figS4_rows)),
 }
 
 EXPERIMENT_IDS = tuple(PRESETS)
@@ -827,11 +823,12 @@ def run(
         except (NumericError, DomainError) as exc:
             return {ci: [_error_row(spec.experiment_id, cell, exc)]}
 
-    paired = {ci: pair for pair in (preset.pairs(spec.grid) if preset.pairs else ()) for ci in pair}
+    groups = _draw_groups(spec.grid, preset.annulus.method) if preset.annulus else ()
+    grouped = {ci: group for group in groups for ci in group}
     tasks = [
-        partial(cell_rows, ci) if ci not in paired else partial(preset.execute_pair, ctx, *paired[ci])
+        partial(_exec_group, ctx, grouped[ci]) if ci in grouped else partial(cell_rows, ci)
         for ci in range(len(spec.grid))
-        if ci not in paired or ci == min(paired[ci])
+        if grouped.get(ci, (ci,))[0] == ci
     ]
     pooled = workers if preset.split_batches else None
     rows: list[SummaryRow] = []

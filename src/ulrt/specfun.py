@@ -205,12 +205,12 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
         raise DomainError(f"noncentral_chi2_cdf requires x >= 0, got {x}")
     if not math.isfinite(noncentrality) or noncentrality < 0.0:
         raise DomainError(f"noncentrality must be >= 0, got {noncentrality}")
-    if noncentrality == 0.0:
+    half = 0.5 * noncentrality
+    if half == 0.0:
+        # lambda = 0, or so small that lambda/2 rounds to 0: the central CDF
         return chi2_cdf(x, d)
     if x == 0.0:
         return 0.0
-
-    half = 0.5 * noncentrality
     if half >= _MAX_HALF_NONCENTRALITY:
         raise NumericError(
             f"noncentral chi-squared series needs lambda/2 < 2**30, got lambda={noncentrality}"

@@ -419,6 +419,16 @@ def test_formula_noncentral_cdf_beyond_its_series_exits_3(capsys):
         assert err.startswith("numeric error: noncentral chi-squared series needs lambda/2 < 2**30")
 
 
+def test_formula_noncentral_cdf_with_a_subnormal_noncentrality_prints_the_central_cdf(capsys):
+    outputs = []
+    for lam in ("5e-324", "0"):
+        assert main(["formula", "noncentral-cdf", "--x", "1", "--d", "2", "--noncentrality", lam]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("cdf = ")
+
+
 def test_each_main_call_parses_from_the_defaults(capsys):
     """``main`` reuses one parser; a flag of one call must not reach the next."""
     from ulrt.regions import ratio_expected_split_vs_classical

@@ -1,13 +1,16 @@
 """Split sums of B > 1 replications drawn from their exact law given the
 subsets (``ulrt._kernels.exact_split_means``, which
 ``ulrt.data.replicate_split_means`` takes from ``d >= data._EXACT_MIN_D``),
-and fig7's split and hybrid cells sharing one draw."""
+and the draw groups of fig7 and S4: the B > 1 cells of one power curve
+decided on one draw at theta = 0, each shifted by its own theta."""
+
+import math
 
 import numpy as np
 import pytest
 
 from ulrt import _kernels, data, engine
-from ulrt.errors import DomainError
+from ulrt.errors import DomainError, NumericError
 from ulrt.rng import RngStream, batch_normals
 
 #: (n, k, B, d): the smallest case, a preset shape, and B + 1 > n, where G
@@ -126,7 +129,72 @@ def test_replications_below_the_gate_still_sum_rows():
     assert _bytes(got) == _bytes(want)
 
 
+def _groups(experiment_id, grid):
+    return engine._draw_groups(grid, engine.PRESETS[experiment_id].annulus.method)
+
+
+def _alone(ctx, stream_ci, cell, shifted=True):
+    """``cell``'s test run alone on cell ``stream_ci``'s stream: on a draw at
+    theta = 0 with the cell's theta added, or (``shifted=False``) on a draw
+    at the cell's own theta.  Its accumulators and dumped values."""
+    n, d = cell["n"], cell["d"]
+    k = data.part_size(n, 0.5)
+    reduce = engine.dn.mc_reducer(cell.get("method", "subsampled_hybrid"), n, k, d, cell["alpha"],
+                                  engine.dn.AnnulusNull())
+    theta = np.zeros(d)
+    theta[0] = cell["theta_norm"]
+    dumped: list = []
+    acc = engine._replicate(
+        ctx.cell_stream(stream_ci), cell["reps"], n, k, np.zeros(d) if shifted else theta, cell["B"],
+        (lambda mean0, mean1: reduce(mean0 + theta, mean1 + theta)) if shifted else reduce,
+        ctx.workers, lambda name, lo, values: dumped.append((name, lo, values)),
+    )
+    return acc, dumped
+
+
+def _run_with_dumps(spec):
+    dumped: dict = {}
+    rows = engine.run(spec, workers=2,
+                      dump=lambda *entry: dumped.setdefault(entry[0], []).append(entry[1:]))
+    return rows, dumped
+
+
+def _dumped_bytes(entries):
+    return [(name, lo, np.asarray(v, dtype=np.float64).tobytes()) for name, lo, v in entries]
+
+
+def _cell_rows(rows):
+    """The rows of each cell, in cell order: an S4 cell's rows start with
+    its power row, and an error row stands alone."""
+    cells: list = []
+    for row in rows:
+        if row.cell.get("quantity", "power") == "power":
+            cells.append([])
+        cells[-1].append(row)
+    return cells
+
+
 def test_fig7_pairs_join_equal_b_above_1_cells_only():
+    """A split and a hybrid cell at one theta are a group of two."""
+    base = dict(d=2, n=100, alpha=0.1, theta_norm=0.5, B=4, reps=10)
+    grid = [
+        dict(base, method="subsampled_hybrid"),
+        dict(base, method="intersection"),
+        dict(base, method="subsampled_split"),
+        dict(base, method="subsampled_split", label="y"),
+        dict(base, method="subsampled_split", theta_norm=0.75, label="z"),
+        dict(base, method="subsampled_hybrid", theta_norm=0.75, label="x"),
+        dict(base, method="subsampled_split", B=1),
+        dict(base, method="subsampled_hybrid", B=1),
+        dict(base, method="subsampled_hybrid", label="y"),
+    ]
+    assert _groups("doughnut_fig7", grid) == [(0, 2), (3, 8)]
+
+
+def test_draw_groups_join_the_b_above_1_cells_of_one_curve_only():
+    """On the grid of the pairing rule: every B > 1 subsampled cell whose
+    keys other than method and theta are equal joins one group; B = 1 cells,
+    the intersection cell and the cell with another label stay apart."""
     base = dict(d=2, n=100, alpha=0.1, theta_norm=0.5, B=4, reps=10)
     grid = [
         dict(base, method="subsampled_hybrid"),
@@ -139,33 +207,70 @@ def test_fig7_pairs_join_equal_b_above_1_cells_only():
         dict(base, method="subsampled_hybrid", B=1),
         dict(base, method="subsampled_hybrid"),
     ]
-    assert engine._fig7_pairs(grid) == [(2, 0), (3, 8)]
+    assert _groups("doughnut_fig7", grid) == [(0, 2, 3, 4, 8)]
+    fig7 = engine.build_spec("doughnut_fig7", 1).grid
+    assert [{fig7[ci]["d"] for ci in g} for g in _groups("doughnut_fig7", fig7)] == [{2}, {10}]
+    assert [len(g) for g in _groups("doughnut_fig7", fig7)] == [18, 18]
+    s4 = engine.build_spec("hybrid_cases_figS4", 1)
+    assert _groups("hybrid_cases_figS4", s4.grid) == [tuple(range(i, i + 7)) for i in (0, 7, 14)]
+    assert _groups("hybrid_cases_figS4", engine.build_spec("hybrid_cases_figS4", 1, B=1).grid) == []
+    assert _groups("intersect_power_figS3", engine.build_spec("intersect_power_figS3", 1).grid) == []
 
 
 @pytest.mark.parametrize("d", [2, 20], ids=["rows", "exact-law"])
 def test_fig7_pair_rows_equal_each_method_run_alone_on_the_split_cells_stream(d):
     """Both rows of a pair, and their raw values, are those of each method
-    on the split cell's own draw: the split rows are the ones that cell gives
-    alone, and the hybrid rows share its draw."""
-    spec = engine.build_spec("doughnut_fig7", 77, ds=[d], n=60, theta_norms=[0.5, 1.2], B=4,
-                             reps=700)
-    dumped: dict = {}
-    rows = engine.run(spec, workers=2, dump=lambda *entry: dumped.setdefault(entry[0], []).append(entry[1:]))
+    run alone on the split cell's stream, on its draw at theta = 0 with the
+    pair's theta added."""
+    spec = engine.build_spec("doughnut_fig7", 77, ds=[d], n=60, theta_norms=[0.5], B=4, reps=700)
+    rows, dumped = _run_with_dumps(spec)
     ctx = engine._RunContext(spec, RngStream(77), 2)
-    pairs = engine._fig7_pairs(spec.grid)
-    assert len(pairs) == 2 and all(r.status == "ok" for r in rows)
-    for pair in pairs:
-        split_ci = pair[0]
-        for ci in pair:
-            cell = spec.grid[ci]
-            alone: list = []
-            acc = engine._annulus_draw(ctx, split_ci, cell, {
-                cell["method"]: lambda name, lo, values: alone.append((name, lo, values))
-            })[cell["method"]]
-            assert rows[ci] == engine._mc_annulus_row(ctx, dict(cell), acc)[0]
-            assert [(name, lo, v.tobytes()) for name, lo, v in dumped[ci]] == [
-                (name, lo, np.asarray(v, dtype=np.float64).tobytes()) for name, lo, v in alone
-            ]
+    pairs = _groups("doughnut_fig7", spec.grid)
+    assert pairs == [(2, 3)] and all(r.status == "ok" for r in rows)
+    for ci in pairs[0]:
+        cell = spec.grid[ci]
+        acc, alone = _alone(ctx, 2, cell)
+        assert rows[ci] == engine._power_row(ctx, dict(cell), acc)[0]
+        assert _dumped_bytes(dumped[ci]) == _dumped_bytes(alone)
+
+
+@pytest.mark.parametrize("experiment_id", ["doughnut_fig7", "hybrid_cases_figS4"])
+@pytest.mark.parametrize("d", [2, 20], ids=["rows", "exact-law"])
+def test_group_rows_and_dumps_equal_each_cell_run_alone_on_the_groups_stream(experiment_id, d):
+    """Every row of a group, and its raw values in chunk order, are those of
+    the cell run alone on the stream of the group's first cell with its theta
+    added; one and two workers give the same rows."""
+    spec = engine.build_spec(experiment_id, 79, ds=[d], n=60, theta_norms=[0.0, 0.5, 1.2], B=4,
+                             reps=700)
+    rows, dumped = _run_with_dumps(spec)
+    assert engine.run(spec, workers=1) == rows and all(r.status == "ok" for r in rows)
+    ctx = engine._RunContext(spec, RngStream(79), 2)
+    (group,) = _groups(experiment_id, spec.grid)
+    assert len(group) == (6 if experiment_id == "doughnut_fig7" else 3)
+    rows_of = _cell_rows(rows)
+    for ci in group:
+        cell = spec.grid[ci]
+        acc, alone = _alone(ctx, group[0], cell)
+        assert len({lo for _, lo, _ in alone}) == 2  # two chunks
+        assert rows_of[ci] == engine.PRESETS[experiment_id].annulus.rows(ctx, dict(cell), acc)
+        assert _dumped_bytes(dumped[ci]) == _dumped_bytes(alone)
+
+
+@pytest.mark.parametrize("experiment_id", ["doughnut_fig7", "hybrid_cases_figS4"])
+@pytest.mark.parametrize("d", [2, 20], ids=["rows", "exact-law"])
+def test_the_first_cell_of_a_group_at_theta_0_keeps_the_bytes_of_its_own_draw(experiment_id, d):
+    """The group draws at theta = 0 on its first cell's stream, so a first
+    cell at theta = 0 gives the rows of a draw at its own theta, as it did
+    before cells shared draws."""
+    spec = engine.build_spec(experiment_id, 80, ds=[d], n=60, theta_norms=[0.0, 0.75], B=4, reps=700)
+    rows = engine.run(spec, workers=2)
+    ctx = engine._RunContext(spec, RngStream(80), 2)
+    first = _groups(experiment_id, spec.grid)[0][0]
+    cell = spec.grid[first]
+    assert cell["theta_norm"] == 0.0
+    acc, _ = _alone(ctx, first, cell, shifted=False)
+    assert _cell_rows(rows)[first] == engine.PRESETS[experiment_id].annulus.rows(
+        ctx, dict(cell), acc)
 
 
 def test_a_failing_method_of_a_pair_leaves_the_other_row(monkeypatch):
@@ -188,3 +293,40 @@ def test_a_failing_method_of_a_pair_leaves_the_other_row(monkeypatch):
     assert [r for r in rows if r.cell["method"] != "subsampled_hybrid"] == [
         r for r in expected if r.cell["method"] != "subsampled_hybrid"
     ]
+
+
+@pytest.mark.parametrize("experiment_id", ["doughnut_fig7", "hybrid_cases_figS4"])
+def test_a_failing_cell_leaves_the_other_rows_of_its_group(experiment_id, monkeypatch):
+    """The hybrid test fails only at theta = 1.2, where its shifted means
+    average about 1.2 in the first coordinate, and a cell with a non-finite
+    theta fails before the draw: both get error rows, and every other cell
+    of their group keeps its row."""
+    grid = engine.build_spec(experiment_id, 81, ds=[2], n=60, theta_norms=[0.0, 0.5, 1.2], B=4,
+                             reps=600).grid
+    spec = engine.ExperimentSpec(experiment_id, grid + (dict(grid[-1], theta_norm=math.inf),), 81)
+    expected = _cell_rows(engine.run(spec, workers=2))
+    reducer = engine.dn.mc_reducer
+
+    def failing(method, *args):
+        reduce = reducer(method, *args)
+
+        def maybe_fail(mean0, mean1):
+            if method == "subsampled_hybrid" and mean0[..., 0].mean() > 0.85:
+                raise NumericError("injected")
+            return reduce(mean0, mean1)
+        return maybe_fail
+
+    monkeypatch.setattr(engine.dn, "mc_reducer", failing)
+    rows = _cell_rows(engine.run(spec, workers=2))
+    assert len(_groups(experiment_id, spec.grid)) == 1
+    bad = {ci for ci, cell in enumerate(spec.grid)
+           if cell.get("method", "subsampled_hybrid") == "subsampled_hybrid"
+           and cell["theta_norm"] > 1.0}
+    assert len(bad) == 2
+    for ci, (got, want) in enumerate(zip(rows, expected)):
+        if ci in bad:
+            statuses = {r.status for r in got}
+            assert statuses == {"error:DomainError" if spec.grid[ci]["theta_norm"] == math.inf
+                                else "error:NumericError"}
+        else:
+            assert got == want

@@ -47,7 +47,7 @@ GOLDEN = {
     ),
     "doughnut_fig7": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.1)),
-        "aac69d0bcb70644a5eca17c6024792158cb571243a12b8fa5c3ee1f08f590306",
+        "bb72636d5838b848df283062000a7b482c53e138a4a2fdfee9d335f010f6fe92",
     ),
     "crossfit_p0_figS2": (
         dict(n=200, p0s=(0.3, 0.5), rays=24, tol=1e-4),
@@ -59,7 +59,7 @@ GOLDEN = {
     ),
     "hybrid_cases_figS4": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.25)),
-        "19d41b227421e89e52e1d649718992be3563c5544d8a42071b06740150404685",
+        "cacccf50d092e6d6f2c32acd56392241a68031493ce0d68511bf8a542da3c8e3",
     ),
 }
 
@@ -86,16 +86,16 @@ def test_golden_digest(experiment_id, numpy_loops, tmp_path, monkeypatch):
 
 
 #: The B > 1 cells of these specs have d >= ``data._EXACT_MIN_D``, so their
-#: split sums come from the exact law; fig7 decides its split and hybrid
-#: cells on one shared draw.
+#: split sums come from the exact law; the B > 1 cells of each spec are one
+#: draw group, decided on one draw at theta = 0.
 EXACT_LAW_GOLDEN = {
     "doughnut_fig7": (
         dict(ds=(20,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.1)),
-        "fa84ad06b3151661be74460ad7fe7399f97f02cf51def1b7c6647f756ad030e0",
+        "162d4cf6132a6187d32106206f8ef71ab50e912838b50a8e86b7673c70168283",
     ),
     "hybrid_cases_figS4": (
         dict(ds=(20,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.25)),
-        "191593ba48a6c9969b20d111c345e19df023e172cb99f1572f4d5f4a7e0b7130",
+        "b342fb72134d39877b194834652938a0b78880485c3aee2e758bb98cd3a2b3e7",
     ),
 }
 

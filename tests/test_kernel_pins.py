@@ -54,7 +54,7 @@ def test_mc_power_pinned(kind, B):
 #: so the pin covers the fold across chunks of every annulus test
 ANNULUS_PINS = {
     "doughnut_fig7": (
-        (0.3, 1.25), "acfa6362ef46034a06108041bb34365d496be5ef8d10b8ae2eb4ee684ea8c7db"
+        (0.3, 1.25), "6a77b3c5dfb91d2b08843844bb9073786857b861c371c076cc9c3c022ec83d9e"
     ),
     "hybrid_cases_figS4": (
         (1.25,), "135aaa41e43c65edcedd140bf80e2a186504d42686f52037d0109e62e4210913"

@@ -244,6 +244,14 @@ def test_noncentral_reduces_to_central():
         assert noncentral_chi2_cdf(x, d, 0.0) == chi2_cdf(x, d)
 
 
+def test_noncentral_with_a_half_that_underflows_is_the_central_cdf():
+    """At the smallest subnormal lambda, lambda/2 rounds to 0, so there is no
+    Poisson mode to take the log of: the value is the central CDF, as at 0."""
+    assert 0.5 * 5e-324 == 0.0
+    for x, d in ((0.0, 2), (1.0, 2), (4.0, 3), (25.0, 10)):
+        assert noncentral_chi2_cdf(x, d, 5e-324) == chi2_cdf(x, d)
+
+
 def test_noncentral_monte_carlo_oracle():
     # || Z + mu ||^2 with ||mu||^2 = 10, d = 100, a million draws
     rng = np.random.default_rng(20240817)
