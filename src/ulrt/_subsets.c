@@ -5,18 +5,15 @@
  * the noncentral chi-squared CDF): the CPython extension module _subsets,
  * which ulrt._kernels builds and loads.
  *
- * The compiled form of ulrt._kernels._numpy_split_sums (with its shuffle,
- * _numpy_fisher_yates), ulrt._kernels._numpy_exact_sums (with
- * _numpy_pivoted_cholesky), ulrt._kernels._numpy_polar,
- * ulrt._kernels._numpy_split_log_values, and the Python loops
- * ulrt._kernels._python_gamma_p_series, _python_gamma_q_contfrac and
- * _python_noncentral_mixture: the same splitmix64 draws, the same swaps, the
- * same additions, products, divisions and square roots in the same order and
- * the same accepted trials, so the results are identical, and none depends
- * on a BLAS or LAPACK.  The special functions take exp and log from libm, as
- * math.exp and math.log do, and lgamma from py_lgamma below, a port of
- * CPython's own math.lgamma.  Built with -ffp-contract=off, so that u * u +
- * v * v rounds twice, as in numpy and in Python.  The Python wrappers check
+ * Each of its seven methods has a numpy or Python twin of the same name, the
+ * same arguments and the same bytes in ulrt._kernels._TWINS, which
+ * ulrt._kernels._lib() returns when this module does not load: the same
+ * splitmix64 draws, the same swaps, the same additions, products, divisions
+ * and square roots in the same order and the same accepted trials, and none
+ * depends on a BLAS or LAPACK.  The special functions take exp and log from
+ * libm, as math.exp and math.log do, and lgamma from py_lgamma below, a port
+ * of CPython's own math.lgamma.  Built with -ffp-contract=off, so that u * u
+ * + v * v rounds twice, as in numpy and in Python.  The Python callers check
  * their arguments and pass contiguous buffers (PEP 3118): for the sums
  * keys[rows], data[C * n * d], perm[n] (scratch) and sums[rows * d], for the
  * exact-law sums keys[C * B], z[C * (B + 1) * d] and sums[C * (B + 1) * d],

@@ -228,13 +228,18 @@ def subsampled_doughnut_test(
     if kind not in ("split", "hybrid"):
         raise DomainError(f"kind must be 'split' or 'hybrid', got {kind!r}")
     n = sample.n
-    if n % 2:
-        raise DomainError("subsampled annulus tests require even n")
+    _check_even_n(n)
     splits = subsample_splits(sample, B, 0.5, rng)
     values, cases = _subsampled_log_values(splits.mean0, splits.mean1, n, null, kind == "hybrid")
     fractions = tuple(float(np.mean(cases == c)) for c in (0, 1, 2))
     reject = bool(log_mean_exp(values) >= log_threshold(alpha))
     return DoughnutTestResult(reject, fractions, values, cases)
+
+
+def _check_even_n(n: int) -> None:
+    """The subsampled tests split ``n`` points in halves and scale by n/4."""
+    if n % 2:
+        raise DomainError(f"subsampled annulus tests require even n, got n = {n}")
 
 
 _ANNULUS_TESTS = ("intersection", "subsampled_split", "subsampled_hybrid")
@@ -258,6 +263,7 @@ def mc_reducer(
             return {"reject": _intersection_rejects(means, n, null, quantile).astype(np.float64)}
 
         return intersect
+    _check_even_n(n)
     thresh = log_threshold(alpha)
     hybrid = method == "subsampled_hybrid"
 

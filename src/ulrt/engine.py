@@ -311,12 +311,13 @@ def _cell_schema(experiment_id: str) -> dict[str, str]:
 
 def _check_cells(experiment_id: str, grid) -> None:
     """Refuse, before any cell runs, a cell that lacks one of the preset's
-    axes or gives one a value of the wrong type (``bool`` is no number), and
-    data that cannot be split: fewer than two observations, or a ``p0`` that
-    leaves a part empty.  Keys beyond the axes are kept: they become CSV
+    axes or gives one a value of the wrong type (``bool`` is no number), an
+    ``alpha`` outside (0, 1), and data that cannot be split: fewer than two
+    observations, a ``p0`` that leaves a part empty, or an odd ``n`` for a
+    subsampled annulus test.  Keys beyond the axes are kept: they become CSV
     columns that label the cell's rows, and a misspelled axis still fails as
     a missing one."""
-    schema = _cell_schema(experiment_id)
+    schema, annulus = _cell_schema(experiment_id), PRESETS[experiment_id].annulus
     for i, cell in enumerate(grid):
         if not isinstance(cell, dict):
             raise DomainError(f"{experiment_id} grid cell {i} is not a mapping: {cell!r}")
@@ -328,14 +329,17 @@ def _check_cells(experiment_id: str, grid) -> None:
                 raise DomainError(
                     f"{experiment_id} grid cell {i}: {key} must be {kind}, got {cell[key]!r}"
                 )
-        if "n" in schema and cell["n"] < 2:
-            raise DomainError(f"{experiment_id} grid cell {i}: n = {cell['n']} observations "
-                              "cannot be split, need n >= 2")
-        if "p0" in schema:
-            try:
+        try:
+            if "n" in schema and cell["n"] < 2:
+                raise DomainError(f"n = {cell['n']} observations cannot be split, need n >= 2")
+            if "alpha" in schema:
+                rg._check_alpha(cell["alpha"])
+            if "p0" in schema:
                 part_size(cell["n"], cell["p0"])
-            except DomainError as exc:
-                raise DomainError(f"{experiment_id} grid cell {i}: {exc}") from None
+            if annulus is not None and annulus.method(cell) in _SUBSAMPLED:
+                dn._check_even_n(cell["n"])
+        except DomainError as exc:
+            raise DomainError(f"{experiment_id} grid cell {i}: {exc}") from None
 
 
 def _grid_fig1(p: dict) -> list[dict]:

@@ -11,6 +11,7 @@ estimated by Monte Carlo (the split test's power is also a 2-d integral).
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -108,10 +109,9 @@ def mc_power(
     """
     if test_kind not in MC_TEST_KINDS:
         raise DomainError(f"test_kind must be one of {MC_TEST_KINDS}, got {test_kind!r}")
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
-    if B < 1:
-        raise DomainError(f"B must be >= 1, got {B}")
+    for name, count in (("reps", reps), ("B", B)):
+        if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+            raise DomainError(f"{name} must be an integer >= 1, got {count!r}")
     if rng is None:
         raise DomainError("an RngStream must be supplied")
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)

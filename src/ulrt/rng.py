@@ -12,8 +12,8 @@ The mixing function is the splitmix64 finalizer over a Weyl sequence; all
 integer arithmetic is exact 64-bit wrapping arithmetic, identical on every
 platform.  Normals come from one batched polar draw, :func:`batch_normals`,
 over ``(C,)`` uint64 key arrays.  Its trial scan (draws, the map to [-1, 1)
-and the accept/reject test) is :mod:`ulrt._kernels`' compiled loop, or its
-numpy twin ``_numpy_polar``; both give the same bytes.  The
+and the accept/reject test) is the ``polar`` method of ``_kernels._lib()``,
+compiled or its numpy twin, with the same bytes.  The
 ``sqrt(-2 log(s) / s)`` factors stay in numpy, so the bytes depend on the
 ``np.log`` loop numpy dispatches to on the running CPU: its AVX-512 loop
 rounds some logs differently from glibc's libm.
@@ -82,7 +82,7 @@ def batch_normals(keys: np.ndarray, count: int) -> np.ndarray:
     consumes its raw draws ``2i`` and ``2i + 1``; accepted trials yield two
     normals each, in trial order, so a row is a pure function of its key.
 
-    On row blocks of about 2**12 accepted trials, ``_kernels._polar_trials``
+    On row blocks of about 2**12 accepted trials, ``_kernels._lib().polar``
     leaves each row's first ``ceil(count / 2)`` accepted ``(u, v)`` and ``s``,
     and numpy scales them by ``sqrt(-2 log(s) / s)``.
     """
@@ -104,7 +104,7 @@ def batch_normals(keys: np.ndarray, count: int) -> np.ndarray:
     for lo in range(0, keys.size, step):
         rows = out[lo : lo + step]
         m = rows.shape[0]
-        _kernels._polar_trials(keys[lo : lo + m], count, rows, s[:m])
+        _kernels._lib().polar(keys[lo : lo + m], count, rows, s[:m])
         f = np.log(s[:m], out=factor[:m])
         f *= -2.0
         f /= s[:m]

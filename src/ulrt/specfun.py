@@ -8,8 +8,8 @@ iteration budget that grows like the square root of its shape; the quantile
 is found by bracketed bisection, which converges unconditionally.  The
 noncentral CDF evaluates one incomplete gamma, at the Poisson mode, and
 reaches the other mixture terms by its recurrence in the shape.  The loops
-of the two expansions and of the mixture run in :mod:`ulrt._kernels`,
-compiled or as their Python twins, with the same bytes; this module checks
+of the two expansions and of the mixture are methods of ``_kernels._lib()``,
+compiled or Python twins of the same bytes; this module checks
 the arguments, sets the budgets and raises when a loop runs out of steps.
 
 All functions are pure and validate their arguments with :class:`DomainError`
@@ -105,11 +105,11 @@ def _chi2_cdf_sf(x: float, d: int) -> tuple[float, float]:
     if s == 0.0:
         return 0.0, 1.0
     if s < a + 1.0:
-        p = _kernels._gamma_p_series(a, s, _budget(a))
+        p = _kernels._lib().gamma_p_series(a, s, _budget(a))
         if p is None:
             raise NumericError(f"incomplete gamma series did not converge (a={a}, x={s})")
         return p, 1.0 - p
-    q = _kernels._gamma_q_contfrac(a, s, _budget(a))
+    q = _kernels._lib().gamma_q_contfrac(a, s, _budget(a))
     if q is None:
         raise NumericError(f"incomplete gamma continued fraction did not converge (a={a}, x={s})")
     return 1.0 - q, q
@@ -220,8 +220,8 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     s = 0.5 * x
     w0 = math.exp(-half + k0 * math.log(half) - math.lgamma(k0 + 1))
     p0 = _chi2_cdf_sf(x, d + 2 * k0)[0]
-    value = _kernels._noncentral_mixture(half, k0, a, s, math.log(s), w0, p0, _budget(half),
-                                         ABS_TOL)
+    value = _kernels._lib().noncentral_mixture(half, k0, a, s, math.log(s), w0, p0,
+                                               _budget(half), ABS_TOL)
     if value is None:
         raise NumericError(
             f"noncentral chi-squared series did not converge (x={x}, d={d}, lambda={noncentrality})"

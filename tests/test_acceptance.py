@@ -209,6 +209,21 @@ def test_criterion_06_ratio_probability_bounds():
             )
 
 
+def test_fig5_agrees_with_its_exact_law():
+    """At m0 = m1 = n/2, ratio <= 4 holds exactly when ||mean0 - mean1||^2,
+    which is (4/n) chi2_d, is at most (4/n) (c - L), with c the upper alpha
+    quantile and L = ln(1/alpha): P(ratio <= 4) = F_{chi2_d}(c - L).  Default
+    fig5 at seed 3 lies within 4 standard errors of it, taken from the exact
+    p, at every d."""
+    spec = engine.build_spec("ratio_prob_fig5", 3)
+    for row in engine.run(spec, workers=WORKERS):
+        d, alpha, reps = row.cell["d"], row.cell["alpha"], row.cell["reps"]
+        p = specfun.chi2_cdf(specfun.chi2_upper_quantile(alpha, d) + math.log(alpha), d)
+        assert row.reps_used == reps == 10_000
+        z = (row.estimate - p) / math.sqrt(p * (1.0 - p) / reps)
+        assert abs(z) <= 4.0, (d, row.estimate, p, z)
+
+
 # ---------------------------------------------------------------------------
 # 7. ratio asymptotics at the formula level
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from ulrt import engine
 from ulrt.cli import main
 from ulrt.engine import load_spec_file
 from ulrt.errors import DomainError
@@ -228,6 +229,67 @@ def test_spec_file_cell_with_one_observation_exits_2(tmp_path, capsys):
     assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 2
     assert "cannot be split" in capsys.readouterr().err
     assert not out.exists()
+
+
+#: The presets whose cells have an ``alpha`` axis, with the figure flags that
+#: reach a cell: fig3's default ``p0s`` derive from alpha in the grid builder,
+#: which refuses a bad one itself, so ``--p0`` takes the check to the cells.
+_ALPHA_FIGURES = {
+    "regions_fig1": ["1"], "split_p0_fig3": ["3", "--p0", "0.5"], "ratio_prob_fig5": ["5"],
+    "power_fig6": ["6"], "doughnut_fig7": ["7"], "crossfit_p0_figS2": ["S2"],
+    "intersect_power_figS3": ["S3"], "hybrid_cases_figS4": ["S4"],
+}
+
+
+def test_alpha_figures_are_the_presets_with_an_alpha_axis():
+    assert set(_ALPHA_FIGURES) == {eid for eid in engine.EXPERIMENT_IDS
+                                   if "alpha" in engine._cell_schema(eid)}
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "nan", "0", "-0.1"])
+@pytest.mark.parametrize("experiment_id", sorted(_ALPHA_FIGURES))
+def test_alpha_outside_unit_interval_exits_2_before_the_run(tmp_path, capsys, experiment_id, alpha):
+    """Such an alpha used to run every cell to an ``error:DomainError`` row
+    and exit 0.  Through ``figure --alpha`` and through a spec-file grid,
+    the spec now refuses it with the message of the regions check."""
+    out = tmp_path / "fig.csv"
+    argv = [*_ALPHA_FIGURES[experiment_id], "--alpha", alpha]
+    assert main(["figure", *argv, "--workers", "1", "--out", str(out)]) == 2
+    assert f"grid cell 0: alpha must lie in (0, 1), got {float(alpha)}" in capsys.readouterr().err
+    cell = dict(engine.build_spec(experiment_id, 1).grid[0], alpha=float(alpha))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment_id": experiment_id, "seed": 1, "grid": [cell]}))
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 2
+    assert "grid cell 0: alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("figure", ["7", "S4"])
+def test_odd_n_for_a_subsampled_annulus_test_exits_2(tmp_path, capsys, figure):
+    """fig7's subsampled cells and every S4 cell split n in halves; n = 999
+    used to run to ``ok`` rows on parts of 500 and 499 points."""
+    out = tmp_path / "fig.csv"
+    assert main(["figure", figure, "--n", "999", "--workers", "1", "--out", str(out)]) == 2
+    assert "require even n, got n = 999" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, code", [("subsampled_split", 2), ("subsampled_hybrid", 2),
+                                          ("intersection", 0), ("intersection_exact", 0)])
+def test_spec_file_fig7_cell_at_odd_n(tmp_path, capsys, method, code):
+    """A spec-file cell at odd n: refused for the subsampled tests, run for
+    the intersection tests, which need no split."""
+    cell = {"method": method, "d": 2, "n": 999, "alpha": 0.1, "theta_norm": 0.5, "B": 2,
+            "reps": 4}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment_id": "doughnut_fig7", "seed": 1, "grid": [cell]}))
+    out = tmp_path / "rows.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == code
+    if code:
+        assert "grid cell 0: subsampled annulus tests require even n" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert [row["status"] for row in csv.DictReader(open(out))] == ["ok"]
 
 
 def test_figure_bad_ulrt_workers_exits_2(tmp_path, monkeypatch, capsys):

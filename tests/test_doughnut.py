@@ -320,6 +320,18 @@ def test_subsampled_requires_even_n():
         subsampled_doughnut_test(sample, AnnulusNull(), 0.1, 10, "split", RngStream(50))
 
 
+def test_mc_reducer_refuses_odd_n_for_the_subsampled_tests():
+    """The Monte Carlo reducers refuse what ``subsampled_doughnut_test``
+    refuses: at n = 999 the parts hold 500 and 499 points, and the
+    statistic scales by n/4.  The intersection test takes any n."""
+    for method in ("subsampled_split", "subsampled_hybrid"):
+        with pytest.raises(DomainError, match="require even n, got n = 999"):
+            mc_reducer(method, 999, 500, 2, 0.1, AnnulusNull())
+    intersect = mc_reducer("intersection", 999, 500, 2, 0.1, AnnulusNull())
+    means = np.zeros((3, 1, 2))
+    assert intersect(means, means)["reject"].shape == (3,)
+
+
 def test_subsampled_kind_validation():
     sample = data.sample_gaussian(100, 2, [0.0, 0.0], RngStream(51))
     with pytest.raises(DomainError):

@@ -127,6 +127,17 @@ def test_mc_power_refuses_non_finite_theta(theta):
         mc_power("split", [theta], 100, 0.1, reps=50, rng=RngStream(1))
 
 
+@pytest.mark.parametrize("counts", [dict(reps=2.5), dict(B=2.5), dict(reps=True), dict(B="3"),
+                                    dict(reps=np.float64(10.0))],
+                         ids=["reps-float", "B-float", "reps-bool", "B-str", "reps-numpy-float"])
+def test_mc_power_refuses_non_integer_counts(counts):
+    """A count that is not an integer is a DomainError, as one below 1 is,
+    not a TypeError from deep inside the run."""
+    args = dict(reps=10, B=2, rng=RngStream(1)) | counts
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        mc_power("subsampling", [0.0, 0.0], 100, 0.1, **args)
+
+
 def test_mc_power_argument_validation():
     with pytest.raises(DomainError):
         mc_power("bogus", [0.0], 100, 0.1, reps=10, rng=RngStream(1))

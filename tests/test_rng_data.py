@@ -123,7 +123,7 @@ def _bits(z):
 def _polar_trials(keys, count):
     """The raw ``(out, s)`` of the trial scan on the path ``_kernels`` picks."""
     out, s = np.empty((keys.size, count)), np.empty((keys.size, (count + 1) // 2))
-    _kernels._polar_trials(keys, count, out, s)
+    _kernels._lib().polar(keys, count, out, s)
     return out, s
 
 
@@ -609,6 +609,24 @@ _REFUSING_LIBRARY = SimpleNamespace(
     polar=_refuse_foreign_call,
     split_log_values=_refuse_foreign_call,
 )
+
+
+def test_twins_have_the_compiled_module_s_method_names():
+    """``_TWINS`` holds a twin for each method of the compiled module and
+    nothing else, so a C method cannot land without its twin."""
+    lib = _kernels._compiled()
+    if lib is None:
+        pytest.skip("no compiled module")
+    assert {name for name in dir(lib) if not name.startswith("_")} == set(vars(_kernels._TWINS))
+    assert len(vars(_kernels._TWINS)) == 7
+
+
+def test_lib_is_the_one_switch(monkeypatch):
+    """``_lib()`` is the loaded module, or ``_TWINS`` when none loads."""
+    monkeypatch.setattr(_kernels, "_loaded", [None])
+    assert _kernels._lib() is _kernels._TWINS
+    monkeypatch.setattr(_kernels, "_loaded", [_REFUSING_LIBRARY])
+    assert _kernels._lib() is _REFUSING_LIBRARY
 
 
 @pytest.mark.parametrize("n,k", [(10, 11), (10, -1), (2**31, 1), (10.0, 5), (10, 5.0)])

@@ -482,8 +482,8 @@ def test_compiled_lgamma_is_math_lgamma():
     for case in cases[:3]:
         a = case[2]
         g = math.exp(-case[3] + (a + 2) * case[4] - math.lgamma(a + 2 + 1.0))
-        assert _kernels._python_noncentral_mixture(*case) == 3.0 * g / 4.0
-    pairs = _on_both_paths(_kernels._noncentral_mixture, cases)
+        assert _kernels._TWINS.noncentral_mixture(*case) == 3.0 * g / 4.0
+    pairs = _on_both_paths(lambda *c: _kernels._lib().noncentral_mixture(*c), cases)
     assert [case[3] for case, (compiled, twin) in zip(cases, pairs) if compiled != twin] == []
 
 
