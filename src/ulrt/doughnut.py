@@ -11,8 +11,10 @@ Three valid approaches are implemented:
   boundary-projection (RIPR) ratio outside the outer sphere.
 
 The exact power of the intersection test is in closed form for the default
-radii.  :func:`mc_reducer` decides the three tests for the Monte Carlo
-engine, through the same batched statistics as the scalar API.
+radii.  The statistics read a split through four numbers, its
+:class:`_SplitForms`, which a shift along ``e_1`` moves in O(1).
+:func:`mc_reducer` decides the three tests for the Monte Carlo engine on
+those forms, through the same functions as the scalar API.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,16 +81,15 @@ def project_to_annulus(y, null: AnnulusNull = AnnulusNull()) -> np.ndarray:
 def intersection_test(sample: SampleSet, null: AnnulusNull, alpha: float) -> bool:
     """Reject when the classical sphere does not meet the annulus."""
     quantile = specfun.chi2_upper_quantile(alpha, sample.d)
-    return bool(_intersection_rejects(sample.mean[None], sample.n, null, quantile)[0])
+    return bool(_sq_gap(sq_norm(sample.mean), null) > quantile / sample.n)
 
 
-def _intersection_rejects(
-    means: np.ndarray, n: int, null: AnnulusNull, quantile: float
-) -> np.ndarray:
-    """Intersection-test rejections of a ``(C, d)`` stack of sample means."""
-    norms = np.sqrt(sq_norm(means))
-    gap = np.maximum(np.maximum(null.r_in - norms, norms - null.r_out), 0.0)
-    return gap * gap > quantile / n
+def _sq_gap(sq_norms: np.ndarray, null: AnnulusNull) -> np.ndarray:
+    """Squared distances to the annulus from points of squared norms
+    ``sq_norms``; the distance is radial, so the origin needs no direction."""
+    norms = np.sqrt(sq_norms)
+    gap = norms - np.clip(norms, null.r_in, null.r_out)
+    return gap * gap
 
 
 def intersection_power_exact(theta_norm: float, n: int, d: int, alpha: float) -> float:
@@ -110,79 +111,86 @@ def intersection_power_exact(theta_norm: float, n: int, d: int, alpha: float) ->
     return min(max(value, 0.0), 1.0)
 
 
-def _check_half_split(pair: SplitPair, n: int) -> None:
+class _SplitForms(NamedTuple):
+    """Splits ``(a, c) = (mean0, mean1)`` as the annulus statistics read
+    them, one entry per split: ``aa = ||a||^2``, ``cc = ||c||^2``, ``dd =
+    ||a - c||^2``, ``ac = a.c``, and the first coordinates ``a1`` and ``c1``
+    that a shift along ``e_1`` needs."""
+
+    aa: np.ndarray
+    cc: np.ndarray
+    dd: np.ndarray
+    ac: np.ndarray
+    a1: np.ndarray
+    c1: np.ndarray
+
+    def shifted(self, t: float) -> "_SplitForms":
+        """The forms of ``(a + t e_1, c + t e_1)``.  The squared norms are
+        clamped at 0: near ``a_1 = -t`` the shift of forms that were already
+        shifted can round below it."""
+        return _SplitForms(
+            np.maximum(self.aa + t * (2.0 * self.a1 + t), 0.0),
+            np.maximum(self.cc + t * (2.0 * self.c1 + t), 0.0),
+            self.dd,
+            self.ac + t * (self.a1 + self.c1) + t * t,
+            self.a1 + t, self.c1 + t,
+        )
+
+
+def _split_forms(mean0: np.ndarray, mean1: np.ndarray) -> _SplitForms:
+    """The forms of ``(..., d)`` split means, one per split."""
+    return _SplitForms(sq_norm(mean0), sq_norm(mean1), sq_norm(mean0, mean1),
+                       np.add.reduce(mean0 * mean1, axis=-1), mean0[..., 0], mean1[..., 0])
+
+
+def _pair_forms(pair: SplitPair, n: int) -> _SplitForms:
+    """The forms of ``pair``, one half split of ``n`` points."""
     _check_pair(pair, n)
     if pair.m0 != pair.m1:
         raise DomainError("annulus tests are defined for half splits (p0 = 0.5, even n)")
+    return _split_forms(pair.mean0, pair.mean1)
 
 
 def doughnut_split_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> float:
     """Log split statistic against the annulus null MLE:
     ``(n/4) (||mean0 - proj(mean0)||^2 - ||mean0 - mean1||^2)``."""
-    _check_half_split(pair, n)
-    return float(_split_case_log_values(pair.mean0[0], pair.mean1[0], n, null))
+    return float(_split_case_log_values(_pair_forms(pair, n), n, null)[0])
 
 
 def doughnut_ripr_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> float:
     """Log boundary-projection (RIPR) statistic, defined for ``||mean1|| > r_out``:
     ``(n/4) (||mean0 - r_out mean1 / ||mean1||||^2 - ||mean0 - mean1||^2)``."""
-    _check_half_split(pair, n)
-    norm1 = math.sqrt(float(sq_norm(pair.mean1[0])))
-    if norm1 <= null.r_out:
-        raise DomainError(
-            f"RIPR statistic requires ||mean1|| > r_out = {null.r_out}, got {norm1}"
-        )
-    return float(_ripr_case_log_values(pair.mean0[0], pair.mean1[0], n, null))
+    forms = _pair_forms(pair, n)
+    values, cases = _hybrid_log_values(forms, n, null)
+    if cases[0] != 2:
+        raise DomainError(f"RIPR statistic requires ||mean1|| > r_out = {null.r_out}, "
+                          f"got {math.sqrt(forms.cc[0])}")
+    return float(values[0])
 
 
-def hybrid_log_statistic(
-    pair: SplitPair, n: int, null: AnnulusNull
-) -> tuple[float, HybridCase]:
+def hybrid_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> tuple[float, HybridCase]:
     """Case-selected hybrid statistic and its case tag."""
-    _check_half_split(pair, n)
-    values, cases = _hybrid_log_values(pair.mean0, pair.mean1, n, null)
+    values, cases = _hybrid_log_values(_pair_forms(pair, n), n, null)
     return float(values[0]), list(HybridCase)[cases[0]]
 
 
-def _split_case_log_values(
-    mean0: np.ndarray, mean1: np.ndarray, n: int, null: AnnulusNull
-) -> np.ndarray:
-    """Vectorized split statistics; the projection distance is radial, so the
-    zero-mean degenerate case needs no direction."""
-    norm0 = np.sqrt(sq_norm(mean0))
-    proj_gap = norm0 - np.clip(norm0, null.r_in, null.r_out)
-    delta = sq_norm(mean0, mean1)
-    return 0.25 * n * (proj_gap * proj_gap - delta)
-
-
-def _ripr_case_log_values(
-    mean0: np.ndarray, mean1: np.ndarray, n: int, null: AnnulusNull
-) -> np.ndarray:
-    """Vectorized RIPR statistics, for split means with ``||mean1|| > r_out``."""
-    norm1 = np.sqrt(sq_norm(mean1))
-    anchor = mean1 * (null.r_out / norm1)[..., None]
-    return 0.25 * n * (sq_norm(mean0, anchor) - sq_norm(mean0, mean1))
+def _split_case_log_values(forms: _SplitForms, n: int, null: AnnulusNull) -> np.ndarray:
+    """Split statistics of split forms."""
+    return 0.25 * n * (_sq_gap(forms.aa, null) - forms.dd)
 
 
 def _hybrid_log_values(
-    mean0: np.ndarray, mean1: np.ndarray, n: int, null: AnnulusNull
+    forms: _SplitForms, n: int, null: AnnulusNull
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized hybrid statistics and integer case codes (0 split, 1 unit,
-    2 ripr) for stacks of split means."""
-    norm1 = np.sqrt(sq_norm(mean1))
-    values = np.zeros(norm1.shape)
-    cases = np.ones(norm1.shape, dtype=np.int8)
-    split_mask = norm1 < null.r_in
-    ripr_mask = norm1 > null.r_out
-    cases[split_mask] = 0
-    cases[ripr_mask] = 2
-    if np.any(split_mask):
-        values[split_mask] = _split_case_log_values(
-            mean0[split_mask], mean1[split_mask], n, null
-        )
-    if np.any(ripr_mask):
-        values[ripr_mask] = _ripr_case_log_values(mean0[ripr_mask], mean1[ripr_mask], n, null)
-    return values, cases
+    """Hybrid statistics and integer case codes (0 split, 1 unit, 2 RIPR) of
+    split forms.  The RIPR anchor is ``r c / ||c||``, ``r = r_out``, at squared
+    distance ``||a||^2 - 2 r a.c / ||c|| + r^2`` from ``a``; flooring ``||c||``
+    at ``r`` changes no RIPR value and keeps the other cases from dividing by 0."""
+    norm1, r = np.sqrt(forms.cc), null.r_out
+    cases = (norm1 >= null.r_in).astype(np.int8) + (norm1 > r)
+    ripr = 0.25 * n * (forms.aa - 2.0 * r * forms.ac / np.maximum(norm1, r) + r * r - forms.dd)
+    split_case = _split_case_log_values(forms, n, null)
+    return np.select([cases == 0, cases == 2], [split_case, ripr]), cases
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,17 +206,6 @@ class DoughnutTestResult:
     case_fractions: tuple[float, float, float]
     log_values: np.ndarray
     cases: np.ndarray
-
-
-def _subsampled_log_values(
-    mean0: np.ndarray, mean1: np.ndarray, n: int, null: AnnulusNull, hybrid: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-split log statistics and case codes of the subsampled hybrid test,
-    or of the split test (every code 0), over ``(..., B, d)`` split means."""
-    if hybrid:
-        return _hybrid_log_values(mean0, mean1, n, null)
-    values = _split_case_log_values(mean0, mean1, n, null)
-    return values, np.zeros(values.shape, dtype=np.int8)
 
 
 def subsampled_doughnut_test(
@@ -230,7 +227,12 @@ def subsampled_doughnut_test(
     n = sample.n
     _check_even_n(n)
     splits = subsample_splits(sample, B, 0.5, rng)
-    values, cases = _subsampled_log_values(splits.mean0, splits.mean1, n, null, kind == "hybrid")
+    forms = _split_forms(splits.mean0, splits.mean1)
+    if kind == "hybrid":
+        values, cases = _hybrid_log_values(forms, n, null)
+    else:
+        values = _split_case_log_values(forms, n, null)
+        cases = np.zeros(values.shape, dtype=np.int8)
     fractions = tuple(float(np.mean(cases == c)) for c in (0, 1, 2))
     reject = bool(log_mean_exp(values) >= log_threshold(alpha))
     return DoughnutTestResult(reject, fractions, values, cases)
@@ -248,27 +250,32 @@ _CASE_FRACTIONS = ("frac_split_case", "frac_unit_case", "frac_ripr_case")
 
 def mc_reducer(
     method: str, n: int, k: int, d: int, alpha: float, null: AnnulusNull
-) -> Callable[[np.ndarray, np.ndarray], dict]:
-    """``reduce(mean0, mean1)`` deciding the Monte Carlo test ``method`` over
-    the ``(C, B, d)`` part means (``k`` and ``n - k`` points) of ``C``
-    replications: ``reject`` per replication, and for ``subsampled_hybrid``
-    the share of its ``B`` splits in each case."""
+) -> Callable[[_SplitForms], dict]:
+    """``reduce(forms)`` deciding the Monte Carlo test ``method`` on the
+    ``(C, B)`` forms (:func:`_split_forms`) of the ``(C, B, d)`` part means
+    (``k`` and ``m = n - k`` points) of ``C`` replications: ``reject`` per
+    replication, and for ``subsampled_hybrid`` the share of its ``B`` splits
+    in each case.  The intersection test reads the first split's sample mean,
+    of squared norm ``(k^2 aa + 2 k m ac + m^2 cc) / n^2``."""
     if method not in _ANNULUS_TESTS:
         raise DomainError(f"unknown annulus test {method!r}")
     if method == "intersection":
-        quantile = specfun.chi2_upper_quantile(alpha, d)
+        quantile, m = specfun.chi2_upper_quantile(alpha, d), n - k
 
-        def intersect(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-            means = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
-            return {"reject": _intersection_rejects(means, n, null, quantile).astype(np.float64)}
+        def intersect(forms: _SplitForms) -> dict:
+            sq = np.maximum(k * k * forms.aa + 2 * k * m * forms.ac + m * m * forms.cc, 0.0)
+            return {"reject": (_sq_gap(sq[:, 0] / (n * n), null) > quantile / n).astype(np.float64)}
 
         return intersect
     _check_even_n(n)
     thresh = log_threshold(alpha)
     hybrid = method == "subsampled_hybrid"
 
-    def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-        values, cases = _subsampled_log_values(mean0, mean1, n, null, hybrid)
+    def reduce(forms: _SplitForms) -> dict:
+        if hybrid:
+            values, cases = _hybrid_log_values(forms, n, null)
+        else:
+            values = _split_case_log_values(forms, n, null)
         out = {"reject": (log_mean_exp(values, axis=1) >= thresh).astype(np.float64)}
         if hybrid:
             out.update({name: (cases == c).mean(axis=1) for c, name in enumerate(_CASE_FRACTIONS)})

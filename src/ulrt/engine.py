@@ -16,10 +16,10 @@ draws the data: a single-split (B = 1) cell draws only its two part means
 the full ``n``-by-``d`` dataset, or from ``data._EXACT_MIN_D`` coordinates on
 the normals of its split sums' exact law; its splits descend from substream
 1.  The Monte Carlo annulus cells of fig7, S3 and S4 draw at theta = 0 and
-add their own theta to the split means (:func:`_exec_group`); the B > 1
-cells of one power curve form a draw group (:func:`_draw_groups`), one task
-whose draw, on the stream of its first cell, serves every cell of the group
-(common random numbers).  The engine lays out cells and shapes rows; the
+shift the split forms of the draw by their own theta (:func:`_exec_group`);
+the B > 1 cells of one power curve form a draw group (:func:`_draw_groups`),
+one task whose draw, on the stream of its first cell, serves every cell of
+the group (common random numbers).  The engine lays out cells and shapes rows; the
 statistics come from the library, and the annulus tests are decided by
 :func:`ulrt.doughnut.mc_reducer`.
 
@@ -312,11 +312,12 @@ def _cell_schema(experiment_id: str) -> dict[str, str]:
 def _check_cells(experiment_id: str, grid) -> None:
     """Refuse, before any cell runs, a cell that lacks one of the preset's
     axes or gives one a value of the wrong type (``bool`` is no number), an
-    ``alpha`` outside (0, 1), and data that cannot be split: fewer than two
-    observations, a ``p0`` that leaves a part empty, or an odd ``n`` for a
-    subsampled annulus test.  Keys beyond the axes are kept: they become CSV
-    columns that label the cell's rows, and a misspelled axis still fails as
-    a missing one."""
+    ``alpha`` outside (0, 1), a negative or non-finite ``n_theta_sq`` (fig6)
+    or ``theta_norm`` (fig7, S3, S4), and data that cannot be split: fewer
+    than two observations, a ``p0`` that leaves a part empty, or an odd
+    ``n`` for a subsampled annulus test.  Keys beyond the axes are kept:
+    they become CSV columns that label the cell's rows, and a misspelled
+    axis still fails as a missing one."""
     schema, annulus = _cell_schema(experiment_id), PRESETS[experiment_id].annulus
     for i, cell in enumerate(grid):
         if not isinstance(cell, dict):
@@ -336,6 +337,9 @@ def _check_cells(experiment_id: str, grid) -> None:
                 rg._check_alpha(cell["alpha"])
             if "p0" in schema:
                 part_size(cell["n"], cell["p0"])
+            for axis in ("n_theta_sq", "theta_norm"):
+                if axis in schema and not 0.0 <= cell[axis] < math.inf:
+                    raise DomainError(f"{axis} must be finite and >= 0, got {cell[axis]}")
             if annulus is not None and annulus.method(cell) in _SUBSAMPLED:
                 dn._check_even_n(cell["n"])
         except DomainError as exc:
@@ -377,24 +381,15 @@ def _grid_fig5(p: dict) -> list[dict]:
 
 
 def _grid_fig6(p: dict) -> list[dict]:
-    cells = []
-    for d in p["ds"]:
-        for lam in p["lambdas"]:
-            for test, method in (
-                ("classical", "exact"),
-                ("classical", "approx"),
-                ("subsampling_limit", "exact"),
-                ("subsampling_limit", "approx"),
-                ("split", "mc"),
-                ("crossfit", "mc"),
-            ):
-                cells.append(
-                    dict(
-                        test=test, method=method, d=d, n=p["n"], alpha=p["alpha"],
-                        n_theta_sq=float(lam), reps=int(p["reps"]), B=int(p["B"]),
-                    )
-                )
-    return cells
+    return [
+        dict(test=test, method=method, d=d, n=p["n"], alpha=p["alpha"], n_theta_sq=float(lam),
+             reps=int(p["reps"]))
+        for d in p["ds"]
+        for lam in p["lambdas"]
+        for test, method in (("classical", "exact"), ("classical", "approx"),
+                             ("subsampling_limit", "exact"), ("subsampling_limit", "approx"),
+                             ("split", "mc"), ("crossfit", "mc"))
+    ]
 
 
 _FIG7_METHODS = ("intersection", "intersection_exact", "subsampled_split", "subsampled_hybrid")
@@ -599,10 +594,8 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     if method != "mc":
         raise DomainError(f"power_fig6 test {test!r} has no method {method!r}")
     theta = math.sqrt(theta_sq / d) * np.ones(d)
-    est = pw.mc_power(
-        test, theta, n, alpha, B=cell["B"], reps=cell["reps"],
-        rng=ctx.cell_stream(ci), workers=ctx.workers, dump=ctx.cell_dump(ci),
-    )
+    est = pw.mc_power(test, theta, n, alpha, reps=cell["reps"], rng=ctx.cell_stream(ci),
+                      workers=ctx.workers, dump=ctx.cell_dump(ci))
     return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, cell["reps"])]
 
 
@@ -628,10 +621,10 @@ def _exec_group(ctx: _RunContext, cis: tuple[int, ...]) -> dict[int, list[Summar
     single cell, all decided on one draw at theta = 0 from the stream of the
     first cell (common random numbers).  The split subsets do not depend on
     the data, so the split means at theta are those at 0 plus theta in law:
-    each cell in turn adds its own ``theta_norm * e_1`` to a chunk's ``(C,
-    B, d)`` means and folds its own accumulators.  A cell whose test raises
-    a ``NumericError`` or ``DomainError`` gets its error row and the others
-    keep theirs."""
+    each cell decides its test on the split forms of a chunk's ``(C, B, d)``
+    means shifted by its own ``theta_norm * e_1``, and folds its own
+    accumulators.  A cell whose test raises a ``NumericError`` or
+    ``DomainError`` gets its error row and the others keep theirs."""
     grid, annulus = ctx.spec.grid, PRESETS[ctx.spec.experiment_id].annulus
     n, d, reps = grid[cis[0]]["n"], grid[cis[0]]["d"], grid[cis[0]]["reps"]
     k = part_size(n, 0.5)
@@ -641,8 +634,6 @@ def _exec_group(ctx: _RunContext, cis: tuple[int, ...]) -> dict[int, list[Summar
         try:
             if method is None:
                 raise DomainError(f"{ctx.spec.experiment_id} has no method {cell['method']!r}")
-            if not math.isfinite(cell["theta_norm"]):
-                raise DomainError("theta must be finite")
             tests[ci] = (dn.mc_reducer(method, n, k, d, cell["alpha"], dn.AnnulusNull()),
                          cell["theta_norm"])
             B = cell["B"] if method in _SUBSAMPLED else 1
@@ -650,18 +641,13 @@ def _exec_group(ctx: _RunContext, cis: tuple[int, ...]) -> dict[int, list[Summar
             failed[ci] = exc
 
     def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-        # theta moves the first coordinate only: each cell rewrites that
-        # column in place from a copy, so no (C, B, d) temporary is made, and
-        # the other columns, drawn at 0 (never -0.0), are what adding 0 gives
-        first0, first1 = mean0[..., 0].copy(), mean1[..., 0].copy()
+        forms = dn._split_forms(mean0, mean1)
         out = {}
         for ci, (one, theta_norm) in tests.items():
             if ci in failed:
                 continue
-            np.add(first0, theta_norm, out=mean0[..., 0])
-            np.add(first1, theta_norm, out=mean1[..., 0])
             try:
-                values = one(mean0, mean1)
+                values = one(forms.shifted(theta_norm))
             except (NumericError, DomainError) as exc:
                 failed.setdefault(ci, exc)
                 continue
@@ -775,7 +761,7 @@ PRESETS = {
         ds=(2, 10, 100), n=1000, alpha=0.1, reps=10000,
     )),
     "power_fig6": Preset("6", _grid_fig6, _exec_fig6, dict(
-        ds=(1, 2), n=1000, alpha=0.1, reps=1000, B=100,
+        ds=(1, 2), n=1000, alpha=0.1, reps=1000,
         lambdas=(0.0, 2.0, 4.0, 8.0, 15.0, 25.0, 40.0, 60.0),
     )),
     "doughnut_fig7": Preset("7", _grid_fig7, _exec_annulus, dict(

@@ -179,9 +179,10 @@ def test_figure_reproducible_across_workers(tmp_path):
         (["3", "--d", "2", "--reps", "0"], "needs reps >= 1"),
         (["7", "--d", "2", "--reps", "5", "--B", "0"], "needs B >= 1"),
         (["2", "--n", "0"], "needs n >= 1"),
+        (["6", "--d", "1", "--reps", "5", "--B", "7"], "does not take --B"),
     ],
     ids=["fig1-single-d", "fig1-two-d", "fig2-n", "fig4-reps", "fig3-reps-0", "fig7-B-0",
-         "fig2-n-0"],
+         "fig2-n-0", "fig6-B"],
 )
 def test_figure_flags_map_to_preset_axes(tmp_path, capsys, argv, expected):
     out = tmp_path / "fig.csv"
@@ -261,6 +262,28 @@ def test_alpha_outside_unit_interval_exits_2_before_the_run(tmp_path, capsys, ex
     spec.write_text(json.dumps({"experiment_id": experiment_id, "seed": 1, "grid": [cell]}))
     assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 2
     assert "grid cell 0: alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["7", "--theta-norms=-0.5"], "theta_norm must be finite and >= 0, got -0.5"),
+        (["S3", "--theta-norms", "nan"], "theta_norm must be finite and >= 0, got nan"),
+        (["S4", "--theta-norms", "0.5,inf"], "theta_norm must be finite and >= 0, got inf"),
+        (["6", "--lambdas=-1", "--d", "1", "--reps", "10"],
+         "n_theta_sq must be finite and >= 0, got -1.0"),
+        (["6", "--lambdas", "nan"], "n_theta_sq must be finite and >= 0, got nan"),
+    ],
+    ids=["fig7-negative", "S3-nan", "S4-inf", "fig6-negative", "fig6-nan"],
+)
+def test_bad_theta_exits_2_before_the_run(tmp_path, capsys, argv, message):
+    """A negative or non-finite theta used to run: fig7 at -0.5 wrote ``ok``
+    rows for the shift by -0.5 e_1, S3 at NaN wrote only error rows, and
+    fig6 at lambda = -1 ended in a ``ValueError`` traceback."""
+    out = tmp_path / "fig.csv"
+    assert main(["figure", *argv, "--workers", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

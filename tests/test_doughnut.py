@@ -19,6 +19,7 @@ from ulrt.doughnut import (
     mc_reducer,
     project_to_annulus,
     subsampled_doughnut_test,
+    _split_forms,
 )
 from ulrt.errors import DegenerateDirectionError, DomainError, NumericError
 from ulrt.rng import RngStream
@@ -278,6 +279,54 @@ def test_hybrid_degenerate_mean0_is_total():
 
 
 # ---------------------------------------------------------------------------
+# split forms
+# ---------------------------------------------------------------------------
+
+#: A shifted form is within FORMS_EPS * (1 + ||a||^2 + ||c||^2 + t^2) of the
+#: form of the shifted means: 16 units of 2^-52 (the worst seen is about 3).
+FORMS_EPS = 16 * 2.0**-52
+
+
+def _shift(means, t):
+    return means + np.eye(means.shape[-1])[0] * t
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 1.1, 1.5])
+@pytest.mark.parametrize("d", [1, 2, 10, 100])
+def test_shifted_forms_are_the_forms_of_the_shifted_means(d, t):
+    rng = np.random.default_rng(1000 + d)
+    a, c = rng.normal(size=(2, 7, 5, d)) * rng.uniform(0.05, 3.0, size=(2, 7, 5, 1))
+    forms = _split_forms(a, c)
+    shifted, direct = forms.shifted(t), _split_forms(_shift(a, t), _shift(c, t))
+    tol = FORMS_EPS * (1.0 + forms.aa + forms.cc + t * t)
+    for name, got, want in zip(forms._fields, shifted, direct):
+        assert got.shape == (7, 5), name
+        assert np.all(np.abs(got - want) <= tol), name
+    if t == 0.0:
+        assert all(got.tobytes() == want.tobytes() for got, want in zip(shifted, forms))
+
+
+@pytest.mark.parametrize("t", [0.25, 1.1, 1.5])
+def test_shifted_squared_norms_are_clamped_at_zero(t):
+    """With a = -t e_1 up to 1e-12, ||a + t e_1||^2 ~ 1e-24 is below the
+    rounding.  One shift of the forms of a cannot go below 0 (rounding is
+    monotone), but the forms of a shifted by s and then by u = t - s can:
+    ||a||^2 + u(2 a_1 + u) is negative on some splits, where the clamp gives
+    0, never NaN."""
+    rng = np.random.default_rng(7)
+    a = np.zeros((50, 4, 3))
+    a[..., 0] = -t + rng.normal(size=(50, 4)) * 1e-12
+    negative = 0
+    for first in (0.1, 0.7, 1.3):
+        forms, u = _split_forms(a, -a).shifted(first), t - first
+        negative += np.count_nonzero(forms.aa + u * (2.0 * forms.a1 + u) < 0.0)
+        shifted = forms.shifted(u)
+        assert np.all(shifted.aa >= 0.0) and not np.any(np.isnan(np.sqrt(shifted.aa)))
+        assert np.all(shifted.aa <= FORMS_EPS * (1.0 + 2.0 * (t * t + first * first)))
+    assert negative > 0
+
+
+# ---------------------------------------------------------------------------
 # subsampled tests
 # ---------------------------------------------------------------------------
 
@@ -329,7 +378,7 @@ def test_mc_reducer_refuses_odd_n_for_the_subsampled_tests():
             mc_reducer(method, 999, 500, 2, 0.1, AnnulusNull())
     intersect = mc_reducer("intersection", 999, 500, 2, 0.1, AnnulusNull())
     means = np.zeros((3, 1, 2))
-    assert intersect(means, means)["reject"].shape == (3,)
+    assert intersect(_split_forms(means, means))["reject"].shape == (3,)
 
 
 def test_subsampled_kind_validation():

@@ -90,7 +90,7 @@ def test_failing_pooled_cell_keeps_its_error_row_and_every_other_row(monkeypatch
         if (method, d) != ("subsampled_split", 3):
             return reduce
 
-        def fail(mean0, mean1):
+        def fail(forms):
             raise NumericError("injected")
         return fail
 
@@ -337,12 +337,22 @@ def test_rows_to_csv_writes_numpy_scalars_as_python_values(tmp_path):
     )
 
 
-def test_non_finite_theta_cells_become_error_rows():
-    fig6 = run(build_spec("power_fig6", 2, ds=[2], lambdas=[math.nan], reps=20))
-    assert len(fig6) == 6
-    assert all(row.status == "error:DomainError" for row in fig6)
-    s4 = run(build_spec("hybrid_cases_figS4", 2, ds=[2], theta_norms=[math.nan], B=3, reps=5))
-    assert [row.status for row in s4] == ["error:DomainError"]
+def test_non_finite_theta_cells_are_refused_before_the_run():
+    """Such cells used to run to ``error:DomainError`` rows."""
+    with pytest.raises(DomainError, match="grid cell 0: n_theta_sq must be finite and >= 0, got nan"):
+        build_spec("power_fig6", 2, ds=[2], lambdas=[math.nan], reps=20)
+    with pytest.raises(DomainError, match="grid cell 0: theta_norm must be finite and >= 0, got nan"):
+        build_spec("hybrid_cases_figS4", 2, ds=[2], theta_norms=[math.nan], B=3, reps=5)
+
+
+def test_fig6_cells_do_not_read_b():
+    """A ``B`` key in a fig6 cell is a label column: the rows are those of
+    the cell without it."""
+    grid = build_spec("power_fig6", 4, ds=[2], lambdas=[0.0, 8.0], reps=30).grid
+    plain = run(ExperimentSpec("power_fig6", grid, 4))
+    labelled = run(ExperimentSpec("power_fig6", tuple(dict(cell, B=7) for cell in grid), 4))
+    assert [row.cell.pop("B") for row in labelled] == [7] * len(grid)
+    assert labelled == plain
 
 
 def test_rows_to_csv_requires_rows(tmp_path):

@@ -134,19 +134,21 @@ def _groups(experiment_id, grid):
 
 
 def _alone(ctx, stream_ci, cell, shifted=True):
-    """``cell``'s test run alone on cell ``stream_ci``'s stream: on a draw at
-    theta = 0 with the cell's theta added, or (``shifted=False``) on a draw
-    at the cell's own theta.  Its accumulators and dumped values."""
+    """``cell``'s test run alone on cell ``stream_ci``'s stream: on the forms
+    of a draw at theta = 0 with the cell's theta added to its means, or
+    (``shifted=False``) on the forms of a draw at the cell's own theta.  Its
+    accumulators and dumped values."""
     n, d = cell["n"], cell["d"]
     k = data.part_size(n, 0.5)
     reduce = engine.dn.mc_reducer(cell.get("method", "subsampled_hybrid"), n, k, d, cell["alpha"],
                                   engine.dn.AnnulusNull())
     theta = np.zeros(d)
     theta[0] = cell["theta_norm"]
+    shift = theta if shifted else 0.0
     dumped: list = []
     acc = engine._replicate(
         ctx.cell_stream(stream_ci), cell["reps"], n, k, np.zeros(d) if shifted else theta, cell["B"],
-        (lambda mean0, mean1: reduce(mean0 + theta, mean1 + theta)) if shifted else reduce,
+        lambda mean0, mean1: reduce(engine.dn._split_forms(mean0 + shift, mean1 + shift)),
         ctx.workers, lambda name, lo, values: dumped.append((name, lo, values)),
     )
     return acc, dumped
@@ -282,7 +284,7 @@ def test_a_failing_method_of_a_pair_leaves_the_other_row(monkeypatch):
         if method != "subsampled_hybrid":
             return reducer(method, *args)
 
-        def fail(mean0, mean1):
+        def fail(forms):
             raise DomainError("injected")
         return fail
 
@@ -298,22 +300,24 @@ def test_a_failing_method_of_a_pair_leaves_the_other_row(monkeypatch):
 @pytest.mark.parametrize("experiment_id", ["doughnut_fig7", "hybrid_cases_figS4"])
 def test_a_failing_cell_leaves_the_other_rows_of_its_group(experiment_id, monkeypatch):
     """The hybrid test fails only at theta = 1.2, where its shifted means
-    average about 1.2 in the first coordinate, and a cell with a non-finite
-    theta fails before the draw: both get error rows, and every other cell
-    of their group keeps its row."""
+    average about 1.2 in the first coordinate: it gets an error row, and
+    every other cell of its group keeps its row.  A cell with a non-finite
+    theta is refused before the run."""
     grid = engine.build_spec(experiment_id, 81, ds=[2], n=60, theta_norms=[0.0, 0.5, 1.2], B=4,
                              reps=600).grid
-    spec = engine.ExperimentSpec(experiment_id, grid + (dict(grid[-1], theta_norm=math.inf),), 81)
+    with pytest.raises(DomainError, match="theta_norm must be finite and >= 0, got inf"):
+        engine.ExperimentSpec(experiment_id, grid + (dict(grid[-1], theta_norm=math.inf),), 81)
+    spec = engine.ExperimentSpec(experiment_id, grid, 81)
     expected = _cell_rows(engine.run(spec, workers=2))
     reducer = engine.dn.mc_reducer
 
     def failing(method, *args):
         reduce = reducer(method, *args)
 
-        def maybe_fail(mean0, mean1):
-            if method == "subsampled_hybrid" and mean0[..., 0].mean() > 0.85:
+        def maybe_fail(forms):
+            if method == "subsampled_hybrid" and forms.a1.mean() > 0.85:
                 raise NumericError("injected")
-            return reduce(mean0, mean1)
+            return reduce(forms)
         return maybe_fail
 
     monkeypatch.setattr(engine.dn, "mc_reducer", failing)
@@ -322,11 +326,9 @@ def test_a_failing_cell_leaves_the_other_rows_of_its_group(experiment_id, monkey
     bad = {ci for ci, cell in enumerate(spec.grid)
            if cell.get("method", "subsampled_hybrid") == "subsampled_hybrid"
            and cell["theta_norm"] > 1.0}
-    assert len(bad) == 2
+    assert len(bad) == 1
     for ci, (got, want) in enumerate(zip(rows, expected)):
         if ci in bad:
-            statuses = {r.status for r in got}
-            assert statuses == {"error:DomainError" if spec.grid[ci]["theta_norm"] == math.inf
-                                else "error:NumericError"}
+            assert {r.status for r in got} == {"error:NumericError"}
         else:
             assert got == want

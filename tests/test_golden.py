@@ -42,8 +42,8 @@ GOLDEN = {
         "35a1c77846d2cb135389339180642c450f67f1a5a610512778dd6bd99477c33a",
     ),
     "power_fig6": (
-        dict(ds=(2,), n=200, reps=100, B=10, lambdas=(0.0, 8.0)),
-        "809f0ed749c1575772938c0f7622578e5fcfb0b726b118603776acef0e15f754",
+        dict(ds=(2,), n=200, reps=100, lambdas=(0.0, 8.0)),
+        "7cbbcd05db426422e0d24b24ae4f187cd33fd8e5579789923dccb67259d109b4",
     ),
     "doughnut_fig7": (
         dict(ds=(2,), n=200, B=10, reps=40, theta_norms=(0.0, 0.75, 1.1)),
