@@ -553,6 +553,11 @@ def _numpy_split_log_values(thetas: np.ndarray, mean0: np.ndarray, mean1: np.nda
 # give the same bytes.
 
 
+def _exp_minus_lgamma(head: float, t: float) -> float:
+    """``exp(head - lgamma(t))``: the prefactor of the incomplete gammas and the mixture terms."""
+    return math.exp(head - math.lgamma(t))
+
+
 def _python_gamma_p_series(a: float, x: float, budget: int) -> float | None:
     """Regularized lower incomplete gamma P(a, x) by power series (x < a + 1)."""
     term = 1.0 / a
@@ -563,7 +568,7 @@ def _python_gamma_p_series(a: float, x: float, budget: int) -> float | None:
         term *= x / denom
         total += term
         if abs(term) < abs(total) * 1e-16:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * _exp_minus_lgamma(-x + a * math.log(x), a)
     return None
 
 
@@ -587,7 +592,7 @@ def _python_gamma_q_contfrac(a: float, x: float, budget: int) -> float | None:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * _exp_minus_lgamma(-x + a * math.log(x), a)
     return None
 
 
@@ -598,7 +603,7 @@ def _python_noncentral_mixture(half: float, k0: int, a: float, s: float, log_s: 
 
     def g(k: int) -> float:
         """``g(a + k) = e^-s s^(a+k) / Gamma(a + k + 1)``."""
-        return math.exp(-s + (a + k) * log_s - math.lgamma(a + k + 1.0))
+        return _exp_minus_lgamma(-s + (a + k) * log_s, a + k + 1.0)
 
     total = w0 * p0
     mass = w0

@@ -79,7 +79,7 @@ def cmd_region(args) -> int:
     pair = split(sample, args.p0, root.substream(1))
     spheres = [
         rg.classical_region(sample, alpha),
-        rg.split_region(pair, sample.n, alpha),
+        rg.split_region(pair, alpha),
         rg.limiting_subsampling_region(sample, alpha),
     ]
     # every table is computed before any is written, so a failure writes none

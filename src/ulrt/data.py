@@ -78,16 +78,14 @@ class SplitPair:
 
     Row ``b`` of the ``(B, d)`` arrays ``mean0`` and ``mean1`` holds the means
     of split ``b``'s likelihood-evaluation part, of ``m0`` observations, and
-    of its estimation part, of ``m1``.  ``p0`` is the requested proportion;
-    the realized part size is ``round(n * p0)`` (half up), so ``m0 / n`` can
-    differ from ``p0`` when ``n * p0`` is not an integer.
+    of its estimation part, of ``m1``: the splits are of a sample of ``n =
+    m0 + m1`` observations, which every statistic of the record reads.
     """
 
     mean0: np.ndarray
     mean1: np.ndarray
     m0: int
     m1: int
-    p0: float
 
     def __post_init__(self) -> None:
         mean0, mean1 = (_frozen(np.array(m, dtype=np.float64)) for m in (self.mean0, self.mean1))
@@ -140,7 +138,7 @@ def _split_record(sample: SampleSet, keys: np.ndarray, p0: float) -> SplitPair:
     for the ``(B,)`` ``keys``, with parts of ``round(n * p0)`` and the rest."""
     k = part_size(sample.n, p0)
     mean0, mean1 = split_means(sample.values[None], keys[None], k)
-    return SplitPair(mean0[0], mean1[0], k, sample.n - k, float(p0))
+    return SplitPair(mean0[0], mean1[0], k, sample.n - k)
 
 
 def split(sample: SampleSet, p0: float, rng: RngStream) -> SplitPair:

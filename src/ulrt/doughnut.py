@@ -28,7 +28,7 @@ import numpy as np
 
 from . import specfun
 from ._kernels import log_mean_exp, sq_norm
-from .data import SampleSet, SplitPair, _check_n_d, subsample_splits
+from .data import SampleSet, SplitPair, _check_n_d, part_size, subsample_splits
 from .errors import DegenerateDirectionError, DomainError
 from .regions import _check_pair, log_threshold
 from .rng import RngStream
@@ -100,8 +100,8 @@ def intersection_power_exact(theta_norm: float, n: int, d: int, alpha: float) ->
     noncentrality ``n theta_norm^2``.  Derived for the default annulus
     [0.5, 1]; at a null ``theta_norm`` the value is the type I error.
     """
-    if theta_norm < 0.0:
-        raise DomainError(f"theta_norm must be >= 0, got {theta_norm}")
+    if not 0.0 <= theta_norm < math.inf:
+        raise DomainError(f"theta_norm must be finite and >= 0, got {theta_norm}")
     _check_n_d(n, d)
     c = specfun.chi2_upper_quantile(alpha, d)
     lam = n * theta_norm * theta_norm
@@ -143,34 +143,34 @@ def _split_forms(mean0: np.ndarray, mean1: np.ndarray) -> _SplitForms:
                        np.add.reduce(mean0 * mean1, axis=-1), mean0[..., 0], mean1[..., 0])
 
 
-def _pair_forms(pair: SplitPair, n: int) -> _SplitForms:
-    """The forms of ``pair``, one half split of ``n`` points."""
-    _check_pair(pair, n)
+def _pair_forms(pair: SplitPair) -> _SplitForms:
+    """The forms of ``pair``, one half split."""
+    _check_pair(pair)
     if pair.m0 != pair.m1:
         raise DomainError("annulus tests are defined for half splits (p0 = 0.5, even n)")
     return _split_forms(pair.mean0, pair.mean1)
 
 
-def doughnut_split_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> float:
+def doughnut_split_log_statistic(pair: SplitPair, null: AnnulusNull) -> float:
     """Log split statistic against the annulus null MLE:
-    ``(n/4) (||mean0 - proj(mean0)||^2 - ||mean0 - mean1||^2)``."""
-    return float(_split_case_log_values(_pair_forms(pair, n), n, null)[0])
+    ``(n/4) (||mean0 - proj(mean0)||^2 - ||mean0 - mean1||^2)``, ``n = m0 + m1``."""
+    return float(_split_case_log_values(_pair_forms(pair), pair.m0 + pair.m1, null)[0])
 
 
-def doughnut_ripr_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> float:
+def doughnut_ripr_log_statistic(pair: SplitPair, null: AnnulusNull) -> float:
     """Log boundary-projection (RIPR) statistic, defined for ``||mean1|| > r_out``:
     ``(n/4) (||mean0 - r_out mean1 / ||mean1||||^2 - ||mean0 - mean1||^2)``."""
-    forms = _pair_forms(pair, n)
-    values, cases = _hybrid_log_values(forms, n, null)
+    forms = _pair_forms(pair)
+    values, cases = _hybrid_log_values(forms, pair.m0 + pair.m1, null)
     if cases[0] != 2:
         raise DomainError(f"RIPR statistic requires ||mean1|| > r_out = {null.r_out}, "
                           f"got {math.sqrt(forms.cc[0])}")
     return float(values[0])
 
 
-def hybrid_log_statistic(pair: SplitPair, n: int, null: AnnulusNull) -> tuple[float, HybridCase]:
+def hybrid_log_statistic(pair: SplitPair, null: AnnulusNull) -> tuple[float, HybridCase]:
     """Case-selected hybrid statistic and its case tag."""
-    values, cases = _hybrid_log_values(_pair_forms(pair, n), n, null)
+    values, cases = _hybrid_log_values(_pair_forms(pair), pair.m0 + pair.m1, null)
     return float(values[0]), list(HybridCase)[cases[0]]
 
 
@@ -249,17 +249,18 @@ _CASE_FRACTIONS = ("frac_split_case", "frac_unit_case", "frac_ripr_case")
 
 
 def mc_reducer(
-    method: str, n: int, k: int, d: int, alpha: float, null: AnnulusNull
+    method: str, n: int, d: int, alpha: float, null: AnnulusNull
 ) -> Callable[[_SplitForms], dict]:
     """``reduce(forms)`` deciding the Monte Carlo test ``method`` on the
     ``(C, B)`` forms (:func:`_split_forms`) of the ``(C, B, d)`` part means
-    (``k`` and ``m = n - k`` points) of ``C`` replications: ``reject`` per
-    replication, and for ``subsampled_hybrid`` the share of its ``B`` splits
-    in each case.  The intersection test reads the first split's sample mean,
-    of squared norm ``(k^2 aa + 2 k m ac + m^2 cc) / n^2``."""
+    of ``C`` replications' half splits (``k = part_size(n, 0.5)``, ``m = n -
+    k``): ``reject`` per replication, and for ``subsampled_hybrid`` the share
+    of its ``B`` splits in each case.  The intersection test reads the first
+    split's sample mean, of squared norm ``(k^2 aa + 2 k m ac + m^2 cc) / n^2``."""
     if method not in _ANNULUS_TESTS:
         raise DomainError(f"unknown annulus test {method!r}")
     if method == "intersection":
+        k = part_size(n, 0.5)
         quantile, m = specfun.chi2_upper_quantile(alpha, d), n - k
 
         def intersect(forms: _SplitForms) -> dict:

@@ -334,7 +334,7 @@ def _check_cells(experiment_id: str, grid) -> None:
             if "n" in schema and cell["n"] < 2:
                 raise DomainError(f"n = {cell['n']} observations cannot be split, need n >= 2")
             if "alpha" in schema:
-                rg._check_alpha(cell["alpha"])
+                specfun._check_alpha(cell["alpha"])
             if "p0" in schema:
                 part_size(cell["n"], cell["p0"])
             for axis in ("n_theta_sq", "theta_norm"):
@@ -479,7 +479,7 @@ def _exec_fig1(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
         SummaryRow(ctx.spec.experiment_id, dict(base, kind=kind), float(area), 0.0, 1)
         for kind, area in (
             ("classical", math.pi * rg.classical_region(sample, alpha).sq_radius),
-            ("split", math.pi * rg.split_region(pair, n, alpha).sq_radius),
+            ("split", math.pi * rg.split_region(pair, alpha).sq_radius),
             ("crossfit", crossfit.polygon_area()),
             ("subsampling", subsampling.polygon_area()),
         )
@@ -634,7 +634,7 @@ def _exec_group(ctx: _RunContext, cis: tuple[int, ...]) -> dict[int, list[Summar
         try:
             if method is None:
                 raise DomainError(f"{ctx.spec.experiment_id} has no method {cell['method']!r}")
-            tests[ci] = (dn.mc_reducer(method, n, k, d, cell["alpha"], dn.AnnulusNull()),
+            tests[ci] = (dn.mc_reducer(method, n, d, cell["alpha"], dn.AnnulusNull()),
                          cell["theta_norm"])
             B = cell["B"] if method in _SUBSAMPLED else 1
         except (NumericError, DomainError) as exc:

@@ -43,8 +43,10 @@ class PowerEstimate:
 
 def _validate(theta_sq_norm: float, n: int, d: int, method: str) -> None:
     if theta_sq_norm < 0.0 or not math.isfinite(theta_sq_norm):
-        raise DomainError(f"theta_sq_norm must be >= 0, got {theta_sq_norm}")
+        raise DomainError(f"theta_sq_norm must be finite and >= 0, got {theta_sq_norm}")
     _check_n_d(n, d)
+    if not math.isfinite(n * theta_sq_norm):
+        raise DomainError(f"noncentrality n * theta_sq_norm overflows at n={n}, theta_sq_norm={theta_sq_norm}")
     if method not in _METHODS:
         raise DomainError(f"method must be 'exact' or 'approx', got {method!r}")
 

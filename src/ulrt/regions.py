@@ -37,15 +37,9 @@ _LOG_5_HALVES = math.log(2.5)
 LIMITING_VS_CLASSICAL_HIGH_DIM = (5.0 / 3.0) * _LOG_5_HALVES
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(alpha)
-
-
 def log_threshold(alpha: float) -> float:
     """Rejection threshold ln(1/alpha) used by every universal statistic."""
-    return -math.log(_check_alpha(alpha))
+    return -math.log(specfun._check_alpha(alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +80,7 @@ class SphericalRegion:
 
 @dataclass(frozen=True)
 class LogStatistic:
-    """A log-domain test statistic with its sample-size context.
+    """A log-domain test statistic with its sample size ``n = m0 + m1``.
 
     Rejection (equivalently exclusion of ``theta`` from the confidence set)
     means ``log_value >= ln(1/alpha)``.
@@ -117,12 +111,9 @@ def _as_theta(theta, d: int) -> np.ndarray:
     return theta
 
 
-def _check_pair(pair: SplitPair, n: int, single: bool = True) -> None:
-    """Refuse a record of splits of another sample size, or, where one split
-    is meant (``single``), a record of ``B != 1`` splits."""
-    if pair.m0 + pair.m1 != n:
-        raise DomainError(f"pair covers {pair.m0 + pair.m1} observations, expected n={n}")
-    if single and len(pair.mean0) != 1:
+def _check_pair(pair: SplitPair) -> None:
+    """Refuse a record of ``B != 1`` splits where one split is meant."""
+    if len(pair.mean0) != 1:
         raise DomainError(f"expected one split, got a record of B={len(pair.mean0)}")
 
 
@@ -134,7 +125,7 @@ def _check_pair(pair: SplitPair, n: int, single: bool = True) -> None:
 def classical_region(sample: SampleSet, alpha: float) -> SphericalRegion:
     """Classical likelihood-ratio sphere: center at the sample mean,
     squared radius ``c_{alpha,d} / n``."""
-    alpha = _check_alpha(alpha)
+    alpha = specfun._check_alpha(alpha)
     quantile = specfun.chi2_upper_quantile(alpha, sample.d)
     return SphericalRegion(sample.mean, quantile / sample.n, alpha, "classical")
 
@@ -169,18 +160,19 @@ def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1=N
     raise DomainError(f"unknown statistic kind {kind!r}")
 
 
-def _log_statistic(kind: str, theta, pair: SplitPair, n: int, alpha) -> LogStatistic:
+def _log_statistic(kind: str, theta, pair: SplitPair, alpha) -> LogStatistic:
     """:func:`log_values` of one point and a record of splits, as a ``LogStatistic``."""
-    _check_pair(pair, n, single=kind != "subsampling")
+    if kind != "subsampling":
+        _check_pair(pair)
     theta = _as_theta(theta, pair.mean0.shape[1])
     value = log_values(kind, theta, pair.mean0, pair.mean1, pair.m0, pair.m1)
-    return LogStatistic(float(value), kind, n, alpha)
+    return LogStatistic(float(value), kind, pair.m0 + pair.m1, alpha)
 
 
-def split_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = None) -> LogStatistic:
+def split_log_statistic(theta, pair: SplitPair, alpha: float | None = None) -> LogStatistic:
     """Log split likelihood-ratio statistic at ``theta``: :func:`split_log_values`
     of the one split."""
-    return _log_statistic("split", theta, pair, n, alpha)
+    return _log_statistic("split", theta, pair, alpha)
 
 
 def split_sq_radius(mean0: np.ndarray, mean1: np.ndarray, m0: int, alpha: float) -> np.ndarray:
@@ -189,19 +181,19 @@ def split_sq_radius(mean0: np.ndarray, mean1: np.ndarray, m0: int, alpha: float)
     return (2.0 / m0) * log_threshold(alpha) + sq_norm(mean0, mean1)
 
 
-def split_region(pair: SplitPair, n: int, alpha: float) -> SphericalRegion:
+def split_region(pair: SplitPair, alpha: float) -> SphericalRegion:
     """Split likelihood-ratio sphere: center ``mean0``, squared radius
     :func:`split_sq_radius`."""
-    _check_pair(pair, n)
-    alpha = _check_alpha(alpha)
+    _check_pair(pair)
+    alpha = specfun._check_alpha(alpha)
     sq_radius = split_sq_radius(pair.mean0[0], pair.mean1[0], pair.m0, alpha)
     return SphericalRegion(pair.mean0[0], float(sq_radius), alpha, "split")
 
 
-def crossfit_log_statistic(theta, pair: SplitPair, n: int, alpha: float | None = None) -> LogStatistic:
+def crossfit_log_statistic(theta, pair: SplitPair, alpha: float | None = None) -> LogStatistic:
     """Log cross-fit statistic: the average of the split statistic and its
     role-swapped counterpart, combined by log-sum-exp."""
-    return _log_statistic("crossfit", theta, pair, n, alpha)
+    return _log_statistic("crossfit", theta, pair, alpha)
 
 
 def crossfit_member(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -211,11 +203,9 @@ def crossfit_member(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np
         "crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1) < thresh
 
 
-def subsampling_log_statistic(
-    theta, splits: SplitPair, n: int, alpha: float | None = None
-) -> LogStatistic:
+def subsampling_log_statistic(theta, splits: SplitPair, alpha: float | None = None) -> LogStatistic:
     """Log of the average split statistic over the ``B`` splits of a record."""
-    return _log_statistic("subsampling", theta, splits, n, alpha)
+    return _log_statistic("subsampling", theta, splits, alpha)
 
 
 def subsampling_member(splits: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -235,7 +225,7 @@ def limiting_sq_radius(alpha: float, d: int, n: int) -> float:
 def limiting_subsampling_region(sample: SampleSet, alpha: float) -> SphericalRegion:
     """Large-B limit of the subsampling set: center at the sample mean,
     squared radius :func:`limiting_sq_radius`."""
-    alpha = _check_alpha(alpha)
+    alpha = specfun._check_alpha(alpha)
     sq_radius = limiting_sq_radius(alpha, sample.d, sample.n)
     return SphericalRegion(sample.mean, sq_radius, alpha, "limiting_subsampling")
 
@@ -330,7 +320,7 @@ def prob_ratio_leq4_bounds(alpha: float, d: int) -> ProbRatioBounds:
     ``c - L > d - 2`` (the density is decreasing across the interval), which
     ``condition_ok`` reports.
     """
-    alpha = _check_alpha(alpha)
+    alpha = specfun._check_alpha(alpha)
     L = log_threshold(alpha)
     quantile = specfun.chi2_upper_quantile(alpha, d)
     condition_ok = quantile - L > d - 2
@@ -367,7 +357,6 @@ class Boundary2D:
     angles: np.ndarray
     points: np.ndarray
     failed_angles: np.ndarray
-    alpha: float
 
     def polygon_area(self) -> float:
         """Shoelace area of the polygon through the boundary points."""
@@ -380,12 +369,7 @@ class Boundary2D:
 
 
 def region_boundary_2d(
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
-    center_hint,
-    rays: int,
-    tol: float,
-    search_radius: float,
+    evaluator: Callable[[np.ndarray], np.ndarray], center_hint, rays: int, tol: float, search_radius: float
 ) -> Boundary2D:
     """Trace the boundary of a 2-d membership region along equally spaced rays.
 
@@ -400,7 +384,6 @@ def region_boundary_2d(
     empirically for the cross-fit and subsampling sets.  ``center_hint`` must
     itself be a member.
     """
-    alpha = _check_alpha(alpha)
     center = np.asarray(center_hint, dtype=np.float64).reshape(-1)
     if center.shape != (2,):
         raise DomainError("boundary extraction requires d = 2")
@@ -431,7 +414,6 @@ def region_boundary_2d(
         angles=angles[~failed],
         points=center + radius[:, None] * dirs,
         failed_angles=angles[failed],
-        alpha=alpha,
     )
 
 
@@ -440,12 +422,16 @@ def boundaries_2d(
 ) -> tuple[Boundary2D, Boundary2D | None]:
     """The cross-fit boundary of ``pair`` and the subsampling boundary of the
     record ``splits`` (``None`` without one), each traced from the sample
-    mean out to ten radii of the split sphere of ``pair``."""
+    mean out to ten radii of the split sphere of ``pair``.  Both records
+    must be splits of ``sample``."""
     thresh = log_threshold(alpha)
-    search = 10.0 * math.sqrt(split_region(pair, sample.n, alpha).sq_radius)
-    members = [crossfit_member(pair, thresh)]
+    members = [(pair, crossfit_member(pair, thresh))]
     if splits is not None:
-        _check_pair(splits, sample.n, single=False)
-        members.append(subsampling_member(splits, thresh))
-    traced = [region_boundary_2d(m, alpha, sample.mean, rays, tol, search) for m in members]
+        members.append((splits, subsampling_member(splits, thresh)))
+    for record, _ in members:
+        if record.m0 + record.m1 != sample.n:
+            raise DomainError(f"splits of {record.m0 + record.m1} observations "
+                              f"do not split the sample of n={sample.n}")
+    search = 10.0 * math.sqrt(split_region(pair, alpha).sq_radius)
+    traced = [region_boundary_2d(m, sample.mean, rays, tol, search) for _, m in members]
     return traced[0], traced[1] if splits is not None else None

@@ -66,6 +66,12 @@ def _check_dim(d: int) -> None:
         raise DomainError(f"degrees of freedom must be a positive integer, got {d}")
 
 
+def _check_alpha(alpha: float) -> float:
+    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(alpha)
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF."""
     if not math.isfinite(x):
@@ -140,9 +146,7 @@ def chi2_upper_quantile(alpha: float, d: int) -> float:
     memoized per ``(alpha, d)`` and convergence targets; errors are not.
     """
     _check_dim(d)
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    key = (float(alpha), int(d), MAX_ITER, REL_TOL)
+    key = (_check_alpha(alpha), int(d), MAX_ITER, REL_TOL)
     quantile = _QUANTILES.get(key)
     if quantile is None:
         quantile = _QUANTILES[key] = _bisect_quantile(alpha, d)
@@ -204,7 +208,7 @@ def noncentral_chi2_cdf(x: float, d: int, noncentrality: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"noncentral_chi2_cdf requires x >= 0, got {x}")
     if not math.isfinite(noncentrality) or noncentrality < 0.0:
-        raise DomainError(f"noncentrality must be >= 0, got {noncentrality}")
+        raise DomainError(f"noncentrality must be finite and >= 0, got {noncentrality}")
     half = 0.5 * noncentrality
     if half == 0.0:
         # lambda = 0, or so small that lambda/2 rounds to 0: the central CDF

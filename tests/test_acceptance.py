@@ -180,13 +180,13 @@ def test_criterion_05_crossfit_containment_and_area():
             rep = RngStream(2005).substream(r)
             sample = data.sample_gaussian(n, d, np.zeros(d), rep.substream(0))
             pair = data.split(sample, 0.5, rep.substream(1))
-            split_reg = regions.split_region(pair, n, alpha)
+            split_reg = regions.split_region(pair, alpha)
             search = 10.0 * math.sqrt(split_reg.sq_radius)
             cf = regions.region_boundary_2d(
-                regions.crossfit_member(pair, L), alpha, sample.mean, 90, 1e-6, search
+                regions.crossfit_member(pair, L), sample.mean, 90, 1e-6, search
             )
             split_poly = regions.region_boundary_2d(
-                split_reg.contains, alpha, split_reg.center, 90, 1e-6, search
+                split_reg.contains, split_reg.center, 90, 1e-6, search
             )
             assert cf.failed_angles.size == 0
             assert cf.polygon_area() <= split_poly.polygon_area() + 1e-9

@@ -514,6 +514,23 @@ def test_formula_noncentral_cdf_with_a_subnormal_noncentrality_prints_the_centra
     assert outputs[0] == outputs[1] and outputs[0].startswith("cdf = ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["power-classical", "--theta-sq-norm", "1e308", "--n", "1000"],
+     "noncentrality n * theta_sq_norm overflows at n=1000, theta_sq_norm=1e+308"),
+    (["power-subsampling", "--theta-sq-norm", "1e308", "--n", "1000", "--method", "approx"],
+     "noncentrality n * theta_sq_norm overflows at n=1000, theta_sq_norm=1e+308"),
+    (["intersect-power", "--theta-norm", "nan"], "theta_norm must be finite and >= 0, got nan"),
+    (["intersect-power", "--theta-norm", "1e200"], "noncentrality must be finite and >= 0, got inf"),
+    (["noncentral-cdf", "--x", "1", "--d", "2", "--noncentrality", "nan"],
+     "noncentrality must be finite and >= 0, got nan"),
+], ids=["power-classical", "power-subsampling-approx", "intersect-nan", "intersect-overflow",
+        "noncentral-cdf-nan"])
+def test_formula_non_finite_noncentrality_exits_2_naming_its_cause(capsys, argv, message):
+    assert main(["formula", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_each_main_call_parses_from_the_defaults(capsys):
     """``main`` reuses one parser; a flag of one call must not reach the next."""
     from ulrt.regions import ratio_expected_split_vs_classical

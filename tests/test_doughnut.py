@@ -27,7 +27,7 @@ from ulrt.rng import RngStream
 
 def pair_with_means(mean0, mean1):
     """The half-split of a 4-observation sample with the given part means."""
-    return data.SplitPair(np.atleast_2d(mean0), np.atleast_2d(mean1), 2, 2, 0.5)
+    return data.SplitPair(np.atleast_2d(mean0), np.atleast_2d(mean1), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,12 @@ def test_intersection_exact_increasing_in_n_at_strong_alternative():
     assert values[0] < values[1] < values[2]
 
 
+@pytest.mark.parametrize("theta_norm", [math.nan, math.inf, -0.5])
+def test_intersection_exact_refuses_a_non_finite_or_negative_theta_norm(theta_norm):
+    with pytest.raises(DomainError, match=f"^theta_norm must be finite and >= 0, got {theta_norm}$"):
+        intersection_power_exact(theta_norm, 1000, 2, 0.1)
+
+
 def test_intersection_exact_matches_simulation_quick():
     n, d, alpha, reps = 1000, 2, 0.1, 800
     root = RngStream(710)
@@ -158,7 +164,7 @@ def test_intersection_exact_matches_simulation_quick():
 def test_split_statistic_interior_mean0():
     pair = pair_with_means([0.45, 0.6], [0.2, 0.1])  # ||mean0|| = 0.75
     delta = float(np.sum((pair.mean0 - pair.mean1) ** 2))
-    value = doughnut_split_log_statistic(pair, 4, AnnulusNull())
+    value = doughnut_split_log_statistic(pair, AnnulusNull())
     assert value == pytest.approx(-delta, rel=1e-12)  # (n/4) = 1 here
     assert value <= 0.0
 
@@ -167,7 +173,7 @@ def test_split_statistic_projection_maximizes_null_likelihood():
     rng = np.random.default_rng(11)
     null = AnnulusNull()
     pair = pair_with_means([1.4, 0.2], [0.3, 0.3])
-    base = doughnut_split_log_statistic(pair, 4, null)
+    base = doughnut_split_log_statistic(pair, null)
     delta = float(np.sum((pair.mean0 - pair.mean1) ** 2))
     for _ in range(1000):
         radius = rng.uniform(null.r_in, null.r_out)
@@ -185,14 +191,14 @@ def test_split_statistic_e_variable_inside_null():
         rep = root.substream(r)
         sample = data.sample_gaussian(n, d, theta, rep.substream(0))
         pair = data.split(sample, 0.5, rep.substream(1))
-        values[r] = math.exp(doughnut_split_log_statistic(pair, n, AnnulusNull()))
+        values[r] = math.exp(doughnut_split_log_statistic(pair, AnnulusNull()))
     se = values.std(ddof=1) / math.sqrt(reps)
     assert values.mean() <= 1.0 + 3.0 * se
 
 
 def test_ripr_unit_normalization_1d():
     pair = pair_with_means([0.3], [2.0])
-    value = doughnut_ripr_log_statistic(pair, 4, AnnulusNull())
+    value = doughnut_ripr_log_statistic(pair, AnnulusNull())
     # denominator parameter is mean1 / ||mean1|| = 1
     expected = (0.3 - 1.0) ** 2 - (0.3 - 2.0) ** 2
     assert value == pytest.approx(expected, rel=1e-12)
@@ -201,7 +207,7 @@ def test_ripr_unit_normalization_1d():
 def test_ripr_requires_outside_mean1():
     pair = pair_with_means([0.3, 0.0], [0.9, 0.0])
     with pytest.raises(DomainError):
-        doughnut_ripr_log_statistic(pair, 4, AnnulusNull())
+        doughnut_ripr_log_statistic(pair, AnnulusNull())
 
 
 def test_ripr_dominates_split_statistic():
@@ -214,18 +220,18 @@ def test_ripr_dominates_split_statistic():
         if np.linalg.norm(mean1) <= null.r_out:
             continue
         pair = pair_with_means(mean0, mean1)
-        split_val = doughnut_split_log_statistic(pair, 4, null)
-        ripr_val = doughnut_ripr_log_statistic(pair, 4, null)
+        split_val = doughnut_split_log_statistic(pair, null)
+        ripr_val = doughnut_ripr_log_statistic(pair, null)
         assert ripr_val >= split_val - 1e-12
         checked += 1
     assert checked > 50
 
 
 def test_scalar_statistics_refuse_a_record_of_many():
-    pair = data.SplitPair([[0.9, 0.0], [0.3, 0.0]], [[1.4, 0.0], [1.2, 0.0]], 2, 2, 0.5)
+    pair = data.SplitPair([[0.9, 0.0], [0.3, 0.0]], [[1.4, 0.0], [1.2, 0.0]], 2, 2)
     for statistic in (doughnut_split_log_statistic, doughnut_ripr_log_statistic, hybrid_log_statistic):
         with pytest.raises(DomainError, match="expected one split"):
-            statistic(pair, 4, AnnulusNull())
+            statistic(pair, AnnulusNull())
 
 
 def test_ripr_e_variable_with_indicator():
@@ -240,7 +246,7 @@ def test_ripr_e_variable_with_indicator():
         sample = data.sample_gaussian(n, d, theta, rep.substream(0))
         pair = data.split(sample, 0.5, rep.substream(1))
         if float(np.linalg.norm(pair.mean1)) > null.r_out:
-            values[r] = math.exp(doughnut_ripr_log_statistic(pair, n, null))
+            values[r] = math.exp(doughnut_ripr_log_statistic(pair, null))
     se = values.std(ddof=1) / math.sqrt(reps)
     assert values.mean() <= 1.0 + 3.0 * se
 
@@ -252,28 +258,28 @@ def test_ripr_e_variable_with_indicator():
 
 def test_hybrid_unit_case():
     pair = pair_with_means([0.3, 0.0], [0.45, 0.6])  # ||mean1|| = 0.75
-    value, case = hybrid_log_statistic(pair, 4, AnnulusNull())
+    value, case = hybrid_log_statistic(pair, AnnulusNull())
     assert value == 0.0
     assert case is HybridCase.UNIT_CASE
 
 
 def test_hybrid_split_case():
     pair = pair_with_means([0.9, 0.0], [0.3, 0.0])
-    value, case = hybrid_log_statistic(pair, 4, AnnulusNull())
+    value, case = hybrid_log_statistic(pair, AnnulusNull())
     assert case is HybridCase.SPLIT_CASE
-    assert value == doughnut_split_log_statistic(pair, 4, AnnulusNull())
+    assert value == doughnut_split_log_statistic(pair, AnnulusNull())
 
 
 def test_hybrid_ripr_case():
     pair = pair_with_means([0.9, 0.0], [1.4, 0.0])
-    value, case = hybrid_log_statistic(pair, 4, AnnulusNull())
+    value, case = hybrid_log_statistic(pair, AnnulusNull())
     assert case is HybridCase.RIPR_CASE
-    assert value == doughnut_ripr_log_statistic(pair, 4, AnnulusNull())
+    assert value == doughnut_ripr_log_statistic(pair, AnnulusNull())
 
 
 def test_hybrid_degenerate_mean0_is_total():
     pair = pair_with_means([0.0, 0.0], [0.2, 0.0])
-    value, case = hybrid_log_statistic(pair, 4, AnnulusNull())
+    value, case = hybrid_log_statistic(pair, AnnulusNull())
     assert case is HybridCase.SPLIT_CASE
     assert math.isfinite(value)
 
@@ -351,7 +357,7 @@ def test_subsampled_matches_scalar_statistics():
     result = subsampled_doughnut_test(sample, AnnulusNull(), 0.1, 16, "hybrid", stream)
     for b in range(16):
         pair = data.split(sample, 0.5, stream.substream(b))
-        value, case = hybrid_log_statistic(pair, 100, AnnulusNull())
+        value, case = hybrid_log_statistic(pair, AnnulusNull())
         assert result.log_values[b] == pytest.approx(value, abs=1e-10)
         assert ("split_case", "unit_case", "ripr_case")[result.cases[b]] == case.value
 
@@ -375,8 +381,8 @@ def test_mc_reducer_refuses_odd_n_for_the_subsampled_tests():
     statistic scales by n/4.  The intersection test takes any n."""
     for method in ("subsampled_split", "subsampled_hybrid"):
         with pytest.raises(DomainError, match="require even n, got n = 999"):
-            mc_reducer(method, 999, 500, 2, 0.1, AnnulusNull())
-    intersect = mc_reducer("intersection", 999, 500, 2, 0.1, AnnulusNull())
+            mc_reducer(method, 999, 2, 0.1, AnnulusNull())
+    intersect = mc_reducer("intersection", 999, 2, 0.1, AnnulusNull())
     means = np.zeros((3, 1, 2))
     assert intersect(_split_forms(means, means))["reject"].shape == (3,)
 
@@ -391,9 +397,9 @@ def test_mc_reducer_computes_the_quantile_only_for_the_intersection_test():
     # the chi-squared quantile refuses alpha = 1e-305 (ln(1/alpha) > 700),
     # and only the intersection test reads it
     for method in ("subsampled_split", "subsampled_hybrid"):
-        assert callable(mc_reducer(method, 1000, 500, 2, 1e-305, AnnulusNull()))
+        assert callable(mc_reducer(method, 1000, 2, 1e-305, AnnulusNull()))
     with pytest.raises(NumericError):
-        mc_reducer("intersection", 1000, 500, 2, 1e-305, AnnulusNull())
+        mc_reducer("intersection", 1000, 2, 1e-305, AnnulusNull())
 
 
 def test_hybrid_dominates_split_in_ripr_case():

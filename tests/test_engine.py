@@ -85,8 +85,8 @@ def test_failing_pooled_cell_keeps_its_error_row_and_every_other_row(monkeypatch
     expected = run(spec, workers=1)
     mc_reducer = doughnut.mc_reducer
 
-    def failing_reducer(method, n, k, d, *rest):
-        reduce = mc_reducer(method, n, k, d, *rest)
+    def failing_reducer(method, n, d, *rest):
+        reduce = mc_reducer(method, n, d, *rest)
         if (method, d) != ("subsampled_split", 3):
             return reduce
 

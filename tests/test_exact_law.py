@@ -140,7 +140,7 @@ def _alone(ctx, stream_ci, cell, shifted=True):
     accumulators and dumped values."""
     n, d = cell["n"], cell["d"]
     k = data.part_size(n, 0.5)
-    reduce = engine.dn.mc_reducer(cell.get("method", "subsampled_hybrid"), n, k, d, cell["alpha"],
+    reduce = engine.dn.mc_reducer(cell.get("method", "subsampled_hybrid"), n, d, cell["alpha"],
                                   engine.dn.AnnulusNull())
     theta = np.zeros(d)
     theta[0] = cell["theta_norm"]

@@ -121,6 +121,15 @@ def test_power_estimate_validation():
         PowerEstimate(0.5, -0.1, "monte_carlo")
 
 
+@pytest.mark.parametrize("method", ["exact", "approx"])
+@pytest.mark.parametrize("power", [power_classical, power_limiting_subsampling])
+def test_power_refuses_an_overflowing_noncentrality(power, method):
+    """n * theta_sq_norm = 1e311 overflows to inf: the refusal names both inputs."""
+    with pytest.raises(DomainError, match=r"^noncentrality n \* theta_sq_norm overflows "
+                                          r"at n=1000, theta_sq_norm=1e\+308$"):
+        power(1e308, 1000, 2, 0.1, method)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf])
 def test_mc_power_refuses_non_finite_theta(theta):
     with pytest.raises(DomainError, match="theta must be finite"):

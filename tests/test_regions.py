@@ -99,26 +99,26 @@ def test_contains_takes_a_point_or_a_batch():
 
 def test_split_statistic_zero_at_estimation_mean(dataset):
     _, pair = dataset
-    assert split_log_statistic(pair.mean1, pair, 1000).log_value == 0.0
+    assert split_log_statistic(pair.mean1, pair).log_value == 0.0
 
 
 def test_split_statistic_minimized_at_mean0(dataset):
     _, pair = dataset
     delta = float(np.sum((pair.mean0 - pair.mean1) ** 2))
-    value = split_log_statistic(pair.mean0, pair, 1000).log_value
+    value = split_log_statistic(pair.mean0, pair).log_value
     assert value == pytest.approx(-(pair.m0 / 2.0) * delta, rel=1e-12)
     assert value <= 0.0
 
 
 def test_split_membership_matches_statistic(dataset):
     _, pair = dataset
-    region = split_region(pair, 1000, 0.1)
+    region = split_region(pair, 0.1)
     thresh = log_threshold(0.1)
     rng = np.random.default_rng(5)
     for _ in range(1000):
         theta = pair.mean0 + rng.normal(scale=0.12, size=2)
         member = region.contains(theta)
-        stat = split_log_statistic(theta, pair, 1000).log_value
+        stat = split_log_statistic(theta, pair).log_value
         assert member == (stat < thresh)
         # boundary distance identity to 1e-10
         if abs(stat - thresh) < 1e-10:
@@ -128,12 +128,12 @@ def test_split_membership_matches_statistic(dataset):
 def test_split_statistic_region_algebraic_identity(dataset):
     # log T(theta) - ln(1/alpha) equals (m0/2) (dist^2 - sq_radius)
     _, pair = dataset
-    region = split_region(pair, 1000, 0.1)
+    region = split_region(pair, 0.1)
     thresh = log_threshold(0.1)
     rng = np.random.default_rng(8)
     for _ in range(200):
         theta = pair.mean0 + rng.normal(scale=0.2, size=2)
-        stat = split_log_statistic(theta, pair, 1000).log_value
+        stat = split_log_statistic(theta, pair).log_value
         dist_sq = float(np.sum((theta - region.center) ** 2))
         lhs = stat - thresh
         rhs = (pair.m0 / 2.0) * (dist_sq - region.sq_radius)
@@ -142,7 +142,7 @@ def test_split_statistic_region_algebraic_identity(dataset):
 
 def test_split_region_estimation_mean_member(dataset):
     _, pair = dataset
-    region = split_region(pair, 1000, 0.1)
+    region = split_region(pair, 0.1)
     assert region.contains(pair.mean1)
 
 
@@ -169,7 +169,7 @@ def test_split_e_variable_bound():
         rep = root.substream(r)
         sample = data.sample_gaussian(n, d, np.zeros(d), rep.substream(0))
         pair = data.split(sample, 0.5, rep.substream(1))
-        values[r] = math.exp(split_log_statistic(np.zeros(d), pair, n).log_value)
+        values[r] = math.exp(split_log_statistic(np.zeros(d), pair).log_value)
     mc_se = values.std(ddof=1) / math.sqrt(reps)
     assert values.mean() <= 1.0 + 3.0 * mc_se
 
@@ -337,17 +337,17 @@ def test_fig2_chunk_in_one_call_equals_its_points_one_by_one(numpy_loops, monkey
 
 def test_crossfit_equals_split_when_means_coincide():
     # the half-split {(1, 2), (3, -1)} | {(3, -1), (1, 2)} of four observations
-    pair = data.SplitPair([[2.0, 0.5]], [[2.0, 0.5]], 2, 2, 0.5)
+    pair = data.SplitPair([[2.0, 0.5]], [[2.0, 0.5]], 2, 2)
     for theta in ([0.0, 0.0], [2.0, 0.5], [-1.0, 3.0]):
-        split_val = split_log_statistic(theta, pair, 4).log_value
-        cf_val = crossfit_log_statistic(theta, pair, 4).log_value
+        split_val = split_log_statistic(theta, pair).log_value
+        cf_val = crossfit_log_statistic(theta, pair).log_value
         assert cf_val == pytest.approx(split_val, abs=1e-12)
 
 
 def test_crossfit_midpoint_simplification(dataset):
     sample, pair = dataset
     delta = float(np.sum((pair.mean0 - pair.mean1) ** 2))
-    value = crossfit_log_statistic(sample.mean, pair, 1000).log_value
+    value = crossfit_log_statistic(sample.mean, pair).log_value
     assert value == pytest.approx(-(3.0 * 1000.0 / 16.0) * delta, rel=1e-10)
 
 
@@ -359,7 +359,7 @@ def test_crossfit_contained_in_recentered_ball(dataset):
     hits = 0
     for _ in range(10_000):
         theta = sample.mean + rng.normal(scale=0.2, size=2)
-        if crossfit_log_statistic(theta, pair, 1000).log_value < thresh:
+        if crossfit_log_statistic(theta, pair).log_value < thresh:
             hits += 1
             assert float(np.sum((theta - sample.mean) ** 2)) < ball_sq
     assert hits > 100  # the probe cloud actually intersects the region
@@ -373,15 +373,15 @@ def test_crossfit_contained_in_recentered_ball(dataset):
 def test_subsampling_single_split_reduction(dataset):
     _, pair = dataset
     theta = [0.01, -0.02]
-    lone = subsampling_log_statistic(theta, pair, 1000).log_value
-    assert lone == split_log_statistic(theta, pair, 1000).log_value
+    lone = subsampling_log_statistic(theta, pair).log_value
+    assert lone == split_log_statistic(theta, pair).log_value
 
 
 def test_subsampling_log_sum_exp_shift_invariance(dataset):
     sample, _ = dataset
     splits = data.subsample_splits(sample, 50, 0.5, RngStream(9))
     theta = np.array([0.05, 0.0])
-    stat = subsampling_log_statistic(theta, splits, 1000).log_value
+    stat = subsampling_log_statistic(theta, splits).log_value
     logs = regions.split_log_values(theta, splits.mean0, splits.mean1, splits.m0)
     peak = logs.max()
     reference = peak + math.log(np.mean(np.exp(logs - peak)))
@@ -394,7 +394,7 @@ def test_subsampling_matches_batch_kernel(dataset):
     thetas = np.array([[0.0, 0.0], [0.08, -0.03], [0.2, 0.2]])
     batch = regions.log_values("subsampling", thetas, splits.mean0, splits.mean1, 500)
     for g, theta in enumerate(thetas):
-        direct = subsampling_log_statistic(theta, splits, 1000).log_value
+        direct = subsampling_log_statistic(theta, splits).log_value
         assert batch[g] == pytest.approx(direct, abs=1e-12)
 
 
@@ -402,15 +402,15 @@ def test_subsampling_stable_for_huge_exponents():
     sample = data.sample_gaussian(1_000_000, 1, [0.0], RngStream(12))
     splits = data.subsample_splits(sample, 3, 0.5, RngStream(13))
     theta = splits.mean0[0] + 10.0
-    stat = subsampling_log_statistic(theta, splits, 1_000_000).log_value
+    stat = subsampling_log_statistic(theta, splits).log_value
     assert math.isfinite(stat)
     assert stat > 2.0e7  # exponent about (n/4) * 100 in the raw domain
 
 
 def test_subsampling_requires_splits():
     with pytest.raises(DomainError):
-        no_splits = data.SplitPair(np.empty((0, 1)), np.empty((0, 1)), 5, 5, 0.5)
-        subsampling_log_statistic([0.0], no_splits, 10)
+        no_splits = data.SplitPair(np.empty((0, 1)), np.empty((0, 1)), 5, 5)
+        subsampling_log_statistic([0.0], no_splits)
 
 
 @pytest.mark.parametrize("mean0, mean1, m0, m1", [
@@ -420,20 +420,32 @@ def test_subsampling_requires_splits():
 ], ids=["one-dimensional", "mismatched", "empty-part"])
 def test_split_record_refuses_malformed_means(mean0, mean1, m0, m1):
     with pytest.raises(DomainError):
-        data.SplitPair(mean0, mean1, m0, m1, 0.5)
+        data.SplitPair(mean0, mean1, m0, m1)
 
 
 def test_one_split_functions_refuse_a_record_of_many(dataset):
     sample, _ = dataset
     splits = data.subsample_splits(sample, 2, 0.5, RngStream(9))
     for call in (
-        lambda: split_log_statistic([0.0, 0.0], splits, 1000),
-        lambda: crossfit_log_statistic([0.0, 0.0], splits, 1000),
-        lambda: split_region(splits, 1000, 0.1),
+        lambda: split_log_statistic([0.0, 0.0], splits),
+        lambda: crossfit_log_statistic([0.0, 0.0], splits),
+        lambda: split_region(splits, 0.1),
         lambda: regions.boundaries_2d(sample, splits, 0.1, 8, 1e-3),
     ):
         with pytest.raises(DomainError, match="expected one split, got a record of B=2"):
             call()
+
+
+def test_boundaries_refuse_splits_of_another_sample(dataset):
+    """``boundaries_2d`` traces from ``sample``'s mean, so both records must
+    split ``sample``: n = m0 + m1 of each is checked against it."""
+    sample, pair = dataset
+    other = data.sample_gaussian(998, 2, [0.0, 0.0], RngStream(14))
+    other_splits = data.subsample_splits(other, 3, 0.5, RngStream(15))
+    with pytest.raises(DomainError, match="splits of 1000 observations do not split the sample of n=998"):
+        regions.boundaries_2d(other, pair, 0.1, 8, 1e-3)
+    with pytest.raises(DomainError, match="splits of 998 observations do not split the sample of n=1000"):
+        regions.boundaries_2d(sample, pair, 0.1, 8, 1e-3, other_splits)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +637,10 @@ def test_prob_ratio_bounds_ordering():
 
 def test_boundary_recovers_sphere(dataset):
     _, pair = dataset
-    region = split_region(pair, 1000, 0.1)
+    region = split_region(pair, 0.1)
     radius = math.sqrt(region.sq_radius)
     boundary = region_boundary_2d(
-        region.contains, 0.1, region.center, 64, 1e-8, 10.0 * radius
+        region.contains, region.center, 64, 1e-8, 10.0 * radius
     )
     assert boundary.failed_angles.size == 0
     assert np.all(np.abs(boundary.radii() - radius) <= 1e-7)
@@ -640,30 +652,30 @@ def test_boundary_reports_failed_rays():
     def member(theta):
         return theta[:, 0] < 0.5
 
-    boundary = region_boundary_2d(member, 0.1, np.zeros(2), 8, 1e-6, 1.0)
+    boundary = region_boundary_2d(member, np.zeros(2), 8, 1e-6, 1.0)
     assert boundary.failed_angles.size > 0
     assert boundary.points.shape[0] + boundary.failed_angles.size == 8
 
 
 def test_boundary_requires_member_center(dataset):
     _, pair = dataset
-    region = split_region(pair, 1000, 0.1)
+    region = split_region(pair, 0.1)
     with pytest.raises(DomainError):
         region_boundary_2d(
-            region.contains, 0.1, region.center + 10.0, 16, 1e-6, 1.0
+            region.contains, region.center + 10.0, 16, 1e-6, 1.0
         )
 
 
 def test_crossfit_polygon_area_below_split(dataset):
     sample, pair = dataset
     thresh = log_threshold(0.1)
-    split_reg = split_region(pair, 1000, 0.1)
+    split_reg = split_region(pair, 0.1)
     search = 10.0 * math.sqrt(split_reg.sq_radius)
     cf_boundary = region_boundary_2d(
-        regions.crossfit_member(pair, thresh), 0.1, sample.mean, 128, 1e-7, search
+        regions.crossfit_member(pair, thresh), sample.mean, 128, 1e-7, search
     )
     split_boundary = region_boundary_2d(
-        split_reg.contains, 0.1, split_reg.center, 128, 1e-7, search
+        split_reg.contains, split_reg.center, 128, 1e-7, search
     )
     assert cf_boundary.polygon_area() <= split_boundary.polygon_area() + 1e-9
 
@@ -674,17 +686,17 @@ def test_subsampling_boundary_inside_split_seeded():
     root = RngStream(39)
     sample = data.sample_gaussian(1000, 2, [0.0, 0.0], root.substream(0))
     pair = data.split(sample, 0.5, root.substream(1))
-    split_reg = split_region(pair, 1000, 0.1)
+    split_reg = split_region(pair, 0.1)
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
     member = regions.subsampling_member(splits, log_threshold(0.1))
     boundary = region_boundary_2d(
-        member, 0.1, sample.mean, 90, 1e-6, 10.0 * math.sqrt(split_reg.sq_radius)
+        member, sample.mean, 90, 1e-6, 10.0 * math.sqrt(split_reg.sq_radius)
     )
     inside = np.array([split_reg.contains(p) for p in boundary.points])
     assert inside.mean() >= 0.95
 
 
-def _per_ray_boundary(evaluator, alpha, center_hint, rays, tol, search_radius):
+def _per_ray_boundary(evaluator, center_hint, rays, tol, search_radius):
     """The per-ray scalar bisection that ``region_boundary_2d`` replaced,
     kept verbatim as the reference; ``evaluator`` takes one point."""
     center = np.asarray(center_hint, dtype=np.float64).reshape(-1)
@@ -718,7 +730,7 @@ def _boundary_cases():
     root = RngStream(301)
     sample = data.sample_gaussian(1000, 2, [0.0, 0.0], root.substream(0))
     pair = data.split(sample, 0.5, root.substream(1))
-    split_reg = split_region(pair, 1000, 0.1)
+    split_reg = split_region(pair, 0.1)
     search = 10.0 * math.sqrt(split_reg.sq_radius)
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
     thresh = log_threshold(0.1)
@@ -747,9 +759,9 @@ def test_boundary_matches_per_ray_bisection(case):
         calls.append(thetas.shape[0])
         return evaluator(thetas)
 
-    boundary = region_boundary_2d(counted, 0.1, center, rays, tol, search)
+    boundary = region_boundary_2d(counted, center, rays, tol, search)
     angles, points, failed = _per_ray_boundary(
-        lambda theta: bool(evaluator(theta[None])[0]), 0.1, center, rays, tol, search
+        lambda theta: bool(evaluator(theta[None])[0]), center, rays, tol, search
     )
     np.testing.assert_array_equal(boundary.angles, angles)
     np.testing.assert_array_equal(boundary.points, points)
@@ -780,7 +792,7 @@ def test_log_statistic_kind_validation():
 def test_dimension_mismatch_rejected(dataset):
     _, pair = dataset
     with pytest.raises(DomainError):
-        split_log_statistic([0.0, 0.0, 0.0], pair, 1000)
+        split_log_statistic([0.0, 0.0, 0.0], pair)
 
 
 def test_records_that_hold_arrays_compare_and_hash_by_identity():
@@ -791,7 +803,7 @@ def test_records_that_hold_arrays_compare_and_hash_by_identity():
         lambda: data.SampleSet.from_values(sample.values),
         lambda: data.split(sample, 0.5, RngStream(12)),
         lambda: classical_region(sample, 0.1),
-        lambda: Boundary2D(np.zeros(2), np.zeros(3), np.zeros((3, 2)), np.zeros(0), 0.1),
+        lambda: Boundary2D(np.zeros(2), np.zeros(3), np.zeros((3, 2)), np.zeros(0)),
         lambda: subsampled_doughnut_test(sample, AnnulusNull(), 0.1, 4, "hybrid", RngStream(13)),
     ]
     for make in twins:

@@ -288,6 +288,12 @@ def test_noncentral_rejects_negative():
         noncentral_chi2_cdf(1.0, 2, -1.0)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan, -1.0])
+def test_noncentral_refuses_a_non_finite_or_negative_noncentrality(lam):
+    with pytest.raises(DomainError, match=f"^noncentrality must be finite and >= 0, got {lam}$"):
+        noncentral_chi2_cdf(1.0, 2, lam)
+
+
 # noncentral CDF against scipy: truncation at ABS_TOL, plus the rounding of
 # the log-space prefactors exp(-s + a ln s - lgamma(a + 1)), whose terms grow
 # like d + lambda; twice that, since the worst case seen was 0.74 of it
