@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import specfun
 from ._kernels import exact_split_means, split_means
 from .errors import DomainError
 from .rng import RngStream, batch_normals
@@ -119,6 +120,7 @@ def part_size(n: int, p0: float) -> int:
 def _check_n_d(n: int, d: int) -> None:
     if n < 2 or d < 1:
         raise DomainError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
+    specfun._check_dim(d)
 
 
 def sample_gaussian(n: int, d: int, theta, rng: RngStream) -> SampleSet:

@@ -8,7 +8,8 @@ Replication ``r`` of cell ``c`` draws from the stream chain
 ``root(master_seed) -> substream(1 + c) -> substream(r)`` (``substream(0)``
 of the root is reserved for artifacts shared across cells, such as a fixed
 dataset).  :func:`_replicate` is the one place that implements this layout;
-every Monte Carlo cell, :func:`coverage_suite` and :func:`ulrt.power.mc_power`
+every Monte Carlo cell and :func:`ulrt.power.mc_power` (and so
+:func:`coverage_suite`, which reads each coverage off the size of its test)
 run through it; it passes a chunk to :func:`ulrt.data.replicate_split_means`
 as a stream and a replication range.  Within a replication, substream 0
 draws the data: a single-split (B = 1) cell draws only its two part means
@@ -299,26 +300,30 @@ _CELL_TYPES = {
 
 
 @cache
-def _cell_schema(experiment_id: str) -> dict[str, str]:
+def _cell_schema(experiment_id: str) -> tuple[dict[str, str], tuple[dict, ...]]:
     """Each axis of a preset's cells and what its value must be, read off
-    the first cell of the preset's default grid."""
+    the first cell of the preset's default grid, and the combinations of
+    its string axes (test and method) that the default grid takes."""
     preset = PRESETS[experiment_id]
-    return {
-        key: next(kind for kind, check in _CELL_TYPES.items() if check(value))
-        for key, value in preset.build_grid(dict(preset.axes))[0].items()
-    }
+    grid = preset.build_grid(dict(preset.axes))
+    schema = {key: next(kind for kind, check in _CELL_TYPES.items() if check(value))
+              for key, value in grid[0].items()}
+    combos = ({k: v for k, v in cell.items() if isinstance(v, str)} for cell in grid)
+    return schema, tuple({repr(c): c for c in combos}.values())
 
 
 def _check_cells(experiment_id: str, grid) -> None:
     """Refuse, before any cell runs, a cell that lacks one of the preset's
-    axes or gives one a value of the wrong type (``bool`` is no number), an
-    ``alpha`` outside (0, 1), a negative or non-finite ``n_theta_sq`` (fig6)
-    or ``theta_norm`` (fig7, S3, S4), and data that cannot be split: fewer
-    than two observations, a ``p0`` that leaves a part empty, or an odd
-    ``n`` for a subsampled annulus test.  Keys beyond the axes are kept:
-    they become CSV columns that label the cell's rows, and a misspelled
-    axis still fails as a missing one."""
-    schema, annulus = _cell_schema(experiment_id), PRESETS[experiment_id].annulus
+    axes or gives one a value of the wrong type (``bool`` is no number), a
+    test or method that the preset's default grid does not run, a boundary
+    trace that cannot start (fig1 and S2: ``d != 2``, fewer than 3 rays or
+    a ``tol`` that is not positive), an ``alpha`` outside (0, 1), a negative
+    or non-finite ``n_theta_sq`` (fig6) or ``theta_norm`` (fig7, S3, S4),
+    and data that cannot be split: fewer than two observations, a ``p0``
+    that leaves a part empty, or an odd ``n`` for a subsampled annulus test.
+    Keys beyond the axes are kept: they become CSV columns that label the
+    cell's rows, and a misspelled axis still fails as a missing one."""
+    (schema, combos), annulus = _cell_schema(experiment_id), PRESETS[experiment_id].annulus
     for i, cell in enumerate(grid):
         if not isinstance(cell, dict):
             raise DomainError(f"{experiment_id} grid cell {i} is not a mapping: {cell!r}")
@@ -330,7 +335,13 @@ def _check_cells(experiment_id: str, grid) -> None:
                 raise DomainError(
                     f"{experiment_id} grid cell {i}: {key} must be {kind}, got {cell[key]!r}"
                 )
+        picked = {key: cell[key] for key in combos[0]}
+        if picked not in combos:
+            raise DomainError(f"{experiment_id} grid cell {i}: {picked} is not one of "
+                              f"{', '.join(map(str, combos))}")
         try:
+            if "rays" in schema:
+                rg._check_trace(cell["d"], cell["rays"], cell["tol"])
             if "n" in schema and cell["n"] < 2:
                 raise DomainError(f"n = {cell['n']} observations cannot be split, need n >= 2")
             if "alpha" in schema:
@@ -347,8 +358,6 @@ def _check_cells(experiment_id: str, grid) -> None:
 
 
 def _grid_fig1(p: dict) -> list[dict]:
-    if p["d"] != 2:
-        raise DomainError("regions_fig1 requires d = 2")
     base = {k: p[k] for k in ("n", "d", "alpha", "B", "rays", "tol")}
     return [dict(replicate=r, **base) for r in range(int(p["replicates"]))]
 
@@ -392,9 +401,6 @@ def _grid_fig6(p: dict) -> list[dict]:
     ]
 
 
-_FIG7_METHODS = ("intersection", "intersection_exact", "subsampled_split", "subsampled_hybrid")
-
-
 def _grid_fig7(p: dict) -> list[dict]:
     return [
         dict(
@@ -403,7 +409,7 @@ def _grid_fig7(p: dict) -> list[dict]:
         )
         for d in p["ds"]
         for t in p["theta_norms"]
-        for m in _FIG7_METHODS
+        for m in ("intersection", "intersection_exact", "subsampled_split", "subsampled_hybrid")
     ]
 
 
@@ -417,7 +423,7 @@ def _grid_figS3(p: dict) -> list[dict]:
         dict(method=m, d=d, n=p["n"], alpha=p["alpha"], theta_norm=float(t), reps=int(p["reps"]))
         for d in p["ds"]
         for t in p["theta_norms"]
-        for m in ("exact", "mc")
+        for m in _FIGS3_METHODS
     ]
 
 
@@ -591,8 +597,6 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
         fn = pw.power_classical if test == "classical" else pw.power_limiting_subsampling
         est = fn(theta_sq, n, d, alpha, method=method)
         return [SummaryRow(ctx.spec.experiment_id, base, est.value, est.stderr, 0)]
-    if method != "mc":
-        raise DomainError(f"power_fig6 test {test!r} has no method {method!r}")
     theta = math.sqrt(theta_sq / d) * np.ones(d)
     est = pw.mc_power(test, theta, n, alpha, reps=cell["reps"], rng=ctx.cell_stream(ci),
                       workers=ctx.workers, dump=ctx.cell_dump(ci))
@@ -603,7 +607,7 @@ def _exec_fig6(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
 _SUBSAMPLED = ("subsampled_split", "subsampled_hybrid")
 
 
-def _draw_groups(grid, method: Callable[[dict], str | None]) -> list[tuple[int, ...]]:
+def _draw_groups(grid, method: Callable[[dict], str]) -> list[tuple[int, ...]]:
     """The draw groups of an annulus grid, each in cell order: the B > 1
     subsampled cells (``method(cell)`` names a cell's test) whose keys
     other than ``method`` and ``theta_norm`` are all equal, where there are
@@ -632,8 +636,6 @@ def _exec_group(ctx: _RunContext, cis: tuple[int, ...]) -> dict[int, list[Summar
     for ci in cis:
         cell, method = grid[ci], annulus.method(grid[ci])
         try:
-            if method is None:
-                raise DomainError(f"{ctx.spec.experiment_id} has no method {cell['method']!r}")
             tests[ci] = (dn.mc_reducer(method, n, d, cell["alpha"], dn.AnnulusNull()),
                          cell["theta_norm"])
             B = cell["B"] if method in _SUBSAMPLED else 1
@@ -714,10 +716,10 @@ _FIGS3_METHODS = {"exact": "intersection_exact", "mc": "intersection"}
 @dataclass(frozen=True)
 class _Annulus:
     """How a preset's cells run the annulus tests: ``method(cell)`` names a
-    cell's test (``None`` for an unknown one), and ``rows(ctx, cell, acc)``
-    shapes a Monte Carlo cell's rows from its accumulators."""
+    cell's test, and ``rows(ctx, cell, acc)`` shapes a Monte Carlo cell's
+    rows from its accumulators."""
 
-    method: Callable[[dict], str | None]
+    method: Callable[[dict], str]
     rows: Callable[[_RunContext, dict, dict], list[SummaryRow]]
 
 
@@ -768,7 +770,7 @@ PRESETS = {
         ds=(2, 10), n=1000, alpha=0.1, B=100, reps=500,
         theta_norms=(0.0, 0.25, 0.45, 0.5, 0.75, 1.0, 1.1, 1.25, 1.5),
     ), split_batches=True, annulus=_Annulus(
-        lambda cell: cell["method"] if cell["method"] in _FIG7_METHODS else None, _power_row,
+        lambda cell: cell["method"], _power_row,
     )),
     "crossfit_p0_figS2": Preset("S2", _grid_figS2, _exec_figS2, dict(
         n=1000, d=2, alpha=0.1, p0s=(0.1, 0.3, 0.5, 0.7, 0.9), rays=180, tol=1e-5,
@@ -776,7 +778,7 @@ PRESETS = {
     "intersect_power_figS3": Preset("S3", _grid_figS3, _exec_annulus, dict(
         ds=(2, 10), n=1000, alpha=0.1, reps=1000,
         theta_norms=(0.0, 0.15, 0.3, 0.45, 1.05, 1.2, 1.35, 1.5),
-    ), annulus=_Annulus(lambda cell: _FIGS3_METHODS.get(cell["method"]), _power_row)),
+    ), annulus=_Annulus(lambda cell: _FIGS3_METHODS[cell["method"]], _power_row)),
     "hybrid_cases_figS4": Preset("S4", _grid_figS4, _exec_annulus, dict(
         ds=(2, 10, 100), n=1000, alpha=0.1, B=100, reps=200,
         theta_norms=(0.0, 0.25, 0.45, 0.75, 1.1, 1.3, 1.5),
@@ -852,33 +854,17 @@ def coverage_suite(
 ) -> list[SummaryRow]:
     """Empirical coverage of the true mean for all four set constructions.
 
-    One row per (method, d); the universal sets must cover with probability
-    at least ``1 - alpha`` while the classical sphere is exact.
-    """
-    thresh = rg.log_threshold(alpha)
-    k = part_size(n, 0.5)
+    A set covers the mean that its test does not reject, so row ``ci``, one
+    per (method, d), is one minus the size :func:`ulrt.power.mc_power` of
+    its test at theta = 0 on ``rng.substream(ci)``, with the binomial stderr
+    of the coverage.  The universal sets must cover with probability at
+    least ``1 - alpha`` while the classical sphere is exact."""
     rows = []
-    methods = ("classical", "split", "crossfit", "subsampling")
-    for ci, (method, d) in enumerate((m, d) for d in d_list for m in methods):
-        quantile = specfun.chi2_upper_quantile(alpha, d)
-        b_eff = B if method == "subsampling" else 1
-        theta = np.zeros(d)
-
-        def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict:
-            if method == "classical":
-                overall = (k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n
-                covered = n * sq_norm(overall) <= quantile
-            else:
-                covered = rg.log_values(method, theta, mean0, mean1, k, n - k) < thresh
-            return {"covered": covered.astype(np.float64)}
-
-        a = _replicate(rng.substream(ci), reps, n, k, theta, b_eff, reduce, workers)["covered"]
-        rows.append(
-            SummaryRow(
-                "coverage", dict(method=method, d=d, n=n, alpha=alpha, B=b_eff),
-                a.mean, a.se_proportion(), a.count,
-            )
-        )
+    for ci, (method, d) in enumerate((m, d) for d in d_list for m in pw.MC_TEST_KINDS):
+        size = pw.mc_power(method, np.zeros(d), n, alpha, B, reps, rng.substream(ci), workers)
+        cover = 1.0 - size.value
+        cell = dict(method=method, d=d, n=n, alpha=alpha, B=B if method == "subsampling" else 1)
+        rows.append(SummaryRow("coverage", cell, cover, math.sqrt(cover * (1 - cover) / reps), reps))
     return rows
 
 

@@ -4,8 +4,8 @@ The null is rejected when the confidence set excludes the origin.  For the
 classical and limiting-subsampling spheres the rejection event depends on the
 data only through ``n ||mean||^2``, which is noncentral chi-squared, so power
 is available exactly (noncentral CDF) or via the large-noncentrality normal
-approximation.  The split, cross-fit, and finite-B subsampling tests are
-estimated by Monte Carlo (the split test's power is also a 2-d integral).
+approximation.  Every test, the classical one too, is estimated by Monte
+Carlo (the split test's power is also a 2-d integral).
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from ._kernels import sq_norm
 from .data import _check_n_d, part_size
 from .errors import DomainError
 from .regions import _LOG_5_HALVES, log_threshold, log_values
 
-MC_TEST_KINDS = ("split", "crossfit", "subsampling")
+MC_TEST_KINDS = ("classical", "split", "crossfit", "subsampling")
 _METHODS = {"exact": "exact_noncentral", "approx": "normal_approx"}
 
 
@@ -95,12 +96,14 @@ def mc_power(
     workers: int | None = None,
     dump: Callable[[str, int, np.ndarray], None] | None = None,
 ) -> PowerEstimate:
-    """Monte Carlo power of a universal test at true mean ``theta``.
+    """Monte Carlo power of a test of a zero mean at true mean ``theta``.
 
     Each replication simulates fresh data from N(theta, I_d), evaluates the
-    test statistic at the origin, and rejects when it reaches ``1/alpha``.
-    The split and cross-fit tests (and subsampling at ``B = 1``) draw only
-    the two part means, ``2d`` normals from substream 0 of the replication;
+    test statistic at the origin, and rejects when it reaches ``1/alpha``;
+    the classical test rejects when ``n ||mean||^2`` exceeds ``c_{alpha,d}``,
+    so its closed sphere counts its boundary as covered.  Every test but
+    subsampling at ``B > 1`` draws only the two part means, ``2d`` normals
+    from substream 0 of the replication;
     subsampling at ``B > 1`` draws the full ``n``-by-``d`` dataset from
     substream 0, and its splits descend from substream 1.
     Replications run through :func:`ulrt.engine._replicate`: replication
@@ -122,11 +125,15 @@ def mc_power(
     b_eff = B if test_kind == "subsampling" else 1
     k = part_size(n, 0.5)
     origin = np.zeros(d)
+    quantile = specfun.chi2_upper_quantile(alpha, d) if test_kind == "classical" else None
 
     from .engine import _replicate
 
     def reduce(mean0: np.ndarray, mean1: np.ndarray) -> dict[str, np.ndarray]:
-        rejected = log_values(test_kind, origin, mean0, mean1, k, n - k) >= log_thresh
+        if test_kind == "classical":
+            rejected = n * sq_norm((k * mean0[:, 0] + (n - k) * mean1[:, 0]) / n) > quantile
+        else:
+            rejected = log_values(test_kind, origin, mean0, mean1, k, n - k) >= log_thresh
         return {"reject": rejected.astype(np.float64)}
 
     acc = _replicate(rng, reps, n, k, theta, b_eff, reduce, workers, dump)["reject"]

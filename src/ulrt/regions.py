@@ -244,8 +244,7 @@ def optimal_split_proportion(alpha: float, d: int) -> float:
     Always lies in (1/2, 1).
     """
     L = log_threshold(alpha)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    specfun._check_dim(d)
     return 1.0 - 2.0 * d / (math.sqrt(4.0 * d * d + 8.0 * d * L) + 2.0 * d)
 
 
@@ -284,8 +283,7 @@ def ratio_bounds_log(log_inv_alpha: float, d: int) -> RatioBounds:
     L = float(log_inv_alpha)
     if not math.isfinite(L) or L <= 0.0:
         raise DomainError(f"ln(1/alpha) must be positive and finite, got {L}")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    specfun._check_dim(d)
     numerator = 4.0 * L + 4.0 * d
     lower = numerator / (2.0 * L + d + 2.0 * math.sqrt(d * L))
     if d >= 2:
@@ -334,8 +332,7 @@ def limiting_vs_expected_split_ratio(alpha: float, d: int) -> float:
     """Squared-radius ratio of the limiting subsampling sphere to the
     expected split sphere: ``(5/6) ((d/2) ln(5/2) + L) / (d + L)``."""
     L = log_threshold(alpha)
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    specfun._check_dim(d)
     return (5.0 / 6.0) * (0.5 * d * _LOG_5_HALVES + L) / (d + L)
 
 
@@ -368,6 +365,16 @@ class Boundary2D:
         return np.sqrt(sq_norm(self.points, self.center))
 
 
+def _check_trace(d: int, rays: int, tol: float) -> None:
+    """Refuse a boundary trace that no data lets start."""
+    if d != 2:
+        raise DomainError("boundary extraction requires d = 2")
+    if rays < 3:
+        raise DomainError(f"need at least 3 rays, got {rays}")
+    if not tol > 0.0:
+        raise DomainError(f"need tol > 0, got {tol}")
+
+
 def region_boundary_2d(
     evaluator: Callable[[np.ndarray], np.ndarray], center_hint, rays: int, tol: float, search_radius: float
 ) -> Boundary2D:
@@ -385,11 +392,8 @@ def region_boundary_2d(
     itself be a member.
     """
     center = np.asarray(center_hint, dtype=np.float64).reshape(-1)
-    if center.shape != (2,):
-        raise DomainError("boundary extraction requires d = 2")
-    if rays < 3:
-        raise DomainError(f"need at least 3 rays, got {rays}")
-    if not (tol > 0.0 and search_radius > tol):
+    _check_trace(center.shape[0], rays, tol)
+    if not search_radius > tol:
         raise DomainError("need search_radius > tol > 0")
     if not evaluator(center[None])[0]:
         raise DomainError("center_hint is not a member of the region")

@@ -244,7 +244,7 @@ _ALPHA_FIGURES = {
 
 def test_alpha_figures_are_the_presets_with_an_alpha_axis():
     assert set(_ALPHA_FIGURES) == {eid for eid in engine.EXPERIMENT_IDS
-                                   if "alpha" in engine._cell_schema(eid)}
+                                   if "alpha" in engine._cell_schema(eid)[0]}
 
 
 @pytest.mark.parametrize("alpha", ["1.5", "nan", "0", "-0.1"])
@@ -547,6 +547,38 @@ def test_each_main_call_parses_from_the_defaults(capsys):
 # ---------------------------------------------------------------------------
 
 
+#: Inputs that used to run to error rows (or, for ``figure 1 --d 3``, failed
+#: in the grid builder) and are now refused before any cell runs: a figure
+#: call, or a spec-file grid of a good default cell followed by a faulty one.
+_REFUSED_INPUTS = {
+    "figure-S2-d3": ["figure", "S2", "--d", "3"],
+    "figure-1-d3": ["figure", "1", "--d", "3"],
+    "fig7-method": ("doughnut_fig7", dict(method="bogus")),
+    "S3-method": ("intersect_power_figS3", dict(method="bogus")),
+    "fig6-test": ("power_fig6", dict(test="bogus")),
+    "fig1-d3": ("regions_fig1", dict(d=3)),
+    "S2-rays": ("crossfit_p0_figS2", dict(rays=2)),
+    "S2-tol": ("crossfit_p0_figS2", dict(tol=-1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_INPUTS))
+def test_refused_input_exits_2_naming_its_cell_and_writes_no_csv(tmp_path, capsys, case):
+    out, refused = tmp_path / "rows.csv", _REFUSED_INPUTS[case]
+    if isinstance(refused, list):
+        argv, index = [*refused, "--workers", "1", "--out", str(out)], 0
+    else:
+        experiment_id, fault = refused
+        good = engine.build_spec(experiment_id, 1).grid[0]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"experiment_id": experiment_id, "seed": 1,
+                                    "grid": [good, dict(good, **fault)]}))
+        argv, index = ["experiment", "--spec-file", str(spec), "--out", str(out)], 1
+    assert main(argv) == 2
+    assert f"grid cell {index}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_spec_file_and_dump_raw(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -630,7 +662,7 @@ def test_experiment_csv_quotes_cell_values_holding_commas(tmp_path):
         "experiment_id": "doughnut_fig7",
         "seed": 1,
         "grid": [
-            dict(cell, method="a,b", theta_norm=0.5),
+            dict(cell, method="intersection", theta_norm=0.5, label="a,b"),
             dict(cell, method="intersection", theta_norm=0.5, label=[0.1, 0.2]),
         ],
     }))
@@ -638,9 +670,9 @@ def test_experiment_csv_quotes_cell_values_holding_commas(tmp_path):
     assert main(["experiment", "--spec-file", str(spec), "--workers", "1", "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out)))
     assert all(None not in row for row in rows)
-    assert [r["method"] for r in rows] == ["a,b", "intersection"]
-    assert [r["label"] for r in rows] == ["", "[0.1, 0.2]"]
-    assert [r["status"] for r in rows] == ["error:DomainError", "ok"]
+    assert [r["method"] for r in rows] == ["intersection", "intersection"]
+    assert [r["label"] for r in rows] == ["a,b", "[0.1, 0.2]"]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
 def test_experiment_fig4_cell_past_the_double_range_is_an_error_row(tmp_path):

@@ -292,10 +292,11 @@ def test_extra_cell_keys_become_label_columns(tmp_path):
     ],
 )
 def test_unknown_test_or_method_in_explicit_cell_yields_domain_error(experiment_id, cell):
-    spec = ExperimentSpec(experiment_id, (dict(cell, d=2, n=100, alpha=0.1, reps=20),), 3)
-    (row,) = run(spec)
-    assert row.status == "error:DomainError"
-    assert math.isnan(row.estimate) and row.reps_used == 0
+    """Such a cell used to run to an ``error:DomainError`` row; the spec now
+    refuses it and names the combinations the preset's default grid runs."""
+    with pytest.raises(DomainError, match=rf"^{experiment_id} grid cell 0: \{{.*'bogus'.*\}} "
+                                          r"is not one of \{'(test|method)': '"):
+        ExperimentSpec(experiment_id, (dict(cell, d=2, n=100, alpha=0.1, reps=20),), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -563,8 +563,23 @@ def test_closed_forms_refuse_n_below_2_or_d_below_1(n, d):
         with pytest.raises(DomainError, match="need n >= 2 and d >= 1"):
             closed_form()
     if d < 1:
-        with pytest.raises(DomainError, match="d must be >= 1"):
+        with pytest.raises(DomainError, match="degrees of freedom must be a positive integer"):
             limiting_vs_expected_split_ratio(0.1, d)
+
+
+@pytest.mark.parametrize("d", [2.5, True])
+@pytest.mark.parametrize("closed_form", [
+    lambda d: optimal_split_proportion(0.1, d),
+    lambda d: limiting_vs_expected_split_ratio(0.1, d),
+    lambda d: ratio_bounds_log(2.0, d),
+    lambda d: expected_sq_radius_split(0.1, d, 1000, 0.5),
+    lambda d: limiting_sq_radius(0.1, d, 1000),
+], ids=["p0star", "limiting_vs_split", "ratio_bounds_log", "expected_sq_radius", "limiting_sq_radius"])
+def test_closed_forms_refuse_a_non_integer_or_boolean_d(closed_form, d):
+    """Each used to return a number at d = 2.5 or True (p0* was 0.6277 at
+    2.5); they now share the package's one d check."""
+    with pytest.raises(DomainError, match=f"degrees of freedom must be a positive integer, got {d}"):
+        closed_form(d)
 
 
 # ---------------------------------------------------------------------------
