@@ -18,6 +18,7 @@ the smallest positive double.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -203,6 +204,13 @@ def crossfit_member(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np
         "crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1) < thresh
 
 
+def _crossfit_margin(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Margin ``thresh - `` the log cross-fit statistic, positive exactly
+    where :func:`crossfit_member` is true."""
+    return lambda thetas: thresh - log_values(
+        "crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1)
+
+
 def subsampling_log_statistic(theta, splits: SplitPair, alpha: float | None = None) -> LogStatistic:
     """Log of the average split statistic over the ``B`` splits of a record."""
     return _log_statistic("subsampling", theta, splits, alpha)
@@ -213,6 +221,26 @@ def subsampling_member(splits: SplitPair, thresh: float) -> Callable[[np.ndarray
     splits at log threshold ``thresh``, for :func:`region_boundary_2d`."""
     return lambda thetas: log_values(
         "subsampling", thetas, splits.mean0, splits.mean1, splits.m0) < thresh
+
+
+def _subsampling_margin(splits: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Margin ``ln B - ln sum_b exp(v_b - thresh)`` of the subsampling set
+    over the split statistics ``v_b``, positive on members: its sign is
+    :func:`subsampling_member`'s but for rounding within a few ulps of the
+    boundary.  The sum is taken relative to ``c = max(v_0, thresh)``, so it
+    overflows only where some ``v_b`` exceeds ``thresh`` by about 709, and
+    then gives -inf (outside); it is 0 only where every ``v_b`` lies about
+    745 below ``thresh``, and then gives +inf (inside)."""
+    log_b = math.log(len(splits.mean0))
+
+    def margin(thetas):
+        values = split_log_values(thetas, splits.mean0, splits.mean1, splits.m0)
+        shift = np.maximum(values[..., 0], thresh)
+        values -= shift[..., None]
+        with np.errstate(over="ignore", divide="ignore"):
+            return (thresh - shift) + (log_b - np.log(np.exp(values, out=values).sum(axis=-1)))
+
+    return margin
 
 
 def limiting_sq_radius(alpha: float, d: int, n: int) -> float:
@@ -375,44 +403,143 @@ def _check_trace(d: int, rays: int, tol: float) -> None:
         raise DomainError(f"need tol > 0, got {tol}")
 
 
+#: half-width, in units of ``tol``, of the band a margin trace certifies
+#: around each ray's secant estimate of its boundary radius
+_BAND = 1e-3
+#: secant steps a ray may take to settle before it falls back to bisection
+_SECANT_STEPS = 12
+
+
+@functools.lru_cache(maxsize=8)
+def _ray_dirs(rays: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles ``2 pi j / rays`` and their unit directions, read-only."""
+    angles = 2.0 * math.pi * np.arange(rays) / rays
+    # libm's cos and sin, which np.cos and np.sin can differ from in the last bit
+    dirs = np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
+    angles.flags.writeable = dirs.flags.writeable = False
+    return angles, dirs
+
+
+def _secant_band(margin, center, dirs, f_center, f_outer, tol, search_radius):
+    """Each ray's band ``(r_in, r_out)``: a radius evaluated as a member and
+    one evaluated as a non-member, ``(0, search_radius)`` where none closer
+    is certified.
+
+    Secant steps on ``s = r^2``, along which a margin is close to linear,
+    start from the center and the outer probe.  A ray settles when its
+    estimate moves by at most ``_BAND * tol`` from its last evaluated point;
+    one call then evaluates every settled ray at ``_BAND * tol`` past its
+    estimate, on the far side from that point, and a ray whose two points
+    straddle the boundary takes them as its band."""
+    rays = len(dirs)
+    delta = _BAND * tol
+    estimate, last, f_last = np.full(rays, np.nan), np.empty(rays), np.empty(rays)
+    idx = np.arange(rays)
+    s_a, f_a = 0.0, f_center
+    r_b, f_b = np.full(rays, search_radius), f_outer
+    with np.errstate(all="ignore"):
+        for step in range(_SECANT_STEPS):
+            if step:
+                s_a, f_a, r_b = s_b, f_b, r
+                f_b = margin(center + r_b[:, None] * dirs[idx])
+            s_b = r_b * r_b
+            r = np.sqrt(s_b - f_b * (s_b - s_a) / (f_b - f_a))
+            estimate[idx], last[idx], f_last[idx] = r, r_b, f_b
+            go = np.abs(r - r_b) > delta  # false once settled, and on a NaN estimate
+            if not go.all():
+                idx, r, s_b, f_b = idx[go], r[go], s_b[go], f_b[go]
+                if not idx.size:
+                    break
+    r_in, r_out = np.zeros(rays), np.full(rays, search_radius)
+    (found,) = (np.abs(estimate - last) <= delta).nonzero()
+    if not found.size:
+        return r_in, r_out
+    near, inside = last[found], f_last[found] > 0
+    far = np.where(inside, estimate[found] + delta, estimate[found] - delta)
+    ok = (margin(center + far[:, None] * dirs[found]) > 0) != inside
+    found, near, far, inside = found[ok], near[ok], far[ok], inside[ok]
+    r_in[found] = np.where(inside, near, far)
+    r_out[found] = np.where(inside, far, near)
+    return r_in, r_out
+
+
+def _bisect(member, center, dirs, tol, search_radius, r_in, r_out):
+    """Each ray's radius ``(lo + hi) / 2`` once bisection from ``(0,
+    search_radius)`` has brought its ``hi - lo`` to at most ``tol``: a
+    midpoint at or below ``r_in`` is a member, one at or above ``r_out`` is
+    not, and ``member`` is asked about the others, in one call per step."""
+    count = len(dirs)
+    radius = np.empty(count)
+    idx = np.arange(count)
+    lo, hi = np.zeros(count), np.full(count, search_radius)
+    while idx.size:
+        go = hi - lo > tol
+        if not go.all():
+            stop = ~go
+            radius[idx[stop]] = 0.5 * (lo[stop] + hi[stop])
+            idx, lo, hi, r_in, r_out = idx[go], lo[go], hi[go], r_in[go], r_out[go]
+            if not idx.size:
+                break
+        mid = 0.5 * (lo + hi)
+        inside = mid <= r_in
+        ask = (mid < r_out) > inside
+        if ask.any():
+            inside[ask] = member(center + mid[ask, None] * dirs[idx[ask]]) > 0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return radius
+
+
 def region_boundary_2d(
     evaluator: Callable[[np.ndarray], np.ndarray], center_hint, rays: int, tol: float, search_radius: float
 ) -> Boundary2D:
     """Trace the boundary of a 2-d membership region along equally spaced rays.
 
-    ``evaluator`` maps a ``(G, 2)`` array of points to ``(G,)`` booleans,
-    true for members.  All rays are bisected together: one call probes every
-    ray's outer point, then each step evaluates, in one call, the midpoints
-    of the rays whose own bracket ``hi - lo`` still exceeds ``tol``.  A ray
-    sees the same midpoints as if it were bisected alone.
+    ``evaluator`` maps a ``(G, 2)`` array of points to ``(G,)`` values, and
+    a point is a member when its value is ``> 0``: booleans, true for
+    members, or float margins, positive on members (NaN is not a member).
+    All rays are bisected together: one call probes every ray's outer
+    point, then each step bisects every ray whose own bracket ``hi - lo``
+    still exceeds ``tol``, evaluating the midpoints it must ask about in one
+    call.  A ray sees the same midpoints as if it were bisected alone, and
+    no call evaluates more than ``rays`` points.
+
+    Booleans are asked about every midpoint.  Margins first locate each
+    ray's boundary: secant steps on ``r^2`` estimate its radius, and one
+    more evaluation certifies a band ``(r_in, r_out)``, at most
+    ``2e-3 * tol`` wide, of a member and a non-member radius.  The
+    bisection then takes a midpoint at or below ``r_in`` as a member and one
+    at or above ``r_out`` as not, and asks only about midpoints strictly
+    inside the band.  A ray whose secant steps do not settle, or whose band
+    fails the check, keeps the band ``(0, search_radius)``: the plain
+    bisection that booleans get.
 
     Assumes the region is star-shaped about ``center_hint`` (membership is
     monotone along each ray), which holds for spheres and is checked
-    empirically for the cross-fit and subsampling sets.  ``center_hint`` must
-    itself be a member.
+    empirically for the cross-fit and subsampling sets.  Under that
+    assumption every decision by position is the evaluator's own answer, so
+    a margin gives the boundary that asking it about every midpoint gives,
+    bit for bit: that of a boolean evaluator wherever the two agree in sign.
+    ``center_hint`` must itself be a member.
     """
     center = np.asarray(center_hint, dtype=np.float64).reshape(-1)
     _check_trace(center.shape[0], rays, tol)
     if not search_radius > tol:
         raise DomainError("need search_radius > tol > 0")
-    if not evaluator(center[None])[0]:
+    at_center = np.asarray(evaluator(center[None]))
+    if not at_center[0] > 0:
         raise DomainError("center_hint is not a member of the region")
 
-    angles = 2.0 * math.pi * np.arange(rays) / rays
-    # libm's cos and sin, which np.cos and np.sin can differ from in the last bit
-    dirs = np.array([[math.cos(phi), math.sin(phi)] for phi in angles])
-    failed = evaluator(center + search_radius * dirs)
+    angles, dirs = _ray_dirs(rays)
+    outer = np.asarray(evaluator(center + search_radius * dirs))
+    failed = outer > 0
     dirs = dirs[~failed]
-    lo = np.zeros(len(dirs))
-    hi = np.full(len(dirs), search_radius)
-    active = np.arange(len(dirs))
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        inside = evaluator(center + mid[:, None] * dirs[active])
-        lo[active[inside]] = mid[inside]
-        hi[active[~inside]] = mid[~inside]
-        active = active[hi[active] - lo[active] > tol]
-    radius = 0.5 * (lo + hi)
+    count = len(dirs)
+    if at_center.dtype == np.bool_ or not count:
+        r_in, r_out = np.zeros(count), np.full(count, search_radius)
+    else:
+        r_in, r_out = _secant_band(evaluator, center, dirs, at_center[0], outer[~failed], tol, search_radius)
+    radius = _bisect(evaluator, center, dirs, tol, search_radius, r_in, r_out)
     return Boundary2D(
         center=center,
         angles=angles[~failed],
@@ -427,11 +554,22 @@ def boundaries_2d(
     """The cross-fit boundary of ``pair`` and the subsampling boundary of the
     record ``splits`` (``None`` without one), each traced from the sample
     mean out to ten radii of the split sphere of ``pair``.  Both records
-    must be splits of ``sample``."""
+    must be splits of ``sample``.
+
+    The traces evaluate margins, not the booleans of :func:`crossfit_member`
+    and :func:`subsampling_member`, so :func:`region_boundary_2d` certifies a
+    narrow band around each ray's boundary and decides the midpoints outside
+    it by position, from far fewer evaluated points.  Under its
+    monotonicity assumption the cross-fit boundary is the booleans' own, bit
+    for bit, since its margin has their sign exactly.  The subsampling
+    margin's sign can differ from the booleans' within a few ulps of the
+    boundary, where a point could then move by one bisection step; the
+    equality sweep of ``pytest -m sweep`` checks that it does not on
+    fig1-shaped records."""
     thresh = log_threshold(alpha)
-    members = [(pair, crossfit_member(pair, thresh))]
+    members = [(pair, _crossfit_margin(pair, thresh))]
     if splits is not None:
-        members.append((splits, subsampling_member(splits, thresh)))
+        members.append((splits, _subsampling_margin(splits, thresh)))
     for record, _ in members:
         if record.m0 + record.m1 != sample.n:
             raise DomainError(f"splits of {record.m0 + record.m1} observations "

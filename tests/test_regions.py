@@ -786,6 +786,126 @@ def test_boundary_matches_per_ray_bisection(case):
         assert 0 < calls[-1] < calls[2] == rays
 
 
+def _outlier_splits():
+    """A sample of 1000 points with one observation at (1000, 0), and a
+    record of 100 of its splits whose split 0 holds the outlier in part 0."""
+    root = RngStream(301)
+    values = data.sample_gaussian(1000, 2, [0.0, 0.0], root.substream(0)).values.copy()
+    values[0] = (1000.0, 0.0)
+    sample = data.SampleSet.from_values(values)
+    drawn = data.subsample_splits(sample, 100, 0.5, root.substream(2))
+    order = np.argsort(drawn.mean1[:, 0] - drawn.mean0[:, 0] > 1.0, kind="stable")
+    assert drawn.mean0[order[0], 0] - drawn.mean1[order[0], 0] > 1.0
+    return sample, data.SplitPair(drawn.mean0[order], drawn.mean1[order], drawn.m0, drawn.m1)
+
+
+def _margin_cases():
+    """Every ``_boundary_cases`` case in margin form, as ``(margin, member,
+    center, rays, tol, search)``, with four more: a search radius at which
+    the subsampling margin's ``exp`` overflows on some rays, a record whose
+    split statistics differ from split 0's by more than 709 inside the set,
+    a cross-fit statistic that is NaN on part of the plane, and a margin
+    whose secant steps settle where it touches zero inside the region."""
+    root = RngStream(301)
+    sample = data.sample_gaussian(1000, 2, [0.0, 0.0], root.substream(0))
+    pair = data.split(sample, 0.5, root.substream(1))
+    split_reg = split_region(pair, 0.1)
+    splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
+    thresh = log_threshold(0.1)
+    crossfit = regions._crossfit_margin(pair, thresh)
+    subsampling = regions._subsampling_margin(splits, thresh)
+    margins = {
+        "split_sphere": lambda theta: split_reg.sq_radius - _kernels.sq_norm(theta, split_reg.center),
+        "crossfit": crossfit,
+        "subsampling_B100": subsampling,
+        "half_plane": lambda theta: 0.5 - theta[:, 0],
+        "odd_rays": crossfit,
+        "uneven_widths": crossfit,
+    }
+    cases = {name: (margin, *_boundary_cases()[name]) for name, margin in margins.items()}
+
+    def cut(thetas):  # NaN wherever theta lies 0.03 or more above the mean
+        values = regions.log_values("crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1)
+        return np.where(thetas[..., 1] - sample.mean[1] >= 0.03, np.nan, values)
+
+    cases["overflowing_probe"] = (
+        subsampling, regions.subsampling_member(splits, thresh), sample.mean, 90, 1e-6, 10.0)
+    outlier_sample, outlier_splits = _outlier_splits()
+    cases["outlier_in_part0"] = (
+        regions._subsampling_margin(outlier_splits, thresh), regions.subsampling_member(outlier_splits, thresh),
+        outlier_sample.mean, 90, 1e-6, 4.0)
+    cases["nan_statistic"] = (
+        lambda thetas: thresh - cut(thetas), lambda thetas: cut(thetas) < thresh, sample.mean, 90, 1e-6, 1.0)
+
+    def touching(thetas):  # positive on |theta| < 0.3, nearly 0 at |theta| = 0.1
+        r = np.hypot(thetas[:, 0], thetas[:, 1])
+        return np.where(r < 0.3, np.abs(r - 0.1) + 1e-12, -9.9)
+
+    # the first secant step lands on |theta| = 0.1, where the steps settle
+    cases["touching_margin"] = (
+        touching, lambda thetas: touching(thetas) > 0, np.zeros(2), 16, 1e-6, 1.0)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_margin_cases()))
+def test_margin_boundary_matches_per_ray_bisection(case):
+    """A margin gives, bit for bit, the boundary that per-ray bisection of
+    its boolean evaluator gives, evaluating far fewer points."""
+    margin, member, center, rays, tol, search = _margin_cases()[case]
+    calls, member_calls = [], []
+
+    def counted(thetas):
+        calls.append(thetas.shape[0])
+        return margin(thetas)
+
+    def member_counted(thetas):
+        member_calls.append(thetas.shape[0])
+        return member(thetas)
+
+    boundary = region_boundary_2d(counted, center, rays, tol, search)
+    angles, points, failed = _per_ray_boundary(
+        lambda theta: bool(member(theta[None])[0]), center, rays, tol, search
+    )
+    np.testing.assert_array_equal(boundary.angles, angles)
+    np.testing.assert_array_equal(boundary.points, points)
+    np.testing.assert_array_equal(boundary.failed_angles, failed)
+    assert max(calls) <= rays
+    region_boundary_2d(member_counted, center, rays, tol, search)
+    if case in ("crossfit", "subsampling_B100"):
+        assert sum(calls) <= 0.6 * sum(member_calls)
+    if case == "overflowing_probe":
+        with np.errstate(over="ignore"):
+            outer = margin(center + search * regions._ray_dirs(rays)[1])
+        assert 0 < np.isneginf(outer).sum() < rays
+    if case == "outlier_in_part0":
+        # on some boundary points a sum taken relative to v_0 alone would overflow
+        splits = _outlier_splits()[1]
+        values = regions.split_log_values(points, splits.mean0, splits.mean1, splits.m0)
+        assert 0 < (values.max(axis=-1) - values[:, 0] > 710.0).sum() < rays
+    if case == "nan_statistic":
+        assert 0 < (np.abs(points[:, 1] - center[1] - 0.03) <= tol).sum() < rays
+
+
+@pytest.mark.sweep
+def test_margin_boundaries_equal_boolean_traces_sweep():
+    """``boundaries_2d`` traces margins; on 200 fig1-shaped records its
+    boundaries equal, bit for bit, the bisection of the boolean evaluators."""
+    root = RngStream(2029)
+    for i in range(200):
+        stream = root.substream(i)
+        sample = data.sample_gaussian(1000, 2, [0.0, 0.0], stream.substream(0))
+        pair = data.split(sample, 0.5, stream.substream(1))
+        splits = data.subsample_splits(sample, 100, 0.5, stream.substream(2))
+        thresh = log_threshold(0.1)
+        search = 10.0 * math.sqrt(split_region(pair, 0.1).sq_radius)
+        traced = regions.boundaries_2d(sample, pair, 0.1, 180, 1e-5, splits)
+        members = (regions.crossfit_member(pair, thresh), regions.subsampling_member(splits, thresh))
+        for boundary, member in zip(traced, members):
+            reference = region_boundary_2d(member, sample.mean, 180, 1e-5, search)
+            for field in ("angles", "points", "failed_angles"):
+                np.testing.assert_array_equal(getattr(boundary, field), getattr(reference, field))
+
+
 # ---------------------------------------------------------------------------
 # log statistic plumbing
 # ---------------------------------------------------------------------------
