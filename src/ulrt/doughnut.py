@@ -264,7 +264,8 @@ def mc_reducer(
         quantile, m = specfun.chi2_upper_quantile(alpha, d), n - k
 
         def intersect(forms: _SplitForms) -> dict:
-            sq = np.maximum(k * k * forms.aa + 2 * k * m * forms.ac + m * m * forms.cc, 0.0)
+            with np.errstate(over="ignore"):  # near the largest theta a spec takes: inf, which rejects
+                sq = np.maximum(k * k * forms.aa + 2 * k * m * forms.ac + m * m * forms.cc, 0.0)
             return {"reject": (_sq_gap(sq[:, 0] / (n * n), null) > quantile / n).astype(np.float64)}
 
         return intersect

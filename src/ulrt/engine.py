@@ -8,14 +8,16 @@ Replication ``r`` of cell ``c`` draws from the stream chain
 ``root(master_seed) -> substream(1 + c) -> substream(r)`` (``substream(0)``
 of the root is reserved for artifacts shared across cells, such as a fixed
 dataset).  :func:`_replicate` is the one place that implements this layout;
-every Monte Carlo cell and :func:`ulrt.power.mc_power` (and so
+every Monte Carlo cell but fig2's and :func:`ulrt.power.mc_power` (and so
 :func:`coverage_suite`, which reads each coverage off the size of its test)
 run through it; it passes a chunk to :func:`ulrt.data.replicate_split_means`
-as a stream and a replication range.  Within a replication, substream 0
-draws the data: a single-split (B = 1) cell draws only its two part means
-(``2d`` normals, see :func:`ulrt.data.sample_part_means`), and a B > 1 cell
-the full ``n``-by-``d`` dataset, or from ``data._EXACT_MIN_D`` coordinates on
-the normals of its split sums' exact law; its splits descend from substream
+as a stream and a replication range.  (A fig2 cell folds the splits of one
+dataset, not replications, through :func:`_map_chunks` directly.)  Within a
+replication, substream 0 draws the data: a single-split (B = 1) cell draws
+only its two part means (``2d`` normals, see
+:func:`ulrt.data.sample_part_means`), and a B > 1 cell the full
+``n``-by-``d`` dataset, or from ``data._EXACT_MIN_D`` coordinates on the
+normals of its split sums' exact law; its splits descend from substream
 1.  The Monte Carlo annulus cells of fig7, S3 and S4 draw at theta = 0 and
 shift the split forms of the draw by their own theta (:func:`_exec_group`);
 the B > 1 cells of one power curve form a draw group (:func:`_draw_groups`),
@@ -47,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -318,9 +321,11 @@ def _check_cells(experiment_id: str, grid) -> None:
     test or method that the preset's default grid does not run, a boundary
     trace that cannot start (fig1 and S2: ``d != 2``, fewer than 3 rays or
     a ``tol`` that is not positive), an ``alpha`` outside (0, 1), a negative
-    or non-finite ``n_theta_sq`` (fig6) or ``theta_norm`` (fig7, S3, S4),
-    and data that cannot be split: fewer than two observations, a ``p0``
-    that leaves a part empty, or an odd ``n`` for a subsampled annulus test.
+    or non-finite ``n_theta_sq`` (fig6) or ``theta_norm`` (fig7, S3, S4), a
+    ``theta_norm`` whose ``n theta_norm^2`` overflows, an ``x`` (fig4) whose
+    ``10**x`` is not a positive finite double, and data that cannot be split:
+    fewer than two observations, a ``p0`` that leaves a part empty, or an
+    odd ``n`` for a subsampled annulus test.
     Keys beyond the axes are kept: they become CSV columns that label the
     cell's rows, and a misspelled axis still fails as a missing one."""
     (schema, combos), annulus = _cell_schema(experiment_id), PRESETS[experiment_id].annulus
@@ -351,6 +356,12 @@ def _check_cells(experiment_id: str, grid) -> None:
             for axis in ("n_theta_sq", "theta_norm"):
                 if axis in schema and not 0.0 <= cell[axis] < math.inf:
                     raise DomainError(f"{axis} must be finite and >= 0, got {cell[axis]}")
+            if "theta_norm" in schema:
+                n, t = cell["n"], cell["theta_norm"]
+                if not n * t * t <= sys.float_info.max:
+                    raise DomainError(f"noncentrality n * theta_norm^2 overflows at n={n}, theta_norm={t}")
+            if "x" in schema:
+                _fig4_level(cell["x"])
             if annulus is not None and annulus.method(cell) in _SUBSAMPLED:
                 dn._check_even_n(cell["n"])
         except DomainError as exc:
@@ -549,18 +560,26 @@ def _exec_fig3(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
     ]
 
 
-def _exec_fig4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
-    d, x = cell["d"], cell["x"]
+def _fig4_level(x) -> float:
+    """fig4's level ``L = ln(1/alpha) = 10**x``, refused unless a positive finite double."""
     try:
         L = 10.0**x
     except OverflowError:
-        raise DomainError(f"ln(1/alpha) = 10**{x} overflows a double") from None
+        L = math.inf
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"ln(1/alpha) = 10**{x} is not a positive finite double")
+    return L
+
+
+def _exec_fig4(ctx: _RunContext, ci: int, cell: dict) -> list[SummaryRow]:
+    d, L = cell["d"], _fig4_level(cell["x"])
     bounds = rg.ratio_bounds_log(L, d)
     rows = [
         SummaryRow(ctx.spec.experiment_id, dict(cell, log_inv_alpha=L, quantity="lower"), bounds.lower, 0.0, 0),
         SummaryRow(ctx.spec.experiment_id, dict(cell, log_inv_alpha=L, quantity="upper"), bounds.upper, 0.0, 0),
     ]
-    if L <= specfun.MAX_LOG_INV_ALPHA:
+    # alpha = e^{-L} rounds to 1 at a tiny L, where no expected ratio exists
+    if L <= specfun.MAX_LOG_INV_ALPHA and math.exp(-L) < 1.0:
         expected = rg.ratio_expected_split_vs_classical(math.exp(-L), d)
         rows.append(
             SummaryRow(ctx.spec.experiment_id, dict(cell, log_inv_alpha=L, quantity="expected"), expected, 0.0, 0)

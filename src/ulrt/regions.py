@@ -197,16 +197,12 @@ def crossfit_log_statistic(theta, pair: SplitPair, alpha: float | None = None) -
     return _log_statistic("crossfit", theta, pair, alpha)
 
 
-def crossfit_member(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched membership evaluator of the cross-fit set at log threshold
-    ``thresh``, for :func:`region_boundary_2d`."""
-    return lambda thetas: log_values(
-        "crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1) < thresh
-
-
-def _crossfit_margin(pair: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Margin ``thresh - `` the log cross-fit statistic, positive exactly
-    where :func:`crossfit_member` is true."""
+def crossfit_margin(pair: SplitPair, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched evaluator of the cross-fit set, for :func:`region_boundary_2d`:
+    the margin ``ln(1/alpha) -`` the log cross-fit statistic, positive
+    exactly on members."""
+    _check_pair(pair)
+    thresh = log_threshold(alpha)
     return lambda thetas: thresh - log_values(
         "crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1)
 
@@ -216,21 +212,16 @@ def subsampling_log_statistic(theta, splits: SplitPair, alpha: float | None = No
     return _log_statistic("subsampling", theta, splits, alpha)
 
 
-def subsampling_member(splits: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched membership evaluator of the subsampling set of a record of
-    splits at log threshold ``thresh``, for :func:`region_boundary_2d`."""
-    return lambda thetas: log_values(
-        "subsampling", thetas, splits.mean0, splits.mean1, splits.m0) < thresh
-
-
-def _subsampling_margin(splits: SplitPair, thresh: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Margin ``ln B - ln sum_b exp(v_b - thresh)`` of the subsampling set
-    over the split statistics ``v_b``, positive on members: its sign is
-    :func:`subsampling_member`'s but for rounding within a few ulps of the
-    boundary.  The sum is taken relative to ``c = max(v_0, thresh)``, so it
-    overflows only where some ``v_b`` exceeds ``thresh`` by about 709, and
-    then gives -inf (outside); it is 0 only where every ``v_b`` lies about
-    745 below ``thresh``, and then gives +inf (inside)."""
+def subsampling_margin(splits: SplitPair, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched evaluator of the subsampling set of a record of splits, for
+    :func:`region_boundary_2d`: the margin ``ln B - ln sum_b exp(v_b - L)``
+    over the split statistics ``v_b``, ``L = ln(1/alpha)``, positive on
+    members.  Its sign is :func:`subsampling_log_statistic`'s decision up to
+    a few ulps at the boundary.  The sum is taken relative to ``max(v_0,
+    L)``: it overflows only where some ``v_b`` exceeds ``L`` by about 709,
+    giving -inf (outside), and is 0 only where every ``v_b`` lies about 745
+    below ``L``, giving +inf (inside)."""
+    thresh = log_threshold(alpha)
     log_b = math.log(len(splits.mean0))
 
     def margin(thetas):
@@ -448,8 +439,8 @@ def _secant_band(margin, center, dirs, f_center, f_outer, tol, search_radius):
             go = np.abs(r - r_b) > delta  # false once settled, and on a NaN estimate
             if not go.all():
                 idx, r, s_b, f_b = idx[go], r[go], s_b[go], f_b[go]
-                if not idx.size:
-                    break
+            if not idx.size:
+                break
     r_in, r_out = np.zeros(rays), np.full(rays, search_radius)
     (found,) = (np.abs(estimate - last) <= delta).nonzero()
     if not found.size:
@@ -495,50 +486,41 @@ def region_boundary_2d(
 ) -> Boundary2D:
     """Trace the boundary of a 2-d membership region along equally spaced rays.
 
-    ``evaluator`` maps a ``(G, 2)`` array of points to ``(G,)`` values, and
-    a point is a member when its value is ``> 0``: booleans, true for
-    members, or float margins, positive on members (NaN is not a member).
-    All rays are bisected together: one call probes every ray's outer
-    point, then each step bisects every ray whose own bracket ``hi - lo``
-    still exceeds ``tol``, evaluating the midpoints it must ask about in one
-    call.  A ray sees the same midpoints as if it were bisected alone, and
-    no call evaluates more than ``rays`` points.
-
-    Booleans are asked about every midpoint.  Margins first locate each
-    ray's boundary: secant steps on ``r^2`` estimate its radius, and one
-    more evaluation certifies a band ``(r_in, r_out)``, at most
-    ``2e-3 * tol`` wide, of a member and a non-member radius.  The
-    bisection then takes a midpoint at or below ``r_in`` as a member and one
-    at or above ``r_out`` as not, and asks only about midpoints strictly
-    inside the band.  A ray whose secant steps do not settle, or whose band
-    fails the check, keeps the band ``(0, search_radius)``: the plain
-    bisection that booleans get.
+    ``evaluator`` maps a ``(G, 2)`` array of points to ``(G,)`` values read
+    as float64, and a point is a member when its value is ``> 0``: a margin
+    such as :func:`crossfit_margin` (NaN is not a member), or booleans.
+    After one call at the center and one at every ray's outer point, secant
+    steps on ``r^2`` estimate each ray's boundary radius and one more call
+    certifies a band ``(r_in, r_out)``, at most ``2e-3 * tol`` wide, of a
+    member and a non-member radius.  Then every ray whose bracket ``hi -
+    lo`` still exceeds ``tol`` is bisected, all rays together: a midpoint at
+    or below ``r_in`` is a member, one at or above ``r_out`` is not, and one
+    call asks about the others.  A ray whose steps do not settle, or whose
+    band fails the check, keeps the band ``(0, search_radius)``.  So does
+    nearly every ray of a boolean evaluator, whose steps settle at its outer
+    probe: it is bisected in full, after one more call.  No call evaluates
+    more than ``rays`` points.
 
     Assumes the region is star-shaped about ``center_hint`` (membership is
     monotone along each ray), which holds for spheres and is checked
     empirically for the cross-fit and subsampling sets.  Under that
     assumption every decision by position is the evaluator's own answer, so
-    a margin gives the boundary that asking it about every midpoint gives,
-    bit for bit: that of a boolean evaluator wherever the two agree in sign.
-    ``center_hint`` must itself be a member.
+    each ray's boundary is, bit for bit, the one that bisecting it alone
+    and asking about every midpoint gives.  ``center_hint`` must be a member.
     """
     center = np.asarray(center_hint, dtype=np.float64).reshape(-1)
     _check_trace(center.shape[0], rays, tol)
     if not search_radius > tol:
         raise DomainError("need search_radius > tol > 0")
-    at_center = np.asarray(evaluator(center[None]))
-    if not at_center[0] > 0:
+    at_center = np.asarray(evaluator(center[None]), dtype=np.float64)[0]
+    if not at_center > 0:
         raise DomainError("center_hint is not a member of the region")
 
     angles, dirs = _ray_dirs(rays)
-    outer = np.asarray(evaluator(center + search_radius * dirs))
+    outer = np.asarray(evaluator(center + search_radius * dirs), dtype=np.float64)
     failed = outer > 0
     dirs = dirs[~failed]
-    count = len(dirs)
-    if at_center.dtype == np.bool_ or not count:
-        r_in, r_out = np.zeros(count), np.full(count, search_radius)
-    else:
-        r_in, r_out = _secant_band(evaluator, center, dirs, at_center[0], outer[~failed], tol, search_radius)
+    r_in, r_out = _secant_band(evaluator, center, dirs, at_center, outer[~failed], tol, search_radius)
     radius = _bisect(evaluator, center, dirs, tol, search_radius, r_in, r_out)
     return Boundary2D(
         center=center,
@@ -556,24 +538,20 @@ def boundaries_2d(
     mean out to ten radii of the split sphere of ``pair``.  Both records
     must be splits of ``sample``.
 
-    The traces evaluate margins, not the booleans of :func:`crossfit_member`
-    and :func:`subsampling_member`, so :func:`region_boundary_2d` certifies a
-    narrow band around each ray's boundary and decides the midpoints outside
-    it by position, from far fewer evaluated points.  Under its
-    monotonicity assumption the cross-fit boundary is the booleans' own, bit
-    for bit, since its margin has their sign exactly.  The subsampling
-    margin's sign can differ from the booleans' within a few ulps of the
-    boundary, where a point could then move by one bisection step; the
-    equality sweep of ``pytest -m sweep`` checks that it does not on
-    fig1-shaped records."""
-    thresh = log_threshold(alpha)
-    members = [(pair, _crossfit_margin(pair, thresh))]
+    The traces evaluate :func:`crossfit_margin` and
+    :func:`subsampling_margin`, so :func:`region_boundary_2d` decides most
+    midpoints by position.  The cross-fit margin's sign is the statistic's
+    decision exactly.  The subsampling margin's sign can differ from it
+    within a few ulps of the boundary, where a point could then move by one
+    bisection step; the equality sweep of ``pytest -m sweep`` checks that
+    it does not on fig1-shaped records."""
+    evaluators = [(pair, crossfit_margin(pair, alpha))]
     if splits is not None:
-        members.append((splits, _subsampling_margin(splits, thresh)))
-    for record, _ in members:
+        evaluators.append((splits, subsampling_margin(splits, alpha)))
+    for record, _ in evaluators:
         if record.m0 + record.m1 != sample.n:
             raise DomainError(f"splits of {record.m0 + record.m1} observations "
                               f"do not split the sample of n={sample.n}")
     search = 10.0 * math.sqrt(split_region(pair, alpha).sq_radius)
-    traced = [region_boundary_2d(m, sample.mean, rays, tol, search) for _, m in members]
+    traced = [region_boundary_2d(m, sample.mean, rays, tol, search) for _, m in evaluators]
     return traced[0], traced[1] if splits is not None else None

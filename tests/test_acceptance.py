@@ -183,7 +183,7 @@ def test_criterion_05_crossfit_containment_and_area():
             split_reg = regions.split_region(pair, alpha)
             search = 10.0 * math.sqrt(split_reg.sq_radius)
             cf = regions.region_boundary_2d(
-                regions.crossfit_member(pair, L), sample.mean, 90, 1e-6, search
+                regions.crossfit_margin(pair, alpha), sample.mean, 90, 1e-6, search
             )
             split_poly = regions.region_boundary_2d(
                 split_reg.contains, split_reg.center, 90, 1e-6, search

@@ -274,17 +274,68 @@ def test_alpha_outside_unit_interval_exits_2_before_the_run(tmp_path, capsys, ex
         (["6", "--lambdas=-1", "--d", "1", "--reps", "10"],
          "n_theta_sq must be finite and >= 0, got -1.0"),
         (["6", "--lambdas", "nan"], "n_theta_sq must be finite and >= 0, got nan"),
+        (["S4", "--theta-norms", "1e154", "--d", "2", "--B", "4", "--reps", "4"],
+         "grid cell 0: noncentrality n * theta_norm^2 overflows at n=1000, theta_norm=1e+154"),
+        (["7", "--theta-norms", "1e200"],
+         "grid cell 0: noncentrality n * theta_norm^2 overflows at n=1000, theta_norm=1e+200"),
     ],
-    ids=["fig7-negative", "S3-nan", "S4-inf", "fig6-negative", "fig6-nan"],
+    ids=["fig7-negative", "S3-nan", "S4-inf", "fig6-negative", "fig6-nan", "S4-overflow",
+         "fig7-overflow"],
 )
 def test_bad_theta_exits_2_before_the_run(tmp_path, capsys, argv, message):
     """A negative or non-finite theta used to run: fig7 at -0.5 wrote ``ok``
     rows for the shift by -0.5 e_1, S3 at NaN wrote only error rows, and
-    fig6 at lambda = -1 ended in a ``ValueError`` traceback."""
+    fig6 at lambda = -1 ended in a ``ValueError`` traceback.  A theta whose
+    n * theta^2 overflows wrote ``ok`` power rows of 0.0 where the power is
+    1: S4 at 1e154, whose RIPR statistics overflowed to -inf, and fig7's
+    subsampled hybrid cell at 1e200."""
     out = tmp_path / "fig.csv"
     assert main(["figure", *argv, "--workers", "1", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _largest_theta_norm(n):
+    """The largest theta_norm at which ``n * theta_norm^2`` is a finite double."""
+    t = math.sqrt(sys.float_info.max / n)
+    while n * t * t <= sys.float_info.max:
+        t = math.nextafter(t, math.inf)
+    while not n * t * t <= sys.float_info.max:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+@pytest.mark.parametrize("n", [2, 1000])
+@pytest.mark.parametrize("figure", ["7", "S3", "S4"])
+def test_largest_accepted_theta_norm_rejects_in_every_monte_carlo_test(tmp_path, capsys, figure, n):
+    """At the largest accepted theta every Monte Carlo power reads 1, with
+    no overflow warning; one ulp above, the cell is refused."""
+    theta, out = _largest_theta_norm(n), tmp_path / "fig.csv"
+    if n == 1000:
+        assert f"{theta:.2g}" == "4.2e+152"
+    argv = ["figure", figure, "--n", str(n), "--d", "2", "--reps", "4", "--workers", "1", "--out", str(out)]
+    argv += [] if figure == "S3" else ["--B", "4"]
+    assert main([*argv, "--theta-norms", repr(theta)]) == 0
+    powers = [(r["estimate"], r["status"]) for r in csv.DictReader(open(out))
+              if r.get("method") not in ("exact", "intersection_exact") and r.get("quantity", "power") == "power"]
+    assert powers == [("1.0", "ok")] * (3 if figure == "7" else 1)
+    out.unlink()
+    assert main([*argv, "--theta-norms", repr(math.nextafter(theta, math.inf))]) == 2
+    assert "grid cell 0: noncentrality n * theta_norm^2 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fig7_cell_whose_test_cannot_be_built_gets_its_error_row(tmp_path):
+    """At alpha = 1e-305 the intersection tests need a chi-squared quantile
+    at ln(1/alpha) > 700, which is refused, so their cells get error rows;
+    the subsampled tests need no quantile and keep their rows."""
+    out = tmp_path / "fig7.csv"
+    assert main(["figure", "7", "--alpha", "1e-305", "--d", "2", "--B", "4", "--reps", "4",
+                 "--theta-norms", "0.5", "--workers", "1", "--out", str(out)]) == 0
+    assert {r["method"]: r["status"] for r in csv.DictReader(open(out))} == {
+        "intersection": "error:NumericError", "intersection_exact": "error:NumericError",
+        "subsampled_split": "ok", "subsampled_hybrid": "ok",
+    }
 
 
 @pytest.mark.parametrize("figure", ["7", "S4"])
@@ -484,6 +535,33 @@ def test_formula_prints_the_same_digits_without_a_compiler(capsys, monkeypatch, 
     assert outputs[0] == outputs[1] and " = " in outputs[0]
 
 
+def test_formula_split_sq_radius_and_power_subsampling_print_the_library_values(capsys):
+    from ulrt.power import power_limiting_subsampling
+    from ulrt.regions import expected_sq_radius_split
+
+    assert main(["formula", "split-sq-radius", "--alpha", "0.05", "--d", "3", "--n", "500",
+                 "--p0", "0.6"]) == 0
+    assert main(["formula", "power-subsampling", "--theta-sq-norm", "0.01", "--n", "1000", "--d", "2",
+                 "--method", "approx"]) == 0
+    power = power_limiting_subsampling(0.01, 1000, 2, 0.1, method="approx")
+    assert capsys.readouterr().out.splitlines() == [
+        f"expected_sq_radius = {expected_sq_radius_split(0.05, 3, 500, 0.6):.12g}",
+        f"power = {power.value:.12g}",
+        "method = normal_approx",
+    ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ratio-bounds", "--log-inv-alpha", "0"], "--log-inv-alpha must be positive"),
+    (["ratio-bounds", "--log-inv-alpha", "-2"], "--log-inv-alpha must be positive"),
+    (["noncentral-cdf", "--d", "2", "--noncentrality", "1"], "noncentral-cdf requires --x"),
+], ids=["log-inv-alpha-0", "log-inv-alpha-negative", "noncentral-cdf-no-x"])
+def test_formula_flag_missing_or_out_of_range_exits_2(capsys, argv, message):
+    assert main(["formula", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_formula_unknown_name_lists_registry(capsys):
     assert main(["formula", "not-a-formula"]) == 2
     err = capsys.readouterr().err
@@ -675,18 +753,32 @@ def test_experiment_csv_quotes_cell_values_holding_commas(tmp_path):
     assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
-def test_experiment_fig4_cell_past_the_double_range_is_an_error_row(tmp_path):
-    # 10.0**400 overflows; the cell must fail alone, not end the run
+@pytest.mark.parametrize("x", [309, 400, math.nan, math.inf, -400], ids=["309", "400", "nan", "inf", "-400"])
+def test_experiment_fig4_cell_past_the_double_range_exits_2(tmp_path, capsys, x):
+    """A 10**x that overflows, is NaN or underflows to 0 is no level
+    ln(1/alpha); such a cell used to run to an ``error:DomainError`` row."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "experiment_id": "ratio_bounds_fig4", "seed": 1,
-        "grid": [{"d": 10, "x": 400}, {"d": 10, "x": 1.0}],
+        "grid": [{"d": 10, "x": 1.0}, {"d": 10, "x": x}],
     }))
     out = tmp_path / "rows.csv"
+    assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 2
+    assert (f"grid cell 1: ln(1/alpha) = 10**{x} is not a positive finite double"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_experiment_fig4_cell_at_a_tiny_level_keeps_its_bounds_rows(tmp_path):
+    """At x = -17, alpha = e^{-L} rounds to 1, which has no expected ratio:
+    the cell used to become one error row, and now keeps its bounds rows."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"experiment_id": "ratio_bounds_fig4", "seed": 1,
+                                "grid": [{"d": 10, "x": -17}]}))
+    out = tmp_path / "rows.csv"
     assert main(["experiment", "--spec-file", str(spec), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
-    statuses = [(r["x"], r["status"]) for r in rows]
-    assert statuses == [("400", "error:DomainError")] + [("1.0", "ok")] * 3
+    rows = [(r["quantity"], r["log_inv_alpha"], r["status"]) for r in csv.DictReader(open(out))]
+    assert rows == [("lower", "1e-17", "ok"), ("upper", "1e-17", "ok")]
 
 
 @pytest.mark.parametrize(

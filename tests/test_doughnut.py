@@ -227,6 +227,19 @@ def test_ripr_dominates_split_statistic():
     assert checked > 50
 
 
+def test_scalar_statistics_refuse_unequal_parts():
+    """The annulus statistics scale by n/4, so they need half splits."""
+    pair = data.SplitPair([[0.9, 0.0]], [[1.4, 0.0]], 3, 2)
+    for statistic in (doughnut_split_log_statistic, doughnut_ripr_log_statistic, hybrid_log_statistic):
+        with pytest.raises(DomainError, match=r"^annulus tests are defined for half splits"):
+            statistic(pair, AnnulusNull())
+
+
+def test_mc_reducer_refuses_an_unknown_test():
+    with pytest.raises(DomainError, match="^unknown annulus test 'bogus'$"):
+        mc_reducer("bogus", 100, 2, 0.1, AnnulusNull())
+
+
 def test_scalar_statistics_refuse_a_record_of_many():
     pair = data.SplitPair([[0.9, 0.0], [0.3, 0.0]], [[1.4, 0.0], [1.2, 0.0]], 2, 2)
     for statistic in (doughnut_split_log_statistic, doughnut_ripr_log_statistic, hybrid_log_statistic):

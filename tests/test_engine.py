@@ -1,5 +1,6 @@
 """Experiment runner: determinism, aggregation, presets, failure isolation."""
 
+import json
 import math
 import re
 import threading
@@ -199,6 +200,22 @@ def test_spec_file_validation(tmp_path):
         load_spec_file(missing)
 
 
+_FIG4_DOC = {"experiment_id": "ratio_bounds_fig4", "seed": 1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([_FIG4_DOC], "expected a JSON object"),
+    (dict(_FIG4_DOC, grid={"d": 2, "x": 1.0}), "grid must be a list of objects"),
+    (dict(_FIG4_DOC, grid=[{"d": 2, "x": 1.0}, 3]), "grid must be a list of objects"),
+    (dict(_FIG4_DOC, overrides=[["ds", [10]]]), "overrides must be an object"),
+], ids=["array", "grid-object", "grid-number", "overrides-array"])
+def test_spec_file_of_the_wrong_shape_is_refused(tmp_path, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_spec_file(path)
+
+
 def test_explicit_grid_spec(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(
@@ -259,9 +276,10 @@ def test_fig4_default_grid_has_no_error_rows():
         ("split_p0_fig3", dict(d=2, n=100, alpha=0.1, reps=5), "grid cell 1 lacks the axis 'p0'"),
         ("intersect_power_figS3", dict(method=1, d=2, n=100, alpha=0.1, theta_norm=0.3, reps=5),
          "grid cell 1: method must be a string, got 1"),
+        ("ratio_bounds_fig4", [2, 1.0], "grid cell 1 is not a mapping: [2, 1.0]"),
     ],
     ids=["missing", "string-number", "bool-number", "float-size", "negative-size",
-         "fig3-missing-p0", "number-name"],
+         "fig3-missing-p0", "number-name", "not-a-mapping"],
 )
 def test_malformed_explicit_cell_is_refused_before_any_cell_runs(
     experiment_id, cell, message, monkeypatch

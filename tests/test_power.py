@@ -1,6 +1,7 @@
 """Closed-form and Monte Carlo power for the zero-mean test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ def test_power_refuses_an_overflowing_noncentrality(power, method):
     with pytest.raises(DomainError, match=r"^noncentrality n \* theta_sq_norm overflows "
                                           r"at n=1000, theta_sq_norm=1e\+308$"):
         power(1e308, 1000, 2, 0.1, method)
+
+
+@pytest.mark.parametrize("theta_sq_norm, method, message", [
+    (-0.5, "exact", "theta_sq_norm must be finite and >= 0, got -0.5"),
+    (0.5, "bogus", "method must be 'exact' or 'approx', got 'bogus'"),
+], ids=["negative-theta", "unknown-method"])
+@pytest.mark.parametrize("power", [power_classical, power_limiting_subsampling])
+def test_power_refuses_a_negative_theta_or_an_unknown_method(power, theta_sq_norm, method, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        power(theta_sq_norm, 1000, 2, 0.1, method)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf])

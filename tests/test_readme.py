@@ -1,5 +1,8 @@
-"""The README's minimal session runs as written against the code in ``src``."""
+"""The README runs as written and names what exists: its minimal session
+runs against the code in ``src``, and each call its library tour names
+resolves."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -19,3 +22,28 @@ def test_readme_minimal_session_runs():
     # the classical and split squared radii, one per line
     radii = [float(line) for line in proc.stdout.splitlines()]
     assert len(radii) == 2 and all(r > 0.0 for r in radii)
+
+
+#: Backticked calls in the library tour that are not ``ulrt`` names, such as
+#: the ``sqrt(`` of a formula.
+_NOT_ULRT = {"sqrt"}
+
+
+def test_readme_library_tour_names_only_what_exists():
+    """Each backticked ``name(`` in a ``ulrt.<module>`` row of the tour
+    resolves on that module, so a rename cannot leave a stale call behind."""
+    rows = re.findall(r"^\| `ulrt\.(\w+)` \|(.*)$", (ROOT / "README.md").read_text(), re.M)
+    assert len(rows) >= 8
+    modules = {name: importlib.import_module(f"ulrt.{name}") for name, _ in rows}
+    missing = []
+    for module_name, text in rows:
+        for dotted in re.findall(r"`([A-Za-z_][\w.]*)\(", text):
+            target = modules[module_name]
+            try:
+                for part in dotted.split("."):
+                    target = getattr(target, part)
+            except AttributeError:
+                if dotted not in _NOT_ULRT:
+                    missing.append(f"ulrt.{module_name}: {dotted}(")
+    assert not missing, missing
+    assert not [name for name in _NOT_ULRT for module in modules.values() if hasattr(module, name)]

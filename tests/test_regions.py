@@ -1,6 +1,7 @@
 """Region constructions, log statistics, and the size theory closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -430,6 +431,7 @@ def test_one_split_functions_refuse_a_record_of_many(dataset):
         lambda: split_log_statistic([0.0, 0.0], splits),
         lambda: crossfit_log_statistic([0.0, 0.0], splits),
         lambda: split_region(splits, 0.1),
+        lambda: regions.crossfit_margin(splits, 0.1),
         lambda: regions.boundaries_2d(sample, splits, 0.1, 8, 1e-3),
     ):
         with pytest.raises(DomainError, match="expected one split, got a record of B=2"):
@@ -672,6 +674,24 @@ def test_boundary_reports_failed_rays():
     assert boundary.points.shape[0] + boundary.failed_angles.size == 8
 
 
+@pytest.mark.parametrize("search_radius", [1e-6, 5e-7], ids=["equal", "below"])
+def test_boundary_refuses_a_search_radius_not_above_tol(search_radius):
+    with pytest.raises(DomainError, match=r"^need search_radius > tol > 0$"):
+        region_boundary_2d(lambda theta: theta[:, 0] < 0.5, np.zeros(2), 8, 1e-6, search_radius)
+
+
+def test_boundary_with_every_ray_failed_asks_about_no_empty_batch():
+    calls = []
+
+    def everywhere(thetas):
+        calls.append(thetas.shape[0])
+        return np.ones(thetas.shape[0], dtype=bool)
+
+    boundary = region_boundary_2d(everywhere, np.zeros(2), 8, 1e-6, 1.0)
+    assert boundary.points.shape == (0, 2) and boundary.failed_angles.size == 8
+    assert calls == [1, 8]
+
+
 def test_boundary_requires_member_center(dataset):
     _, pair = dataset
     region = split_region(pair, 0.1)
@@ -683,11 +703,10 @@ def test_boundary_requires_member_center(dataset):
 
 def test_crossfit_polygon_area_below_split(dataset):
     sample, pair = dataset
-    thresh = log_threshold(0.1)
     split_reg = split_region(pair, 0.1)
     search = 10.0 * math.sqrt(split_reg.sq_radius)
     cf_boundary = region_boundary_2d(
-        regions.crossfit_member(pair, thresh), sample.mean, 128, 1e-7, search
+        regions.crossfit_margin(pair, 0.1), sample.mean, 128, 1e-7, search
     )
     split_boundary = region_boundary_2d(
         split_reg.contains, split_reg.center, 128, 1e-7, search
@@ -703,9 +722,8 @@ def test_subsampling_boundary_inside_split_seeded():
     pair = data.split(sample, 0.5, root.substream(1))
     split_reg = split_region(pair, 0.1)
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
-    member = regions.subsampling_member(splits, log_threshold(0.1))
     boundary = region_boundary_2d(
-        member, sample.mean, 90, 1e-6, 10.0 * math.sqrt(split_reg.sq_radius)
+        regions.subsampling_margin(splits, 0.1), sample.mean, 90, 1e-6, 10.0 * math.sqrt(split_reg.sq_radius)
     )
     inside = np.array([split_reg.contains(p) for p in boundary.points])
     assert inside.mean() >= 0.95
@@ -741,6 +759,13 @@ def _per_ray_boundary(evaluator, center_hint, rays, tol, search_radius):
     )
 
 
+def _decision(kind, record, alpha):
+    """The statistic's own decision as a boolean evaluator: true where
+    ``log_values(kind, ...)`` stays below ``ln(1/alpha)``."""
+    return lambda thetas: regions.log_values(
+        kind, thetas, record.mean0, record.mean1, record.m0, record.m1) < log_threshold(alpha)
+
+
 def _boundary_cases():
     root = RngStream(301)
     sample = data.sample_gaussian(1000, 2, [0.0, 0.0], root.substream(0))
@@ -748,14 +773,13 @@ def _boundary_cases():
     split_reg = split_region(pair, 0.1)
     search = 10.0 * math.sqrt(split_reg.sq_radius)
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
-    thresh = log_threshold(0.1)
-    crossfit = regions.crossfit_member(pair, thresh)
+    crossfit = _decision("crossfit", pair, 0.1)
     half_plane = lambda theta: theta[:, 0] < 0.5  # noqa: E731
     return {
         "split_sphere": (split_reg.contains, split_reg.center, 64, 1e-8, search),
         "crossfit": (crossfit, sample.mean, 90, 1e-6, search),
         "subsampling_B100": (
-            regions.subsampling_member(splits, thresh), sample.mean, 90, 1e-6, search
+            _decision("subsampling", splits, 0.1), sample.mean, 90, 1e-6, search
         ),
         "half_plane": (half_plane, np.zeros(2), 8, 1e-6, 1.0),
         "odd_rays": (crossfit, sample.mean, 7, 1e-6, search),
@@ -812,8 +836,8 @@ def _margin_cases():
     split_reg = split_region(pair, 0.1)
     splits = data.subsample_splits(sample, 100, 0.5, root.substream(2))
     thresh = log_threshold(0.1)
-    crossfit = regions._crossfit_margin(pair, thresh)
-    subsampling = regions._subsampling_margin(splits, thresh)
+    crossfit = regions.crossfit_margin(pair, 0.1)
+    subsampling = regions.subsampling_margin(splits, 0.1)
     margins = {
         "split_sphere": lambda theta: split_reg.sq_radius - _kernels.sq_norm(theta, split_reg.center),
         "crossfit": crossfit,
@@ -829,10 +853,10 @@ def _margin_cases():
         return np.where(thetas[..., 1] - sample.mean[1] >= 0.03, np.nan, values)
 
     cases["overflowing_probe"] = (
-        subsampling, regions.subsampling_member(splits, thresh), sample.mean, 90, 1e-6, 10.0)
+        subsampling, _decision("subsampling", splits, 0.1), sample.mean, 90, 1e-6, 10.0)
     outlier_sample, outlier_splits = _outlier_splits()
     cases["outlier_in_part0"] = (
-        regions._subsampling_margin(outlier_splits, thresh), regions.subsampling_member(outlier_splits, thresh),
+        regions.subsampling_margin(outlier_splits, 0.1), _decision("subsampling", outlier_splits, 0.1),
         outlier_sample.mean, 90, 1e-6, 4.0)
     cases["nan_statistic"] = (
         lambda thetas: thresh - cut(thetas), lambda thetas: cut(thetas) < thresh, sample.mean, 90, 1e-6, 1.0)
@@ -889,17 +913,17 @@ def test_margin_boundary_matches_per_ray_bisection(case):
 @pytest.mark.sweep
 def test_margin_boundaries_equal_boolean_traces_sweep():
     """``boundaries_2d`` traces margins; on 200 fig1-shaped records its
-    boundaries equal, bit for bit, the bisection of the boolean evaluators."""
+    boundaries equal, bit for bit, the bisection of each statistic's own
+    decision."""
     root = RngStream(2029)
     for i in range(200):
         stream = root.substream(i)
         sample = data.sample_gaussian(1000, 2, [0.0, 0.0], stream.substream(0))
         pair = data.split(sample, 0.5, stream.substream(1))
         splits = data.subsample_splits(sample, 100, 0.5, stream.substream(2))
-        thresh = log_threshold(0.1)
         search = 10.0 * math.sqrt(split_region(pair, 0.1).sq_radius)
         traced = regions.boundaries_2d(sample, pair, 0.1, 180, 1e-5, splits)
-        members = (regions.crossfit_member(pair, thresh), regions.subsampling_member(splits, thresh))
+        members = (_decision("crossfit", pair, 0.1), _decision("subsampling", splits, 0.1))
         for boundary, member in zip(traced, members):
             reference = region_boundary_2d(member, sample.mean, 180, 1e-5, search)
             for field in ("angles", "points", "failed_angles"):
@@ -922,6 +946,28 @@ def test_log_statistic_rejection_rule():
 def test_log_statistic_kind_validation():
     with pytest.raises(DomainError):
         LogStatistic(0.0, "bogus", 10)
+
+
+def test_log_values_refuse_an_unknown_kind(dataset):
+    _, pair = dataset
+    with pytest.raises(DomainError, match="^unknown statistic kind 'bogus'$"):
+        regions.log_values("bogus", [0.0, 0.0], pair.mean0, pair.mean1, pair.m0, pair.m1)
+
+
+@pytest.mark.parametrize("kind, sq_radius, message", [
+    ("bogus", 1.0, "unknown region kind 'bogus'"),
+    ("split", -1.0, "sq_radius must be >= 0, got -1.0"),
+    ("classical", math.nan, "sq_radius must be >= 0, got nan"),
+], ids=["kind", "negative-radius", "nan-radius"])
+def test_spherical_region_refuses_an_unknown_kind_or_a_bad_radius(kind, sq_radius, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SphericalRegion(np.zeros(2), sq_radius, 0.1, kind)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_ratio_bounds_log_refuses_a_level_that_is_not_positive_and_finite(L):
+    with pytest.raises(DomainError, match=f"^ln\\(1/alpha\\) must be positive and finite, got {L}$"):
+        ratio_bounds_log(L, 2)
 
 
 def test_dimension_mismatch_rejected(dataset):

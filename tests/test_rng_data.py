@@ -908,3 +908,27 @@ def test_csv_rejects_missing_header(tmp_path):
     path.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(DomainError):
         data.load_csv(path)
+
+
+def test_csv_of_a_header_alone_is_refused(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("y1,y2\n")
+    with pytest.raises(DomainError, match="no observations$"):
+        data.load_csv(path)
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(5), r"values must be a 2-d array, got shape \(5,\)"),
+    (np.zeros((2, 3, 2)), r"values must be a 2-d array, got shape \(2, 3, 2\)"),
+    ([[0.0, 1.0], [math.nan, 2.0]], "values must be finite"),
+    ([[0.0, 1.0], [2.0, -math.inf]], "values must be finite"),
+], ids=["1-d", "3-d", "nan", "inf"])
+def test_sample_from_values_refuses_a_non_2d_or_non_finite_array(values, message):
+    with pytest.raises(DomainError, match=message):
+        data.SampleSet.from_values(values)
+
+
+@pytest.mark.parametrize("theta", [[0.0, math.nan], [math.inf, 0.0]], ids=["nan", "inf"])
+def test_sample_gaussian_refuses_a_non_finite_theta(theta):
+    with pytest.raises(DomainError, match="theta must be finite"):
+        data.sample_gaussian(10, 2, theta, RngStream(1))

@@ -134,6 +134,12 @@ def test_chi2_pdf_rejects_negative():
         chi2_pdf(-1e-9, 3)
 
 
+@pytest.mark.parametrize("fn", [specfun.chi2_cdf, specfun.chi2_sf], ids=["cdf", "sf"])
+def test_chi2_cdf_and_sf_reject_negative(fn):
+    with pytest.raises(DomainError, match=r"requires x >= 0, got -1e-09$"):
+        fn(-1e-9, 3)
+
+
 # ---------------------------------------------------------------------------
 # chi-squared CDF
 # ---------------------------------------------------------------------------
