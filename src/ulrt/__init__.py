@@ -29,7 +29,6 @@ from .errors import (
 from .power import PowerEstimate, mc_power, power_classical, power_limiting_subsampling
 from .regions import (
     Boundary2D,
-    LogStatistic,
     SphericalRegion,
     classical_region,
     crossfit_log_statistic,

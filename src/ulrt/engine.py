@@ -322,7 +322,8 @@ def _check_cells(experiment_id: str, grid) -> None:
     trace that cannot start (fig1 and S2: ``d != 2``, fewer than 3 rays or
     a ``tol`` that is not positive), an ``alpha`` outside (0, 1), a negative
     or non-finite ``n_theta_sq`` (fig6) or ``theta_norm`` (fig7, S3, S4), a
-    ``theta_norm`` whose ``n theta_norm^2`` overflows, an ``x`` (fig4) whose
+    ``theta_norm`` whose ``n theta_norm^2`` overflows, an ``n_theta_sq``
+    that ``power._check_noncentrality`` refuses, an ``x`` (fig4) whose
     ``10**x`` is not a positive finite double, and data that cannot be split:
     fewer than two observations, a ``p0`` that leaves a part empty, or an
     odd ``n`` for a subsampled annulus test.
@@ -360,6 +361,8 @@ def _check_cells(experiment_id: str, grid) -> None:
                 n, t = cell["n"], cell["theta_norm"]
                 if not n * t * t <= sys.float_info.max:
                     raise DomainError(f"noncentrality n * theta_norm^2 overflows at n={n}, theta_norm={t}")
+            if "n_theta_sq" in schema:
+                pw._check_noncentrality(cell["n_theta_sq"] / cell["n"], cell["n"], cell["d"])
             if "x" in schema:
                 _fig4_level(cell["x"])
             if annulus is not None and annulus.method(cell) in _SUBSAMPLED:

@@ -42,12 +42,19 @@ class PowerEstimate:
             raise DomainError(f"stderr must be >= 0, got {self.stderr}")
 
 
-def _validate(theta_sq_norm: float, n: int, d: int, method: str) -> None:
+def _check_noncentrality(theta_sq_norm: float, n: int, d: int) -> None:
+    """Refuse a ``theta_sq_norm`` that is negative or not finite, or whose
+    noncentrality ``lam = n theta_sq_norm`` makes the variance ``2 (d + 2
+    lam)`` of ``n ||mean||^2`` overflow (``lam`` above about 4.5e307)."""
     if theta_sq_norm < 0.0 or not math.isfinite(theta_sq_norm):
         raise DomainError(f"theta_sq_norm must be finite and >= 0, got {theta_sq_norm}")
     _check_n_d(n, d)
-    if not math.isfinite(n * theta_sq_norm):
+    if not math.isfinite(2.0 * (d + 2.0 * (n * theta_sq_norm))):
         raise DomainError(f"noncentrality n * theta_sq_norm overflows at n={n}, theta_sq_norm={theta_sq_norm}")
+
+
+def _validate(theta_sq_norm: float, n: int, d: int, method: str) -> None:
+    _check_noncentrality(theta_sq_norm, n, d)
     if method not in _METHODS:
         raise DomainError(f"method must be 'exact' or 'approx', got {method!r}")
 

@@ -54,7 +54,6 @@ class SphericalRegion:
 
     center: np.ndarray
     sq_radius: float
-    alpha: float
     kind: str
 
     _CLOSED = frozenset({"classical"})
@@ -66,10 +65,6 @@ class SphericalRegion:
         if not (self.sq_radius >= 0.0):
             raise DomainError(f"sq_radius must be >= 0, got {self.sq_radius}")
 
-    @property
-    def d(self) -> int:
-        return self.center.shape[0]
-
     def contains(self, theta):
         """Membership of one ``(d,)`` point as a ``bool``, or of each row of
         a ``(G, d)`` batch as a ``(G,)`` boolean array."""
@@ -77,32 +72,6 @@ class SphericalRegion:
         dist = sq_norm(theta, self.center)
         inside = dist <= self.sq_radius if self.kind in self._CLOSED else dist < self.sq_radius
         return inside if theta.ndim > 1 else bool(inside)
-
-
-@dataclass(frozen=True)
-class LogStatistic:
-    """A log-domain test statistic with its sample size ``n = m0 + m1``.
-
-    Rejection (equivalently exclusion of ``theta`` from the confidence set)
-    means ``log_value >= ln(1/alpha)``.
-    """
-
-    log_value: float
-    kind: str
-    n: int
-    alpha: float | None = None
-
-    KINDS = ("split", "crossfit", "subsampling")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise DomainError(f"unknown statistic kind {self.kind!r}")
-
-    def rejects(self, alpha: float | None = None) -> bool:
-        level = alpha if alpha is not None else self.alpha
-        if level is None:
-            raise DomainError("no alpha supplied for rejection decision")
-        return self.log_value >= log_threshold(level)
 
 
 def _as_theta(theta, d: int) -> np.ndarray:
@@ -126,9 +95,8 @@ def _check_pair(pair: SplitPair) -> None:
 def classical_region(sample: SampleSet, alpha: float) -> SphericalRegion:
     """Classical likelihood-ratio sphere: center at the sample mean,
     squared radius ``c_{alpha,d} / n``."""
-    alpha = specfun._check_alpha(alpha)
     quantile = specfun.chi2_upper_quantile(alpha, sample.d)
-    return SphericalRegion(sample.mean, quantile / sample.n, alpha, "classical")
+    return SphericalRegion(sample.mean, quantile / sample.n, "classical")
 
 
 def split_log_values(thetas, mean0: np.ndarray, mean1: np.ndarray, m0) -> np.ndarray:
@@ -142,7 +110,7 @@ def split_log_values(thetas, mean0: np.ndarray, mean1: np.ndarray, m0) -> np.nda
     return _split_log_values(np.asarray(thetas, dtype=np.float64), mean0, mean1, m0)
 
 
-def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1=None) -> np.ndarray:
+def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1) -> np.ndarray:
     """Log statistic of ``kind`` over ``(..., B, d)`` split means with part
     sizes ``m0`` and ``m1``; returns ``(...)``.
 
@@ -161,19 +129,20 @@ def log_values(kind: str, thetas, mean0: np.ndarray, mean1: np.ndarray, m0, m1=N
     raise DomainError(f"unknown statistic kind {kind!r}")
 
 
-def _log_statistic(kind: str, theta, pair: SplitPair, alpha) -> LogStatistic:
-    """:func:`log_values` of one point and a record of splits, as a ``LogStatistic``."""
+def _log_statistic(kind: str, theta, pair: SplitPair) -> float:
+    """:func:`log_values` of one point and a record of splits, as a float;
+    the test rejects, and ``theta`` leaves the set, where it is ``>=``
+    :func:`log_threshold`."""
     if kind != "subsampling":
         _check_pair(pair)
     theta = _as_theta(theta, pair.mean0.shape[1])
-    value = log_values(kind, theta, pair.mean0, pair.mean1, pair.m0, pair.m1)
-    return LogStatistic(float(value), kind, pair.m0 + pair.m1, alpha)
+    return float(log_values(kind, theta, pair.mean0, pair.mean1, pair.m0, pair.m1))
 
 
-def split_log_statistic(theta, pair: SplitPair, alpha: float | None = None) -> LogStatistic:
+def split_log_statistic(theta, pair: SplitPair) -> float:
     """Log split likelihood-ratio statistic at ``theta``: :func:`split_log_values`
     of the one split."""
-    return _log_statistic("split", theta, pair, alpha)
+    return _log_statistic("split", theta, pair)
 
 
 def split_sq_radius(mean0: np.ndarray, mean1: np.ndarray, m0: int, alpha: float) -> np.ndarray:
@@ -186,15 +155,14 @@ def split_region(pair: SplitPair, alpha: float) -> SphericalRegion:
     """Split likelihood-ratio sphere: center ``mean0``, squared radius
     :func:`split_sq_radius`."""
     _check_pair(pair)
-    alpha = specfun._check_alpha(alpha)
     sq_radius = split_sq_radius(pair.mean0[0], pair.mean1[0], pair.m0, alpha)
-    return SphericalRegion(pair.mean0[0], float(sq_radius), alpha, "split")
+    return SphericalRegion(pair.mean0[0], float(sq_radius), "split")
 
 
-def crossfit_log_statistic(theta, pair: SplitPair, alpha: float | None = None) -> LogStatistic:
+def crossfit_log_statistic(theta, pair: SplitPair) -> float:
     """Log cross-fit statistic: the average of the split statistic and its
     role-swapped counterpart, combined by log-sum-exp."""
-    return _log_statistic("crossfit", theta, pair, alpha)
+    return _log_statistic("crossfit", theta, pair)
 
 
 def crossfit_margin(pair: SplitPair, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -207,9 +175,9 @@ def crossfit_margin(pair: SplitPair, alpha: float) -> Callable[[np.ndarray], np.
         "crossfit", thetas, pair.mean0, pair.mean1, pair.m0, pair.m1)
 
 
-def subsampling_log_statistic(theta, splits: SplitPair, alpha: float | None = None) -> LogStatistic:
+def subsampling_log_statistic(theta, splits: SplitPair) -> float:
     """Log of the average split statistic over the ``B`` splits of a record."""
-    return _log_statistic("subsampling", theta, splits, alpha)
+    return _log_statistic("subsampling", theta, splits)
 
 
 def subsampling_margin(splits: SplitPair, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -244,9 +212,8 @@ def limiting_sq_radius(alpha: float, d: int, n: int) -> float:
 def limiting_subsampling_region(sample: SampleSet, alpha: float) -> SphericalRegion:
     """Large-B limit of the subsampling set: center at the sample mean,
     squared radius :func:`limiting_sq_radius`."""
-    alpha = specfun._check_alpha(alpha)
     sq_radius = limiting_sq_radius(alpha, sample.d, sample.n)
-    return SphericalRegion(sample.mean, sq_radius, alpha, "limiting_subsampling")
+    return SphericalRegion(sample.mean, sq_radius, "limiting_subsampling")
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +312,6 @@ def prob_ratio_leq4_bounds(alpha: float, d: int) -> ProbRatioBounds:
     lower = 1.0 - alpha - L * specfun.chi2_pdf(inner, d)
     upper = 1.0 - alpha - L * specfun.chi2_pdf(quantile, d)
     return ProbRatioBounds(lower, upper, bool(condition_ok))
-
-
-def limiting_vs_expected_split_ratio(alpha: float, d: int) -> float:
-    """Squared-radius ratio of the limiting subsampling sphere to the
-    expected split sphere: ``(5/6) ((d/2) ln(5/2) + L) / (d + L)``."""
-    L = log_threshold(alpha)
-    specfun._check_dim(d)
-    return (5.0 / 6.0) * (0.5 * d * _LOG_5_HALVES + L) / (d + L)
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +461,14 @@ def region_boundary_2d(
     more than ``rays`` points.
 
     Assumes the region is star-shaped about ``center_hint`` (membership is
-    monotone along each ray), which holds for spheres and is checked
-    empirically for the cross-fit and subsampling sets.  Under that
-    assumption every decision by position is the evaluator's own answer, so
-    each ray's boundary is, bit for bit, the one that bisecting it alone
-    and asking about every midpoint gives.  ``center_hint`` must be a member.
+    monotone along each ray).  That holds for every convex region: the
+    spheres, and the cross-fit and subsampling sets, whose log statistics
+    are convex in ``theta`` (each split's is a convex quadratic, and
+    log-sum-exp keeps convexity).  For any other evaluator it stays an
+    assumption.  Under it every decision by position is the evaluator's
+    own answer, so each ray's boundary is, bit for bit, the one that
+    bisecting it alone and asking about every midpoint gives.
+    ``center_hint`` must be a member.
     """
     center = np.asarray(center_hint, dtype=np.float64).reshape(-1)
     _check_trace(center.shape[0], rays, tol)
@@ -536,7 +498,9 @@ def boundaries_2d(
     """The cross-fit boundary of ``pair`` and the subsampling boundary of the
     record ``splits`` (``None`` without one), each traced from the sample
     mean out to ten radii of the split sphere of ``pair``.  Both records
-    must be splits of ``sample``.
+    must be splits of ``sample``.  Both sets are convex, their log
+    statistics being log-sum-exps of convex quadratics, so each is
+    star-shaped about every member, as :func:`region_boundary_2d` needs.
 
     The traces evaluate :func:`crossfit_margin` and
     :func:`subsampling_margin`, so :func:`region_boundary_2d` decides most

@@ -278,9 +278,11 @@ def test_alpha_outside_unit_interval_exits_2_before_the_run(tmp_path, capsys, ex
          "grid cell 0: noncentrality n * theta_norm^2 overflows at n=1000, theta_norm=1e+154"),
         (["7", "--theta-norms", "1e200"],
          "grid cell 0: noncentrality n * theta_norm^2 overflows at n=1000, theta_norm=1e+200"),
+        (["6", "--d", "2", "--reps", "10", "--lambdas", "1e308"],
+         "grid cell 0: noncentrality n * theta_sq_norm overflows at n=1000, theta_sq_norm=1e+305"),
     ],
     ids=["fig7-negative", "S3-nan", "S4-inf", "fig6-negative", "fig6-nan", "S4-overflow",
-         "fig7-overflow"],
+         "fig7-overflow", "fig6-overflow"],
 )
 def test_bad_theta_exits_2_before_the_run(tmp_path, capsys, argv, message):
     """A negative or non-finite theta used to run: fig7 at -0.5 wrote ``ok``
@@ -288,7 +290,9 @@ def test_bad_theta_exits_2_before_the_run(tmp_path, capsys, argv, message):
     fig6 at lambda = -1 ended in a ``ValueError`` traceback.  A theta whose
     n * theta^2 overflows wrote ``ok`` power rows of 0.0 where the power is
     1: S4 at 1e154, whose RIPR statistics overflowed to -inf, and fig7's
-    subsampled hybrid cell at 1e200."""
+    subsampled hybrid cell at 1e200.  fig6 at lambda = 1e308 wrote two ``ok``
+    approximate power rows of 0.5, since the approximation's variance 2 (d +
+    2 lambda) overflowed."""
     out = tmp_path / "fig.csv"
     assert main(["figure", *argv, "--workers", "1", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -597,13 +601,20 @@ def test_formula_noncentral_cdf_with_a_subnormal_noncentrality_prints_the_centra
      "noncentrality n * theta_sq_norm overflows at n=1000, theta_sq_norm=1e+308"),
     (["power-subsampling", "--theta-sq-norm", "1e308", "--n", "1000", "--method", "approx"],
      "noncentrality n * theta_sq_norm overflows at n=1000, theta_sq_norm=1e+308"),
+    # n * theta_sq_norm = 1e308 is finite, but the approximation's variance 2 (d + 2e308) is not
+    (["power-classical", "--theta-sq-norm", "1e305", "--n", "1000", "--d", "2", "--method", "approx"],
+     "noncentrality n * theta_sq_norm overflows at n=1000, theta_sq_norm=1e+305"),
+    (["power-subsampling", "--theta-sq-norm", "1e305", "--n", "1000", "--d", "2", "--method", "approx"],
+     "noncentrality n * theta_sq_norm overflows at n=1000, theta_sq_norm=1e+305"),
     (["intersect-power", "--theta-norm", "nan"], "theta_norm must be finite and >= 0, got nan"),
     (["intersect-power", "--theta-norm", "1e200"], "noncentrality must be finite and >= 0, got inf"),
     (["noncentral-cdf", "--x", "1", "--d", "2", "--noncentrality", "nan"],
      "noncentrality must be finite and >= 0, got nan"),
-], ids=["power-classical", "power-subsampling-approx", "intersect-nan", "intersect-overflow",
-        "noncentral-cdf-nan"])
+], ids=["power-classical", "power-subsampling-approx", "power-classical-variance",
+        "power-subsampling-variance", "intersect-nan", "intersect-overflow", "noncentral-cdf-nan"])
 def test_formula_non_finite_noncentrality_exits_2_naming_its_cause(capsys, argv, message):
+    """The approximate powers at 1e305 used to print ``power = 0.5`` and exit
+    0: the variance overflowed to inf and the z-score read 0."""
     assert main(["formula", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ def test_power_refuses_an_overflowing_noncentrality(power, method):
     with pytest.raises(DomainError, match=r"^noncentrality n \* theta_sq_norm overflows "
                                           r"at n=1000, theta_sq_norm=1e\+308$"):
         power(1e308, 1000, 2, 0.1, method)
+
+
+@pytest.mark.parametrize("power", [power_classical, power_limiting_subsampling])
+def test_largest_accepted_noncentrality_gives_approximate_power_one(power):
+    """The normal approximation divides by sqrt(2 (d + 2 lambda)), finite
+    up to lambda = max / 4: there it reads 1, one ulp above it is refused."""
+    n, top = 1000, sys.float_info.max / 4.0
+    theta_sq_norm = top / n
+    while n * theta_sq_norm <= top:
+        theta_sq_norm = math.nextafter(theta_sq_norm, math.inf)
+    while not n * theta_sq_norm <= top:
+        theta_sq_norm = math.nextafter(theta_sq_norm, 0.0)
+    assert power(theta_sq_norm, n, 2, 0.1, "approx").value == 1.0
+    with pytest.raises(DomainError, match=r"^noncentrality n \* theta_sq_norm overflows"):
+        power(math.nextafter(theta_sq_norm, math.inf), n, 2, 0.1, "approx")
 
 
 @pytest.mark.parametrize("theta_sq_norm, method, message", [

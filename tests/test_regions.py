@@ -1,5 +1,6 @@
 """Region constructions, log statistics, and the size theory closed forms."""
 
+import functools
 import math
 import re
 
@@ -13,14 +14,12 @@ from ulrt.doughnut import AnnulusNull, intersection_power_exact, subsampled_doug
 from ulrt.errors import DomainError
 from ulrt.regions import (
     Boundary2D,
-    LogStatistic,
     SphericalRegion,
     classical_region,
     crossfit_log_statistic,
     expected_sq_radius_split,
     limiting_sq_radius,
     limiting_subsampling_region,
-    limiting_vs_expected_split_ratio,
     log_threshold,
     optimal_split_proportion,
     prob_ratio_leq4_bounds,
@@ -76,16 +75,16 @@ def test_classical_region_contains_center(dataset):
 
 
 def test_classical_membership_is_closed():
-    region = SphericalRegion(np.zeros(2), 1.0, 0.1, "classical")
+    region = SphericalRegion(np.zeros(2), 1.0, "classical")
     assert region.contains([1.0, 0.0])
-    open_region = SphericalRegion(np.zeros(2), 1.0, 0.1, "split")
+    open_region = SphericalRegion(np.zeros(2), 1.0, "split")
     assert not open_region.contains([1.0, 0.0])
 
 
 def test_contains_takes_a_point_or_a_batch():
     points = np.array([[1.0, 0.0], [0.5, 0.5], [2.0, 0.0]])
     for kind in ("classical", "split"):
-        region = SphericalRegion(np.zeros(2), 1.0, 0.1, kind)
+        region = SphericalRegion(np.zeros(2), 1.0, kind)
         batch = region.contains(points)
         assert batch.shape == (3,) and batch.dtype == bool
         singles = [region.contains(p) for p in points]
@@ -100,13 +99,13 @@ def test_contains_takes_a_point_or_a_batch():
 
 def test_split_statistic_zero_at_estimation_mean(dataset):
     _, pair = dataset
-    assert split_log_statistic(pair.mean1, pair).log_value == 0.0
+    assert split_log_statistic(pair.mean1, pair) == 0.0
 
 
 def test_split_statistic_minimized_at_mean0(dataset):
     _, pair = dataset
     delta = float(np.sum((pair.mean0 - pair.mean1) ** 2))
-    value = split_log_statistic(pair.mean0, pair).log_value
+    value = split_log_statistic(pair.mean0, pair)
     assert value == pytest.approx(-(pair.m0 / 2.0) * delta, rel=1e-12)
     assert value <= 0.0
 
@@ -119,7 +118,7 @@ def test_split_membership_matches_statistic(dataset):
     for _ in range(1000):
         theta = pair.mean0 + rng.normal(scale=0.12, size=2)
         member = region.contains(theta)
-        stat = split_log_statistic(theta, pair).log_value
+        stat = split_log_statistic(theta, pair)
         assert member == (stat < thresh)
         # boundary distance identity to 1e-10
         if abs(stat - thresh) < 1e-10:
@@ -134,7 +133,7 @@ def test_split_statistic_region_algebraic_identity(dataset):
     rng = np.random.default_rng(8)
     for _ in range(200):
         theta = pair.mean0 + rng.normal(scale=0.2, size=2)
-        stat = split_log_statistic(theta, pair).log_value
+        stat = split_log_statistic(theta, pair)
         dist_sq = float(np.sum((theta - region.center) ** 2))
         lhs = stat - thresh
         rhs = (pair.m0 / 2.0) * (dist_sq - region.sq_radius)
@@ -170,7 +169,7 @@ def test_split_e_variable_bound():
         rep = root.substream(r)
         sample = data.sample_gaussian(n, d, np.zeros(d), rep.substream(0))
         pair = data.split(sample, 0.5, rep.substream(1))
-        values[r] = math.exp(split_log_statistic(np.zeros(d), pair).log_value)
+        values[r] = math.exp(split_log_statistic(np.zeros(d), pair))
     mc_se = values.std(ddof=1) / math.sqrt(reps)
     assert values.mean() <= 1.0 + 3.0 * mc_se
 
@@ -340,15 +339,15 @@ def test_crossfit_equals_split_when_means_coincide():
     # the half-split {(1, 2), (3, -1)} | {(3, -1), (1, 2)} of four observations
     pair = data.SplitPair([[2.0, 0.5]], [[2.0, 0.5]], 2, 2)
     for theta in ([0.0, 0.0], [2.0, 0.5], [-1.0, 3.0]):
-        split_val = split_log_statistic(theta, pair).log_value
-        cf_val = crossfit_log_statistic(theta, pair).log_value
+        split_val = split_log_statistic(theta, pair)
+        cf_val = crossfit_log_statistic(theta, pair)
         assert cf_val == pytest.approx(split_val, abs=1e-12)
 
 
 def test_crossfit_midpoint_simplification(dataset):
     sample, pair = dataset
     delta = float(np.sum((pair.mean0 - pair.mean1) ** 2))
-    value = crossfit_log_statistic(sample.mean, pair).log_value
+    value = crossfit_log_statistic(sample.mean, pair)
     assert value == pytest.approx(-(3.0 * 1000.0 / 16.0) * delta, rel=1e-10)
 
 
@@ -360,7 +359,7 @@ def test_crossfit_contained_in_recentered_ball(dataset):
     hits = 0
     for _ in range(10_000):
         theta = sample.mean + rng.normal(scale=0.2, size=2)
-        if crossfit_log_statistic(theta, pair).log_value < thresh:
+        if crossfit_log_statistic(theta, pair) < thresh:
             hits += 1
             assert float(np.sum((theta - sample.mean) ** 2)) < ball_sq
     assert hits > 100  # the probe cloud actually intersects the region
@@ -374,15 +373,27 @@ def test_crossfit_contained_in_recentered_ball(dataset):
 def test_subsampling_single_split_reduction(dataset):
     _, pair = dataset
     theta = [0.01, -0.02]
-    lone = subsampling_log_statistic(theta, pair).log_value
-    assert lone == split_log_statistic(theta, pair).log_value
+    lone = subsampling_log_statistic(theta, pair)
+    assert lone == split_log_statistic(theta, pair)
+
+
+def test_scalar_statistics_are_the_floats_of_log_values(dataset):
+    sample, pair = dataset
+    splits = data.subsample_splits(sample, 20, 0.5, RngStream(9))
+    theta = np.array([0.03, -0.01])
+    for kind, statistic, record in (("split", split_log_statistic, pair),
+                                    ("crossfit", crossfit_log_statistic, pair),
+                                    ("subsampling", subsampling_log_statistic, splits)):
+        value = statistic(theta, record)
+        assert type(value) is float
+        assert value == regions.log_values(kind, theta, record.mean0, record.mean1, record.m0, record.m1)
 
 
 def test_subsampling_log_sum_exp_shift_invariance(dataset):
     sample, _ = dataset
     splits = data.subsample_splits(sample, 50, 0.5, RngStream(9))
     theta = np.array([0.05, 0.0])
-    stat = subsampling_log_statistic(theta, splits).log_value
+    stat = subsampling_log_statistic(theta, splits)
     logs = regions.split_log_values(theta, splits.mean0, splits.mean1, splits.m0)
     peak = logs.max()
     reference = peak + math.log(np.mean(np.exp(logs - peak)))
@@ -393,9 +404,9 @@ def test_subsampling_matches_batch_kernel(dataset):
     sample, _ = dataset
     splits = data.subsample_splits(sample, 50, 0.5, RngStream(10))
     thetas = np.array([[0.0, 0.0], [0.08, -0.03], [0.2, 0.2]])
-    batch = regions.log_values("subsampling", thetas, splits.mean0, splits.mean1, 500)
+    batch = regions.log_values("subsampling", thetas, splits.mean0, splits.mean1, splits.m0, splits.m1)
     for g, theta in enumerate(thetas):
-        direct = subsampling_log_statistic(theta, splits).log_value
+        direct = subsampling_log_statistic(theta, splits)
         assert batch[g] == pytest.approx(direct, abs=1e-12)
 
 
@@ -403,7 +414,7 @@ def test_subsampling_stable_for_huge_exponents():
     sample = data.sample_gaussian(1_000_000, 1, [0.0], RngStream(12))
     splits = data.subsample_splits(sample, 3, 0.5, RngStream(13))
     theta = splits.mean0[0] + 10.0
-    stat = subsampling_log_statistic(theta, splits).log_value
+    stat = subsampling_log_statistic(theta, splits)
     assert math.isfinite(stat)
     assert stat > 2.0e7  # exponent about (n/4) * 100 in the raw domain
 
@@ -460,17 +471,6 @@ def test_limiting_region_value(dataset):
     region = limiting_subsampling_region(sample, 0.1)
     assert region.sq_radius == pytest.approx((10.0 / 3000.0) * math.log(25.0), rel=1e-12)
     assert region.kind == "limiting_subsampling"
-
-
-@pytest.mark.parametrize("d", [1, 2, 10, 100])
-def test_limiting_vs_expected_split_identity(d):
-    alpha, n = 0.1, 1000
-    sample = data.sample_gaussian(4, d, np.zeros(d), RngStream(1))
-    lim = (10.0 / (3.0 * n)) * (0.5 * d * math.log(2.5) + LN10)
-    expected_split = expected_sq_radius_split(alpha, d, n, 0.5)
-    assert lim / expected_split == pytest.approx(
-        limiting_vs_expected_split_ratio(alpha, d), rel=1e-12
-    )
 
 
 def test_limiting_vs_classical_high_dim_constant():
@@ -566,17 +566,16 @@ def test_closed_forms_refuse_n_below_2_or_d_below_1(n, d):
             closed_form()
     if d < 1:
         with pytest.raises(DomainError, match="degrees of freedom must be a positive integer"):
-            limiting_vs_expected_split_ratio(0.1, d)
+            optimal_split_proportion(0.1, d)
 
 
 @pytest.mark.parametrize("d", [2.5, True])
 @pytest.mark.parametrize("closed_form", [
     lambda d: optimal_split_proportion(0.1, d),
-    lambda d: limiting_vs_expected_split_ratio(0.1, d),
     lambda d: ratio_bounds_log(2.0, d),
     lambda d: expected_sq_radius_split(0.1, d, 1000, 0.5),
     lambda d: limiting_sq_radius(0.1, d, 1000),
-], ids=["p0star", "limiting_vs_split", "ratio_bounds_log", "expected_sq_radius", "limiting_sq_radius"])
+], ids=["p0star", "ratio_bounds_log", "expected_sq_radius", "limiting_sq_radius"])
 def test_closed_forms_refuse_a_non_integer_or_boolean_d(closed_form, d):
     """Each used to return a number at d = 2.5 or True (p0* was 0.6277 at
     2.5); they now share the package's one d check."""
@@ -910,6 +909,39 @@ def test_margin_boundary_matches_per_ray_bisection(case):
         assert 0 < (np.abs(points[:, 1] - center[1] - 0.03) <= tol).sum() < rays
 
 
+@functools.lru_cache(maxsize=None)
+def _fig1_records(p0, i):
+    """Figure 1's data at split proportion ``p0``: a sample of 1000 points
+    in 2-d at the origin, one split of it and a record of 100 splits."""
+    stream = RngStream(3031).substream(i)
+    sample = data.sample_gaussian(1000, 2, [0.0, 0.0], stream.substream(0))
+    pair = data.split(sample, p0, stream.substream(1))
+    return sample, {"crossfit": pair, "subsampling": data.subsample_splits(sample, 100, p0, stream.substream(2))}
+
+
+@given(
+    kind=st.sampled_from(["crossfit", "subsampling"]),
+    p0=st.sampled_from([0.1, 0.5, 0.9]),
+    i=st.integers(0, 3),
+    offsets=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_crossfit_and_subsampling_statistics_are_midpoint_convex(kind, p0, i, offsets):
+    """Each split's log statistic is a convex quadratic in theta, and
+    log-sum-exp keeps convexity, so the cross-fit and subsampling log
+    statistics are convex and their sets convex (star-shaped about every
+    member).  At the midpoint of two points within 1 of the sample mean,
+    about ten radii of figure 1's split sphere, the statistic stays at or
+    below the chord's midpoint up to rounding, stated as ``1e-12 * (1 +
+    |f(a)| + |f(b)|)``."""
+    sample, records = _fig1_records(p0, i)
+    record = records[kind]
+    a, b = sample.mean + np.reshape(offsets, (2, 2))
+    f = regions.log_values(kind, np.array([a, b, 0.5 * (a + b)]), record.mean0, record.mean1,
+                           record.m0, record.m1)
+    assert f[2] - 0.5 * (f[0] + f[1]) <= 1e-12 * (1.0 + abs(f[0]) + abs(f[1]))
+
+
 @pytest.mark.sweep
 def test_margin_boundaries_equal_boolean_traces_sweep():
     """``boundaries_2d`` traces margins; on 200 fig1-shaped records its
@@ -935,19 +967,6 @@ def test_margin_boundaries_equal_boolean_traces_sweep():
 # ---------------------------------------------------------------------------
 
 
-def test_log_statistic_rejection_rule():
-    stat = LogStatistic(math.log(10.0), "split", 100, alpha=0.1)
-    assert stat.rejects()
-    assert not LogStatistic(math.log(10.0) - 1e-9, "split", 100).rejects(0.1)
-    with pytest.raises(DomainError):
-        LogStatistic(0.0, "split", 100).rejects()
-
-
-def test_log_statistic_kind_validation():
-    with pytest.raises(DomainError):
-        LogStatistic(0.0, "bogus", 10)
-
-
 def test_log_values_refuse_an_unknown_kind(dataset):
     _, pair = dataset
     with pytest.raises(DomainError, match="^unknown statistic kind 'bogus'$"):
@@ -961,7 +980,7 @@ def test_log_values_refuse_an_unknown_kind(dataset):
 ], ids=["kind", "negative-radius", "nan-radius"])
 def test_spherical_region_refuses_an_unknown_kind_or_a_bad_radius(kind, sq_radius, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        SphericalRegion(np.zeros(2), sq_radius, 0.1, kind)
+        SphericalRegion(np.zeros(2), sq_radius, kind)
 
 
 @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])

@@ -7,11 +7,13 @@ fresh process, runs two small figures through it and reads the span names.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 _SCRIPT = """
 import json, sys
@@ -39,9 +41,11 @@ def test_tracer_spans_name_every_layer_and_no_private_draw_step(tmp_path):
         ["figure", "5", "--d", "100", "--reps", "600", "--workers", "2",
          "--out", str(tmp_path / "fig5.csv")],
     ]
+    # the package in ``src``, whether or not ``ulrt`` is installed
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(PERFBENCH), json.dumps(calls)],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
